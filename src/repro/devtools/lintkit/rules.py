@@ -163,6 +163,19 @@ class SnapshotDiscipline(Rule):
 # LK002 cache-key-discipline
 # ----------------------------------------------------------------------
 
+#: The attribute an attached incremental store lives under.
+STORE_ATTRIBUTE = "_incremental_store"
+
+#: (path suffix) → the functions allowed to read ``STORE_ATTRIBUTE``
+#: there (``None``: the whole module).  The relation store answers every
+#: relation lookup, ``query_result`` asks the store for reusable
+#: answers, and the store's own module manages the attachment.
+STORE_READERS: dict[str, frozenset[str] | None] = {
+    "engine/relations.py": frozenset({"atom_relation"}),
+    "engine/cache.py": frozenset({"query_result"}),
+    "engine/incremental.py": None,
+}
+
 
 @register
 class CacheKeyDiscipline(Rule):
@@ -180,6 +193,14 @@ class CacheKeyDiscipline(Rule):
     The three blessed attachment points (``_engine_cache``,
     ``_engine_adjacency``, ``_incremental_store``) carry inline
     suppressions with their justification.
+
+    The attached incremental store is *read* only where
+    :data:`STORE_READERS` allows — the relation store
+    (``relations.atom_relation``), ``cache.query_result`` and
+    ``engine/incremental.py``.  Every other consumer reaches maintained
+    relations through ``atom_relation``, so a new reader would grow a
+    second relation tier beside it (four such tiers were folded into
+    that one lookup).
     """
 
     rule_id = "LK002"
@@ -188,6 +209,7 @@ class CacheKeyDiscipline(Rule):
     _GRAPH_NAMES = frozenset({"graph", "g", "graphdb"})
 
     def check(self, ctx: LintContext) -> Iterator[Finding]:
+        yield from self._store_reads(ctx)
         if ctx.relpath.endswith("engine/cache.py"):
             return
         for node in ast.walk(ctx.tree):
@@ -227,6 +249,38 @@ class CacheKeyDiscipline(Rule):
                             f"engine/cache.py (suppress inline if this is "
                             f"a blessed attachment point)",
                         )
+
+    def _store_reads(self, ctx: LintContext) -> Iterator[Finding]:
+        allowed: frozenset[str] = frozenset()
+        for suffix, functions in STORE_READERS.items():
+            if ctx.relpath.endswith(suffix):
+                if functions is None:
+                    return
+                allowed = functions
+        for node in ast.walk(ctx.tree):
+            if isinstance(node, ast.Attribute):
+                reads = (node.attr == STORE_ATTRIBUTE
+                         and isinstance(node.ctx, ast.Load))
+            elif isinstance(node, ast.Call):
+                reads = (
+                    _call_name(node) == "getattr"
+                    and len(node.args) >= 2
+                    and isinstance(node.args[1], ast.Constant)
+                    and node.args[1].value == STORE_ATTRIBUTE
+                )
+            else:
+                continue
+            if not reads:
+                continue
+            function = ctx.enclosing_function(node)
+            if function is not None and function.name in allowed:
+                continue
+            yield self.finding(
+                ctx, node,
+                f"reads graph.{STORE_ATTRIBUTE} outside the relation "
+                f"store — reach maintained relations through "
+                f"relations.atom_relation (single relation store)",
+            )
 
     def _is_graph_expr(self, node: ast.AST) -> bool:
         dotted = _dotted(node)
@@ -670,18 +724,12 @@ class ImportLayering(Rule):
 # ----------------------------------------------------------------------
 
 #: (path suffix) → {shared structure name → owning lock name}.  The
-#: structures are the process-wide LRU state in engine/cache.py, the
-#: executor-shared relation store in engine/batch.py, and the telemetry
-#: instruments in engine/telemetry.py — all mutated from the batch
-#: executor's worker threads.  (The old analysis-stat counters migrated
-#: onto the telemetry registry in PR 10.)
+#: structures are the process-wide LRU state in engine/cache.py and the
+#: telemetry instruments in engine/telemetry.py — all mutated from the
+#: batch executor's worker threads.
 LOCKED_STRUCTURES: dict[str, dict[str, str]] = {
     "engine/cache.py": {
         "_data": "_lock",
-    },
-    "engine/batch.py": {
-        "_relations": "_lock",
-        "_relations_version": "_lock",
     },
     "engine/telemetry.py": {
         "_metrics": "_lock",
@@ -701,11 +749,12 @@ class LockDiscipline(Rule):
     """Shared LRU/store state mutates only under its owning lock.
 
     **Origin: PR 2 (thread-safe LRUs) and PR 4 (threaded batch
-    serving).**  ``engine/cache.py``'s LRU internals and analysis-stat
-    counters, and ``engine/batch.py``'s executor-shared relation store,
-    are all reachable from the batch executor's worker threads.  An
-    unlocked check-then-set on them loses updates or serves a
-    half-written entry.  The rule flags any mutation (assignment,
+    serving).**  ``engine/cache.py``'s LRU internals and
+    ``engine/telemetry.py``'s instruments are reachable from the batch
+    executor's worker threads.  An unlocked check-then-set on them
+    loses updates or serves a half-written entry.  (The graph-scoped
+    atom-relation store needs no entry: it publishes with a single
+    ``dict.setdefault``.)  The rule flags any mutation (assignment,
     augmented assignment, ``del``, or a mutating method call such as
     ``pop``/``setdefault``/``move_to_end``) of a registered structure
     that is not lexically inside ``with <owning lock>:``.  ``__init__``

@@ -9,8 +9,8 @@ three pieces (see ARCHITECTURE.md for the full picture):
   backtracking searches stop re-sorting adjacency inside their inner
   loops;
 - :mod:`repro.engine.cache` — a structural ``Regex → NFA`` compilation
-  cache and a per-(graph, language, semantics) atom-relation cache,
-  both invalidated by the graph's mutation counter;
+  cache and the version-tagged graph-scoped cache (invalidated by the
+  graph's mutation counter) that the atom-relation store lives in;
 - :mod:`repro.engine.product` — a single-sweep product-automaton
   reachability replacing the per-source BFS of the classical NL
   algorithm, plus reverse-reachability sets used to prune the
@@ -18,11 +18,13 @@ three pieces (see ARCHITECTURE.md for the full picture):
 - :mod:`repro.engine.batch` — the cross-query layer: a
   :class:`QueryBatch`/:class:`BatchExecutor` pair that deduplicates
   atom languages structurally across many queries, computes each
-  distinct atom relation once into a shared store, and evaluates every
-  query against it (optionally on a thread pool);
+  distinct atom relation once into the shared atom-relation store, and
+  evaluates every query against it (optionally on a thread pool);
 - :mod:`repro.engine.relations` — hash-indexed binary
   :class:`Relation` tables (by-source / by-target dicts built once per
-  atom relation), the base tables of the join engine;
+  atom relation), the base tables of the join engine, and
+  :func:`atom_relation`, the one store that hands them out per
+  (graph version, kind, NFA);
 - :mod:`repro.engine.join` — the tuple-relation algebra (hash join,
   semijoin, projection) the planner executes;
 - :mod:`repro.engine.planner` — the st / a-inj glue: GYO acyclicity
@@ -41,7 +43,6 @@ differential suite (``tests/test_engine_differential.py``) pins that.
 from repro.engine.adjacency import AdjacencyIndex, adjacency_index
 from repro.engine.batch import AtomJob, BatchExecutor, BatchPlan, QueryBatch
 from repro.engine.cache import (
-    atom_relation,
     compiled_nfa,
     coreachable_states,
     invalidate_engine_caches,
@@ -50,7 +51,7 @@ from repro.engine.cache import (
 from repro.engine.join import TupleRelation, natural_join, project, semijoin
 from repro.engine.planner import JoinPlan, explain_query, plan_eps_free
 from repro.engine.product import product_reachability_pairs
-from repro.engine.relations import Relation, atom_relation_index
+from repro.engine.relations import Relation, atom_relation
 from repro.engine.telemetry import (
     MetricsRegistry,
     QueryTrace,
@@ -63,7 +64,6 @@ __all__ = [
     "AdjacencyIndex",
     "adjacency_index",
     "atom_relation",
-    "atom_relation_index",
     "AtomJob",
     "BatchExecutor",
     "BatchPlan",

@@ -10,19 +10,19 @@ query cheap; this module adds the cross-query layer:
 - :class:`BatchExecutor` — plans the batch by structurally
   deduplicating atom languages (compiled NFAs are interned, so equal
   regexes collapse to one automaton), compiles each distinct NFA once,
-  computes each distinct atom relation once into a shared store, then
-  evaluates every query against that store.
+  computes each distinct atom relation once, then evaluates every query.
 
-The shared store holds the atom relations as hash-indexed
-:class:`~repro.engine.relations.Relation` tables ("standard" /
-"simple-path" / "simple-cycle-nonempty", the same kinds
-:mod:`repro.semantics.rpq` caches per graph version).  Under st / a-inj
-the join planner (:mod:`repro.engine.planner`) consumes them directly
-through its ``relation_for`` hook; under q-inj the guided joint search
-(:mod:`repro.engine.qinj`) reads its *standard* pruning relations from
-the same store, so a q-inj batch dedupes and warms one walk relation
-per distinct atom language (and still amortizes NFA compilation and the
-per-(automaton, target) co-reachability sets).
+The relations live in the engine's one atom-relation store
+(:func:`repro.engine.relations.atom_relation`): hash-indexed
+:class:`~repro.engine.relations.Relation` tables of kind "standard" /
+"simple-path" / "simple-cycle-nonempty", one per (graph version, kind,
+interned NFA).  Warm-up fills it; under st / a-inj the join planner
+(:mod:`repro.engine.planner`) then reads its base tables from it, and
+under q-inj the guided joint search (:mod:`repro.engine.qinj`) reads
+its *standard* pruning relations from it, so a q-inj batch dedupes and
+warms one walk relation per distinct atom language (and still
+amortizes NFA compilation and the per-(automaton, target)
+co-reachability sets).
 
 ``max_workers`` enables a thread pool for the independent units of
 work (one distinct atom relation, one query).  The per-unit code is
@@ -38,12 +38,12 @@ to the methods that need them (the same inversion-avoidance used by
 
 from __future__ import annotations
 
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from repro.engine import telemetry
-from repro.engine.cache import compiled_nfa, query_result
+from repro.engine.cache import compiled_nfa
+from repro.engine.relations import atom_relation
 from repro.engine.runtime import (
     active_context,
     checkpoint_site,
@@ -59,7 +59,6 @@ SITE_BATCH_ENTRY = checkpoint_site(
 
 _ATOMS_TOTAL = telemetry.registry().counter("batch.atoms.total")
 _ATOMS_SHARED = telemetry.registry().counter("batch.atoms.shared")
-_STORE_WARMED = telemetry.registry().counter("batch.store.warmed")
 _WORKERS = telemetry.registry().gauge("batch.workers")
 
 
@@ -115,11 +114,10 @@ def atom_job(atom, semantics):
     """
     from repro.semantics.rpq import atom_relation_kind
 
-    nfa = compiled_nfa(atom.language)
     if semantics is Semantics.QUERY_INJECTIVE:
-        return AtomJob(nfa, "standard")
-    kind = atom_relation_kind(atom, semantics)
-    return None if kind is None else AtomJob(nfa, kind)
+        semantics = Semantics.STANDARD
+    return AtomJob(compiled_nfa(atom.language),
+                   atom_relation_kind(atom, semantics))
 
 
 @dataclass(frozen=True)
@@ -185,24 +183,20 @@ class QueryBatch:
 class BatchExecutor:
     """Evaluate a :class:`QueryBatch` over one graph under one semantics.
 
-    The executor owns a relation store mapping :class:`AtomJob` to its
-    hash-indexed relation.  The store is filled through
-    :func:`repro.engine.cache.atom_relation` (so it cooperates with the
-    graph-scoped caches) but survives cap-induced cache eviction for the
-    lifetime of the executor — every query in the batch is guaranteed to
-    read each distinct relation from memory.
-
-    The executor is reusable across batches against the same graph; the
-    store is dropped automatically when the graph's version changes.
+    The executor keeps no relations of its own: :meth:`warm` fills the
+    engine's one atom-relation store
+    (:func:`repro.engine.relations.atom_relation`) with every distinct
+    relation the batch needs, and the queries then plan against that
+    store through the planners' default hooks.  A graph mutated between
+    calls moves the store to the new version, so stale relations are
+    never served.  The executor is reusable across batches against the
+    same graph.
     """
 
     def __init__(self, graph, semantics, max_workers=None):
         self.graph = graph
         self.semantics = Semantics.coerce(semantics)
         self.max_workers = max_workers
-        self._lock = threading.Lock()
-        self._relations = {}
-        self._relations_version = graph.version
 
     # ------------------------------------------------------------------
     # Planning and warm-up
@@ -236,9 +230,7 @@ class BatchExecutor:
                 for atom in disjunct.atoms:
                     num_atoms += 1
                     languages.setdefault(compiled_nfa(atom.language), None)
-                    job = atom_job(atom, self.semantics)
-                    if job is not None:
-                        jobs.setdefault(job, None)
+                    jobs.setdefault(atom_job(atom, self.semantics), None)
         plan = BatchPlan(
             semantics=self.semantics,
             num_queries=len(batch),
@@ -252,87 +244,50 @@ class BatchExecutor:
         return plan
 
     def warm(self, batch):
-        """Compute every distinct atom relation the batch needs.
+        """Compute every distinct atom relation the batch needs into the
+        shared store (on the pool when ``max_workers`` allows).
 
-        Returns the :class:`BatchPlan`.  Relations already in the store
-        (from a previous batch over the same graph version) are skipped.
+        Returns the :class:`BatchPlan`.  Relations already stored for
+        the graph's current version (by a previous batch, or by any
+        other evaluation) are lookups.
 
-        Fault isolation: a job that fails with an ordinary exception is
-        simply *not stored* — the queries needing it fail individually
-        at lookup time (:meth:`_stored_relation`) and every other query
-        keeps its warmed relations.  Budget/cancellation exceptions
-        abort the warm-up as a whole, publishing nothing from the
-        failed pass (relations are only stored once fully computed, so
-        an interrupt can never publish partial data into the store).
+        Fault isolation: a job that fails with an ordinary exception
+        stores nothing — the queries needing it retry the relation when
+        they plan, and fail individually if it fails again, while every
+        other query keeps its warmed relations.  Budget/cancellation
+        exceptions abort the warm-up as a whole; the store publishes a
+        relation only once it is fully computed, so an interrupt never
+        leaves partial data behind.
         """
-        self._check_version()
         plan = self.plan(batch)
-        with self._lock:
-            missing = [
-                job for job in plan.jobs if job not in self._relations
-            ]
         ctx = current_context()
-        if self._pool_size(len(missing)) > 1:
-            with ThreadPoolExecutor(self._pool_size(len(missing))) as pool:
-                computed = list(
-                    pool.map(lambda job: self._guarded_job(job, ctx), missing)
-                )
-            with self._lock:
-                for job, pairs in zip(missing, computed):
-                    if pairs is not None:
-                        self._relations[job] = pairs
-                        _STORE_WARMED.inc()
+        pool_size = self._pool_size(len(plan.jobs))
+        if pool_size > 1:
+            with ThreadPoolExecutor(pool_size) as pool:
+                list(pool.map(lambda job: self._guarded_job(job, ctx),
+                              plan.jobs))
         else:
-            for job in missing:
-                pairs = self._guarded_job(job, ctx)
-                if pairs is not None:
-                    with self._lock:
-                        self._relations[job] = pairs
-                        _STORE_WARMED.inc()
+            for job in plan.jobs:
+                self._guarded_job(job, ctx)
         return plan
 
     def _guarded_job(self, job, ctx):
-        """Compute one atom relation under the batch's execution context
+        """Store one atom relation under the batch's execution context
         (re-activated explicitly: context variables do not propagate
         into pool worker threads).  Ordinary failures warm nothing for
         this job; governor interrupts propagate."""
         try:
             with active_context(ctx):
-                return self._compute_job(job)
+                atom_relation(self.graph, job.nfa, job.kind)
         except (ResourceExhausted, EvaluationCancelled):
             raise
         except Exception:
-            return None
-
-    def _check_version(self):
-        version = self.graph.version
-        with self._lock:
-            if self._relations_version != version:
-                self._relations = {}
-                self._relations_version = version
+            pass
 
     def _pool_size(self, num_units):
         if not self.max_workers or self.max_workers <= 1:
             return 1
         return min(self.max_workers, max(num_units, 1))
-
-    def _compute_job(self, job):
-        # Routed through semantics.rpq so the graph-scoped atom_relation
-        # cache is populated too (lazy import: engine sits under
-        # semantics).  The store holds hash-indexed Relations — the form
-        # the join planner consumes — not raw pair sets.  A graph with
-        # an attached incremental store shares its *maintained* indexed
-        # relation for standard-kind jobs (same object, no re-indexing);
-        # other kinds still flow through relation_by_kind, whose
-        # standard-pair pruning is itself store-served via atom_relation.
-        from repro.engine.relations import Relation
-        from repro.semantics.rpq import relation_by_kind
-
-        if job.kind == "standard":
-            incremental = getattr(self.graph, "_incremental_store", None)
-            if incremental is not None:
-                return incremental.standard_relation(job.nfa)
-        return Relation(relation_by_kind(self.graph, job.nfa, job.kind))
 
     # ------------------------------------------------------------------
     # Execution
@@ -355,9 +310,8 @@ class BatchExecutor:
         query completes (the streaming interface behind the CLI's
         ``batch`` command).  ``warmed=True`` skips the warm-up pass for
         callers that already ran :meth:`warm` on this batch (the CLI
-        warms once to print the plan, then streams); the version check
-        still runs, so a graph mutated between the calls drops the
-        stale store and the relations recompute lazily.
+        warms once to print the plan, then streams); a graph mutated
+        between the calls simply recomputes its relations lazily.
 
         Fault isolation: one poisoned query never takes down the batch.
         A query whose evaluation raises an ordinary exception yields a
@@ -373,9 +327,7 @@ class BatchExecutor:
                 f"on_budget must be 'raise' or 'partial', got {on_budget!r}"
             )
         try:
-            if warmed:
-                self._check_version()
-            else:
+            if not warmed:
                 self.warm(batch)
         except (ResourceExhausted, EvaluationCancelled):
             if on_budget == "raise":
@@ -437,34 +389,9 @@ class BatchExecutor:
         return frozenset(answers)
 
     def _disjunct_answers(self, disjunct):
-        from repro.semantics import evaluation
+        from repro.semantics.evaluation import evaluate_eps_free
 
-        return query_result(
-            self.graph,
-            self.semantics,
-            disjunct,
-            lambda: evaluation.eps_free_answers_uncached(
-                disjunct, self.graph, self.semantics,
-                relation_for=self._stored_relation,
-            ),
-        )
-
-    def _stored_relation(self, graph, atom, semantics):
-        """The ``relation_for`` hook handed to the join planner: read
-        the atom's hash-indexed relation from the shared store
-        (computing and memoizing it on the spot if a query sneaked in an
-        atom the plan never saw)."""
-        job = atom_job(atom, semantics)
-        with self._lock:
-            relation = self._relations.get(job)
-        if relation is None:
-            # Compute outside the lock (relation building can be slow);
-            # setdefault keeps the first writer's entry if two workers
-            # race on the same job, so every caller sees one object.
-            computed = self._compute_job(job)
-            with self._lock:
-                relation = self._relations.setdefault(job, computed)
-        return relation
+        return evaluate_eps_free(disjunct, self.graph, self.semantics)
 
     def explain(self, batch):
         """Render the batch plan plus every disjunct's join plan without
@@ -490,14 +417,10 @@ class BatchExecutor:
                 )
             for disjunct in report.disjuncts:
                 if self.semantics is Semantics.QUERY_INJECTIVE:
-                    disjunct_plan = plan_qinj(
-                        disjunct, self.graph,
-                        relation_for=self._stored_relation,
-                    )
+                    disjunct_plan = plan_qinj(disjunct, self.graph)
                 else:
                     disjunct_plan = plan_eps_free(
-                        disjunct, self.graph, self.semantics,
-                        relation_for=self._stored_relation,
+                        disjunct, self.graph, self.semantics
                     )
                 lines.extend(
                     "  " + line

@@ -1,16 +1,15 @@
 """Compilation and relation caches for the evaluation engine.
 
-Four cache families live here:
+Four cache families live here (the fifth, the atom-relation store,
+lives in :mod:`repro.engine.relations` on top of :func:`graph_cached`):
 
 - **NFA compilation cache** — ``Regex → NFA`` memoization, keyed
   *structurally* (regex AST nodes are frozen dataclasses, so equal
   regexes share one compiled automaton).  The seed recompiled every
   atom language on every ``evaluate`` / ``_qinj_solutions`` /
   ``simple_path_pairs`` call.
-- **Atom-relation cache** — per-(graph, language, semantics-kind)
-  memoization of the pair relations (`standard_pairs`,
-  `simple_path_pairs`, `simple_cycle_nodes`) that the evaluators and
-  the containment preprocessor re-derive.
+- **Per-disjunct results** — :func:`query_result`, per (graph version,
+  semantics, ε-free disjunct).
 - **Co-reachability cache** — per-(graph, NFA, target) sets of product
   states ``(node, state)`` from which an accepting configuration
   ``(target, final)`` is reachable; used by the simple-path searches to
@@ -43,7 +42,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Any, Callable, Iterable, Optional
+from typing import Any, Callable, Optional
 
 from repro.engine import telemetry
 from repro.engine.adjacency import adjacency_index
@@ -54,18 +53,21 @@ from repro.regular.syntax import Regex
 # evict least-recently-used entries one at a time (batch workloads with
 # more distinct regexes than the cap would thrash a cap-and-clear cache
 # and break the interning that makes the identity-keyed graph caches
-# effective); the graph-scoped caches below are simply dropped wholesale
-# when full (correctness never depends on a hit).
+# effective); the graph-scoped caches below are dropped wholesale when
+# full, atom relations excepted (:func:`_make_room`; correctness never
+# depends on a hit).
 _NFA_CACHE_CAP = 4096
 _GRAPH_CACHE_CAP = 4096
 _ANALYSIS_CACHE_CAP = 1024
+
+#: First key element of the atom-relation entries, which a full graph
+#: cache keeps (:func:`_make_room`).
+RELATION_KEY = "relation"
 
 # Stable dotted names — the cache family's slice of the metric naming
 # scheme (ARCHITECTURE.md "Observability").
 _NFA_HITS = telemetry.registry().counter("cache.nfa.hits")
 _NFA_MISSES = telemetry.registry().counter("cache.nfa.misses")
-_RELATION_HITS = telemetry.registry().counter("cache.relation.hits")
-_RELATION_MISSES = telemetry.registry().counter("cache.relation.misses")
 _RESULT_HITS = telemetry.registry().counter("cache.result.hits")
 _RESULT_MISSES = telemetry.registry().counter("cache.result.misses")
 _ANALYSIS_HITS = telemetry.registry().counter("cache.analysis.hits")
@@ -77,7 +79,9 @@ class _LRUCache:
 
     Thread-safe (the batch executor's worker threads compile NFAs
     concurrently); ``get`` refreshes recency, insertion evicts the
-    stalest entries once the cap is exceeded.
+    stalest entries once the cap is exceeded.  ``setdefault`` keeps the
+    first value published for a key, so threads racing on one miss all
+    end up with the same object (interning depends on it).
     """
 
     def __init__(self, cap: int) -> None:
@@ -92,12 +96,13 @@ class _LRUCache:
                 self._data.move_to_end(key)
             return value
 
-    def put(self, key: Any, value: Any) -> None:
+    def setdefault(self, key: Any, value: Any) -> Any:
         with self._lock:
-            self._data[key] = value
+            value = self._data.setdefault(key, value)
             self._data.move_to_end(key)
             while len(self._data) > self._cap:
                 self._data.popitem(last=False)
+            return value
 
     def clear(self) -> None:
         with self._lock:
@@ -127,22 +132,23 @@ def compiled_nfa(language: Any, state_prefix: str = "") -> NFA:
         raise TypeError(f"expected Regex or NFA, got {language!r}")
     key = (language, state_prefix)
     nfa: NFA | None = _nfa_cache.get(key)
-    if nfa is None:
-        _NFA_MISSES.inc()
-        nfa = NFA.from_regex(language, state_prefix=state_prefix)
-        _nfa_cache.put(key, nfa)
-    else:
+    if nfa is not None:
         _NFA_HITS.inc()
-    return nfa
+        return nfa
+    _NFA_MISSES.inc()
+    compiled: NFA = _nfa_cache.setdefault(
+        key, NFA.from_regex(language, state_prefix=state_prefix)
+    )
+    return compiled
 
 
 def reversed_nfa(nfa: NFA) -> NFA:
     """Return ``nfa.reverse()``, memoized by automaton identity."""
     rev: NFA | None = _reverse_cache.get(nfa)
-    if rev is None:
-        rev = nfa.reverse()
-        _reverse_cache.put(nfa, rev)
-    return rev
+    if rev is not None:
+        return rev
+    reverse: NFA = _reverse_cache.setdefault(nfa, nfa.reverse())
+    return reverse
 
 
 def clear_compilation_caches() -> None:
@@ -165,10 +171,10 @@ def language_is_empty(language: Any) -> bool:
     relation is materialized."""
     nfa = compiled_nfa(language)
     cached: bool | None = _emptiness_cache.get(nfa)
-    if cached is None:
-        cached = nfa.is_empty()
-        _emptiness_cache.put(nfa, cached)
-    return cached
+    if cached is not None:
+        return cached
+    empty: bool = _emptiness_cache.setdefault(nfa, nfa.is_empty())
+    return empty
 
 
 # ----------------------------------------------------------------------
@@ -191,9 +197,7 @@ def analysis_report(key: Any, compute: Callable[[], Any]) -> Any:
         _ANALYSIS_HITS.inc()
         return report
     _ANALYSIS_MISSES.inc()
-    report = compute()
-    _analysis_cache.put(key, report)
-    return report
+    return _analysis_cache.setdefault(key, compute())
 
 
 def analysis_cache_stats() -> dict[str, int]:
@@ -222,12 +226,17 @@ def clear_analysis_cache() -> None:
 # ----------------------------------------------------------------------
 
 
+_GRAPH_CACHE_LOCK = threading.Lock()
+
+
 def _graph_cache(graph: Any) -> dict[Any, Any]:
     """The mutable cache dict for the graph's *current* version.
 
     ``graph.version`` is read exactly once: a second read after the
     staleness check could observe a concurrent mutation and tag a
-    fresh store with a version newer than the state it caches.
+    fresh store with a version newer than the state it caches.  A new
+    version's dict is attached under a lock, so threads racing on the
+    first lookup of a version all publish into the same dict.
     """
     version: int = graph.version
     cached: tuple[int, dict[Any, Any]] | None = getattr(
@@ -235,10 +244,14 @@ def _graph_cache(graph: Any) -> dict[Any, Any]:
     )
     if cached is not None and cached[0] == version:
         return cached[1]
-    store: dict[Any, Any] = {}
-    # lintkit: disable=LK002 -- this *is* the blessed attachment point
-    # every other engine module routes through.
-    graph._engine_cache = (version, store)
+    with _GRAPH_CACHE_LOCK:
+        cached = getattr(graph, "_engine_cache", None)
+        if cached is not None and cached[0] == version:
+            return cached[1]
+        store: dict[Any, Any] = {}
+        # lintkit: disable=LK002 -- this *is* the blessed attachment
+        # point every other engine module routes through.
+        graph._engine_cache = (version, store)
     return store
 
 
@@ -255,81 +268,55 @@ def invalidate_engine_caches(graph: Any) -> None:
             pass
 
 
-def _language_key(language: Any) -> Any:
-    # Regexes key structurally; NFAs by identity (they hash by id, and
-    # the cache entry keeps the automaton alive, so ids cannot be
-    # recycled while cached).
-    return language
-
-
-def graph_cached(graph: Any, key: Any, compute: Callable[[], Any]) -> Any:
-    """Get-or-compute an arbitrary *immutable* value in the graph-scoped
-    cache (same version-tagged store and cap-and-clear policy as the
-    relation caches).  Callers must hand back values that are safe to
-    share across every consumer of the same graph version — the join
-    engine uses this for its hash-indexed :class:`Relation` tables."""
-    cache = _graph_cache(graph)
-    value = cache.get(key)
-    if value is None:
-        value = compute()
-        if len(cache) >= _GRAPH_CACHE_CAP:
-            cache.clear()
-        cache[key] = value
-    return value
-
-
-def _get_or_compute(
+def graph_cached(
     graph: Any,
     key: Any,
-    compute: Callable[[], Iterable[Any]],
+    compute: Callable[[], Any],
     hits: Optional[telemetry.Counter] = None,
     misses: Optional[telemetry.Counter] = None,
 ) -> Any:
-    """:func:`graph_cached` specialized to frozen relation values, with
-    optional hit/miss instrumentation (one counter bump per lookup — no
-    cost inside the compute path)."""
+    """Get-or-compute an *immutable* value in the graph-scoped cache.
+
+    Callers must hand back values that are safe to share across every
+    consumer of the same graph version.  ``compute`` runs outside any
+    lock and its value is published with ``dict.setdefault``: racing
+    callers all receive the first published object, and a compute that
+    raises (a deadline, a cancellation, a fault) publishes nothing.
+    ``hits`` / ``misses`` count one bump per lookup when given.
+    """
     cache = _graph_cache(graph)
     value = cache.get(key)
-    if value is None:
-        if misses is not None:
-            misses.inc()
-        value = frozenset(compute())
-        if len(cache) >= _GRAPH_CACHE_CAP:
-            cache.clear()
-        cache[key] = value
-    elif hits is not None:
-        hits.inc()
-    return value
+    if value is not None:
+        if hits is not None:
+            hits.inc()
+        return value
+    if misses is not None:
+        misses.inc()
+    value = compute()
+    _make_room(cache)
+    return cache.setdefault(key, value)
 
 
-def atom_relation(
-    graph: Any, language: Any, kind: str, compute: Callable[[], Any]
-) -> Any:
-    """Get-or-compute the atom relation of ``kind`` for ``language``.
+def _make_room(cache: dict[Any, Any]) -> None:
+    """Cap-and-clear a full graph cache, keeping its atom relations.
 
-    ``kind`` names the semantics-level relation ("standard",
-    "simple-path", ...); ``compute`` is a thunk producing the relation
-    when the cache misses.  The cached value is frozen so a shared
-    result can never be corrupted by one caller.
-
-    When an :class:`~repro.engine.incremental.IncrementalRelationStore`
-    is attached to the graph, ``standard`` misses are served from its
-    *maintained* pair sets (grown/repaired across versions via the
-    graph's change-log) instead of recomputing from scratch; the result
-    is cached here per version like any rebuilt relation, so downstream
-    consumers cannot tell the difference.
+    ``(RELATION_KEY, kind, nfa)`` entries are bounded by the number of
+    distinct atom languages and are the expensive ones: a batch warms
+    them before its queries run, and the per-endpoint entries a q-inj
+    search or an a-inj DFS adds (witnesses, co-reachable states) must
+    not evict them mid-batch.  Only when relations fill half the cache
+    does everything go.  Relation entries are never popped one by one,
+    so racing lookups still share one object per key.
     """
-    if kind == "standard":
-        store = getattr(graph, "_incremental_store", None)
-        if store is not None:
-            compute = lambda: store.standard_pairs(language)  # noqa: E731
-    return _get_or_compute(
-        graph,
-        (kind, _language_key(language)),
-        compute,
-        hits=_RELATION_HITS,
-        misses=_RELATION_MISSES,
-    )
+    if len(cache) < _GRAPH_CACHE_CAP:
+        return
+    keys = list(cache.copy())
+    evictable = [key for key in keys if key[0] != RELATION_KEY]
+    if 2 * len(evictable) < len(keys):
+        cache.clear()
+        return
+    for key in evictable:
+        cache.pop(key, None)
 
 
 def query_result(
@@ -354,10 +341,10 @@ def query_result(
     if store is not None:
         inner = compute
         compute = lambda: store.query_result(semantics, query, inner)  # noqa: E731
-    return _get_or_compute(
+    return graph_cached(
         graph,
         ("query", semantics, query),
-        compute,
+        lambda: frozenset(compute()),
         hits=_RESULT_HITS,
         misses=_RESULT_MISSES,
     )
@@ -397,7 +384,6 @@ def coreachable_states(graph: Any, nfa: NFA, target: Any) -> frozenset[Any]:
                             seen.add(item)
                             stack.append(item)
         value = frozenset(seen)
-        if len(cache) >= _GRAPH_CACHE_CAP:
-            cache.clear()
+        _make_room(cache)
         cache[key] = value
     return value

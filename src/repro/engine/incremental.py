@@ -41,13 +41,12 @@ Correctness never depends on the heuristic: every path recomputes the
 same fixpoint, only the amount of touched state differs.
 
 **Sharing.**  The store is attached to the graph
-(``graph._incremental_store``) and consulted by
-:func:`repro.engine.cache.atom_relation` (pair sets),
-:func:`repro.engine.relations.relation_for` (the planner's and the
-q-inj search's indexed base tables), and the batch executor's
-relation-store warm-up — maintained relations flow through exactly the
-same hooks rebuilt ones do, so every consumer of a graph version sees
-one shared :class:`~repro.engine.relations.Relation` per language.
+(``graph._incremental_store``) and consulted by exactly one relation
+lookup, :func:`repro.engine.relations.atom_relation`: for the standard
+kind it returns the maintained relation itself, so the planner, the
+q-inj search, the batch executor's warm-up and the pair-set helpers of
+:mod:`repro.semantics.rpq` all see one shared
+:class:`~repro.engine.relations.Relation` per language.
 Simple-path / simple-cycle relations (a-inj) stay version-discard —
 they are NP-hard per atom and non-monotone under insertion — but their
 recomputation prunes through the *maintained* standard relation, so
@@ -335,9 +334,9 @@ class IncrementalRelationStore:
     """Maintains standard atom relations for one graph across versions.
 
     Constructing the store attaches it to the graph; from then on the
-    engine's standard-relation lookups (`cache.atom_relation`,
-    `relations.relation_for`, the batch executor's store) are served
-    from maintained state, refreshed per :meth:`GraphDatabase.delta_since`
+    engine's standard-relation lookup
+    (:func:`repro.engine.relations.atom_relation`) is served from
+    maintained state, refreshed per :meth:`GraphDatabase.delta_since`
     instead of recomputed per version.  Thread-safe (the batch executor
     warms relations from worker threads).
     """
@@ -413,27 +412,6 @@ class IncrementalRelationStore:
         with self._lock:
             return self._state_for(language).relation()
 
-    def standard_pairs(self, language):
-        """The maintained standard pair set (a frozenset) — what
-        :func:`repro.engine.cache.atom_relation` serves on a miss."""
-        return self.standard_relation(language).pairs
-
-    def maintained_relation(self, atom, semantics):
-        """The ``relation_for``-shaped lookup: the maintained standard
-        relation when that is what ``semantics`` needs for ``atom``
-        (standard glue tables, q-inj pruning tables), else ``None`` —
-        the caller falls back to the version-discard cache."""
-        from repro.semantics.base import Semantics
-        from repro.semantics.rpq import atom_relation_kind
-
-        if semantics is Semantics.QUERY_INJECTIVE:
-            kind = "standard"
-        else:
-            kind = atom_relation_kind(atom, semantics)
-        if kind != "standard":
-            return None
-        return self.standard_relation(atom.language)
-
     # -- versioned query-result reuse ------------------------------------
 
     def query_result(self, semantics, query, compute):
@@ -482,14 +460,16 @@ class IncrementalRelationStore:
     def _result_fingerprint(self, query, semantics):
         """The reuse key of one disjunct: its maintained base tables (by
         identity) plus the node set — or ``None`` when any atom's table
-        is not maintained, which disables reuse for the disjunct."""
-        relations = []
-        for atom in query.atoms:
-            maintained = self.maintained_relation(atom, semantics)
-            if maintained is None:
-                return None
-            relations.append(maintained)
-        return tuple(relations), self.graph.nodes
+        is not maintained (a-inj), which disables reuse for the
+        disjunct.  Only called for st / a-inj."""
+        from repro.semantics.base import Semantics
+
+        if semantics is not Semantics.STANDARD:
+            return None
+        relations = tuple(
+            self.standard_relation(atom.language) for atom in query.atoms
+        )
+        return relations, self.graph.nodes
 
     def _state_for(self, language):
         nfa = compiled_nfa(language)

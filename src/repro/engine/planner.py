@@ -575,11 +575,10 @@ def plan_eps_free(query, graph, semantics, relation_for=None, binding=None):
     """Build a :class:`JoinPlan` for one ε-free disjunct under st / a-inj.
 
     ``relation_for(graph, atom, semantics)`` overrides where base tables
-    come from (the batch executor passes its shared store); the default
-    is :func:`repro.engine.relations.relation_for` — the graph-cached
-    index, or the attached incremental store's maintained relation for
-    standard-kind tables.  ``binding`` pins head variables to nodes (the
-    membership check).
+    come from; the default is :func:`repro.engine.relations.relation_for`
+    — the one atom-relation store, which hands out the attached
+    incremental store's maintained relation for standard-kind tables.
+    ``binding`` pins head variables to nodes (the membership check).
     """
     relation_for = relation_for or default_relation_for
     # Backend seam: under the array backend the glue operates on dense

@@ -53,7 +53,7 @@ from repro.engine.backend import active_backend
 from repro.engine.cache import compiled_nfa, graph_cached, language_is_empty
 from repro.engine.join import TupleRelation
 from repro.engine.planner import semijoin_reduce
-from repro.engine.relations import Relation, relation_for
+from repro.engine.relations import Relation, atom_relation
 from repro.engine.runtime import checkpoint_site, resolve_context
 from repro.graphdb.paths import simple_cycles_through, simple_paths
 from repro.semantics.base import Semantics
@@ -239,8 +239,8 @@ def standard_pruning_relation(graph, atom, semantics=None):
     """Default ``relation_for`` hook: the atom's *standard* (walk)
     :class:`Relation` — the sound q-inj over-approximation (every simple
     path / cycle is a walk).  ``semantics`` is accepted for hook-signature
-    compatibility and ignored.  Routed through
-    :func:`repro.engine.relations.relation_for`, so a graph with an
+    compatibility and ignored.  Read from the one atom-relation store
+    (:func:`repro.engine.relations.atom_relation`), so a graph with an
     attached incremental store serves its maintained relations here too.
 
     Under the array backend the relation is additionally the carrier of
@@ -248,7 +248,7 @@ def standard_pruning_relation(graph, atom, semantics=None):
     dense twin (:meth:`~repro.engine.relations.Relation.dense_relation`)
     so the pruning reduction runs over interned ids, and on that backend
     the walk pairs themselves come out of the dense product kernel."""
-    return relation_for(graph, atom, Semantics.STANDARD)
+    return atom_relation(graph, atom.language, "standard")
 
 
 class QinjPlan:
@@ -310,7 +310,7 @@ class QinjPlan:
         # Search-local witness memo on top of the graph-scoped cache: a
         # search touching more endpoint pairs than _GRAPH_CACHE_CAP
         # would otherwise trigger cap-and-clear churn mid-search (wiping
-        # its own warm entries plus every other graph cache).  Entries
+        # its own warm entries and every other non-relation entry).  Entries
         # fetched once per search stay pinned here for its duration;
         # each is bounded by WITNESS_PATH_CAP and dies with the call.
         local_witnesses = {}
@@ -491,9 +491,8 @@ def plan_qinj(query, graph, binding=None, relation_for=None):
 
     ``binding`` pins head variables to nodes (the membership check).
     ``relation_for(graph, atom, semantics)`` overrides where the
-    standard pruning relations come from — the batch executor passes its
-    shared store (whose q-inj jobs carry the "standard" kind); the
-    default is the graph-cached :func:`standard_pruning_relation`.
+    standard pruning relations come from; the default is
+    :func:`standard_pruning_relation`, the one atom-relation store.
     """
     relation_for = relation_for or standard_pruning_relation
     binding = dict(binding or {})

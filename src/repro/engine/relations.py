@@ -1,24 +1,31 @@
-"""Hash-indexed binary relations — the base tables of the join engine.
+"""Hash-indexed binary relations and the one atom-relation store.
 
-The st / a-inj glue used to materialize every atom relation into a fresh
-relation :class:`~repro.graphdb.graph.GraphDatabase` edge-by-edge on
-every uncached evaluation, only so the CSP matcher could probe it with
-``has_edge``.  A :class:`Relation` replaces that: the pair set plus
-by-source / by-target hash indexes, built **once per atom relation** and
-cached per graph version next to the pair relation itself
-(:func:`atom_relation_index`).  The planner (:mod:`repro.engine.planner`)
-reads its base tables from here; the batch executor keeps indexed
-relations in its shared store and feeds them in through the
-``relation_for`` hook.
+Under st and a-inj a CRPQ disjunct is a conjunctive query over per-atom
+pair relations: walks under st, simple paths or simple cycles under
+a-inj.  The q-inj search prunes with the walk relation.  Every
+evaluation path therefore asks one question — what is the relation of
+(kind, interned NFA) at graph version v? — and :func:`atom_relation`
+is the one place that answers it.  It hands out a :class:`Relation`:
+the pair set plus by-source / by-target hash indexes, built once per
+(graph version, kind, NFA) and shared by the planner, the q-inj
+search, the batch executor, ``--explain`` and the pair-set helpers of
+:mod:`repro.semantics.rpq`.  On a graph with an attached
+:class:`~repro.engine.incremental.IncrementalRelationStore` the walk
+relation is the store's maintained object instead.
 """
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Iterator, KeysView
+from typing import Any, Callable, Iterable, Iterator, KeysView
 
-from repro.engine.cache import compiled_nfa, graph_cached
+from repro.engine import telemetry
+from repro.engine.cache import RELATION_KEY, compiled_nfa, graph_cached
+from repro.engine.product import product_reachability_pairs
 
 _EMPTY: frozenset[Any] = frozenset()
+
+_RELATION_HITS = telemetry.registry().counter("cache.relation.hits")
+_RELATION_MISSES = telemetry.registry().counter("cache.relation.misses")
 
 
 class Relation:
@@ -144,55 +151,101 @@ class Relation:
         return f"Relation({len(self.pairs)} pairs)"
 
 
-def atom_relation_index(graph: Any, atom: Any, semantics: Any) -> Relation:
-    """The indexed :class:`Relation` of one atom under st / a-inj.
+def simple_path_pairs_among(
+    graph: Any, nfa: Any, candidates: Iterable[tuple[Any, Any]]
+) -> set[tuple[Any, Any]]:
+    """The candidate pairs ``(u, v)`` joined by some *simple path* with
+    label in the language of ``nfa`` (for u = v only the empty path is
+    simple, so ``(u, u)`` survives iff ε is accepted)."""
+    # Lazy import: graphdb.paths sits above the engine layer.
+    from repro.graphdb.paths import simple_paths
 
-    Cached per (graph version, relation kind, interned NFA) — the same
-    key family as the pair-relation cache underneath, so the indexes are
-    built once per atom relation, not once per evaluation.  This is the
-    default ``relation_for`` hook of the planner.
-    """
-    # Lazy import: the engine sits under the semantics layer (the same
-    # inversion-avoidance as engine/batch.py).
-    from repro.semantics.rpq import atom_relation_kind, relation_by_kind
+    pairs = set()
+    for source, target in candidates:
+        if source == target:
+            if nfa.accepts(()):
+                pairs.add((source, target))
+            continue
+        for _path in simple_paths(graph, source, target, language=nfa):
+            pairs.add((source, target))
+            break
+    return pairs
 
-    kind = atom_relation_kind(atom, semantics)
-    if kind is None:
-        raise ValueError(
-            f"no pair relation exists under {semantics} (q-inj glue is a "
-            f"joint search, not a join)"
-        )
-    nfa = compiled_nfa(atom.language)
-    index: Relation = graph_cached(
-        graph,
-        ("relation-index", kind, nfa),
-        lambda: Relation(relation_by_kind(graph, nfa, kind)),
+
+def _simple_path_pairs(graph: Any, nfa: Any) -> set[tuple[Any, Any]]:
+    # A simple path is a walk: the walk relation is the candidate set.
+    return simple_path_pairs_among(
+        graph, nfa, atom_relation(graph, nfa, "standard").pairs
     )
-    return index
+
+
+def _simple_cycle_diagonal(graph: Any, nfa: Any) -> set[tuple[Any, Any]]:
+    """``(v, v)`` for every node on a nonempty simple cycle with label
+    in the language — a loop atom's relation under a-inj."""
+    from repro.graphdb.paths import simple_cycles_through
+
+    diagonal = set()
+    for node in graph.nodes:
+        for _cycle in simple_cycles_through(
+            graph, node, language=nfa, include_empty=False
+        ):
+            diagonal.add((node, node))
+            break
+    return diagonal
+
+
+#: Relation kind → pair computation.  The kinds are the ones
+#: :func:`repro.semantics.rpq.atom_relation_kind` names.
+_KIND_PAIRS: dict[str, Callable[[Any, Any], Iterable[tuple[Any, Any]]]] = {
+    "standard": product_reachability_pairs,
+    "simple-path": _simple_path_pairs,
+    "simple-cycle-nonempty": _simple_cycle_diagonal,
+}
+
+
+def atom_relation(graph: Any, language: Any, kind: str) -> Relation:
+    """The :class:`Relation` of ``kind`` for ``language`` at the graph's
+    current version — the engine's one atom-relation store.
+
+    Stored in the version-tagged graph cache under
+    ``("relation", kind, nfa)``, one entry per (version, kind, interned
+    NFA).  The relation is computed outside any lock and published with
+    ``dict.setdefault`` (:func:`~repro.engine.cache.graph_cached`), so
+    racing callers all get one object and an interrupted compute
+    publishes nothing.  For ``"standard"`` on a graph with an attached
+    incremental store the store's maintained relation is returned
+    itself, counted as a hit: this is the only relation lookup that
+    reads the attached store (lintkit LK002).
+    """
+    compute_pairs = _KIND_PAIRS.get(kind)
+    if compute_pairs is None:
+        raise ValueError(f"unknown atom relation kind: {kind!r}")
+    nfa = compiled_nfa(language)
+    if kind == "standard":
+        store = getattr(graph, "_incremental_store", None)
+        if store is not None:
+            _RELATION_HITS.inc()
+            maintained: Relation = store.standard_relation(nfa)
+            return maintained
+    relation: Relation = graph_cached(
+        graph,
+        (RELATION_KEY, kind, nfa),
+        lambda: Relation(compute_pairs(graph, nfa)),
+        hits=_RELATION_HITS,
+        misses=_RELATION_MISSES,
+    )
+    return relation
 
 
 def relation_for(graph: Any, atom: Any, semantics: Any) -> Relation:
     """The default ``relation_for`` hook of the planner and the q-inj
-    pruning plan: the attached incremental store's *maintained* standard
-    relation when one is attached and ``semantics`` wants the standard
-    kind, else the version-discard :func:`atom_relation_index`.
-
-    Query-injective callers get the standard (walk) relation — its
-    sound pruning over-approximation — whether or not a store is
-    attached, so behavior never differs by store presence.  Maintained
-    and rebuilt relations are interchangeable by contract — both are
-    hash-indexed :class:`Relation` tables shared across every consumer
-    of the current graph version.
-    """
+    pruning plan: :func:`atom_relation` of the kind ``semantics`` needs
+    for ``atom``.  Query-injective callers get the standard (walk)
+    relation, the sound pruning over-approximation of their search."""
     from repro.semantics.base import Semantics
+    from repro.semantics.rpq import atom_relation_kind
 
     if semantics is Semantics.QUERY_INJECTIVE:
         semantics = Semantics.STANDARD
-    store = getattr(graph, "_incremental_store", None)
-    if store is not None:
-        maintained: Relation | None = store.maintained_relation(
-            atom, semantics
-        )
-        if maintained is not None:
-            return maintained
-    return atom_relation_index(graph, atom, semantics)
+    return atom_relation(graph, atom.language,
+                         atom_relation_kind(atom, semantics))

@@ -106,6 +106,16 @@ class ResourceBudget:
     witness_cap: Optional[int] = None
     step_cap: Optional[int] = None
 
+    def __post_init__(self) -> None:
+        # Zero is a real limit (exhausted at the first checkpoint); a
+        # negative or NaN limit is an input error, not "unbounded".
+        for name in ("timeout", "row_cap", "witness_cap", "step_cap"):
+            value = getattr(self, name)
+            if value is not None and not value >= 0:
+                raise ValueError(
+                    f"{name} must be a non-negative number, got {value!r}"
+                )
+
     def bounded(self) -> bool:
         """Whether any limit is set."""
         return (

@@ -4,8 +4,10 @@ Example::
 
     Q(x, y) :- x -[(ab)*]-> y, y -[c*]-> x
 
-- head: ``Q(v1, v2, ...)`` (possibly empty for Boolean queries);
-- body: comma-separated atoms ``u -[regex]-> v``;
+- head: ``Q(v1, v2, ...)`` (possibly empty for Boolean queries), each
+  variable an identifier of letters, digits and ``_``;
+- body: comma-separated atoms ``u -[regex]-> v`` (the regex contains no
+  ``]``, so a chained ``x -[a]-> y -[b]-> z`` is an error, not one atom);
 - regexes use :mod:`repro.regular.parser` syntax;
 - single-symbol shorthand: ``u -a-> v`` is ``u -[a]-> v``.
 """
@@ -18,8 +20,9 @@ from repro.queries.crpq import CRPQ
 from repro.regular.parser import parse_regex
 
 _HEAD_RE = re.compile(r"^\s*\w+\s*\(([^)]*)\)\s*$")
+_VARIABLE_RE = re.compile(r"\w+")
 _ATOM_RE = re.compile(
-    r"^\s*(?P<src>\w+)\s*-\s*(?:\[(?P<regex>.*)\]|(?P<label>\w+))\s*->\s*(?P<tgt>\w+)\s*$"
+    r"^\s*(?P<src>\w+)\s*-\s*(?:\[(?P<regex>[^\]]*)\]|(?P<label>\w+))\s*->\s*(?P<tgt>\w+)\s*$"
 )
 
 
@@ -36,9 +39,14 @@ def parse_query(text):
     head_match = _HEAD_RE.match(head_text)
     if not head_match:
         raise QuerySyntaxError(f"malformed head: {head_text!r}")
-    head_vars = tuple(
-        var.strip() for var in head_match.group(1).split(",") if var.strip()
-    )
+    head_vars = tuple(var.strip() for var in head_match.group(1).split(","))
+    if head_vars == ("",):
+        head_vars = ()
+    for var in head_vars:
+        if not _VARIABLE_RE.fullmatch(var):
+            raise QuerySyntaxError(
+                f"malformed head variable {var!r} in {head_text.strip()!r}"
+            )
     atoms = []
     body_text = body_text.strip()
     if body_text:

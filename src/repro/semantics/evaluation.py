@@ -170,7 +170,8 @@ def evaluate_batch(queries, graph, semantics, max_workers=None, *,
     The heavy lifting lives in :mod:`repro.engine.batch`: atom languages
     are deduplicated structurally across the whole batch, each distinct
     NFA is compiled once, each distinct atom relation is computed once
-    into a shared store, and only then are the queries glued.
+    into the engine's atom-relation store, and only then are the queries
+    glued.
     ``max_workers`` > 1 runs the independent per-relation / per-query
     units on a thread pool.
     """
@@ -228,23 +229,18 @@ def evaluate_eps_free(query, graph, semantics):
     )
 
 
-def eps_free_answers_uncached(query, graph, semantics, relation_for=None):
-    """The uncached body of :func:`evaluate_eps_free`.
-
-    ``relation_for(graph, atom, semantics)`` optionally overrides where
-    the planners read their (indexed) atom relations — the batch
-    executor passes its shared relation store here.  Under st / a-inj
-    these are the glue's base tables; under q-inj they are the standard
-    relations the guided search prunes with.
-    """
+def eps_free_answers_uncached(query, graph, semantics):
+    """The uncached body of :func:`evaluate_eps_free`: plan and run one
+    disjunct over the atom relations of the engine's one store (the
+    glue's base tables under st / a-inj, the standard pruning relations
+    of the guided search under q-inj)."""
     if semantics is Semantics.QUERY_INJECTIVE:
         with telemetry.span("plan", kind="qinj"):
-            plan = plan_qinj(query, graph, relation_for=relation_for)
+            plan = plan_qinj(query, graph)
         with telemetry.span("execute", kind="qinj"):
             return plan.answers()
     with telemetry.span("plan", kind="join"):
-        plan = plan_eps_free(query, graph, semantics,
-                             relation_for=relation_for)
+        plan = plan_eps_free(query, graph, semantics)
     with telemetry.span("execute", kind="join"):
         return plan.answers()
 

@@ -9,17 +9,18 @@
 - :func:`simple_cycle_nodes` — nodes on a simple cycle with label in L.
 
 These are the atom-level building blocks of the three CRPQ semantics.
-Results are memoized per (graph version, language) through
-:func:`repro.engine.cache.atom_relation`, so evaluating several queries
-(or the same query repeatedly) against one graph pays for each distinct
-atom language once.
+Each returns the pair set of one entry of the engine's atom-relation
+store (:func:`repro.engine.relations.atom_relation`), so evaluating
+several queries (or the same query repeatedly) against one graph pays
+for each distinct atom language once.
 """
 
 from __future__ import annotations
 
-from repro.engine.cache import atom_relation, compiled_nfa
-from repro.engine.product import product_reachability_pairs
-from repro.graphdb.paths import simple_cycles_through, simple_paths
+from itertools import product
+
+from repro.engine.cache import compiled_nfa
+from repro.engine.relations import atom_relation, simple_path_pairs_among
 from repro.semantics.base import Semantics
 
 
@@ -31,10 +32,7 @@ def standard_pairs(graph, language):
     plus bitmask source propagation (:mod:`repro.engine.product`),
     cached per graph version and language.
     """
-    nfa = compiled_nfa(language)
-    return atom_relation(
-        graph, nfa, "standard", lambda: product_reachability_pairs(graph, nfa)
-    )
+    return atom_relation(graph, language, "standard").pairs
 
 
 def simple_path_pairs(graph, language, prune_with_standard=True):
@@ -48,58 +46,25 @@ def simple_path_pairs(graph, language, prune_with_standard=True):
     the genuinely engine-independent references live in
     ``tests/test_engine_differential.py``).
     """
-    nfa = compiled_nfa(language)
     if prune_with_standard:
-        return atom_relation(
-            graph,
-            nfa,
-            "simple-path",
-            lambda: _simple_path_pairs_uncached(graph, nfa, True),
-        )
-    return _simple_path_pairs_uncached(graph, nfa, False)
-
-
-def _simple_path_pairs_uncached(graph, nfa, prune_with_standard):
-    candidates = standard_pairs(graph, nfa) if prune_with_standard else {
-        (u, v) for u in graph.nodes for v in graph.nodes
-    }
-    pairs = set()
-    for source, target in candidates:
-        if source == target:
-            if nfa.accepts(()):
-                pairs.add((source, target))
-            continue
-        for _path in simple_paths(graph, source, target, language=nfa):
-            pairs.add((source, target))
-            break
-    return pairs
+        return atom_relation(graph, language, "simple-path").pairs
+    return simple_path_pairs_among(
+        graph, compiled_nfa(language), product(graph.nodes, repeat=2)
+    )
 
 
 def simple_cycle_nodes(graph, language, include_empty=True):
     """Return {v : some simple cycle at v has label in L}.
 
     The empty cycle (label ε) counts when ``include_empty`` and ε ∈ L —
-    this is how a loop atom x -[L]-> x with ε ∈ L is satisfied trivially.
+    this is how a loop atom x -[L]-> x with ε ∈ L is satisfied trivially
+    (at every node).
     """
-    nfa = compiled_nfa(language)
-    kind = "simple-cycle" if include_empty else "simple-cycle-nonempty"
-    return atom_relation(
-        graph,
-        nfa,
-        kind,
-        lambda: _simple_cycle_nodes_uncached(graph, nfa, include_empty),
+    if include_empty and compiled_nfa(language).accepts(()):
+        return frozenset(graph.nodes)
+    return frozenset(
+        atom_relation(graph, language, "simple-cycle-nonempty").sources
     )
-
-
-def _simple_cycle_nodes_uncached(graph, nfa, include_empty):
-    nodes = set()
-    for node in graph.nodes:
-        for _cycle in simple_cycles_through(
-            graph, node, language=nfa, include_empty=include_empty
-        ):
-            nodes.add(node)
-            break
-    return nodes
 
 
 def atom_relation_kind(atom, semantics):
@@ -118,19 +83,9 @@ def atom_relation_kind(atom, semantics):
 
 
 def relation_by_kind(graph, language, kind):
-    """Compute the pair relation named by :func:`atom_relation_kind`
-    (loop-atom cycle relations are returned as ``(v, v)`` pairs)."""
-    if kind == "standard":
-        return standard_pairs(graph, language)
-    if kind == "simple-path":
-        return simple_path_pairs(graph, language)
-    if kind == "simple-cycle-nonempty":
-        return frozenset(
-            (node, node)
-            for node in simple_cycle_nodes(graph, language,
-                                           include_empty=False)
-        )
-    raise ValueError(f"unknown atom relation kind: {kind!r}")
+    """The pair relation named by :func:`atom_relation_kind` (loop-atom
+    cycle relations are ``(v, v)`` pairs)."""
+    return atom_relation(graph, language, kind).pairs
 
 
 def rpq_evaluate(graph, language, semantics):

@@ -137,7 +137,7 @@ def test_qinj_batch_warms_shared_pruning_relations():
     relation warm-up, inconsistent NFA interning.  The guided evaluator
     prunes with standard relations, so a q-inj batch must dedupe atom
     languages into standard jobs, warm each exactly once into the
-    executor store, and serve every query from it."""
+    shared relation store, and serve every query from it."""
     graph = uniform_random(7, 16, {"a", "b"}, seed=9)
     queries = [
         parse_query("Q(x, y) :- x -[(ab)*]-> y"),
@@ -151,7 +151,10 @@ def test_qinj_batch_warms_shared_pruning_relations():
     # (ab)* occurs three times (plus the (ab)+ ε-elimination variants)
     # but each distinct language warms exactly one store entry.
     assert plan.num_shared_atoms > 0
-    assert set(executor._relations) == set(plan.jobs)
+    _version, cache = graph._engine_cache
+    stored = [key[1:] for key in cache if key[0] == "relation"]
+    assert sorted(stored, key=repr) == sorted(
+        ((job.kind, job.nfa) for job in plan.jobs), key=repr)
     assert len(plan.jobs) == plan.num_distinct_languages
     got = [answers for _i, _q, answers in executor.results(batch,
                                                            warmed=True)]

@@ -155,6 +155,41 @@ class TestSemanticsArgument:
             assert name in message
 
 
+class TestQuerySyntaxExitCode:
+    @pytest.mark.parametrize("query", [
+        "Q(x) :- x -[a]-> y -[b]-> z",
+        "Q(x y) :- x -[a]-> y",
+    ])
+    def test_malformed_query_exits_input_code(self, graph_file, query,
+                                              capsys):
+        code = main(["evaluate", query, graph_file])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert err.startswith("repro: malformed")
+        assert "Traceback" not in err
+
+
+class TestBudgetFlagValidation:
+    @pytest.mark.parametrize("flags", [
+        ["--max-rows", "-5"],
+        ["--timeout", "-1"],
+        ["--timeout", "nan"],
+    ])
+    def test_nonsense_limits_exit_input_code(self, graph_file, flags,
+                                             capsys):
+        code = main(["evaluate", "Q(x, y) :- x -[a]-> y", graph_file]
+                    + flags)
+        assert code == 4
+        assert "non-negative" in capsys.readouterr().err
+
+    def test_zero_timeout_is_still_a_budget(self, tmp_path, capsys):
+        chain = tmp_path / "chain.txt"
+        chain.write_text("".join(f"v{i} a v{i + 1}\n" for i in range(299)))
+        code = main(["evaluate", "Q(x, y) :- x -[a*]-> y", str(chain),
+                     "--timeout", "0"])
+        assert code == 3
+
+
 class TestBatchCommand:
     @pytest.fixture
     def queries_file(self, tmp_path):

@@ -17,22 +17,23 @@ class TestLRUCache:
     def test_caps_at_size(self):
         lru = _LRUCache(3)
         for i in range(10):
-            lru.put(i, str(i))
+            lru.setdefault(i, str(i))
         assert len(lru) == 3
         assert 9 in lru and 8 in lru and 7 in lru
 
     def test_get_refreshes_recency(self):
         lru = _LRUCache(2)
-        lru.put("a", 1)
-        lru.put("b", 2)
+        lru.setdefault("a", 1)
+        lru.setdefault("b", 2)
         assert lru.get("a") == 1  # refresh "a"; "b" is now stalest
-        lru.put("c", 3)
+        lru.setdefault("c", 3)
         assert "a" in lru and "c" in lru and "b" not in lru
 
     def test_miss_returns_none_and_clear(self):
         lru = _LRUCache(2)
         assert lru.get("missing") is None
-        lru.put("a", 1)
+        lru.setdefault("a", 1)
+        assert lru.setdefault("a", 2) == 1  # the first value is kept
         lru.clear()
         assert len(lru) == 0
 

@@ -19,6 +19,7 @@ from repro.devtools.faultinject import (
     inject,
     pristine_answers,
 )
+from repro.engine import relations
 from repro.engine.analyze import analyzed_disjuncts
 from repro.engine.batch import BatchError, BatchExecutor, QueryBatch
 from repro.engine.incremental import incremental_store
@@ -288,20 +289,22 @@ def test_warm_failure_of_one_job_does_not_poison_store(monkeypatch):
     graph = make_graph()
     executor = BatchExecutor(graph, "st")
     batch = QueryBatch([ACYCLIC, CYCLIC])
-    original = BatchExecutor._compute_job
     plan = executor.plan(batch)
     doomed = plan.jobs[0]
+    original = relations._KIND_PAIRS[doomed.kind]
 
-    def flaky(self, job):
-        if job == doomed:
+    def flaky(graph_, nfa):
+        if nfa is doomed.nfa:
             raise RuntimeError("transient failure")
-        return original(self, job)
+        return original(graph_, nfa)
 
-    monkeypatch.setattr(BatchExecutor, "_compute_job", flaky)
+    monkeypatch.setitem(relations._KIND_PAIRS, doomed.kind, flaky)
     executor.warm(batch)  # must not raise
-    with executor._lock:
-        assert doomed not in executor._relations
-    monkeypatch.setattr(BatchExecutor, "_compute_job", original)
+    _version, cache = graph._engine_cache
+    stored = {key[1:] for key in cache if key[0] == "relation"}
+    assert (doomed.kind, doomed.nfa) not in stored
+    assert {(job.kind, job.nfa) for job in plan.jobs[1:]} <= stored
+    monkeypatch.setitem(relations._KIND_PAIRS, doomed.kind, original)
     # The affected queries recover at lookup time on the next run.
     results = list(executor.results(batch, warmed=True))
     assert all(not isinstance(a, BatchError) for _i, _q, a in results)

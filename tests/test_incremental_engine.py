@@ -13,6 +13,7 @@ from repro.engine.incremental import (
 )
 from repro.engine.cache import compiled_nfa
 from repro.engine.product import product_reachability_pairs
+from repro.engine.relations import atom_relation
 from repro.graphdb.graph import GraphDatabase
 from repro.queries.parser import parse_query
 from repro.regular.parser import parse_regex
@@ -35,63 +36,69 @@ class TestDecisions:
     def test_first_lookup_builds(self):
         graph = _chain_graph()
         store = IncrementalRelationStore(graph)
-        assert store.standard_pairs(LANG) == _reference_pairs(graph, LANG)
+        assert (store.standard_relation(LANG).pairs
+                == _reference_pairs(graph, LANG))
         assert store.counts["built"] == 1
         assert store.counts["maintained"] == store.counts["rebuilt"] == 0
 
     def test_insert_only_delta_maintains(self):
         graph = _chain_graph()
         store = IncrementalRelationStore(graph)
-        store.standard_pairs(LANG)
+        store.standard_relation(LANG)
         graph.add_edge(4, "b", 5)
         graph.add_node("island")
-        assert store.standard_pairs(LANG) == _reference_pairs(graph, LANG)
+        assert (store.standard_relation(LANG).pairs
+                == _reference_pairs(graph, LANG))
         assert store.counts["maintained"] == 1
         assert store.counts["rebuilt"] == 0
 
     def test_small_deletion_delta_repairs_in_place(self):
         graph = _chain_graph()
         store = IncrementalRelationStore(graph)
-        store.standard_pairs(LANG)
+        store.standard_relation(LANG)
         graph.remove_edge(2, "b", 3)
-        assert store.standard_pairs(LANG) == _reference_pairs(graph, LANG)
+        assert (store.standard_relation(LANG).pairs
+                == _reference_pairs(graph, LANG))
         assert store.counts["maintained"] == 1
         assert store.counts["rebuilt"] == 0
 
     def test_large_deletion_delta_rebuilds(self):
         graph = _chain_graph()
         store = IncrementalRelationStore(graph, deletion_repair_cap=0)
-        store.standard_pairs(LANG)
+        store.standard_relation(LANG)
         graph.remove_edge(2, "b", 3)
-        assert store.standard_pairs(LANG) == _reference_pairs(graph, LANG)
+        assert (store.standard_relation(LANG).pairs
+                == _reference_pairs(graph, LANG))
         assert store.counts["rebuilt"] == 1
         assert "repair cap" in store.decisions[-1][2]
 
     def test_node_removal_rebuilds(self):
         graph = _chain_graph()
         store = IncrementalRelationStore(graph)
-        store.standard_pairs(LANG)
+        store.standard_relation(LANG)
         graph.remove_node(4, cascade=True)
-        assert store.standard_pairs(LANG) == _reference_pairs(graph, LANG)
+        assert (store.standard_relation(LANG).pairs
+                == _reference_pairs(graph, LANG))
         assert store.counts["rebuilt"] == 1
         assert "node" in store.decisions[-1][2]
 
     def test_changelog_window_exceeded_rebuilds(self):
         graph = GraphDatabase(edges=[(1, "a", 2)], changelog_cap=2)
         store = IncrementalRelationStore(graph)
-        store.standard_pairs(LANG)
+        store.standard_relation(LANG)
         for index in range(5):
             graph.add_edge(index + 10, "a", index + 11)
-        assert store.standard_pairs(LANG) == _reference_pairs(graph, LANG)
+        assert (store.standard_relation(LANG).pairs
+                == _reference_pairs(graph, LANG))
         assert store.counts["rebuilt"] == 1
         assert "window" in store.decisions[-1][2]
 
     def test_explain_text_renders_decisions(self):
         graph = _chain_graph()
         store = IncrementalRelationStore(graph)
-        store.standard_pairs(LANG)
+        store.standard_relation(LANG)
         graph.add_edge(4, "b", 5)
-        store.standard_pairs(LANG)
+        store.standard_relation(LANG)
         text = store.explain_text()
         assert "built relation" in text
         assert "maintained across delta" in text
@@ -103,7 +110,7 @@ class TestDecisions:
         graph = _chain_graph()
         store = IncrementalRelationStore(graph, max_relations=2)
         for symbol in ("a", "b", "ab", "ba"):
-            store.standard_pairs(parse_regex(symbol))
+            store.standard_relation(parse_regex(symbol))
         assert len(store._states) == 2
 
     def test_incremental_store_helper_attaches_once(self):
@@ -231,10 +238,12 @@ class TestBatchIntegration:
         second = executor.execute(batch)
         fresh = GraphDatabase(nodes=graph.nodes, edges=graph.edges)
         assert second == [evaluate(q, fresh, "st") for q in queries]
-        # The executor's shared store holds the *same object* the
-        # incremental store maintains — no re-indexing.
-        job_relation = next(iter(executor._relations.values()))
-        assert job_relation is store.standard_relation(LANG)
+        # The batch reads the *same object* the incremental store
+        # maintains — no re-indexing, no private copy in the graph cache.
+        assert atom_relation(graph, LANG, "standard") is \
+            store.standard_relation(LANG)
+        _version, cache = graph._engine_cache
+        assert not [key for key in cache if key[0] == "relation"]
 
 
 class TestMaintainedRelationUnit:
@@ -252,9 +261,9 @@ class TestMaintainedRelationUnit:
         graph = GraphDatabase(nodes=["u"])
         store = IncrementalRelationStore(graph)
         star = parse_regex("a*")
-        assert store.standard_pairs(star) == {("u", "u")}
+        assert store.standard_relation(star).pairs == {("u", "u")}
         graph.add_node("v")
-        assert store.standard_pairs(star) == {("u", "u"), ("v", "v")}
+        assert store.standard_relation(star).pairs == {("u", "u"), ("v", "v")}
 
 
 class TestCLIUpdate:

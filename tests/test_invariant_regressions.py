@@ -17,12 +17,14 @@ first run over the tree (and which were then fixed, not baselined):
   corrupt every consumer of the graph version (LK001's bug class).
 """
 
+import sys
 import threading
 
 import pytest
 
 from repro.containment.bounded import search_counterexample
 from repro.containment.result import Verdict
+from repro.engine import relations
 from repro.engine.adjacency import adjacency_index
 from repro.engine.batch import BatchExecutor
 from repro.engine.cache import (
@@ -30,11 +32,10 @@ from repro.engine.cache import (
     clear_analysis_cache,
     graph_cached,
 )
+from repro.engine.relations import atom_relation
 from repro.graphdb.graph import GraphDatabase
-from repro.queries.atoms import Atom
 from repro.queries.parser import parse_query
 from repro.regular.syntax import Symbol
-from repro.semantics.base import Semantics
 
 
 class VersionCountingGraph:
@@ -71,48 +72,60 @@ def test_graph_cached_reads_version_exactly_once_per_lookup():
     assert graph.version_reads == 2
 
 
-def test_batch_check_version_reads_version_exactly_once():
+def test_atom_relation_reads_version_exactly_once(monkeypatch):
+    monkeypatch.setitem(relations._KIND_PAIRS, "standard",
+                        lambda graph, nfa: {(1, 2)})
     graph = VersionCountingGraph()
-    executor = BatchExecutor(graph, "st")
-    graph.version_reads = 0
-    executor._check_version()
+    first = atom_relation(graph, Symbol("a"), "standard")
     assert graph.version_reads == 1
-    graph._version += 1  # simulate a mutation; the store must reset
+    assert atom_relation(graph, Symbol("a"), "standard") is first
+    assert graph.version_reads == 2
+    graph._version += 1  # simulate a mutation; the store must move on
     graph.version_reads = 0
-    executor._check_version()
+    fresh = atom_relation(graph, Symbol("a"), "standard")
     assert graph.version_reads == 1
-    assert executor._relations == {}
+    assert fresh is not first and fresh.pairs == first.pairs
 
 
 # ----------------------------------------------------------------------
-# Batch store lock discipline (LK007)
+# Relation store publication under threads (formerly LK007's batch store)
 # ----------------------------------------------------------------------
 
 
-def test_batch_store_is_shared_and_single_instanced_under_threads():
+def test_relation_store_is_single_instanced_under_threads():
     graph = small_graph()
-    executor = BatchExecutor(graph, "st")
-    atom = Atom("x", Symbol("a"), "y")
+    keys = [(Symbol("a"), "standard"), (Symbol("b"), "standard"),
+            (Symbol("a"), "simple-path")]
+    barrier = threading.Barrier(16, timeout=10)
     results = []
 
     def fetch():
-        results.append(
-            executor._stored_relation(graph, atom, Semantics.STANDARD)
-        )
+        barrier.wait()
+        results.append([atom_relation(graph, language, kind)
+                        for language, kind in keys])
 
     threads = [threading.Thread(target=fetch) for _ in range(16)]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
     assert len(results) == 16
-    assert len({id(relation) for relation in results}) == 1
-    assert set(results[0]) == {(1, 2), (2, 3), (3, 1)}
+    for position in range(len(keys)):
+        assert len({id(fetched[position]) for fetched in results}) == 1
+    assert set(results[0][0]) == {(1, 2), (2, 3), (3, 1)}
+    assert set(results[0][2]) == {(1, 2), (2, 3), (3, 1)}
 
 
-def test_batch_executor_has_store_lock():
+def test_batch_executor_keeps_no_private_store():
     executor = BatchExecutor(small_graph(), "st")
-    assert hasattr(executor, "_lock")
+    for private in ("_lock", "_relations", "_relations_version"):
+        assert not hasattr(executor, private)
 
 
 # ----------------------------------------------------------------------

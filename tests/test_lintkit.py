@@ -170,6 +170,33 @@ def test_lk002_quiet_when_routed_through_cache_module(tmp_path):
     assert result.findings == []
 
 
+LK002_STORE_READS = """
+    def atom_relation(graph, nfa, kind):
+        return getattr(graph, "_incremental_store", None)
+
+    def query_result(graph):
+        return graph._incremental_store
+
+    def incremental_store(graph):
+        return getattr(graph, "_incremental_store", None)
+"""
+
+
+@pytest.mark.parametrize("relpath, flagged", [
+    ("repro/engine/batch.py", 3),
+    ("repro/engine/relations.py", 2),
+    ("repro/engine/cache.py", 2),
+    ("repro/engine/incremental.py", 0),
+])
+def test_lk002_limits_incremental_store_reads(tmp_path, relpath, flagged):
+    result = lint_snippet(
+        tmp_path, relpath, LK002_STORE_READS, rule="cache-key-discipline",
+    )
+    assert rule_ids(result) == ["LK002"] * flagged
+    assert all("_incremental_store" in finding.message
+               for finding in result.findings)
+
+
 # ----------------------------------------------------------------------
 # LK003 version-read-once
 # ----------------------------------------------------------------------

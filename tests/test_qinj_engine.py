@@ -16,6 +16,7 @@ from repro.engine.qinj import (
     plan_qinj,
 )
 from repro.engine.cache import compiled_nfa
+from repro.engine.telemetry import registry as metrics_registry
 from repro.graphdb.graph import GraphDatabase
 from repro.queries.parser import parse_query
 from repro.regular.parser import parse_regex
@@ -290,8 +291,10 @@ def test_batch_executor_feeds_plan_from_shared_store():
     plan = executor.warm(batch)
     assert {job.kind for job in plan.jobs} == {"standard"}
     (disjunct,) = batch.entries[0][1]
-    guided = plan_qinj(disjunct, graph,
-                       relation_for=executor._stored_relation)
+    misses = metrics_registry().counter("cache.relation.misses")
+    before = misses.value
+    guided = plan_qinj(disjunct, graph)  # the default hook reads the store
+    assert misses.value == before
     assert guided.answers() == evaluate(batch.entries[0][0], graph, "q-inj")
 
 

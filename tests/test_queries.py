@@ -184,6 +184,27 @@ class TestQueryParser:
         with pytest.raises(QuerySyntaxError):
             parse_query(bad)
 
+    @pytest.mark.parametrize("chained", [
+        "Q(x) :- x -[a]-> y -[b]-> z",
+        "Q(x) :- x -[a]-> y -b-> z",
+        "Q(x) :- x -[a]-> y | Q(y) :- y -[b]-> z",
+        "Q() :- x -[a]-> y, y -[b]]-> z",
+    ])
+    def test_bracketed_regex_stops_at_first_close_bracket(self, chained):
+        # A greedy regex group used to run past the first ']' and parse
+        # these typos as one atom with a nonsense language.
+        with pytest.raises(QuerySyntaxError, match="malformed atom"):
+            parse_query(chained)
+
+    @pytest.mark.parametrize("head", ["Q(x y)", "Q(x,)", "Q(x, -y)",
+                                      "Q(x, y z)"])
+    def test_head_variables_must_be_identifiers(self, head):
+        with pytest.raises(QuerySyntaxError, match="head variable"):
+            parse_query(f"{head} :- x -[a]-> y")
+
+    def test_empty_head_with_spaces_is_boolean(self):
+        assert parse_query("Q( ) :- x -a-> y").head == ()
+
     def test_regex_brackets_with_commas_unsupported_gracefully(self):
         # Commas only split atoms outside brackets.
         q = parse_query("Q() :- x -[(a+b)c]-> y, y -c-> z")

@@ -57,6 +57,24 @@ class TestBudgetAndToken:
                        {"witness_cap": 5}, {"step_cap": 100}):
             assert ResourceBudget(**kwargs).bounded()
 
+    @pytest.mark.parametrize("kwargs", [
+        {"timeout": -3}, {"timeout": float("nan")}, {"row_cap": -5},
+        {"witness_cap": -1}, {"step_cap": -1},
+    ])
+    def test_negative_or_nan_limits_are_rejected(self, kwargs):
+        with pytest.raises(ValueError, match="non-negative"):
+            ResourceBudget(**kwargs)
+
+    def test_zero_limits_are_valid(self):
+        budget = ResourceBudget(timeout=0, row_cap=0, witness_cap=0,
+                                step_cap=0)
+        assert budget.bounded()
+
+    def test_evaluate_rejects_negative_timeout(self):
+        with pytest.raises(ValueError, match="timeout"):
+            evaluate(parse_query("Q(x, y) :- x -[a]-> y"), _chain_graph(3),
+                     "st", timeout=-1)
+
     def test_token_starts_clear_and_latches(self):
         token = CancellationToken()
         assert not token.cancelled
