@@ -88,10 +88,14 @@ def semi_decide_ainj(q1, q2, max_word_length=4, expansion_budget=20000,
 
     Deepens the word-length bound from 1 to ``max_word_length``; returns at
     the first counterexample (smallest witnesses first), else the bounded
-    verdict at the final depth.
+    verdict at the final depth.  ``max_word_length=0`` runs the single
+    bound-0 search (ε-words only); a negative bound is a ``ValueError``.
     """
-    result = None
-    for bound in range(1, max_word_length + 1):
+    if max_word_length < 0:
+        raise ValueError(
+            f"max_word_length must be non-negative, got {max_word_length}"
+        )
+    for bound in range(1, max_word_length + 1) or (0,):
         result = search_ainj_counterexample(
             q1, q2, bound,
             expansion_budget=expansion_budget,

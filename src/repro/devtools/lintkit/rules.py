@@ -964,20 +964,39 @@ NUMERIC_MODULES = frozenset({"array", "numpy"})
 #: The one sanctioned import site for the numeric containers.
 BACKEND_SEAM_SUFFIX = "engine/backend.py"
 
+#: The backend seam module itself.
+BACKEND_MODULE = "repro.engine.backend"
+
+#: The modules that may import the backend seam: the seam, the kernel
+#: modules whose arrays and masks it builds, and the metrics report that
+#: records which backend ran.  The join glue stays backend-free.
+BACKEND_IMPORTERS = (
+    BACKEND_SEAM_SUFFIX,
+    "engine/adjacency.py",
+    "engine/product.py",
+    "devtools/obs/report.py",
+)
+
 
 @register
 class BackendSeam(Rule):
-    """Numeric containers are imported only through ``engine/backend.py``.
+    """Numeric containers are imported only through ``engine/backend.py``,
+    and the backend only by the product kernel's modules.
 
-    **Origin: PR 9 (compact numeric core).**  The CSR index arrays and
-    the bitset mask kernels are constructed behind the backend seam,
-    selected by ``REPRO_BACKEND`` (NumPy-vectorized when available,
-    stdlib otherwise — CI runs without NumPy).  A module importing
-    ``array`` or ``numpy`` directly reaches around that seam: it either
-    breaks the no-NumPy environment or silently stops honouring the
-    backend selection the differential suite pins.  Use the
-    constructors and mask operations of :mod:`repro.engine.backend`
-    instead.  ``if TYPE_CHECKING:`` imports are exempt
+    **Origin: PR 9 (compact numeric core), narrowed when the dense-id
+    join glue was deleted.**  The CSR index arrays and the bitset mask
+    kernels are constructed behind the backend seam, selected by
+    ``REPRO_BACKEND`` (NumPy-vectorized when available, stdlib
+    otherwise — CI runs without NumPy).  A module importing ``array`` or
+    ``numpy`` directly reaches around that seam: it either breaks the
+    no-NumPy environment or silently stops honouring the backend
+    selection the differential suite pins.  Use the constructors and
+    mask operations of :mod:`repro.engine.backend` instead.  The backend
+    selects the product kernel only, so :mod:`repro.engine.backend`
+    itself may be imported just by the modules in
+    :data:`BACKEND_IMPORTERS`; anywhere else (the planner, the q-inj
+    pruning, the join algebra) a backend import would grow a second
+    code path back.  ``if TYPE_CHECKING:`` imports are exempt
     (annotation-only); function-level imports are NOT — a lazy import
     bypasses the seam just as thoroughly.
     """
@@ -988,32 +1007,61 @@ class BackendSeam(Rule):
     def check(self, ctx: LintContext) -> Iterator[Finding]:
         if ctx.relpath.endswith(BACKEND_SEAM_SUFFIX):
             return
+        backend_allowed = ctx.relpath.endswith(BACKEND_IMPORTERS)
         for node in ast.walk(ctx.tree):
-            imported: str | None = None
-            if isinstance(node, ast.Import):
-                for alias in node.names:
-                    if alias.name.split(".")[0] in NUMERIC_MODULES:
-                        imported = alias.name
-                        break
-            elif isinstance(node, ast.ImportFrom):
-                if node.level == 0 and (
-                    (node.module or "").split(".")[0] in NUMERIC_MODULES
-                ):
-                    imported = node.module
-            if imported is None:
+            numeric = self._numeric_import(node)
+            backend = not backend_allowed and self._backend_import(ctx, node)
+            if numeric is None and not backend:
                 continue
             if any(
                 _is_type_checking_block(ancestor)
                 for ancestor in ctx.ancestors(node)
             ):
                 continue
-            yield self.finding(
-                ctx, node,
-                f"direct import of {imported} reaches around the "
-                f"numeric-backend seam — construct index arrays and "
-                f"bitset masks through repro.engine.backend "
-                f"(REPRO_BACKEND selection) instead",
+            if numeric is not None:
+                yield self.finding(
+                    ctx, node,
+                    f"direct import of {numeric} reaches around the "
+                    f"numeric-backend seam — construct index arrays and "
+                    f"bitset masks through repro.engine.backend "
+                    f"(REPRO_BACKEND selection) instead",
+                )
+            else:
+                yield self.finding(
+                    ctx, node,
+                    f"import of {BACKEND_MODULE} outside the product "
+                    f"kernel's modules — the backend selects the kernel "
+                    f"only; join and pruning code has one backend-free "
+                    f"path",
+                )
+
+    @staticmethod
+    def _numeric_import(node: ast.AST) -> str | None:
+        """The numeric-container module ``node`` imports, or ``None``."""
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] in NUMERIC_MODULES:
+                    return alias.name
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level == 0 and module.split(".")[0] in NUMERIC_MODULES:
+                return module
+        return None
+
+    @staticmethod
+    def _backend_import(ctx: LintContext, node: ast.AST) -> bool:
+        """True when ``node`` imports the backend seam module (absolute,
+        relative, or as ``from repro.engine import backend``)."""
+        if isinstance(node, ast.Import):
+            return any(alias.name == BACKEND_MODULE for alias in node.names)
+        if isinstance(node, ast.ImportFrom):
+            base = ImportLayering._resolve_from(ctx, node)
+            if base == BACKEND_MODULE:
+                return True
+            return base == "repro.engine" and any(
+                alias.name == "backend" for alias in node.names
             )
+        return False
 
 
 # ----------------------------------------------------------------------

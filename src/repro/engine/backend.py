@@ -1,18 +1,20 @@
 """Numeric-kernel backend seam (``REPRO_BACKEND``).
 
+The backend selects the product-reachability kernel and nothing else.
 The compact numeric core (interned CSR adjacency in
-:mod:`repro.engine.adjacency`, the dense product-reachability kernel in
-:mod:`repro.engine.product`, and the dense-id join path in
-:mod:`repro.engine.planner`) never touches a numeric container type
+:mod:`repro.engine.adjacency` and the dense product kernel in
+:mod:`repro.engine.product`) never touches a numeric container type
 directly — every index array and every source-set bitset is constructed
-and combined through the backend selected here.  Two backends exist:
+and combined through the backend selected here.  The join glue
+(:mod:`repro.engine.planner`, :mod:`repro.engine.qinj`,
+:mod:`repro.engine.join`) has one path under both backends: it joins
+graph nodes and never imports this module.  Two backends exist:
 
 ``python``
-    The seed-era reference semantics: per-component source sets are
-    unbounded Python integers combined with big-int OR.  Engine output
-    under this backend is the differential baseline the array backend
-    is tested against, and the planner keeps the object-tuple join path
-    (no dense interning) so the seed code paths stay exercised.
+    The seed-era reference semantics: the object-keyed product search,
+    with per-component source sets as unbounded Python integers
+    combined with big-int OR.  Engine output under this backend is the
+    differential baseline the array kernel is tested against.
 
 ``array`` (default)
     Fixed-width bitsets — NumPy ``uint64`` arrays with vectorized OR
@@ -31,8 +33,10 @@ backend as the thread that entered the override (contextvars do not
 cross ``ThreadPoolExecutor`` boundaries; see
 :mod:`repro.engine.runtime` for the same decision on probes).
 
-lintkit rule LK009 enforces the seam: engine modules outside this file
-must not import :mod:`array` / :mod:`numpy` directly.
+lintkit rule LK009 enforces the seam: modules outside this file must
+not import :mod:`array` / :mod:`numpy` directly, and only the kernel
+modules (:mod:`~repro.engine.adjacency`, :mod:`~repro.engine.product`)
+and the metrics report may import this one.
 """
 
 from __future__ import annotations
@@ -88,7 +92,7 @@ class Backend:
     """
 
     name: str
-    #: True when the planner/product should run the dense-id kernels.
+    #: True when the product kernel runs on dense interned ids.
     dense_kernels: bool
 
     def make_masks(self, count: int, width: int) -> List[Any]:

@@ -30,22 +30,13 @@ TRUE_RELATION_ROWS = frozenset({()})
 
 
 class TupleRelation:
-    """An immutable set of rows over an ordered tuple of variables.
+    """An immutable set of rows over an ordered tuple of variables."""
 
-    ``dense`` marks rows whose values are interned node ids (small
-    non-negative ints from
-    :attr:`~repro.engine.adjacency.AdjacencyIndex.node_bit`) rather
-    than graph nodes — the array backend's planner sets it so
-    :func:`semijoin` may take the bitset membership path.  Operators
-    propagate the flag; it never changes row semantics.
-    """
+    __slots__ = ("variables", "rows")
 
-    __slots__ = ("variables", "rows", "dense")
-
-    def __init__(self, variables, rows, dense=False):
+    def __init__(self, variables, rows):
         self.variables = tuple(variables)
         self.rows = frozenset(rows)
-        self.dense = dense
 
     def __len__(self):
         return len(self.rows)
@@ -62,22 +53,18 @@ class TupleRelation:
         return f"TupleRelation(vars={self.variables!r}, rows={len(self.rows)})"
 
 
-def from_binary(relation, source_var, target_var, dense=False):
+def from_binary(relation, source_var, target_var):
     """Lift a binary :class:`~repro.engine.relations.Relation` (or raw
     pair iterable) over distinct endpoint variables into a
     :class:`TupleRelation`."""
     if source_var == target_var:
         raise ValueError("loop atoms are unary constraints, not binary tables")
-    return TupleRelation((source_var, target_var), relation, dense=dense)
+    return TupleRelation((source_var, target_var), relation)
 
 
 def true_relation():
-    """The nullary relation {()} — the unit of ``natural_join``.
-
-    Dense by convention: with no columns there is nothing to decode, and
-    the unit must not demote a dense operand's flag through a join.
-    """
-    return TupleRelation((), TRUE_RELATION_ROWS, dense=True)
+    """The nullary relation {()} — the unit of ``natural_join``."""
+    return TupleRelation((), TRUE_RELATION_ROWS)
 
 
 def _shared_positions(left, right):
@@ -100,48 +87,16 @@ def _key(row, positions):
 def semijoin(left, right):
     """``left ⋉ right``: rows of ``left`` with a join partner in
     ``right``.  With no shared variables this keeps ``left`` intact iff
-    ``right`` is non-empty (the nullary/Boolean case).
-
-    When both sides are dense and exactly one variable is shared (the
-    Yannakakis tree edges of binary CRPQ atoms — the hot case), the
-    membership structure is a byte-level bitset over the shared
-    column's interned ids instead of a hashed key set: no per-row tuple
-    allocation, no object hashing, O(1) array probes.
-    """
+    ``right`` is non-empty (the nullary/Boolean case)."""
     left_positions, right_positions = _shared_positions(left, right)
     if not left_positions:
         return left if right.rows else TupleRelation(
-            left.variables, _EMPTY_ROWS, dense=left.dense
-        )
-    if left.dense and right.dense and len(left_positions) == 1:
-        left_position = left_positions[0]
-        right_position = right_positions[0]
-        top = -1
-        for row in right.rows:
-            value = row[right_position]
-            if value > top:
-                top = value
-        if top < 0:
-            return TupleRelation(left.variables, _EMPTY_ROWS, dense=True)
-        bits = bytearray((top >> 3) + 1)
-        for row in right.rows:
-            value = row[right_position]
-            bits[value >> 3] |= 1 << (value & 7)
-        return TupleRelation(
-            left.variables,
-            (
-                row
-                for row in left.rows
-                if row[left_position] <= top
-                and bits[row[left_position] >> 3] >> (row[left_position] & 7) & 1
-            ),
-            dense=True,
+            left.variables, _EMPTY_ROWS
         )
     keys = {_key(row, right_positions) for row in right.rows}
     return TupleRelation(
         left.variables,
         (row for row in left.rows if _key(row, left_positions) in keys),
-        dense=left.dense,
     )
 
 
@@ -151,10 +106,16 @@ def natural_join(left, right, ctx=None):
     Output variables are ``left.variables`` followed by the right-only
     variables; with no shared variables this is the cartesian product.
     The execution context bounds the output: one checkpoint per call
-    plus a row-cap check on the materialized result.
+    plus a row-cap check on the materialized result.  The unit
+    ``{()}`` is an identity: the other operand comes back as is, still
+    checked against the row cap.
     """
     ctx = resolve_context(ctx)
     ctx.checkpoint(SITE_JOIN)
+    for unit, other in ((left, right), (right, left)):
+        if not unit.variables and unit.rows:
+            ctx.check_rows(len(other), SITE_JOIN)
+            return other
     left_positions, right_positions = _shared_positions(left, right)
     right_only = [
         i for i, v in enumerate(right.variables) if v not in set(left.variables)
@@ -172,7 +133,7 @@ def natural_join(left, right, ctx=None):
         for extension in index.get(_key(row, left_positions), ()):
             rows.append(row + extension)
     ctx.check_rows(len(rows), SITE_JOIN)
-    return TupleRelation(variables, rows, dense=left.dense and right.dense)
+    return TupleRelation(variables, rows)
 
 
 def project(relation, variables):
@@ -188,7 +149,6 @@ def project(relation, variables):
     return TupleRelation(
         variables,
         (tuple(row[p] for p in positions) for row in relation.rows),
-        dense=relation.dense,
     )
 
 
@@ -198,5 +158,4 @@ def filter_rows(relation, variable, allowed):
     return TupleRelation(
         relation.variables,
         (row for row in relation.rows if row[position] in allowed),
-        dense=relation.dense,
     )

@@ -31,8 +31,6 @@ to shrink the candidate space before backtracking.
 from __future__ import annotations
 
 from repro.engine import telemetry
-from repro.engine.adjacency import adjacency_index
-from repro.engine.backend import active_backend
 from repro.engine.cache import language_is_empty
 from repro.engine.join import (
     TupleRelation,
@@ -281,10 +279,10 @@ class JoinPlan:
     """
 
     __slots__ = ("query", "graph", "semantics", "components", "unary",
-                 "loop_atoms", "binding", "empty_reason", "adjacency")
+                 "loop_atoms", "binding", "empty_reason")
 
     def __init__(self, query, graph, semantics, components, unary,
-                 loop_atoms, binding, empty_reason=None, adjacency=None):
+                 loop_atoms, binding, empty_reason=None):
         self.query = query
         self.graph = graph
         self.semantics = semantics
@@ -293,11 +291,6 @@ class JoinPlan:
         self.loop_atoms = tuple(loop_atoms)
         self.binding = binding        # var -> node, from a target tuple
         self.empty_reason = empty_reason  # str | None; set => no glue runs
-        # AdjacencyIndex under the array backend (dense-id glue: base
-        # tables, domain scans, and intermediate rows carry interned
-        # node ids, decoded only at the answer boundary); None on the
-        # pure-Python reference path.
-        self.adjacency = adjacency
 
     # -- execution ------------------------------------------------------
 
@@ -315,12 +308,6 @@ class JoinPlan:
                 result = natural_join(result, rows, ctx)
         positions = {v: i for i, v in enumerate(result.variables)}
         head = self.query.head
-        if self.adjacency is not None:
-            nodes = self.adjacency.nodes_sorted
-            return frozenset(
-                tuple(nodes[row[positions[v]]] for v in head)
-                for row in result.rows
-            )
         return frozenset(
             tuple(row[positions[v]] for v in head) for row in result.rows
         )
@@ -356,27 +343,8 @@ class JoinPlan:
             allowed = pinned if allowed is None else (allowed & pinned)
         return allowed
 
-    def _allowed_ids(self, variable):
-        """:meth:`_allowed_values` translated to interned node ids
-        (array backend only).  A constrained value outside the graph
-        encodes to nothing, so a stale binding still yields the empty
-        filter rather than a decode error."""
-        allowed = self._allowed_values(variable)
-        if allowed is None:
-            return None
-        node_bit = self.adjacency.node_bit
-        return frozenset(
-            node_bit[value] for value in allowed if value in node_bit
-        )
-
     def _base_table(self, planned):
         atom = planned.atom
-        if self.adjacency is not None:
-            pairs = planned.relation.dense_relation(self.adjacency).restrict(
-                sources=self._allowed_ids(atom.source),
-                targets=self._allowed_ids(atom.target),
-            )
-            return from_binary(pairs, atom.source, atom.target, dense=True)
         pairs = planned.relation.restrict(
             sources=self._allowed_values(atom.source),
             targets=self._allowed_values(atom.target),
@@ -387,17 +355,6 @@ class JoinPlan:
         ctx = resolve_context(ctx)
         if component.kind == ComponentPlan.DOMAIN:
             (variable,) = component.variables
-            if self.adjacency is not None:
-                allowed = self._allowed_ids(variable)
-                values = (
-                    range(len(self.adjacency.nodes_sorted))
-                    if allowed is None else allowed
-                )
-                if exists_only or not component.out_vars:
-                    return true_relation() if values else TupleRelation((), ())
-                return TupleRelation(
-                    (variable,), ((value,) for value in values), dense=True
-                )
             allowed = self._allowed_values(variable)
             nodes = self.graph.nodes
             values = nodes if allowed is None else (allowed & nodes)
@@ -581,13 +538,6 @@ def plan_eps_free(query, graph, semantics, relation_for=None, binding=None):
     ``binding`` pins head variables to nodes (the membership check).
     """
     relation_for = relation_for or default_relation_for
-    # Backend seam: under the array backend the glue operates on dense
-    # interned ids (the adjacency index is the interner); the python
-    # backend keeps the seed object-tuple path as the differential
-    # reference.
-    adjacency = (
-        adjacency_index(graph) if active_backend().dense_kernels else None
-    )
     # Empty-language short-circuit: an atom denoting ∅ makes the whole
     # disjunct unsatisfiable — return the empty plan *before* fetching
     # or materializing any base table (the analyzer normally drops such
@@ -667,7 +617,7 @@ def plan_eps_free(query, graph, semantics, relation_for=None, binding=None):
                 ComponentPlan.CYCLIC, member_vars, members, out_vars,
                 elimination_order=order))
     return JoinPlan(query, graph, semantics, components, unary,
-                    loop_atoms, binding, adjacency=adjacency)
+                    loop_atoms, binding)
 
 
 def explain_query(query, graph, semantics, relation_for=None):

@@ -49,7 +49,6 @@ import threading
 
 from repro.engine import telemetry
 from repro.engine.adjacency import adjacency_index
-from repro.engine.backend import active_backend
 from repro.engine.cache import compiled_nfa, graph_cached, language_is_empty
 from repro.engine.join import TupleRelation
 from repro.engine.planner import semijoin_reduce
@@ -241,13 +240,7 @@ def standard_pruning_relation(graph, atom, semantics=None):
     path / cycle is a walk).  ``semantics`` is accepted for hook-signature
     compatibility and ignored.  Read from the one atom-relation store
     (:func:`repro.engine.relations.atom_relation`), so a graph with an
-    attached incremental store serves its maintained relations here too.
-
-    Under the array backend the relation is additionally the carrier of
-    the compact numeric core: :func:`plan_qinj` consumes its memoized
-    dense twin (:meth:`~repro.engine.relations.Relation.dense_relation`)
-    so the pruning reduction runs over interned ids, and on that backend
-    the walk pairs themselves come out of the dense product kernel."""
+    attached incremental store serves its maintained relations here too."""
     return atom_relation(graph, atom.language, "standard")
 
 
@@ -525,14 +518,6 @@ def plan_qinj(query, graph, binding=None, relation_for=None):
         return QinjPlan(query, graph, binding, empty_reason, atoms, nfas,
                         (), {}, {}, base_sizes)
 
-    # Backend seam: under the array backend the pruning reduction runs
-    # over dense interned ids (the standard relations hand over their
-    # memoized dense twins); the reduced tables are decoded back to
-    # graph nodes below, because the joint search walks real paths.
-    adjacency = (
-        adjacency_index(graph) if active_backend().dense_kernels else None
-    )
-
     # Lower every atom to its standard over-approximation.
     raw_tables = []       # TupleRelations fed to the reducer
     table_position = {}   # atom index -> position in raw_tables
@@ -550,8 +535,6 @@ def plan_qinj(query, graph, binding=None, relation_for=None):
             else:
                 unary[variable] = set(diagonal)
         else:
-            if adjacency is not None:
-                relation = relation.dense_relation(adjacency)
             # Injectivity: distinct variables never share a node, so the
             # diagonal can be dropped from every binary candidate table.
             pairs = {
@@ -562,24 +545,14 @@ def plan_qinj(query, graph, binding=None, relation_for=None):
             base_sizes[index] = len(pairs)
             table_position[index] = len(raw_tables)
             raw_tables.append(
-                TupleRelation((atom.source, atom.target), pairs,
-                              dense=adjacency is not None)
+                TupleRelation((atom.source, atom.target), pairs)
             )
     for variable, allowed in unary.items():
-        if adjacency is not None:
-            node_bit = adjacency.node_bit
-            rows = ((node_bit[node],) for node in allowed)
-        else:
-            rows = ((node,) for node in allowed)
         raw_tables.append(
-            TupleRelation((variable,), rows, dense=adjacency is not None)
+            TupleRelation((variable,), ((node,) for node in allowed))
         )
     for variable, node in binding.items():
-        value = adjacency.node_bit[node] if adjacency is not None else node
-        raw_tables.append(
-            TupleRelation((variable,), ((value,),),
-                          dense=adjacency is not None)
-        )
+        raw_tables.append(TupleRelation((variable,), ((node,),)))
 
     reduced = semijoin_reduce(raw_tables) if raw_tables else []
     if reduced is None:
@@ -588,16 +561,6 @@ def plan_qinj(query, graph, binding=None, relation_for=None):
             "semijoin reduction emptied a candidate table",
             atoms, nfas, (), {}, {}, base_sizes,
         )
-    if adjacency is not None and reduced:
-        nodes = adjacency.nodes_sorted
-        reduced = [
-            TupleRelation(
-                table.variables,
-                (tuple(nodes[value] for value in row) for row in table.rows),
-            )
-            for table in reduced
-        ]
-
     tables = {
         index: Relation(reduced[position].rows)
         for index, position in table_position.items()

@@ -37,12 +37,11 @@ class Relation:
     version.
     """
 
-    __slots__ = ("pairs", "by_source", "by_target", "_dense")
+    __slots__ = ("pairs", "by_source", "by_target")
 
     pairs: frozenset[tuple[Any, Any]]
     by_source: dict[Any, frozenset[Any]]
     by_target: dict[Any, frozenset[Any]]
-    _dense: tuple[Any, "Relation"] | None
 
     def __init__(self, pairs: Iterable[tuple[Any, Any]]) -> None:
         pairs = frozenset(pairs)
@@ -58,7 +57,6 @@ class Relation:
         self.by_target = {
             target: frozenset(sources) for target, sources in by_target.items()
         }
-        self._dense = None
 
     def __len__(self) -> int:
         return len(self.pairs)
@@ -127,25 +125,18 @@ class Relation:
         """This relation re-keyed to interned node ids (``node_bit`` of
         the given :class:`~repro.engine.adjacency.AdjacencyIndex`).
 
-        The array backend's join path operates on dense int pairs; the
-        encoded twin — same pairs, same hash indexes, int endpoints —
-        is built once and memoized per index identity.  Every endpoint
-        must be a node of the index's graph version (atom relations and
-        maintained incremental relations guarantee this); an unknown
-        endpoint is a contract violation and raises ``KeyError``.  The
-        memo is an unsynchronized benign race under the batch
-        executor's threads: both writers compute identical twins.
+        No engine path calls this: the planner and the q-inj pruning
+        join graph nodes directly.  It is kept, unmemoized, because the
+        repo benchmark's ``--trace 1`` staged replay still times it as
+        its ``relations.encode`` stage; it goes when that replay is
+        fixed (ROADMAP, "perfbench staged replay").  Every endpoint must
+        be a node of the index's graph version, else ``KeyError``.
         """
-        cached = self._dense
-        if cached is not None and cached[0] is index:
-            return cached[1]
         node_bit = index.node_bit
-        dense = Relation(
+        return Relation(
             (node_bit[source], node_bit[target])
             for source, target in self.pairs
         )
-        self._dense = (index, dense)
-        return dense
 
     def __repr__(self) -> str:
         return f"Relation({len(self.pairs)} pairs)"

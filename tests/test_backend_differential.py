@@ -1,9 +1,10 @@
 """Differential tests for the numeric-backend seam (``REPRO_BACKEND``).
 
-The ``array`` backend (interned CSR adjacency, dense product kernel,
-dense-id join path, fixed-width bitsets) must be answer-for-answer
-identical to the ``python`` backend, which keeps the seed-era pure
-paths alive as the differential reference.  This suite pins that
+The backend selects only the product kernel: the ``array`` backend
+(interned CSR adjacency, dense product kernel, fixed-width bitsets)
+must be answer-for-answer identical to the ``python`` backend, which
+keeps the seed-era object-keyed kernel alive as the differential
+reference.  The join glue has one path under both.  This suite pins that
 equality at three levels — the mask kernel, the product-reachability
 kernel, and full ``evaluate``/batch/incremental runs across all
 semantics — plus the seam's selection mechanics and the stdlib
@@ -375,9 +376,9 @@ def test_trail_semantics_differential_between_backends(trail_semantics):
 
 
 def test_membership_binding_differential():
-    """The dense base-table path must honor allowed-value restrictions:
-    membership checks pin head variables through ``_allowed_ids``, and a
-    bound value outside the graph must restrict to ∅ (not decode-error).
+    """Membership checks agree across backends: pinned head variables
+    restrict the base tables the same way under either product kernel,
+    and a bound value outside the graph restricts to ∅ (no error).
     """
     from repro.semantics.evaluation import in_evaluation
 

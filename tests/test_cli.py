@@ -102,6 +102,28 @@ class TestCommands:
         assert not_contained == 1
         assert "counterexample" in capsys.readouterr().out
 
+    def test_contains_ainj_bound_zero_reports_a_verdict(self, capsys):
+        code = main([
+            "contains", "Q(x) :- x -[a*]-> y", "Q(x) :- x -[(a+b)*]-> y",
+            "--semantics", "a-inj", "--bound", "0",
+        ])
+        captured = capsys.readouterr()
+        assert code == 1  # bounded verdicts are not "contained"
+        assert "contained-up-to-bound" in captured.out
+        assert "bound=0" in captured.out
+        assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("bound", ["-1", "-3"])
+    def test_contains_negative_bound_exits_input_code(self, bound, capsys):
+        code = main([
+            "contains", "Q(x) :- x -[a*]-> y", "Q(x) :- x -[(a+b)*]-> y",
+            "--semantics", "a-inj", "--bound", bound,
+        ])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert err.startswith("repro: ")
+        assert "non-negative" in err
+
     def test_figure1(self, capsys):
         assert main(["figure1"]) == 0
         out = capsys.readouterr().out
@@ -181,6 +203,18 @@ class TestBudgetFlagValidation:
                     + flags)
         assert code == 4
         assert "non-negative" in capsys.readouterr().err
+
+    def test_row_cap_binds_a_single_atom_query(self, tmp_path, capsys):
+        # A one-atom query joins only against the unit relation; that
+        # identity join must still enforce --max-rows.
+        chain = tmp_path / "chain.txt"
+        chain.write_text("".join(f"v{i} a v{i + 1}\n" for i in range(9)))
+        query = "Q(x, y) :- x -[a^+]-> y"  # 45 answers, one disjunct
+        assert main(["evaluate", query, str(chain), "--max-rows", "45"]) == 0
+        capsys.readouterr()
+        code = main(["evaluate", query, str(chain), "--max-rows", "44"])
+        assert code == 3
+        assert "row budget of 44 exceeded (45 rows)" in capsys.readouterr().err
 
     def test_zero_timeout_is_still_a_budget(self, tmp_path, capsys):
         chain = tmp_path / "chain.txt"

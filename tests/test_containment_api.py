@@ -93,6 +93,31 @@ class TestAInjSemiDecider:
             assert not in_evaluation(q2, w.as_graph(), w.head, "a-inj")
 
 
+class TestAInjBoundValidation:
+    STAR = parse_query("Q(x) :- x -[a*]-> y")
+
+    def test_bound_zero_returns_the_bound_zero_result(self):
+        result = contains(self.STAR, parse_query("Q(x) :- x -[(a+b)*]-> y"),
+                          "a-inj", max_word_length=0)
+        assert result is not None
+        assert result.verdict is Verdict.CONTAINED_UP_TO_BOUND
+        assert result.bound == 0
+
+    def test_bound_zero_still_finds_epsilon_counterexamples(self):
+        # The ε-word of a* needs no edge; x -[b]-> y needs one.
+        result = contains(self.STAR, parse_query("Q(x) :- x -[b]-> y"),
+                          "a-inj", max_word_length=0)
+        assert result.verdict is Verdict.NOT_CONTAINED
+        assert result.counterexample is not None
+        assert result.bound == 0
+
+    @pytest.mark.parametrize("bound", [-1, -7])
+    def test_negative_bound_is_rejected(self, bound):
+        with pytest.raises(ValueError, match="non-negative"):
+            contains(self.STAR, parse_query("Q(x) :- x -[(a+b)*]-> y"),
+                     "a-inj", max_word_length=bound)
+
+
 class TestRemarkC1Merge:
     def test_merges_chain(self):
         q = parse_query("Q() :- x -[a*]-> y, y -[b]-> z")

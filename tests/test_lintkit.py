@@ -612,7 +612,73 @@ def test_lk009_exempts_the_seam_module_itself(tmp_path):
 
 def test_lk009_quiet_on_seam_consumers(tmp_path):
     result = lint_snippet(
-        tmp_path, "repro/engine/planner.py", LK009_SEAM_USER_OK,
+        tmp_path, "repro/engine/adjacency.py", LK009_SEAM_USER_OK,
+        rule="backend-seam",
+    )
+    assert result.findings == []
+
+
+LK009_BACKEND_MODULE_IMPORT = """
+    from repro.engine import backend
+
+    def dense():
+        return backend.active_backend().dense_kernels
+"""
+
+LK009_BACKEND_LAZY_IMPORT = """
+    def dense():
+        from repro.engine.backend import active_backend
+
+        return active_backend().dense_kernels
+"""
+
+LK009_BACKEND_RELATIVE_IMPORT = """
+    from .backend import active_backend
+"""
+
+LK009_BACKEND_TYPE_CHECKING_OK = """
+    from typing import TYPE_CHECKING
+
+    if TYPE_CHECKING:
+        from repro.engine.backend import Backend
+
+
+    def name(backend: "Backend") -> str:
+        return backend.name
+"""
+
+
+@pytest.mark.parametrize("relpath, source", [
+    ("repro/engine/planner.py", LK009_SEAM_USER_OK),
+    ("repro/engine/qinj.py", LK009_BACKEND_MODULE_IMPORT),
+    ("repro/engine/join.py", LK009_BACKEND_LAZY_IMPORT),
+    ("repro/engine/relations.py", LK009_BACKEND_RELATIVE_IMPORT),
+    ("repro/semantics/evaluation.py", LK009_BACKEND_MODULE_IMPORT),
+])
+def test_lk009_fires_on_backend_imports_outside_the_kernel(tmp_path, relpath,
+                                                           source):
+    result = lint_snippet(tmp_path, relpath, source, rule="backend-seam")
+    assert rule_ids(result) == ["LK009"]
+    assert "repro.engine.backend" in result.findings[0].message
+
+
+@pytest.mark.parametrize("relpath", [
+    "repro/engine/adjacency.py",
+    "repro/engine/product.py",
+    "repro/devtools/obs/report.py",
+])
+def test_lk009_allows_backend_imports_in_the_kernel_modules(tmp_path,
+                                                            relpath):
+    for source in (LK009_SEAM_USER_OK, LK009_BACKEND_MODULE_IMPORT,
+                   LK009_BACKEND_LAZY_IMPORT):
+        result = lint_snippet(tmp_path, relpath, source,
+                              rule="backend-seam")
+        assert result.findings == []
+
+
+def test_lk009_exempts_type_checking_backend_imports(tmp_path):
+    result = lint_snippet(
+        tmp_path, "repro/engine/planner.py", LK009_BACKEND_TYPE_CHECKING_OK,
         rule="backend-seam",
     )
     assert result.findings == []

@@ -19,6 +19,12 @@ from repro.engine.planner import (
     min_degree_order,
     plan_eps_free,
 )
+from repro.engine.backend import BACKEND_NAMES, use_backend
+from repro.engine.incremental import incremental_store
+from repro.engine.join import TupleRelation, natural_join, true_relation
+from repro.engine.runtime import ExecutionContext, ResourceBudget
+from repro.errors import ResourceExhausted
+from repro.graphdb.generators import uniform_random
 from repro.graphdb.graph import GraphDatabase
 from repro.queries.parser import parse_query
 from repro.semantics.base import Semantics
@@ -222,6 +228,59 @@ class TestMatcherFallback:
         # 6 base rows: 3 a-pairs, 2 b-pairs, 1 c-pair; the (v, q) a-pair
         # dies in the pre-reduction, both u-triangles survive.
         assert seen["rows"] == 5
+
+
+# ----------------------------------------------------------------------
+# The unit join and the one join path
+# ----------------------------------------------------------------------
+
+
+class TestUnitJoin:
+    ROWS = TupleRelation(("x", "y"), {(1, 2), (3, 4), (5, 6)})
+
+    def test_unit_is_an_identity_on_both_sides(self):
+        assert natural_join(true_relation(), self.ROWS) is self.ROWS
+        assert natural_join(self.ROWS, true_relation()) is self.ROWS
+
+    def test_false_nullary_still_annihilates(self):
+        assert natural_join(TupleRelation((), ()), self.ROWS).is_empty()
+        assert natural_join(self.ROWS, TupleRelation((), ())).is_empty()
+
+    def test_unit_join_still_enforces_the_row_cap(self):
+        ctx = ExecutionContext(ResourceBudget(row_cap=2))
+        with pytest.raises(ResourceExhausted):
+            natural_join(true_relation(), self.ROWS, ctx)
+        with pytest.raises(ResourceExhausted):
+            natural_join(self.ROWS, true_relation(), ctx)
+
+    def test_single_atom_query_hits_the_row_cap(self):
+        graph = GraphDatabase(
+            edges=[(f"v{i}", "a", f"v{i + 1}") for i in range(9)]
+        )
+        query = parse_query("Q(x, y) :- x -[a^+]-> y")  # 45 answers
+        assert len(evaluate(query, graph.copy(), "st",
+                            budget=ResourceBudget(row_cap=45))) == 45
+        with pytest.raises(ResourceExhausted):
+            evaluate(query, graph.copy(), "st",
+                     budget=ResourceBudget(row_cap=44))
+
+
+@pytest.mark.parametrize("backend", BACKEND_NAMES)
+def test_store_attached_planning_interns_no_node_ids(backend):
+    """The glue joins graph nodes under every backend: evaluating an st
+    chain on a store-attached graph after a mutation reads the store's
+    maintained relations and builds no adjacency index for the new
+    version."""
+    graph = uniform_random(12, 30, {"a", "b"}, seed=7)
+    query = parse_query("Q(x, z) :- x -[a]-> y, y -[b^+]-> z")
+    with use_backend(backend):
+        incremental_store(graph)
+        evaluate(query, graph, "st")
+        graph.add_edge("fresh", "a", sorted(graph.nodes, key=repr)[0])
+        answers = evaluate(query, graph, "st")
+    index = getattr(graph, "_engine_adjacency", None)
+    assert index is None or index.version != graph.version
+    assert answers == evaluate(query, graph.copy(), "st")
 
 
 # ----------------------------------------------------------------------
