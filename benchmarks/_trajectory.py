@@ -30,17 +30,13 @@ _REPO_ROOT = Path(__file__).resolve().parents[1]
 
 
 def _environment():
-    """Backend / NumPy attribution for each entry, so a trajectory that
-    spans an environment change (NumPy appearing, a backend switch)
-    doesn't read as a perf regression.  Never raises — the recorder
-    must not fail a gate."""
+    """Backend attribution for each entry, so a trajectory that spans a
+    backend switch doesn't read as a perf regression.  Never raises —
+    the recorder must not fail a gate."""
     try:
-        from repro.engine.backend import active_backend, numpy_available
+        from repro.engine.backend import active_backend
 
-        return {
-            "backend": active_backend().name,
-            "numpy": numpy_available(),
-        }
+        return {"backend": active_backend().name}
     except Exception:
         return {}
 

@@ -22,10 +22,9 @@ Run with::
     PYTHONPATH=src python -m pytest benchmarks/bench_analyze.py -q -s
 """
 
-import time
-
 import pytest
 
+from _timing import best_of
 from _trajectory import TrajectoryRecorder
 from repro.analysis.qinj_pruning import rare_backbone_graph, rare_chain_workload
 from repro.engine.analyze import analysis_disabled
@@ -82,15 +81,6 @@ def _evaluate_rounds(queries, graph, semantics):
     return [evaluate(query, fresh, semantics) for query in queries]
 
 
-def _best_of(callable_, rounds=3):
-    best = float("inf")
-    for _ in range(rounds):
-        start = time.perf_counter()
-        callable_()
-        best = min(best, time.perf_counter() - start)
-    return best
-
-
 def _timed_pair(queries, graph, semantics, rounds=3):
     """(analyzed_best, baseline_best) after asserting identical answers."""
     analyzed_answers = _evaluate_rounds(queries, graph, semantics)
@@ -98,14 +88,14 @@ def _timed_pair(queries, graph, semantics, rounds=3):
         baseline_answers = _evaluate_rounds(queries, graph, semantics)
     assert analyzed_answers == baseline_answers
 
-    analyzed = _best_of(
+    analyzed = best_of(
         lambda: _evaluate_rounds(queries, graph, semantics), rounds)
 
     def baseline_run():
         with analysis_disabled():
             _evaluate_rounds(queries, graph, semantics)
 
-    baseline = _best_of(baseline_run, rounds)
+    baseline = best_of(baseline_run, rounds)
     return analyzed, baseline
 
 

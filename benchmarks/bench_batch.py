@@ -19,10 +19,9 @@ Run with::
     PYTHONPATH=src python -m pytest benchmarks/bench_batch.py -q
 """
 
-import time
-
 import pytest
 
+from _timing import best_of
 from _trajectory import TrajectoryRecorder
 from repro.analysis.batching import (
     drop_all_caches,
@@ -79,15 +78,6 @@ def test_bench_independent_mode(benchmark, semantics, num_nodes):
 # ----------------------------------------------------------------------
 
 
-def _best_of(callable_, rounds=3):
-    best = float("inf")
-    for _ in range(rounds):
-        start = time.perf_counter()
-        callable_()
-        best = min(best, time.perf_counter() - start)
-    return best
-
-
 @pytest.mark.parametrize("num_nodes", [10, 12], ids=lambda n: f"n={n}")
 def test_batch_speedup_at_least_2x(num_nodes):
     graph = _graph(num_nodes)
@@ -95,8 +85,8 @@ def test_batch_speedup_at_least_2x(num_nodes):
     want = evaluate_independent(queries, graph, "a-inj")
     assert _run_batch(queries, graph, "a-inj") == want
 
-    independent_time = _best_of(lambda: evaluate_independent(queries, graph, "a-inj"))
-    batch_time = _best_of(lambda: _run_batch(queries, graph, "a-inj"))
+    independent_time = best_of(lambda: evaluate_independent(queries, graph, "a-inj"))
+    batch_time = best_of(lambda: _run_batch(queries, graph, "a-inj"))
     ratio = independent_time / batch_time
     print(f"\nbatch n={num_nodes}: independent {independent_time:.4f}s, "
           f"batch {batch_time:.4f}s, speedup {ratio:.1f}x")

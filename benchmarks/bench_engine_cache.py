@@ -15,11 +15,11 @@ The ``test_bench_*`` cases record timings via pytest-benchmark; the
 ``test_engine_speedup_*`` cases assert the 5× ratio directly.
 """
 
-import time
 from collections import deque
 
 import pytest
 
+from _timing import best_of
 from _trajectory import TrajectoryRecorder
 from repro.graphdb.generators import two_lane_road, uniform_random
 from repro.graphdb.graph import GraphDatabase
@@ -125,15 +125,6 @@ def test_bench_road_ainj_engine(benchmark, length):
 # ----------------------------------------------------------------------
 
 
-def _best_of(callable_, rounds=3):
-    best = float("inf")
-    for _ in range(rounds):
-        start = time.perf_counter()
-        callable_()
-        best = min(best, time.perf_counter() - start)
-    return best
-
-
 @pytest.mark.parametrize("num_nodes", [14, 30], ids=lambda n: f"n={n}")
 def test_engine_speedup_at_least_5x(num_nodes):
     graph = _e3_graph(num_nodes)
@@ -148,8 +139,8 @@ def test_engine_speedup_at_least_5x(num_nodes):
             _seed_evaluate_standard(E3_QUERY, graph)
 
     run_engine()  # warm the caches once, as a serving process would be
-    engine_time = _best_of(run_engine)
-    seed_time = _best_of(run_seed)
+    engine_time = best_of(run_engine)
+    seed_time = best_of(run_seed)
     ratio = seed_time / engine_time
     print(f"\nE3 standard n={num_nodes}: seed {seed_time:.4f}s, "
           f"engine {engine_time:.4f}s, speedup {ratio:.1f}x")

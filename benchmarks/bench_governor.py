@@ -19,9 +19,7 @@ Run with::
     PYTHONPATH=src python -m pytest benchmarks/bench_governor.py -q -s
 """
 
-import gc
-import time
-
+from _timing import interleaved_best_of
 from _trajectory import TrajectoryRecorder
 from repro.analysis.batching import drop_all_caches
 from repro.engine.runtime import ExecutionContext, active_context
@@ -80,25 +78,6 @@ def _run(workload):
     return results
 
 
-def _interleaved_best_of(first, second, rounds=ROUNDS):
-    """Min wall time of each callable with rounds alternated, so slow
-    drift (frequency scaling, cache temperature) hits both equally.
-    The collector is paused during timed sections: a cycle collection
-    landing inside one run would otherwise dwarf the measured delta."""
-    bests = [float("inf"), float("inf")]
-    gc.collect()
-    gc.disable()
-    try:
-        for _ in range(rounds):
-            for slot, callable_ in enumerate((first, second)):
-                start = time.perf_counter()
-                callable_()
-                bests[slot] = min(bests[slot], time.perf_counter() - start)
-    finally:
-        gc.enable()
-    return bests
-
-
 def _overhead(name, workload):
     null_ctx = _NullCheckpointContext()
 
@@ -112,8 +91,8 @@ def _overhead(name, workload):
     # regression fails every attempt).
     ratio = float("inf")
     for _ in range(ATTEMPTS):
-        null_time, governed_time = _interleaved_best_of(
-            run_null, lambda: _run(workload)
+        null_time, governed_time = interleaved_best_of(
+            run_null, lambda: _run(workload), ROUNDS
         )
         ratio = min(ratio, governed_time / null_time)
         if ratio <= MAX_OVERHEAD_X:

@@ -19,10 +19,9 @@ Run with::
     PYTHONPATH=src python -m pytest benchmarks/bench_incremental.py -q
 """
 
-import time
-
 import pytest
 
+from _timing import best_of
 from _trajectory import TrajectoryRecorder
 from repro.analysis.incremental import dynamic_update_stream, run_dynamic_stream
 from repro.analysis.qinj_pruning import rare_backbone_graph, rare_chain_workload
@@ -77,24 +76,15 @@ def test_bench_recompute_stream(benchmark, delta_size):
 # ----------------------------------------------------------------------
 
 
-def _best_of(callable_, rounds=3):
-    best = float("inf")
-    for _ in range(rounds):
-        start = time.perf_counter()
-        callable_()
-        best = min(best, time.perf_counter() - start)
-    return best
-
-
 @pytest.mark.parametrize("delta_size", [1, 2], ids=lambda d: f"delta={d}")
 def test_incremental_speedup_at_least_5x(delta_size):
     base, queries, stream = _setup(delta_size)
     assert (_serve(base, queries, stream, True)
             == _serve(base, queries, stream, False))
 
-    recompute_time = _best_of(
+    recompute_time = best_of(
         lambda: _serve(base, queries, stream, False))
-    incremental_time = _best_of(
+    incremental_time = best_of(
         lambda: _serve(base, queries, stream, True))
     ratio = recompute_time / incremental_time
     print(f"\nincremental Δ={delta_size}: recompute {recompute_time:.4f}s, "

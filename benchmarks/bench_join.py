@@ -17,10 +17,9 @@ Run with::
     PYTHONPATH=src python -m pytest benchmarks/bench_join.py -q
 """
 
-import time
-
 import pytest
 
+from _timing import best_of
 from _trajectory import TrajectoryRecorder
 from repro.analysis.batching import drop_all_caches
 from repro.analysis.join_glue import chain_query, csp_glue_evaluate
@@ -88,23 +87,14 @@ def test_bench_csp_glue(benchmark, num_nodes):
 # ----------------------------------------------------------------------
 
 
-def _best_of(callable_, rounds=3):
-    best = float("inf")
-    for _ in range(rounds):
-        start = time.perf_counter()
-        callable_()
-        best = min(best, time.perf_counter() - start)
-    return best
-
-
 @pytest.mark.parametrize("num_nodes", [24, 30], ids=lambda n: f"n={n}")
 def test_join_glue_speedup_at_least_5x(num_nodes):
     graph = _graph(num_nodes)
     queries = _workload()
     assert _run_join(queries, graph) == _run_csp(queries, graph)
 
-    csp_time = _best_of(lambda: _run_csp(queries, graph))
-    join_time = _best_of(lambda: _run_join(queries, graph))
+    csp_time = best_of(lambda: _run_csp(queries, graph))
+    join_time = best_of(lambda: _run_join(queries, graph))
     ratio = csp_time / join_time
     print(f"\njoin glue n={num_nodes}: csp {csp_time:.4f}s, "
           f"join {join_time:.4f}s, speedup {ratio:.1f}x")

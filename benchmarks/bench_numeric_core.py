@@ -1,8 +1,8 @@
-"""Compact-numeric-core gate — dense CSR/bitset kernel vs seed path.
+"""Compact-numeric-core gate — dense CSR kernel vs seed path.
 
 Acceptance pin for the numeric-core PR: product reachability under the
 ``array`` backend (interned dense ids, CSR adjacency rows, a fused
-single-pass Tarjan, fixed-width bitset masks) must be ≥ 3x faster than
+single-pass Tarjan, int source masks) must be ≥ 3x faster than
 the same call under the ``python`` backend — the seed-era
 dict-of-tuples path kept verbatim as the differential reference — on a
 ≥ 10⁶-edge strongly connected graph, with peak RSS bounded.
@@ -21,11 +21,10 @@ Run with::
     PYTHONPATH=src python -m pytest benchmarks/bench_numeric_core.py -q -s
 """
 
-import gc
 import random
 import resource
-import time
 
+from _timing import interleaved_best_of
 from _trajectory import TrajectoryRecorder
 from repro.engine.adjacency import adjacency_index
 from repro.engine.backend import use_backend
@@ -60,24 +59,6 @@ def _build_graph():
     return graph
 
 
-def _interleaved_best_of(first, second, rounds=ROUNDS):
-    """Min wall time of each callable with rounds alternated, so slow
-    drift (frequency scaling, cache temperature) hits both equally;
-    the collector is paused during the timed sections."""
-    bests = [float("inf"), float("inf")]
-    gc.collect()
-    gc.disable()
-    try:
-        for _ in range(rounds):
-            for slot, callable_ in enumerate((first, second)):
-                start = time.perf_counter()
-                callable_()
-                bests[slot] = min(bests[slot], time.perf_counter() - start)
-    finally:
-        gc.enable()
-    return bests
-
-
 def test_dense_kernel_speedup_and_rss_within_bounds():
     graph = _build_graph()
     assert graph.edge_count() >= EDGES
@@ -106,7 +87,9 @@ def test_dense_kernel_speedup_and_rss_within_bounds():
     # regression fails every attempt).
     speedup = 0.0
     for _ in range(ATTEMPTS):
-        array_time, python_time = _interleaved_best_of(run_array, run_python)
+        array_time, python_time = interleaved_best_of(
+            run_array, run_python, ROUNDS
+        )
         speedup = max(speedup, python_time / array_time)
         if speedup >= MIN_SPEEDUP_X:
             break

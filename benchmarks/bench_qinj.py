@@ -18,10 +18,9 @@ Run with::
     PYTHONPATH=src python -m pytest benchmarks/bench_qinj.py -q
 """
 
-import time
-
 import pytest
 
+from _timing import best_of
 from _trajectory import TrajectoryRecorder
 from repro.analysis.batching import drop_all_caches
 from repro.analysis.qinj_pruning import (
@@ -79,23 +78,14 @@ def test_bench_unguided_qinj(benchmark, num_nodes):
 # ----------------------------------------------------------------------
 
 
-def _best_of(callable_, rounds=3):
-    best = float("inf")
-    for _ in range(rounds):
-        start = time.perf_counter()
-        callable_()
-        best = min(best, time.perf_counter() - start)
-    return best
-
-
 @pytest.mark.parametrize("num_nodes", [80, 110], ids=lambda n: f"n={n}")
 def test_guided_qinj_speedup_at_least_5x(num_nodes):
     graph = rare_backbone_graph(num_nodes)
     queries = _workload()
     assert _run_guided(queries, graph) == _run_unguided(queries, graph)
 
-    unguided_time = _best_of(lambda: _run_unguided(queries, graph))
-    guided_time = _best_of(lambda: _run_guided(queries, graph))
+    unguided_time = best_of(lambda: _run_unguided(queries, graph))
+    guided_time = best_of(lambda: _run_guided(queries, graph))
     ratio = unguided_time / guided_time
     print(f"\nq-inj guidance n={num_nodes}: unguided {unguided_time:.4f}s, "
           f"guided {guided_time:.4f}s, speedup {ratio:.1f}x")

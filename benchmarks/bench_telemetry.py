@@ -23,9 +23,7 @@ Run with::
     PYTHONPATH=src python -m pytest benchmarks/bench_telemetry.py -q -s
 """
 
-import gc
-import time
-
+from _timing import interleaved_best_of
 from _trajectory import TrajectoryRecorder
 from repro.analysis.batching import drop_all_caches
 from repro.devtools.obs import trace_session
@@ -84,32 +82,13 @@ def _run_traced(workload):
     return results
 
 
-def _interleaved_best_of(first, second, rounds=ROUNDS):
-    """Min wall time of each callable with rounds alternated, so slow
-    drift (frequency scaling, cache temperature) hits both equally.
-    The collector is paused during timed sections: a cycle collection
-    landing inside one run would otherwise dwarf the measured delta."""
-    bests = [float("inf"), float("inf")]
-    gc.collect()
-    gc.disable()
-    try:
-        for _ in range(rounds):
-            for slot, callable_ in enumerate((first, second)):
-                start = time.perf_counter()
-                callable_()
-                bests[slot] = min(bests[slot], time.perf_counter() - start)
-    finally:
-        gc.enable()
-    return bests
-
-
 def _ratio_within(measurement, baseline, candidate, bound, extra_keys):
     """Best-of ratio candidate/baseline, re-measured on a blip (a real
     regression fails every attempt); records to the trajectory."""
     ratio = float("inf")
     for _ in range(ATTEMPTS):
-        baseline_time, candidate_time = _interleaved_best_of(
-            baseline, candidate
+        baseline_time, candidate_time = interleaved_best_of(
+            baseline, candidate, ROUNDS
         )
         ratio = min(ratio, candidate_time / baseline_time)
         if ratio <= bound:

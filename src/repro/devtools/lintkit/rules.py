@@ -959,7 +959,11 @@ class CheckpointDiscipline(Rule):
 # ----------------------------------------------------------------------
 
 #: Raw numeric-container modules only the backend seam may import.
-NUMERIC_MODULES = frozenset({"array", "numpy"})
+NUMERIC_MODULES = frozenset({"array"})
+
+#: Modules no file may import at all, the seam included: the engine's
+#: one mask representation is the Python int.
+FORBIDDEN_MODULES = frozenset({"numpy"})
 
 #: The one sanctioned import site for the numeric containers.
 BACKEND_SEAM_SUFFIX = "engine/backend.py"
@@ -968,7 +972,7 @@ BACKEND_SEAM_SUFFIX = "engine/backend.py"
 BACKEND_MODULE = "repro.engine.backend"
 
 #: The modules that may import the backend seam: the seam, the kernel
-#: modules whose arrays and masks it builds, and the metrics report that
+#: modules whose index arrays it builds, and the metrics report that
 #: records which backend ran.  The join glue stays backend-free.
 BACKEND_IMPORTERS = (
     BACKEND_SEAM_SUFFIX,
@@ -980,36 +984,39 @@ BACKEND_IMPORTERS = (
 
 @register
 class BackendSeam(Rule):
-    """Numeric containers are imported only through ``engine/backend.py``,
+    """NumPy is imported nowhere, ``array`` only by ``engine/backend.py``,
     and the backend only by the product kernel's modules.
 
     **Origin: PR 9 (compact numeric core), narrowed when the dense-id
-    join glue was deleted.**  The CSR index arrays and the bitset mask
-    kernels are constructed behind the backend seam, selected by
-    ``REPRO_BACKEND`` (NumPy-vectorized when available, stdlib
-    otherwise — CI runs without NumPy).  A module importing ``array`` or
-    ``numpy`` directly reaches around that seam: it either breaks the
-    no-NumPy environment or silently stops honouring the backend
-    selection the differential suite pins.  Use the constructors and
-    mask operations of :mod:`repro.engine.backend` instead.  The backend
-    selects the product kernel only, so :mod:`repro.engine.backend`
-    itself may be imported just by the modules in
-    :data:`BACKEND_IMPORTERS`; anywhere else (the planner, the q-inj
-    pruning, the join algebra) a backend import would grow a second
-    code path back.  ``if TYPE_CHECKING:`` imports are exempt
-    (annotation-only); function-level imports are NOT — a lazy import
-    bypasses the seam just as thoroughly.
+    join glue and the wide-mask regime were deleted.**  Both product
+    kernels carry source sets as plain Python ints and the CSR index
+    arrays are constructed behind the backend seam, selected by
+    ``REPRO_BACKEND``.  A ``numpy`` import anywhere — the seam included
+    — would bring back an optional dependency whose presence changes
+    behaviour with the host (and costs every process its import time
+    and resident memory).  A module importing ``array`` directly
+    reaches around the seam; use the constructors of
+    :mod:`repro.engine.backend` instead.  The backend selects the
+    product kernel only, so :mod:`repro.engine.backend` itself may be
+    imported just by the modules in :data:`BACKEND_IMPORTERS`;
+    anywhere else (the planner, the q-inj pruning, the join algebra) a
+    backend import would grow a second code path back.
+    ``if TYPE_CHECKING:`` imports are exempt (annotation-only);
+    function-level imports are NOT — a lazy import bypasses the seam
+    just as thoroughly.
     """
 
     rule_id = "LK009"
     rule_name = "backend-seam"
 
     def check(self, ctx: LintContext) -> Iterator[Finding]:
-        if ctx.relpath.endswith(BACKEND_SEAM_SUFFIX):
-            return
+        in_seam = ctx.relpath.endswith(BACKEND_SEAM_SUFFIX)
+        banned = FORBIDDEN_MODULES if in_seam else (
+            FORBIDDEN_MODULES | NUMERIC_MODULES
+        )
         backend_allowed = ctx.relpath.endswith(BACKEND_IMPORTERS)
         for node in ast.walk(ctx.tree):
-            numeric = self._numeric_import(node)
+            numeric = self._numeric_import(node, banned)
             backend = not backend_allowed and self._backend_import(ctx, node)
             if numeric is None and not backend:
                 continue
@@ -1018,13 +1025,18 @@ class BackendSeam(Rule):
                 for ancestor in ctx.ancestors(node)
             ):
                 continue
-            if numeric is not None:
+            if numeric is not None and numeric.split(".")[0] in FORBIDDEN_MODULES:
+                yield self.finding(
+                    ctx, node,
+                    f"import of {numeric} — the engine carries masks as "
+                    f"Python ints and imports no NumPy",
+                )
+            elif numeric is not None:
                 yield self.finding(
                     ctx, node,
                     f"direct import of {numeric} reaches around the "
-                    f"numeric-backend seam — construct index arrays and "
-                    f"bitset masks through repro.engine.backend "
-                    f"(REPRO_BACKEND selection) instead",
+                    f"numeric-backend seam — construct index arrays "
+                    f"through repro.engine.backend instead",
                 )
             else:
                 yield self.finding(
@@ -1036,15 +1048,15 @@ class BackendSeam(Rule):
                 )
 
     @staticmethod
-    def _numeric_import(node: ast.AST) -> str | None:
-        """The numeric-container module ``node`` imports, or ``None``."""
+    def _numeric_import(node: ast.AST, banned: frozenset[str]) -> str | None:
+        """The module in ``banned`` that ``node`` imports, or ``None``."""
         if isinstance(node, ast.Import):
             for alias in node.names:
-                if alias.name.split(".")[0] in NUMERIC_MODULES:
+                if alias.name.split(".")[0] in banned:
                     return alias.name
         elif isinstance(node, ast.ImportFrom):
             module = node.module or ""
-            if node.level == 0 and module.split(".")[0] in NUMERIC_MODULES:
+            if node.level == 0 and module.split(".")[0] in banned:
                 return module
         return None
 

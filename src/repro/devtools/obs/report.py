@@ -5,16 +5,14 @@ Mirrors lintkit's versioned-report convention (PR 7): a stable
 run against the artifact it uploads.  A report is one snapshot of a
 :class:`~repro.engine.telemetry.MetricsRegistry` plus the environment
 context that makes perf numbers attributable — which backend was
-active and whether NumPy was importable (the array backend's wide
-masks vectorize only then).
+active and the interpreter version.
 
 Document shape::
 
     {
       "schema": "metrics-report-v1",
       "created_unix": 1754650000.0,
-      "context": {"backend": "array", "numpy": false,
-                  "python_version": "3.11.9"},
+      "context": {"backend": "array", "python_version": "3.11.9"},
       "metrics": {
         "cache.nfa.hits": {"type": "counter", "value": 12},
         "batch.workers":  {"type": "gauge", "value": 4.0},
@@ -34,7 +32,7 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
 
 from repro.engine import telemetry
-from repro.engine.backend import active_backend, numpy_available
+from repro.engine.backend import active_backend
 
 #: The schema tag every report carries (validators reject anything else).
 METRICS_SCHEMA = "metrics-report-v1"
@@ -48,11 +46,10 @@ _SNAPSHOT_KEYS = {
 
 
 def environment_context() -> Dict[str, Any]:
-    """The attribution context: active backend, NumPy availability,
-    and the interpreter version."""
+    """The attribution context: active backend and the interpreter
+    version."""
     return {
         "backend": active_backend().name,
-        "numpy": numpy_available(),
         "python_version": platform.python_version(),
     }
 
@@ -88,8 +85,6 @@ def validate_report(document: Any) -> List[str]:
     else:
         if not isinstance(context.get("backend"), str):
             problems.append("context.backend missing or not a string")
-        if not isinstance(context.get("numpy"), bool):
-            problems.append("context.numpy missing or not a boolean")
         if not isinstance(context.get("python_version"), str):
             problems.append(
                 "context.python_version missing or not a string"
@@ -122,7 +117,6 @@ def render_report(document: Dict[str, Any]) -> str:
     lines = [
         f"metrics report ({document.get('schema', '?')})",
         f"backend: {context.get('backend', '?')}  "
-        f"numpy: {context.get('numpy', '?')}  "
         f"python: {context.get('python_version', '?')}",
     ]
     metrics: Dict[str, Dict[str, Any]] = document.get("metrics", {})

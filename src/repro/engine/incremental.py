@@ -67,6 +67,7 @@ from collections import OrderedDict
 
 from repro.engine import telemetry
 from repro.engine.cache import compiled_nfa, reversed_nfa
+from repro.engine.product import _decode_mask
 from repro.engine.relations import Relation
 from repro.engine.runtime import checkpoint_site, resolve_context
 
@@ -104,14 +105,6 @@ _DECISION_COUNTERS = {
 }
 
 
-def _decode(mask, node_of):
-    """Yield the nodes whose bits are set in ``mask``."""
-    while mask:
-        low_bit = mask & -mask
-        yield node_of[low_bit.bit_length() - 1]
-        mask ^= low_bit
-
-
 class MaintainedRelation:
     """The mutable maintained state of one standard walk relation."""
 
@@ -143,7 +136,7 @@ class MaintainedRelation:
         if merged == old:
             return
         self.target_masks[node] = merged
-        for source in _decode(merged & ~old, self.node_of):
+        for source in _decode_mask(merged & ~old, self.node_of):
             self.pairs.add((source, node))
         self.dirty = True
 
@@ -308,9 +301,9 @@ class MaintainedRelation:
             old_mask = self.target_masks.get(node, 0)
             if new_mask == old_mask:
                 continue
-            for source in _decode(old_mask & ~new_mask, self.node_of):
+            for source in _decode_mask(old_mask & ~new_mask, self.node_of):
                 self.pairs.discard((source, node))
-            for source in _decode(new_mask & ~old_mask, self.node_of):
+            for source in _decode_mask(new_mask & ~old_mask, self.node_of):
                 self.pairs.add((source, node))
             if new_mask:
                 self.target_masks[node] = new_mask

@@ -19,16 +19,26 @@ relation with a single pass:
 
 Output-equivalent to the per-source BFS (pinned by the differential
 suite); asymptotically one product traversal plus output size.
+
+Two kernels run these phases, selected by ``REPRO_BACKEND``
+(:mod:`repro.engine.backend`): the object-keyed reference over
+``(node, state)`` tuples and, by default, the dense kernel
+(:func:`_dense_reachability_pairs`) over interned ids.  Both carry a
+component's source set as one plain Python int, so the kernel cost per
+OR is pinned by the node count; the dense kernel decodes a mask by a
+byte-table walk over its nonzero bytes (:func:`_int_bits`), the
+reference path and the incremental store by lowest-bit peeling
+(:func:`_decode_mask`).
 """
 
 from __future__ import annotations
 
 from itertools import product as _cartesian
-from typing import Any, Iterator, Optional
+from typing import Any, Iterator, Optional, Sequence
 
 from repro.engine import telemetry
 from repro.engine.adjacency import AdjacencyIndex, adjacency_index
-from repro.engine.backend import Backend, active_backend
+from repro.engine.backend import active_backend
 from repro.engine.runtime import ExecutionContext, checkpoint_site, resolve_context
 
 #: A ``(node, state)`` product state and its deduplicated successors.
@@ -57,10 +67,9 @@ def product_reachability_pairs(
     if not nodes or not nfa.initials:
         return pairs
 
-    backend = active_backend()
-    if backend.dense_kernels:
+    if active_backend().dense_kernels:
         _DENSE_DISPATCH.inc()
-        pairs.update(_dense_reachability_pairs(index, nfa, ctx, backend))
+        pairs.update(_dense_reachability_pairs(index, nfa, ctx))
         return pairs
 
     adjacency, seeds = _reachable_product(index, nfa, ctx)
@@ -89,7 +98,6 @@ def _dense_reachability_pairs(
     index: AdjacencyIndex,
     nfa: Any,
     ctx: ExecutionContext,
-    backend: Backend,
 ) -> set[tuple[Any, Any]]:
     """The array-backend kernel: the pure path's four phases (forward
     sweep → Tarjan → mask propagation → final decode) fused so the
@@ -105,7 +113,7 @@ def _dense_reachability_pairs(
     edges during component finalization — legal because Tarjan emits
     components sinks-first, so every cross-component successor already
     has its component assigned.  Source sets then propagate through the
-    condensation as the backend's fixed-width bitsets.  Each kernel
+    condensation as int bitmasks, exactly as on the pure path.  Each kernel
     works on flat int lists (``vid`` = discovery id), not dicts of
     tuples; the CSR rows are thawed to plain lists up front because
     C-level ``array.tolist()`` plus list slicing beats per-element
@@ -115,11 +123,7 @@ def _dense_reachability_pairs(
     nodes = index.nodes_sorted
     count = len(nodes)
 
-    state_pool = set(nfa.states) | set(nfa.initials) | set(nfa.finals)
-    for (state, _label), next_states in nfa.transitions.items():
-        state_pool.add(state)
-        state_pool.update(next_states)
-    states = tuple(sorted(state_pool, key=repr))
+    states = tuple(sorted(nfa.states, key=repr))
     state_id = {state: position for position, state in enumerate(states)}
     width = len(states)
 
@@ -296,20 +300,21 @@ def _dense_reachability_pairs(
 
     # Seed masks (bit = source node id at every (node, initial)), then
     # push them forward through the condensation in topological order
-    # (the reverse of Tarjan's sinks-first emission).
+    # (the reverse of Tarjan's sinks-first emission).  An empty target
+    # takes the source's int itself: ints are immutable, so sharing is
+    # safe and saves a copying OR per first arrival.
     total_components = len(cond_succs)
-    masks = backend.make_masks(total_components, count)
-    set_bit = backend.mask_set_bit
+    masks = [0] * total_components
     for vid in range(seed_total):
-        set_bit(masks, comp_of[vid] - 1, pids[vid] // width)
-    or_into = backend.mask_or_into
-    mask_any = backend.mask_any
+        masks[comp_of[vid] - 1] |= 1 << (pids[vid] // width)
     for identifier in range(total_components - 1, -1, -1):
         cond = cond_succs[identifier]
-        if not cond or not mask_any(masks, identifier):
+        mask = masks[identifier]
+        if not cond or not mask:
             continue
         for successor_component in set(cond):
-            or_into(masks, successor_component, identifier)
+            target = masks[successor_component]
+            masks[successor_component] = target | mask if target else mask
 
     final_ids = {state_id[state] for state in nfa.finals}
     final_targets: dict[int, list[Any]] = {}
@@ -321,10 +326,28 @@ def _dense_reachability_pairs(
             ).append(nodes[pid // width])
     pairs: set[tuple[Any, Any]] = set()
     for identifier, final_nodes in final_targets.items():
-        sources = [nodes[bit] for bit in backend.mask_bits(masks, identifier)]
+        sources = [nodes[bit] for bit in _int_bits(masks[identifier])]
         if sources:
             pairs.update(_cartesian(sources, final_nodes))
     return pairs
+
+
+#: Set-bit offsets per byte value — turns mask decoding into a table
+#: walk over the nonzero bytes instead of a bit-scan over every bit.
+_BYTE_BITS = tuple(
+    tuple(bit for bit in range(8) if value >> bit & 1)
+    for value in range(256)
+)
+
+
+def _int_bits(mask: int) -> Iterator[int]:
+    """Set bit positions of a nonnegative int, ascending (byte-table)."""
+    data = mask.to_bytes((mask.bit_length() + 7) >> 3, "little")
+    for position, value in enumerate(data):
+        if value:
+            base = position << 3
+            for bit in _BYTE_BITS[value]:
+                yield base + bit
 
 
 def _reachable_product(
@@ -463,7 +486,7 @@ def _propagate_source_masks(
     return masks
 
 
-def _decode_mask(mask: int, nodes: tuple[Any, ...]) -> Iterator[Any]:
+def _decode_mask(mask: int, nodes: Sequence[Any]) -> Iterator[Any]:
     """Yield the nodes whose bits are set in ``mask``."""
     while mask:
         low_bit = mask & -mask

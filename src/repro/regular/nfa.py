@@ -42,6 +42,9 @@ class NFA:
             raise ValueError("initial states must be states")
         if not self.finals <= self.states:
             raise ValueError("final states must be states")
+        for (state, _label), targets in self.transitions.items():
+            if state not in self.states or not targets <= self.states:
+                raise ValueError("transition endpoints must be states")
 
     # ------------------------------------------------------------------
     # Construction

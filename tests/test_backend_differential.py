@@ -1,14 +1,14 @@
 """Differential tests for the numeric-backend seam (``REPRO_BACKEND``).
 
 The backend selects only the product kernel: the ``array`` backend
-(interned CSR adjacency, dense product kernel, fixed-width bitsets)
-must be answer-for-answer identical to the ``python`` backend, which
-keeps the seed-era object-keyed kernel alive as the differential
-reference.  The join glue has one path under both.  This suite pins that
-equality at three levels — the mask kernel, the product-reachability
-kernel, and full ``evaluate``/batch/incremental runs across all
-semantics — plus the seam's selection mechanics and the stdlib
-(no-NumPy) fallback the CI environment exercises for real.
+(interned CSR adjacency, dense product kernel) must be
+answer-for-answer identical to the ``python`` backend, which keeps the
+seed-era object-keyed kernel alive as the differential reference.  Both
+carry source sets as plain Python ints, and the join glue has one path
+under both.  This suite pins that equality at two levels — the
+product-reachability kernel, and full ``evaluate``/batch/incremental
+runs across all semantics — plus the seam's selection mechanics, the
+dense kernel's mask decoder, and the engine's freedom from NumPy.
 
 Every cross-backend comparison evaluates against ``graph.copy()``: the
 engine's result caches are version-keyed per graph *object*, so reusing
@@ -16,8 +16,12 @@ one object would turn the second backend's run into a cache hit and the
 comparison into a tautology.
 """
 
+import os
 import random
+import subprocess
+import sys
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import pytest
 
@@ -26,17 +30,18 @@ from repro.engine.adjacency import adjacency_index
 from repro.engine.backend import (
     BACKEND_NAMES,
     active_backend,
-    byte_flags,
     index_array,
     use_backend,
     zeros_index_array,
 )
 from repro.engine.cache import compiled_nfa
 from repro.engine.incremental import incremental_store
-from repro.engine.product import product_reachability_pairs
+from repro.engine.product import _int_bits, product_reachability_pairs
+from repro.engine.relations import atom_relation
 from repro.graphdb.generators import uniform_random
 from repro.graphdb.graph import GraphDatabase
 from repro.queries.parser import parse_query
+from repro.regular.nfa import NFA
 from repro.regular.parser import parse_regex
 from repro.semantics.base import ALL_SEMANTICS
 from repro.semantics.evaluation import evaluate, evaluate_batch
@@ -110,124 +115,51 @@ class TestPrimitives:
         arr[3] = 2**40
         assert arr[3] == 2**40
 
-    def test_byte_flags(self):
-        flags = byte_flags(4)
-        assert list(flags) == [0, 0, 0, 0]
-        flags[2] = 1
-        assert flags[2] == 1
 
-
-# ----------------------------------------------------------------------
-# Mask kernel: both backends (and the array backend's stdlib fallback)
-# against a plain-set reference
-# ----------------------------------------------------------------------
-
-# "array-stdlib" forces the no-NumPy bytearray path the CI environment
-# runs; where NumPy is genuinely absent it duplicates "array", which is
-# harmless.
-MASK_VARIANTS = ("python", "array", "array-stdlib")
-
-
-def _mask_backend(variant, monkeypatch):
-    if variant == "array-stdlib":
-        monkeypatch.setattr(backend_module, "_numpy", None)
-        return backend_module._ARRAY_BACKEND
-    return backend_module._BY_NAME[variant]
-
-
-@pytest.mark.parametrize("variant", MASK_VARIANTS)
-@pytest.mark.parametrize("seed", range(6))
-def test_mask_kernel_matches_set_reference(variant, seed, monkeypatch):
-    backend = _mask_backend(variant, monkeypatch)
+@pytest.mark.parametrize("seed", range(4))
+def test_int_bits_matches_set_reference(seed):
     rng = random.Random(1000 * seed + 7)
-    count = rng.randrange(1, 8)
-    # Widths past 64 (one NumPy word) and past 8 (one fallback byte)
-    # exercise the multi-word carry-free paths.
-    width = rng.randrange(1, 130)
-    masks = backend.make_masks(count, width)
-    reference = [set() for _ in range(count)]
-    for _ in range(120):
-        op = rng.randrange(3)
-        if op == 0:
-            index, bit = rng.randrange(count), rng.randrange(width)
-            backend.mask_set_bit(masks, index, bit)
-            reference[index].add(bit)
-        elif op == 1:
-            target, source = rng.randrange(count), rng.randrange(count)
-            backend.mask_or_into(masks, target, source)
-            reference[target] |= reference[source]
-        else:
-            index = rng.randrange(count)
-            assert backend.mask_any(masks, index) == bool(reference[index])
-    for index in range(count):
-        assert list(backend.mask_bits(masks, index)) == \
-            sorted(reference[index]), (variant, seed, index)
+    # Widths past one byte and past one machine word, plus the extremes.
+    width = rng.choice((1, 8, 9, 64, 65, 130, 1 << 12))
+    bits = {rng.randrange(width) for _ in range(rng.randrange(1, 40))}
+    bits |= {0, width - 1}
+    assert list(_int_bits(sum(1 << bit for bit in bits))) == sorted(bits)
+    assert list(_int_bits(0)) == []
 
 
-@pytest.mark.parametrize("variant", MASK_VARIANTS)
-def test_mask_kernel_empty_mask_edges(variant, monkeypatch):
-    backend = _mask_backend(variant, monkeypatch)
-    masks = backend.make_masks(3, 70)
-    assert not backend.mask_any(masks, 0)
-    assert list(backend.mask_bits(masks, 1)) == []
-    # OR of two untouched masks must not materialize anything.
-    backend.mask_or_into(masks, 0, 1)
-    assert not backend.mask_any(masks, 0)
-    # OR into an untouched target copies; the copy must be independent.
-    backend.mask_set_bit(masks, 1, 69)
-    backend.mask_or_into(masks, 2, 1)
-    backend.mask_set_bit(masks, 2, 0)
-    assert list(backend.mask_bits(masks, 1)) == [69]
-    assert list(backend.mask_bits(masks, 2)) == [0, 69]
-    # Self-OR is the identity.
-    backend.mask_or_into(masks, 2, 2)
-    assert list(backend.mask_bits(masks, 2)) == [0, 69]
+# ----------------------------------------------------------------------
+# The engine imports no NumPy
+# ----------------------------------------------------------------------
+
+_NUMPY_PROBE = """
+import sys
+import repro
+from repro.devtools.obs.report import build_report
+from repro.graphdb.generators import uniform_random
+from repro.queries.parser import parse_query
+from repro.semantics.evaluation import evaluate
+
+graph = uniform_random(6, 14, {"a", "b"}, seed=3)
+evaluate(parse_query("Q(x, y) :- x -[a(a+b)*]-> y"), graph, "st")
+build_report()
+print("numpy" in sys.modules)
+"""
 
 
-@pytest.mark.parametrize("variant", ("array", "array-stdlib"))
-@pytest.mark.parametrize("seed", range(3))
-def test_mask_kernel_vector_regime_matches_set_reference(
-    variant, seed, monkeypatch
-):
-    """Widths at/above ``VECTOR_MIN_BITS`` switch the array backend to
-    its vector rows (NumPy ``uint64`` / ``bytearray``); the kernel
-    contract must not change across the regime boundary."""
-    backend = _mask_backend(variant, monkeypatch)
-    rng = random.Random(4000 + seed)
-    count = 4
-    width = backend_module.VECTOR_MIN_BITS + rng.randrange(100)
-    masks = backend.make_masks(count, width)
-    reference = [set() for _ in range(count)]
-    assert not backend.mask_any(masks, 0)
-    assert list(backend.mask_bits(masks, 0)) == []
-    backend.mask_or_into(masks, 0, 1)  # OR of two untouched masks
-    assert not backend.mask_any(masks, 0)
-    for _ in range(60):
-        op = rng.randrange(3)
-        if op == 0:
-            index = rng.randrange(count)
-            # Cluster around the word/byte boundaries and the extremes.
-            bit = rng.choice((0, 1, 63, 64, width - 1,
-                              rng.randrange(width)))
-            backend.mask_set_bit(masks, index, bit)
-            reference[index].add(bit)
-        elif op == 1:
-            target, source = rng.randrange(count), rng.randrange(count)
-            backend.mask_or_into(masks, target, source)
-            reference[target] |= reference[source]
-        else:
-            index = rng.randrange(count)
-            assert backend.mask_any(masks, index) == bool(reference[index])
-    for index in range(count):
-        assert list(backend.mask_bits(masks, index)) == \
-            sorted(reference[index]), (variant, seed, index)
-    # Copy-on-first-OR independence holds in the vector regime too.
-    fresh = backend.make_masks(2, width)
-    backend.mask_set_bit(fresh, 0, width - 1)
-    backend.mask_or_into(fresh, 1, 0)
-    backend.mask_set_bit(fresh, 1, 0)
-    assert list(backend.mask_bits(fresh, 0)) == [width - 1]
-    assert list(backend.mask_bits(fresh, 1)) == [0, width - 1]
+@pytest.mark.parametrize("backend_name", BACKEND_NAMES)
+def test_engine_never_imports_numpy(backend_name):
+    """Masks are Python ints under every backend, so neither importing
+    the package nor evaluating a query pulls NumPy in — even where it
+    is installed.  Runs in a fresh interpreter: this process may have
+    NumPy loaded by some other test's dependency."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, REPRO_BACKEND=backend_name, PYTHONPATH=str(src))
+    completed = subprocess.run(
+        [sys.executable, "-c", _NUMPY_PROBE],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert completed.returncode == 0, completed.stderr
+    assert completed.stdout.strip() == "False"
 
 
 # ----------------------------------------------------------------------
@@ -292,21 +224,63 @@ def test_product_kernel_differential(seed):
         assert got == want, (regex_text, seed)
 
 
-@pytest.mark.parametrize("seed", range(6))
-def test_product_kernel_differential_stdlib_fallback(seed, monkeypatch):
-    monkeypatch.setattr(backend_module, "_numpy", None)
-    rng = random.Random(800 + seed)
-    num_nodes = rng.randrange(2, 10)
+def _hand_built_nfa(rng):
+    """A random NFA outside the Glushkov shape: several initial states,
+    states without transitions, and mixed-type state names (the dense
+    kernel interns ``nfa.states`` by ``repr``)."""
+    pool = [0, 1, "q", ("t", 2), ("t", 10)]
+    states = rng.sample(pool, rng.randrange(1, len(pool) + 1))
+    transitions = {}
+    for state in states:
+        for label in ("a", "b"):
+            if rng.random() < 0.6:
+                transitions[(state, label)] = set(
+                    rng.sample(states, rng.randrange(1, len(states) + 1))
+                )
+    initials = rng.sample(states, rng.randrange(1, len(states) + 1))
+    finals = rng.sample(states, rng.randrange(0, len(states) + 1))
+    return NFA(states, {"a", "b"}, transitions, initials, finals)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_product_kernel_differential_hand_built_nfa(seed):
+    rng = random.Random(1100 + seed)
+    num_nodes = rng.randrange(1, 9)
     graph = uniform_random(
-        num_nodes, rng.randrange(1, 3 * num_nodes + 1), {"a", "b"}, seed=seed
+        num_nodes, rng.randrange(1, 2 * num_nodes * num_nodes + 1),
+        {"a", "b"}, seed=seed,
     )
-    for regex_text in KERNEL_REGEXES:
-        nfa = compiled_nfa(parse_regex(regex_text))
+    for _ in range(4):
+        nfa = _hand_built_nfa(rng)
         with use_backend("python"):
             want = product_reachability_pairs(graph.copy(), nfa)
         with use_backend("array"):
             got = product_reachability_pairs(graph.copy(), nfa)
-        assert got == want, (regex_text, seed)
+        assert got == want, (seed, nfa.transitions)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_store_matches_kernel_on_hand_built_nfa(seed):
+    """The incremental store walks ``nfa.states`` while the kernels
+    follow transitions; on any valid NFA, its maintained relation after
+    grow and shrink deltas equals a fresh kernel computation."""
+    rng = random.Random(1200 + seed)
+    nodes = [f"n{i}" for i in range(rng.randrange(2, 7))]
+    graph = GraphDatabase(nodes=nodes)
+    nfa = _hand_built_nfa(rng)
+    incremental_store(graph)
+    atom_relation(graph, nfa, "standard")
+    present = set()
+    for _ in range(12):
+        edge = (rng.choice(nodes), rng.choice("ab"), rng.choice(nodes))
+        if edge in present:
+            present.discard(edge)
+            graph.remove_edge(*edge)
+        else:
+            present.add(edge)
+            graph.add_edge(*edge)
+        maintained = set(atom_relation(graph, nfa, "standard"))
+        assert maintained == product_reachability_pairs(graph.copy(), nfa)
 
 
 def test_dense_kernel_degenerate_inputs():
@@ -349,19 +323,6 @@ def test_evaluate_differential_between_backends(semantics, seed):
         with use_backend("array"):
             got = evaluate(query, graph.copy(), semantics)
         assert got == want, (query_text, seed)
-
-
-def test_evaluate_differential_stdlib_fallback(monkeypatch):
-    monkeypatch.setattr(backend_module, "_numpy", None)
-    graph = uniform_random(6, 15, {"a", "b"}, seed=77)
-    for semantics in ALL_SEMANTICS:
-        for query_text in QUERIES[:3]:
-            query = parse_query(query_text)
-            with use_backend("python"):
-                want = evaluate(query, graph.copy(), semantics)
-            with use_backend("array"):
-                got = evaluate(query, graph.copy(), semantics)
-            assert got == want, (query_text, str(semantics))
 
 
 @pytest.mark.parametrize("trail_semantics", ["atom-trail", "query-trail"])

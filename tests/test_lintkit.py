@@ -610,6 +610,37 @@ def test_lk009_exempts_the_seam_module_itself(tmp_path):
     assert result.findings == []
 
 
+LK009_GUARDED_NUMPY_IMPORT = """
+    try:
+        import numpy as _numpy
+    except Exception:
+        _numpy = None
+"""
+
+LK009_FROM_NUMPY_IMPORT = """
+    from numpy import zeros
+
+    def build():
+        return zeros(4)
+"""
+
+
+@pytest.mark.parametrize("relpath", [
+    "repro/engine/backend.py",
+    "repro/engine/product.py",
+    "repro/devtools/obs/report.py",
+    "repro/semantics/evaluation.py",
+])
+@pytest.mark.parametrize("source", [
+    LK009_GUARDED_NUMPY_IMPORT, LK009_FROM_NUMPY_IMPORT, LK009_LAZY_IMPORT,
+], ids=["guarded", "from", "lazy"])
+def test_lk009_fires_on_numpy_imports_everywhere(tmp_path, relpath, source):
+    # The seam itself included: masks are Python ints, never NumPy rows.
+    result = lint_snippet(tmp_path, relpath, source, rule="backend-seam")
+    assert rule_ids(result) == ["LK009"]
+    assert "NumPy" in result.findings[0].message
+
+
 def test_lk009_quiet_on_seam_consumers(tmp_path):
     result = lint_snippet(
         tmp_path, "repro/engine/adjacency.py", LK009_SEAM_USER_OK,

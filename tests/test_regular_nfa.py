@@ -17,6 +17,32 @@ from repro.regular.syntax import (
 )
 
 
+class TestValidation:
+    """Every state an NFA mentions must be declared: the incremental
+    store walks ``nfa.states`` while the product kernels follow
+    transitions, so an undeclared endpoint would make them disagree."""
+
+    @pytest.mark.parametrize("transitions", [
+        {(0, "a"): {1}, (1, "a"): {0}},    # undeclared target (and source)
+        {(0, "a"): {0, 1}},                # undeclared target only
+        {(1, "a"): {0}},                   # undeclared source only
+    ])
+    def test_undeclared_transition_endpoints_rejected(self, transitions):
+        with pytest.raises(ValueError, match="transition endpoints"):
+            NFA(states={0}, alphabet={"a"}, transitions=transitions,
+                initials={0}, finals={0})
+
+    def test_undeclared_initial_and_final_rejected(self):
+        with pytest.raises(ValueError, match="initial"):
+            NFA({0}, {"a"}, {}, {1}, {0})
+        with pytest.raises(ValueError, match="final"):
+            NFA({0}, {"a"}, {}, {0}, {1})
+
+    def test_empty_target_sets_are_dropped_not_checked(self):
+        nfa = NFA({0}, {"a"}, {(0, "a"): set()}, {0}, {0})
+        assert nfa.transitions == {}
+
+
 class TestFromRegex:
     @pytest.mark.parametrize(
         "pattern,accepted,rejected",

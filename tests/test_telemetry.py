@@ -301,6 +301,14 @@ class TestMetricsReport:
             "type": "counter", "value": 1,
         }
 
+    def test_context_names_backend_and_python_only(self):
+        document = build_report()
+        assert set(document["context"]) == {"backend", "python_version"}
+        # A document written while the context still carried a NumPy
+        # flag stays a valid metrics-report-v1.
+        document["context"]["numpy"] = True
+        assert validate_report(document) == []
+
     def test_write_then_load_round_trips(self, tmp_path):
         telemetry.count("t.report", 3)
         path = tmp_path / "metrics.json"
@@ -321,15 +329,13 @@ class TestMetricsReport:
             ),
             (
                 {"schema": METRICS_SCHEMA, "created_unix": 1.0,
-                 "context": {"backend": "array", "numpy": True,
-                             "python_version": "3"},
+                 "context": {"backend": "array", "python_version": "3"},
                  "metrics": {"a.b": {"type": "counter"}}},
                 "lacks 'value'",
             ),
             (
                 {"schema": METRICS_SCHEMA, "created_unix": 1.0,
-                 "context": {"backend": "array", "numpy": True,
-                             "python_version": "3"},
+                 "context": {"backend": "array", "python_version": "3"},
                  "metrics": {"a.b": {"type": "timer", "value": 1}}},
                 "timer",
             ),
