@@ -138,9 +138,8 @@ def pristine_answers(query: Any, graph: Any, semantics: Any) -> Any:
     reference equivalent to a fresh process.
 
     The copy is a new object, so every graph-scoped engine cache
-    (atom relations, per-disjunct results, co-reachability sets,
-    memoized witness generators) starts empty, and no incremental
-    store is attached.  Graph-independent caches (compiled NFAs,
+    (atom relations, per-disjunct results, co-reachability sets)
+    starts empty, and no incremental store is attached.  Graph-independent caches (compiled NFAs,
     analysis reports) are shared, but they are pure functions of the
     query populated compute-fully-then-publish, so sharing cannot mask
     corruption of graph-scoped state.

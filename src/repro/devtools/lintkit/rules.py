@@ -865,7 +865,7 @@ CHECKPOINTED_FUNCTIONS: dict[str, frozenset[str]] = {
         {"semijoin_reduce", "_variable_elimination", "_yannakakis"}
     ),
     "engine/join.py": frozenset({"natural_join"}),
-    "engine/qinj.py": frozenset({"solutions", "paths"}),
+    "engine/qinj.py": frozenset({"solutions"}),
     "engine/incremental.py": frozenset({"grow", "shrink"}),
     "engine/batch.py": frozenset({"_entry_answers"}),
     "graphdb/paths.py": frozenset({"simple_paths", "simple_cycles_through"}),

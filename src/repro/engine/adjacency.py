@@ -55,7 +55,6 @@ class AdjacencyIndex:
         "nodes_sorted",
         "node_bit",
         "_out_sorted",
-        "_in_sorted",
         "_out_by_label",
         "_in_by_label",
         "_label_sources",
@@ -68,7 +67,6 @@ class AdjacencyIndex:
     nodes_sorted: tuple[Any, ...]
     node_bit: dict[Any, int]
     _out_sorted: dict[Any, tuple[Any, ...]]
-    _in_sorted: dict[Any, tuple[Any, ...]]
     _out_by_label: dict[Any, LabelPartition]
     _in_by_label: dict[Any, LabelPartition]
     _label_sources: dict[Any, frozenset[Any]]
@@ -84,7 +82,6 @@ class AdjacencyIndex:
         self.nodes_sorted = tuple(sorted(graph.nodes, key=repr))
         self.node_bit = {node: index for index, node in enumerate(self.nodes_sorted)}
         out_sorted: dict[Any, tuple[Any, ...]] = {}
-        in_sorted: dict[Any, tuple[Any, ...]] = {}
         out_by_label: dict[Any, LabelPartition] = {}
         in_by_label: dict[Any, LabelPartition] = {}
         for node in self.nodes_sorted:
@@ -95,15 +92,12 @@ class AdjacencyIndex:
                 for edge in out_edges:
                     partition.setdefault(edge.label, []).append(edge.target)
                 out_by_label[node] = _as_partition(partition)
-            in_edges = tuple(sorted(graph.in_edges(node), key=edge_sort_key))
-            if in_edges:
-                in_sorted[node] = in_edges
-                partition = {}
-                for edge in in_edges:
-                    partition.setdefault(edge.label, []).append(edge.source)
+            partition = {}
+            for edge in graph.in_edges(node):
+                partition.setdefault(edge.label, []).append(edge.source)
+            if partition:
                 in_by_label[node] = _as_partition(partition)
         self._out_sorted = out_sorted
-        self._in_sorted = in_sorted
         self._out_by_label = out_by_label
         self._in_by_label = in_by_label
         label_sources: dict[Any, set[Any]] = {}
@@ -128,10 +122,6 @@ class AdjacencyIndex:
     def out_sorted(self, node: Any) -> tuple[Any, ...]:
         """Edges leaving ``node``, sorted by :func:`edge_sort_key`."""
         return self._out_sorted.get(node, self._EMPTY)
-
-    def in_sorted(self, node: Any) -> tuple[Any, ...]:
-        """Edges entering ``node``, sorted by :func:`edge_sort_key`."""
-        return self._in_sorted.get(node, self._EMPTY)
 
     def out_targets(self, node: Any) -> LabelPartition | None:
         """``{label: (targets...)}`` partition of the out-edges of ``node``."""

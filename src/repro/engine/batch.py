@@ -6,7 +6,8 @@ The paper's motivating setting (§1) is knowledge-graph workloads where
 query cheap; this module adds the cross-query layer:
 
 - :class:`QueryBatch` — an ordered collection of queries (CRPQs, CQs,
-  or unions), each normalized to its ε-free disjuncts once at admission;
+  or unions); the executor runs each one's memoized analyzed ε-free
+  disjuncts (:func:`repro.engine.analyze.analyzed_disjuncts`);
 - :class:`BatchExecutor` — plans the batch by structurally
   deduplicating atom languages (compiled NFAs are interned, so equal
   regexes collapse to one automaton), compiles each distinct NFA once,
@@ -148,36 +149,24 @@ class BatchPlan:
 class QueryBatch:
     """An ordered collection of queries destined for one graph.
 
-    Each added query (a CRPQ, CQ, or union thereof) is normalized to its
-    ε-free disjuncts immediately, so the per-query ε-elimination cost is
-    paid once even if the batch is executed repeatedly.
+    Queries are stored as given; the executor normalizes each through
+    the memoized static analyzer, so repeated executions share one
+    ε-elimination per query structure.
     """
 
     def __init__(self, queries=()):
-        self._entries = []
-        for query in queries:
-            self.add(query)
+        self._queries = list(queries)
 
     def add(self, query):
         """Append a query; returns ``self`` for chaining."""
-        from repro.queries.crpq import union_of
-
-        disjuncts = []
-        for disjunct in union_of(query):
-            disjuncts.extend(disjunct.epsilon_free_union())
-        self._entries.append((query, tuple(disjuncts)))
+        self._queries.append(query)
         return self
 
-    @property
-    def entries(self):
-        """Tuples ``(original_query, eps_free_disjuncts)`` in input order."""
-        return tuple(self._entries)
-
     def __len__(self):
-        return len(self._entries)
+        return len(self._queries)
 
     def __iter__(self):
-        return (query for query, _disjuncts in self._entries)
+        return iter(self._queries)
 
 
 class BatchExecutor:
@@ -202,17 +191,16 @@ class BatchExecutor:
     # Planning and warm-up
     # ------------------------------------------------------------------
 
-    def _analyzed(self, entry):
-        """The ε-free disjuncts to execute for one entry: the static
+    def _analyzed(self, query):
+        """The ε-free disjuncts to execute for one query: the static
         analyzer's pruned/rewritten list under the executor's semantics
         (:mod:`repro.engine.analyze`).  Reports are memoized per query
         structure, so every phase (plan / warm / results / explain) and
         every repeat of the same query across batches shares one
-        analysis; with analysis disabled this degrades to the entry's
-        admission-time ε-free normalization."""
+        analysis; with analysis disabled this degrades to the plain
+        ε-free normalization."""
         from repro.engine.analyze import analyzed_disjuncts
 
-        query, _disjuncts = entry
         return analyzed_disjuncts(query, self.semantics)
 
     def plan(self, batch):
@@ -224,8 +212,8 @@ class BatchExecutor:
         languages = {}
         num_disjuncts = 0
         num_atoms = 0
-        for entry in batch.entries:
-            for disjunct in self._analyzed(entry):
+        for query in batch:
+            for disjunct in self._analyzed(query):
                 num_disjuncts += 1
                 for atom in disjunct.atoms:
                     num_atoms += 1
@@ -335,9 +323,9 @@ class BatchExecutor:
             # Exhausted during warm-up: fall through and let each entry
             # report its own structured error (nothing partial was
             # published into the store).
-        entries = batch.entries
+        queries = list(batch)
         ctx = current_context()
-        pool_size = self._pool_size(len(entries))
+        pool_size = self._pool_size(len(queries))
         _WORKERS.set(pool_size)
         if pool_size > 1:
             with ThreadPoolExecutor(pool_size) as pool:
@@ -345,18 +333,18 @@ class BatchExecutor:
                     lambda indexed: self._entry_result(
                         indexed[0], indexed[1], ctx, on_budget
                     ),
-                    enumerate(entries),
+                    enumerate(queries),
                 )
-                for index, (entry, answers) in enumerate(
-                        zip(entries, answer_stream)):
-                    yield index, entry[0], answers
+                for index, (query, answers) in enumerate(
+                        zip(queries, answer_stream)):
+                    yield index, query, answers
         else:
-            for index, entry in enumerate(entries):
-                yield index, entry[0], self._entry_result(
-                    index, entry, ctx, on_budget
+            for index, query in enumerate(queries):
+                yield index, query, self._entry_result(
+                    index, query, ctx, on_budget
                 )
 
-    def _entry_result(self, index, entry, ctx, on_budget):
+    def _entry_result(self, index, query, ctx, on_budget):
         """One isolated query evaluation: its answers, or the
         structured :class:`BatchError` carrying what went wrong.  The
         batch's execution context is re-activated explicitly — context
@@ -366,7 +354,7 @@ class BatchExecutor:
         try:
             with active_context(ctx):
                 with telemetry.span("batch-entry", index=index) as span:
-                    answers = self._entry_answers(entry, ctx)
+                    answers = self._entry_answers(query, ctx)
                 trace = telemetry.current_trace()
                 if trace is not None:
                     return telemetry.TracedAnswers(
@@ -376,14 +364,14 @@ class BatchExecutor:
         except (ResourceExhausted, EvaluationCancelled) as error:
             if on_budget == "raise":
                 raise
-            return BatchError(index=index, query=entry[0], error=error)
+            return BatchError(index=index, query=query, error=error)
         except Exception as error:
-            return BatchError(index=index, query=entry[0], error=error)
+            return BatchError(index=index, query=query, error=error)
 
-    def _entry_answers(self, entry, ctx=None):
+    def _entry_answers(self, query, ctx=None):
         ctx = resolve_context(ctx)
         answers = set()
-        for disjunct in self._analyzed(entry):
+        for disjunct in self._analyzed(query):
             ctx.checkpoint(SITE_BATCH_ENTRY)
             answers |= self._disjunct_answers(disjunct)
         return frozenset(answers)
@@ -406,8 +394,7 @@ class BatchExecutor:
         plan = self.warm(batch)
         lines = [f"batch plan: {plan} "
                  f"({plan.num_shared_atoms} atom occurrence(s) shared)"]
-        for index, entry in enumerate(batch.entries):
-            query = entry[0]
+        for index, query in enumerate(batch):
             lines.append("")
             lines.append(f"[{index + 1}] {query}")
             report = analyze(query, self.semantics)

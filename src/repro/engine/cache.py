@@ -302,11 +302,11 @@ def _make_room(cache: dict[Any, Any]) -> None:
 
     ``(RELATION_KEY, kind, nfa)`` entries are bounded by the number of
     distinct atom languages and are the expensive ones: a batch warms
-    them before its queries run, and the per-endpoint entries a q-inj
-    search or an a-inj DFS adds (witnesses, co-reachable states) must
-    not evict them mid-batch.  Only when relations fill half the cache
-    does everything go.  Relation entries are never popped one by one,
-    so racing lookups still share one object per key.
+    them before its queries run, and the per-target co-reachable-state
+    entries a simple-path DFS adds must not evict them mid-batch.  Only
+    when relations fill half the cache does everything go.  Relation
+    entries are never popped one by one, so racing lookups still share
+    one object per key.
     """
     if len(cache) < _GRAPH_CACHE_CAP:
         return
@@ -360,10 +360,8 @@ def coreachable_states(graph: Any, nfa: NFA, target: Any) -> frozenset[Any]:
     search (``forbidden`` sets only remove paths), so filtering DFS
     frontiers through it is sound and changes no output.
     """
-    cache = _graph_cache(graph)
-    key = ("coreach", nfa, target)
-    value: frozenset[Any] | None = cache.get(key)
-    if value is None:
+
+    def compute() -> frozenset[Any]:
         index = adjacency_index(graph)
         reverse_transitions: Any = reversed_nfa(nfa).transitions
         seen: set[tuple[Any, Any]] = {(target, final) for final in nfa.finals}
@@ -383,7 +381,7 @@ def coreachable_states(graph: Any, nfa: NFA, target: Any) -> frozenset[Any]:
                         if item not in seen:
                             seen.add(item)
                             stack.append(item)
-        value = frozenset(seen)
-        _make_room(cache)
-        cache[key] = value
-    return value
+        return frozenset(seen)
+
+    result: frozenset[Any] = graph_cached(graph, ("coreach", nfa, target), compute)
+    return result

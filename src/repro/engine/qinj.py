@@ -25,17 +25,12 @@ the polynomial machinery built for the other semantics:
    surviving bindings: sources from the reduced per-variable domains,
    targets through the reduced table's hash index, atoms ordered
    smallest-table-first with connectivity preferred.
-4. **Lazy memoized witnesses.**  Per-atom path enumeration is routed
-   through :class:`LazyWitnesses` — a replayable, incrementally cached
-   enumeration of the *unconstrained* simple paths (or cycles) of one
-   (graph-version, language, endpoint-pair), stored via
-   :func:`repro.engine.cache.graph_cached`.  Forbidden-node filtering
-   happens on replay, so the (re-entrant, worst-case exponential)
-   path searches are paid once per endpoint pair, not once per branch
-   of the joint search.  Entries growing past
-   :data:`WITNESS_PATH_CAP` cached paths overflow to direct
-   re-enumeration (the fallback condition documented in
-   ARCHITECTURE.md) — correctness never depends on the cache.
+4. **Constrained witnesses.**  Each atom's simple path (or simple
+   cycle) is enumerated at the point of use by
+   :func:`~repro.graphdb.paths.simple_paths` /
+   :func:`~repro.graphdb.paths.simple_cycles_through` with the search's
+   current forbidden set, so the DFS never enters a node the partial
+   solution already uses.
 
 The unguided search survives as
 :func:`repro.semantics.evaluation._qinj_solutions`; it is the reference
@@ -45,11 +40,10 @@ the differential suite and ``benchmarks/bench_qinj.py`` compare against.
 from __future__ import annotations
 
 import itertools
-import threading
 
 from repro.engine import telemetry
 from repro.engine.adjacency import adjacency_index
-from repro.engine.cache import compiled_nfa, graph_cached, language_is_empty
+from repro.engine.cache import compiled_nfa, language_is_empty
 from repro.engine.join import TupleRelation
 from repro.engine.planner import semijoin_reduce
 from repro.engine.relations import Relation, atom_relation
@@ -57,176 +51,11 @@ from repro.engine.runtime import checkpoint_site, resolve_context
 from repro.graphdb.paths import simple_cycles_through, simple_paths
 from repro.semantics.base import Semantics
 
-#: Per-endpoint-pair budget of cached witness paths.  Past it the entry
-#: stops caching and consumers fall back to direct (uncached)
-#: re-enumeration — bounded memory, unchanged answers.  An explicit
-#: :class:`~repro.engine.runtime.ResourceBudget` witness cap separately
-#: bounds total *consumption* per evaluation and raises instead.
-WITNESS_PATH_CAP = 512
-
 SITE_QINJ_SEARCH = checkpoint_site(
     "qinj.search", "q-inj joint backtracking search (per place() branch)"
 )
-SITE_QINJ_WITNESS = checkpoint_site(
-    "qinj.witness", "lazy witness replay/enumeration (per path position)"
-)
 
 _PRUNED_EMPTY = telemetry.registry().counter("qinj.pruned_empty")
-
-
-# ----------------------------------------------------------------------
-# Lazy, replayable witness enumeration
-# ----------------------------------------------------------------------
-
-
-class LazyWitnesses:
-    """A replayable, incrementally cached path enumeration.
-
-    ``factory`` produces a fresh deterministic iterator of paths (the
-    unconstrained simple-path / simple-cycle search).  Consumers call
-    :meth:`paths` — possibly many of them, interleaved, from the nested
-    levels of the joint search — and each replays the shared cache,
-    extending it lazily from a single underlying iterator.  Once
-    ``cap`` paths are cached the entry *overflows*: the cached prefix
-    keeps serving replays, and each consumer finishes the tail with its
-    own fresh factory run (skipping the cached prefix), so memory stays
-    bounded without changing any yield.
-
-    Thread-safe: the batch executor evaluates q-inj queries on worker
-    threads against one shared graph-scoped cache.
-    """
-
-    __slots__ = ("_factory", "_cap", "_cache", "_source", "_exhausted",
-                 "_overflowed", "_lock")
-
-    def __init__(self, factory, cap=WITNESS_PATH_CAP):
-        self._factory = factory
-        self._cap = cap
-        self._cache = []
-        self._source = None
-        self._exhausted = False
-        self._overflowed = False
-        self._lock = threading.RLock()
-
-    @property
-    def cached_count(self):
-        return len(self._cache)
-
-    @property
-    def exhausted(self):
-        return self._exhausted
-
-    @property
-    def overflowed(self):
-        return self._overflowed
-
-    def _ensure(self, position):
-        """Grow the cache to cover ``position`` unless done/overflowed."""
-        while len(self._cache) <= position:
-            if self._exhausted or self._overflowed:
-                return
-            if self._source is None:
-                # Fresh (or resynced) run.  After an interrupted run the
-                # cache holds a valid prefix; skip it so the new iterator
-                # continues exactly where the cache ends.
-                source = self._factory()
-                for _ in range(len(self._cache)):
-                    if next(source, None) is None:
-                        self._exhausted = True
-                        return
-                self._source = source
-            try:
-                item = next(self._source)
-            except StopIteration:
-                self._exhausted = True
-                self._source = None
-                return
-            except BaseException:
-                # A deadline/cancellation/injected fault propagating
-                # through the underlying search kills the generator; a
-                # dead generator raises StopIteration forever, which
-                # would falsely mark this shared entry exhausted.  Drop
-                # the iterator — the cached prefix stays valid and the
-                # next consumer resyncs a fresh run past it.
-                self._source = None
-                raise
-            self._cache.append(item)
-            if len(self._cache) >= self._cap:
-                # Peek once before declaring overflow: an entry with
-                # *exactly* cap paths is exhausted, and consumers must
-                # not pay a redundant full re-enumeration to learn the
-                # tail is empty.  A real overflow discards the peeked
-                # item along with the iterator — the tail restarts a
-                # fresh factory run and skips len(cache) items, which
-                # re-yields it in order.
-                try:
-                    next(self._source)
-                except StopIteration:
-                    self._exhausted = True
-                    self._source = None
-                except BaseException:
-                    self._source = None
-                    raise
-                else:
-                    self._overflowed = True
-                    self._source = None
-
-    def paths(self, forbidden=frozenset(), ctx=None):
-        """Yield the witness paths avoiding ``forbidden`` entirely.
-
-        Equivalent to the direct constrained search (``forbidden`` only
-        removes paths from the deterministic unconstrained enumeration,
-        it never reorders the survivors).
-        """
-        ctx = resolve_context(ctx)
-        position = 0
-        while True:
-            ctx.checkpoint(SITE_QINJ_WITNESS)
-            with self._lock:
-                self._ensure(position)
-                if position < len(self._cache):
-                    path = self._cache[position]
-                elif self._exhausted:
-                    return
-                else:
-                    break  # overflowed past the cached prefix
-            if forbidden.isdisjoint(path.nodes):
-                yield path
-            position += 1
-        # Overflow tail: one private uncached run, cached prefix skipped.
-        fresh = self._factory()
-        for _ in range(position):
-            if next(fresh, None) is None:
-                return
-        for path in fresh:
-            ctx.checkpoint(SITE_QINJ_WITNESS)
-            if forbidden.isdisjoint(path.nodes):
-                yield path
-
-
-def path_witnesses(graph, nfa, source, target):
-    """The memoized witness entry for simple paths source ⇝ target
-    (keyed per graph version, interned automaton, endpoint pair)."""
-    return graph_cached(
-        graph,
-        ("qinj-witness", nfa, source, target),
-        lambda: LazyWitnesses(
-            lambda: simple_paths(graph, source, target, language=nfa)
-        ),
-    )
-
-
-def cycle_witnesses(graph, nfa, node):
-    """The memoized witness entry for nonempty simple cycles at ``node``."""
-    return graph_cached(
-        graph,
-        ("qinj-witness-cycle", nfa, node),
-        lambda: LazyWitnesses(
-            lambda: simple_cycles_through(
-                graph, node, language=nfa, include_empty=False
-            )
-        ),
-    )
 
 
 # ----------------------------------------------------------------------
@@ -300,25 +129,6 @@ class QinjPlan:
         internal = set()
         ordered_nodes = adjacency_index(graph).nodes_sorted
 
-        # Search-local witness memo on top of the graph-scoped cache: a
-        # search touching more endpoint pairs than _GRAPH_CACHE_CAP
-        # would otherwise trigger cap-and-clear churn mid-search (wiping
-        # its own warm entries and every other non-relation entry).  Entries
-        # fetched once per search stay pinned here for its duration;
-        # each is bounded by WITNESS_PATH_CAP and dies with the call.
-        local_witnesses = {}
-
-        def _witnesses(kind, nfa, source, target=None):
-            key = (kind, nfa, source, target)
-            entry = local_witnesses.get(key)
-            if entry is None:
-                if kind == "path":
-                    entry = path_witnesses(graph, nfa, source, target)
-                else:
-                    entry = cycle_witnesses(graph, nfa, source)
-                local_witnesses[key] = entry
-            return entry
-
         def available(pool):
             return tuple(
                 node for node in pool
@@ -356,9 +166,11 @@ class QinjPlan:
                     undo = assign(variable, node)
                     if undo is None:
                         continue
-                    forbidden = frozenset((used | internal) - {node})
-                    witnesses = _witnesses("cycle", nfa, node)
-                    for path in witnesses.paths(forbidden, ctx):
+                    forbidden = (used | internal) - {node}
+                    for path in simple_cycles_through(
+                        graph, node, language=nfa, forbidden=forbidden,
+                        include_empty=False, ctx=ctx,
+                    ):
                         ctx.consume_witnesses(1, SITE_QINJ_SEARCH)
                         internals = set(path.internal_nodes())
                         internal.update(internals)
@@ -389,11 +201,11 @@ class QinjPlan:
                     undo_target = assign(atom.target, target)
                     if undo_target is None:
                         continue
-                    forbidden = frozenset(
-                        (used | internal) - {source, target}
-                    )
-                    witnesses = _witnesses("path", nfa, source, target)
-                    for path in witnesses.paths(forbidden, ctx):
+                    forbidden = (used | internal) - {source, target}
+                    for path in simple_paths(
+                        graph, source, target, language=nfa,
+                        forbidden=forbidden, ctx=ctx,
+                    ):
                         ctx.consume_witnesses(1, SITE_QINJ_SEARCH)
                         internals = set(path.internal_nodes())
                         internal.update(internals)
@@ -472,9 +284,8 @@ class QinjPlan:
                 + ", ".join(str(i) for i in self.order) + "]"
             )
         lines.append(
-            f"  witnesses: lazy per (graph-version, language, endpoint "
-            f"pair), cap {WITNESS_PATH_CAP} paths/entry then direct "
-            f"re-enumeration"
+            "  witnesses: simple-path DFS per candidate pair, avoiding "
+            "nodes already used"
         )
         return "\n".join(lines)
 

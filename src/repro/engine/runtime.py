@@ -87,8 +87,8 @@ class ResourceBudget:
 
     ``None`` for any field means "unbounded here" — the engine's
     historical per-subsystem defaults (``ELIMINATION_ROW_CAP``,
-    ``WITNESS_PATH_CAP``, ``deletion_repair_cap``, ``AnalysisBudget``)
-    stay in force exactly as before.  Setting a field makes it a *hard*
+    ``deletion_repair_cap``, ``AnalysisBudget``) stay in force exactly
+    as before.  Setting a field makes it a *hard*
     limit: exceeding it raises :class:`~repro.errors.ResourceExhausted`
     (or :class:`~repro.errors.EvaluationTimeout` for the deadline)
     instead of falling back.

@@ -142,11 +142,10 @@ def simple_paths(graph, source, target, language=None, forbidden=frozenset(),
     )
     if nfa is not None and not initial_states:
         return
+    ctx = resolve_context(ctx)
 
     def extend(node, states, nodes, labels):
-        # Re-resolved per frame: a memoized witness generator created
-        # under one execution context is resumed under later ones.
-        resolve_context(ctx).checkpoint(SITE_PATH_DFS)
+        ctx.checkpoint(SITE_PATH_DFS)
         for edge in index.out_sorted(node):
             nxt = edge.target
             nxt_states = None
@@ -188,10 +187,10 @@ def simple_cycles_through(graph, node, language=None, forbidden=frozenset(),
     index, useful, initial_states = _prepare_pruned_search(graph, nfa, node, node)
     if nfa is not None and not initial_states:
         return
+    ctx = resolve_context(ctx)
 
     def extend(current, states, nodes, labels):
-        # Re-resolved per frame (see simple_paths).
-        resolve_context(ctx).checkpoint(SITE_PATH_DFS)
+        ctx.checkpoint(SITE_PATH_DFS)
         for edge in index.out_sorted(current):
             nxt = edge.target
             nxt_states = None

@@ -18,7 +18,8 @@ Algorithms:
   candidates, a semijoin reduction shrinks them to the arc-consistent
   fixpoint, and only surviving bindings feed the injective search
   (Prop 2.2's injective expansion homomorphism, run directly on the
-  database) with per-endpoint-pair memoized path witnesses.
+  database), each atom's witness path enumerated under the search's
+  forbidden-node set.
 
 The unguided joint search (:func:`_qinj_solutions`) is kept verbatim as
 the differential-test and benchmark reference.

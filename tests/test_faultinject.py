@@ -69,7 +69,6 @@ EVAL_SITES = (
     "planner.yannakakis",
     "product.sweep",
     "qinj.search",
-    "qinj.witness",
 )
 
 INCREMENTAL_SITES = ("incremental.grow", "incremental.shrink")

@@ -1,5 +1,5 @@
 """Unit tests for the relation-guided q-inj engine
-(:mod:`repro.engine.qinj`): witness-cache behavior, plan construction,
+(:mod:`repro.engine.qinj`): witness search, plan construction,
 pruning soundness edge cases, explain rendering, and the CLI / batch
 surfaces of the pruning plan.
 """
@@ -8,117 +8,31 @@ import pytest
 
 from repro.cli import main
 from repro.engine.batch import BatchExecutor, QueryBatch
-from repro.engine.qinj import (
-    LazyWitnesses,
-    QinjPlan,
-    cycle_witnesses,
-    path_witnesses,
-    plan_qinj,
-)
-from repro.engine.cache import compiled_nfa
+from repro.engine.analyze import analyzed_disjuncts
+from repro.engine.cache import _graph_cache
+from repro.engine.qinj import QinjPlan, plan_qinj
 from repro.engine.telemetry import registry as metrics_registry
 from repro.graphdb.graph import GraphDatabase
 from repro.queries.parser import parse_query
-from repro.regular.parser import parse_regex
 from repro.semantics.evaluation import evaluate
 
 # ----------------------------------------------------------------------
-# LazyWitnesses
+# Witness search
 # ----------------------------------------------------------------------
 
 
-class _CountingFactory:
-    def __init__(self, items):
-        self.items = tuple(items)
-        self.calls = 0
-
-    def __call__(self):
-        self.calls += 1
-        return iter(self.items)
-
-
-class _FakePath:
-    def __init__(self, nodes):
-        self.nodes = tuple(nodes)
-
-
-def test_lazy_witnesses_replays_from_one_factory_run():
-    factory = _CountingFactory([_FakePath("ab"), _FakePath("ac")])
-    lazy = LazyWitnesses(factory)
-    first = list(lazy.paths())
-    second = list(lazy.paths())
-    assert [p.nodes for p in first] == [("a", "b"), ("a", "c")]
-    assert second == first
-    assert factory.calls == 1
-    assert lazy.exhausted and not lazy.overflowed
-    assert lazy.cached_count == 2
-
-
-def test_lazy_witnesses_filters_forbidden_on_replay():
-    factory = _CountingFactory(
-        [_FakePath("axb"), _FakePath("ab"), _FakePath("ayb")]
-    )
-    lazy = LazyWitnesses(factory)
-    assert [p.nodes for p in lazy.paths(frozenset("x"))] == [
-        ("a", "b"), ("a", "y", "b")
-    ]
-    assert [p.nodes for p in lazy.paths(frozenset("xy"))] == [("a", "b")]
-    assert factory.calls == 1
-
-
-def test_lazy_witnesses_interleaved_consumers_share_the_cache():
-    factory = _CountingFactory([_FakePath("ab"), _FakePath("ac"),
-                                _FakePath("ad")])
-    lazy = LazyWitnesses(factory)
-    outer = lazy.paths()
-    inner = lazy.paths()
-    assert next(outer).nodes == ("a", "b")
-    assert [p.nodes for p in inner] == [("a", "b"), ("a", "c"), ("a", "d")]
-    assert [p.nodes for p in outer] == [("a", "c"), ("a", "d")]
-    assert factory.calls == 1
-
-
-def test_lazy_witnesses_overflow_falls_back_to_direct_enumeration():
-    items = [_FakePath((f"s{i}", f"t{i}")) for i in range(7)]
-    factory = _CountingFactory(items)
-    lazy = LazyWitnesses(factory, cap=3)
-    produced = list(lazy.paths())
-    assert [p.nodes for p in produced] == [p.nodes for p in items]
-    assert lazy.overflowed
-    assert lazy.cached_count == 3
-    # Replay: the cached prefix serves, the tail re-enumerates fresh.
-    assert [p.nodes for p in lazy.paths()] == [p.nodes for p in items]
-    assert factory.calls >= 2  # one shared run + ≥ 1 overflow tail
-
-
-def test_lazy_witnesses_exactly_at_cap_is_exhausted_not_overflowed():
-    """An entry with exactly cap paths must classify as exhausted —
-    otherwise every replay pays a full redundant re-enumeration just to
-    find an empty tail."""
-    items = [_FakePath((f"s{i}", f"t{i}")) for i in range(3)]
-    factory = _CountingFactory(items)
-    lazy = LazyWitnesses(factory, cap=3)
-    assert [p.nodes for p in lazy.paths()] == [p.nodes for p in items]
-    assert lazy.exhausted and not lazy.overflowed
-    assert [p.nodes for p in lazy.paths()] == [p.nodes for p in items]
-    assert factory.calls == 1  # replay never restarts the factory
-
-
-def test_path_witnesses_memoized_per_graph_version():
-    graph = GraphDatabase(edges=[("u", "a", "v"), ("v", "b", "w")])
-    nfa = compiled_nfa(parse_regex("ab"))
-    entry = path_witnesses(graph, nfa, "u", "w")
-    assert path_witnesses(graph, nfa, "u", "w") is entry
-    assert [p.nodes for p in entry.paths()] == [("u", "v", "w")]
-    graph.add_edge("w", "a", "u")  # mutation invalidates the store
-    assert path_witnesses(graph, nfa, "u", "w") is not entry
-
-
-def test_cycle_witnesses_exclude_empty_cycle():
-    graph = GraphDatabase(edges=[("u", "a", "v"), ("v", "b", "u")])
-    nfa = compiled_nfa(parse_regex("(ab)*"))
-    cycles = list(cycle_witnesses(graph, nfa, "u").paths())
-    assert [c.nodes for c in cycles] == [("u", "v", "u")]
+def test_qinj_evaluation_leaves_no_per_endpoint_witness_entries():
+    """Witnesses are enumerated at the point of use under the search's
+    forbidden set; nothing keyed per endpoint pair is left behind."""
+    graph = GraphDatabase(edges=[
+        ("u", "a", "v"), ("u", "a", "w"), ("v", "a", "w"),
+        ("w", "a", "u"), ("v", "b", "x"), ("w", "b", "x"),
+        ("x", "b", "x"),
+    ])
+    query = parse_query("Q(x, y) :- x -[a^+]-> y, y -[b]-> z, z -[b^+]-> z")
+    assert evaluate(query, graph, "q-inj")
+    kinds = {key[0] for key in _graph_cache(graph)}
+    assert not any("witness" in str(kind) for kind in kinds), kinds
 
 
 # ----------------------------------------------------------------------
@@ -247,7 +161,7 @@ def test_explain_renders_pruning_pipeline():
     assert "loop atom 2" in text and "|walk diag ⊇|" in text
     assert "variable domains" in text
     assert "search order" in text
-    assert "cap 512 paths/entry" in text
+    assert "witnesses: simple-path DFS per candidate pair" in text
 
 
 def test_explain_lists_unconstrained_variables():
@@ -290,12 +204,13 @@ def test_batch_executor_feeds_plan_from_shared_store():
     batch = QueryBatch([parse_query("Q(x, z) :- x -[a]-> y, y -[b]-> z")])
     plan = executor.warm(batch)
     assert {job.kind for job in plan.jobs} == {"standard"}
-    (disjunct,) = batch.entries[0][1]
+    (query,) = batch
+    (disjunct,) = analyzed_disjuncts(query, "q-inj")
     misses = metrics_registry().counter("cache.relation.misses")
     before = misses.value
     guided = plan_qinj(disjunct, graph)  # the default hook reads the store
     assert misses.value == before
-    assert guided.answers() == evaluate(batch.entries[0][0], graph, "q-inj")
+    assert guided.answers() == evaluate(query, graph, "q-inj")
 
 
 def test_guided_solutions_equal_plan_answers_under_binding():

@@ -255,7 +255,7 @@ class TestSiteRegistry:
     def test_engine_sites_are_registered(self):
         sites = registered_sites()
         for site in ("product.sweep", "join.natural-join", "qinj.search",
-                     "qinj.witness", "paths.dfs", "batch.entry",
+                     "paths.dfs", "batch.entry",
                      "incremental.grow", "incremental.shrink",
                      "planner.reduce", "planner.yannakakis",
                      "planner.eliminate"):
