@@ -753,9 +753,10 @@ class LockDiscipline(Rule):
     ``engine/telemetry.py``'s instruments are reachable from the batch
     executor's worker threads.  An unlocked check-then-set on them
     loses updates or serves a half-written entry.  (The graph-scoped
-    atom-relation store needs no entry: it publishes with a single
-    ``dict.setdefault``.)  The rule flags any mutation (assignment,
-    augmented assignment, ``del``, or a mutating method call such as
+    atom-relation store and the per-side indexes of a ``Relation`` need
+    no entry: each publishes with a single ``dict.setdefault``.)  The
+    rule flags any mutation (assignment, augmented assignment, ``del``,
+    or a mutating method call such as
     ``pop``/``setdefault``/``move_to_end``) of a registered structure
     that is not lexically inside ``with <owning lock>:``.  ``__init__``
     bodies and module-scope initializers are exempt — state is not

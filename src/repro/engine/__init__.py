@@ -21,8 +21,8 @@ three pieces (see ARCHITECTURE.md for the full picture):
   distinct atom relation once into the shared atom-relation store, and
   evaluates every query against it (optionally on a thread pool);
 - :mod:`repro.engine.relations` — hash-indexed binary
-  :class:`Relation` tables (by-source / by-target dicts built once per
-  atom relation), the base tables of the join engine, and
+  :class:`Relation` tables (by-source / by-target dicts built per
+  side on first read), the base tables of the join engine, and
   :func:`atom_relation`, the one store that hands them out per
   (graph version, kind, NFA);
 - :mod:`repro.engine.join` — the tuple-relation algebra (hash join,

@@ -314,9 +314,9 @@ class MaintainedRelation:
     # -- materialization -------------------------------------------------
 
     def relation(self):
-        """The current pair relation as a shared, hash-indexed
-        :class:`Relation`; rebuilt only when the pairs changed, so
-        unaffected updates hand every consumer the *same object*."""
+        """The current pairs as a shared :class:`Relation` (indexes built
+        per side on first read); re-wrapped only when the pairs changed,
+        so unaffected updates hand every consumer the *same object*."""
         if self._relation is None or self.dirty:
             self._relation = Relation(self.pairs)
             self.dirty = False
@@ -400,8 +400,8 @@ class IncrementalRelationStore:
     # -- the maintained lookups ------------------------------------------
 
     def standard_relation(self, language):
-        """The maintained, hash-indexed standard :class:`Relation` of
-        ``language`` at the graph's current version."""
+        """The maintained standard :class:`Relation` of ``language`` at
+        the graph's current version (indexes built on first read)."""
         with self._lock:
             return self._state_for(language).relation()
 

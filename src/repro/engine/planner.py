@@ -306,8 +306,10 @@ class JoinPlan:
                 return frozenset()
             if rows.variables:
                 result = natural_join(result, rows, ctx)
+        head = tuple(self.query.head)
+        if head == result.variables:
+            return result.rows
         positions = {v: i for i, v in enumerate(result.variables)}
-        head = self.query.head
         return frozenset(
             tuple(row[positions[v]] for v in head) for row in result.rows
         )

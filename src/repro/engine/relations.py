@@ -5,18 +5,18 @@ pair relations: walks under st, simple paths or simple cycles under
 a-inj.  The q-inj search prunes with the walk relation.  Every
 evaluation path therefore asks one question — what is the relation of
 (kind, interned NFA) at graph version v? — and :func:`atom_relation`
-is the one place that answers it.  It hands out a :class:`Relation`:
-the pair set plus by-source / by-target hash indexes, built once per
-(graph version, kind, NFA) and shared by the planner, the q-inj
-search, the batch executor, ``--explain`` and the pair-set helpers of
-:mod:`repro.semantics.rpq`.  On a graph with an attached
-:class:`~repro.engine.incremental.IncrementalRelationStore` the walk
-relation is the store's maintained object instead.
+is the one place that answers it.  It hands out a :class:`Relation`,
+built once per (graph version, kind, NFA) and shared by the planner,
+the q-inj search, the batch executor, ``--explain`` and the pair-set
+helpers of :mod:`repro.semantics.rpq`: the pair set, plus by-source /
+by-target hash indexes built per side on first read.  On a graph with
+an attached :class:`~repro.engine.incremental.IncrementalRelationStore`
+the walk relation is the store's maintained object instead.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable, Iterator, KeysView
+from typing import Any, Callable, Iterable, Iterator
 
 from repro.engine import telemetry
 from repro.engine.cache import RELATION_KEY, compiled_nfa, graph_cached
@@ -26,37 +26,30 @@ _EMPTY: frozenset[Any] = frozenset()
 
 _RELATION_HITS = telemetry.registry().counter("cache.relation.hits")
 _RELATION_MISSES = telemetry.registry().counter("cache.relation.misses")
+_INDEX_BUILDS = telemetry.registry().counter("relations.index.builds")
 
 
 class Relation:
-    """An immutable binary relation R ⊆ V × V with hash indexes.
+    """An immutable binary relation R ⊆ V × V with lazy hash indexes.
 
-    ``pairs`` is the raw pair set; ``by_source`` / ``by_target`` map a
-    node to the frozenset of its partners.  All containers are frozen —
-    one :class:`Relation` is shared by every plan over the same graph
-    version.
+    ``pairs`` is the raw pair set.  The by-source and by-target indexes
+    (node → frozenset of partners) are built per side on first read, so
+    a plan that never looks a node up — an unconstrained join, a
+    triangle, a loop atom — builds neither.  One :class:`Relation` is
+    shared by every plan over the same graph version: a side's index is
+    computed outside any lock and published once with
+    ``dict.setdefault``, so racing readers all get the first published
+    index.
     """
 
-    __slots__ = ("pairs", "by_source", "by_target")
+    __slots__ = ("pairs", "_indexes")
 
     pairs: frozenset[tuple[Any, Any]]
-    by_source: dict[Any, frozenset[Any]]
-    by_target: dict[Any, frozenset[Any]]
+    _indexes: dict[int, dict[Any, frozenset[Any]]]
 
     def __init__(self, pairs: Iterable[tuple[Any, Any]]) -> None:
-        pairs = frozenset(pairs)
-        by_source: dict[Any, set[Any]] = {}
-        by_target: dict[Any, set[Any]] = {}
-        for source, target in pairs:
-            by_source.setdefault(source, set()).add(target)
-            by_target.setdefault(target, set()).add(source)
-        self.pairs = pairs
-        self.by_source = {
-            source: frozenset(targets) for source, targets in by_source.items()
-        }
-        self.by_target = {
-            target: frozenset(sources) for target, sources in by_target.items()
-        }
+        self.pairs = frozenset(pairs)
+        self._indexes = {}
 
     def __len__(self) -> int:
         return len(self.pairs)
@@ -67,28 +60,32 @@ class Relation:
     def __iter__(self) -> Iterator[tuple[Any, Any]]:
         return iter(self.pairs)
 
-    @property
-    def sources(self) -> KeysView[Any]:
-        """The set of nodes with at least one outgoing pair."""
-        return self.by_source.keys()
-
-    @property
-    def targets(self) -> KeysView[Any]:
-        """The set of nodes with at least one incoming pair."""
-        return self.by_target.keys()
+    def _index(self, side: int) -> dict[Any, frozenset[Any]]:
+        """Node → partners keyed by pair position ``side`` (0 = source,
+        1 = target), built and published on first read."""
+        index = self._indexes.get(side)
+        if index is not None:
+            return index
+        grouped: dict[Any, set[Any]] = {}
+        for pair in self.pairs:
+            grouped.setdefault(pair[side], set()).add(pair[1 - side])
+        _INDEX_BUILDS.inc()
+        return self._indexes.setdefault(side, {
+            node: frozenset(partners) for node, partners in grouped.items()
+        })
 
     def targets_of(self, source: Any) -> frozenset[Any]:
         """{t : (source, t) ∈ R} (a frozenset, possibly empty)."""
-        return self.by_source.get(source, _EMPTY)
+        return self._index(0).get(source, _EMPTY)
 
     def sources_of(self, target: Any) -> frozenset[Any]:
         """{s : (s, target) ∈ R} (a frozenset, possibly empty)."""
-        return self.by_target.get(target, _EMPTY)
+        return self._index(1).get(target, _EMPTY)
 
     def diagonal(self) -> frozenset[Any]:
         """{v : (v, v) ∈ R} — a loop atom read as a unary relation."""
         return frozenset(
-            source for source in self.by_source if source in self.targets_of(source)
+            source for source, target in self.pairs if source == target
         )
 
     def restrict(

@@ -62,9 +62,7 @@ def simple_cycle_nodes(graph, language, include_empty=True):
     """
     if include_empty and compiled_nfa(language).accepts(()):
         return frozenset(graph.nodes)
-    return frozenset(
-        atom_relation(graph, language, "simple-cycle-nonempty").sources
-    )
+    return atom_relation(graph, language, "simple-cycle-nonempty").diagonal()
 
 
 def atom_relation_kind(atom, semantics):

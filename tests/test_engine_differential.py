@@ -332,6 +332,9 @@ QUERIES = [
     "Q(x, y) :- x -[(ab)*]-> y, y -[b*]-> x",       # ε-containing languages
     "Q() :- x -[a^+]-> y, y -[b]-> z",              # boolean, chained atoms
     "Q(x, y) :- x -[a?b]-> y",
+    "Q(y, x) :- x -[a]-> y",                        # permuted head
+    "Q(x, x) :- x -[a^+]-> y",                      # repeated head
+    "Q(y) :- x -[a]-> y, y -[b]-> z",               # projected head
 ]
 
 

@@ -35,6 +35,7 @@ from repro.engine.cache import (
 from repro.engine.relations import atom_relation
 from repro.graphdb.graph import GraphDatabase
 from repro.queries.parser import parse_query
+from repro.regular.parser import parse_regex
 from repro.regular.syntax import Symbol
 
 
@@ -94,15 +95,32 @@ def test_atom_relation_reads_version_exactly_once(monkeypatch):
 
 def test_relation_store_is_single_instanced_under_threads():
     graph = small_graph()
-    keys = [(Symbol("a"), "standard"), (Symbol("b"), "standard"),
-            (Symbol("a"), "simple-path")]
+    # A c-chain off to the side gives one relation (read first) whose
+    # index build is long enough for racing first reads to interleave.
+    for node in range(10, 70):
+        graph.add_edge(node, "c", node + 1)
+    keys = [(parse_regex("c^+"), "standard"), (Symbol("a"), "standard"),
+            (Symbol("b"), "standard"), (Symbol("a"), "simple-path")]
+    nodes = sorted(graph.nodes)
     barrier = threading.Barrier(16, timeout=10)
     results = []
+    index_reads = []
 
     def fetch():
         barrier.wait()
-        results.append([atom_relation(graph, language, kind)
-                        for language, kind in keys])
+        fetched = [atom_relation(graph, language, kind)
+                   for language, kind in keys]
+        results.append(fetched)
+        # Lazy per-side indexes: racing first reads must all see the
+        # first published index, not a last writer's copy.
+        barrier.wait()
+        index_reads.append({
+            (position, side, node): read(node)
+            for position, relation in enumerate(fetched)
+            for side, read in (("targets", relation.targets_of),
+                               ("sources", relation.sources_of))
+            for node in nodes
+        })
 
     threads = [threading.Thread(target=fetch) for _ in range(16)]
     interval = sys.getswitchinterval()
@@ -118,8 +136,11 @@ def test_relation_store_is_single_instanced_under_threads():
     assert len(results) == 16
     for position in range(len(keys)):
         assert len({id(fetched[position]) for fetched in results}) == 1
-    assert set(results[0][0]) == {(1, 2), (2, 3), (3, 1)}
-    assert set(results[0][2]) == {(1, 2), (2, 3), (3, 1)}
+    assert len(index_reads) == 16
+    for read_key in index_reads[0]:
+        assert len({id(reads[read_key]) for reads in index_reads}) == 1
+    assert set(results[0][1]) == {(1, 2), (2, 3), (3, 1)}
+    assert set(results[0][3]) == {(1, 2), (2, 3), (3, 1)}
 
 
 def test_batch_executor_keeps_no_private_store():

@@ -23,7 +23,11 @@ from repro.graphdb.generators import uniform_random
 from repro.graphdb.graph import GraphDatabase
 from repro.queries.parser import parse_query
 from repro.regular.parser import parse_regex
-from repro.semantics.evaluation import evaluate, evaluate_batch
+from repro.semantics.evaluation import (
+    evaluate,
+    evaluate_batch,
+    in_evaluation,
+)
 from repro.semantics.rpq import (
     relation_by_kind,
     simple_cycle_nodes,
@@ -192,3 +196,47 @@ def test_store_served_lookup_counts_as_a_hit():
     hits, misses = relation_lookups()
     assert atom_relation(graph, ab, "standard") is store.standard_relation(ab)
     assert relation_lookups() == (hits + 1, misses)
+
+
+def index_builds():
+    return registry().counter("relations.index.builds").value
+
+
+@pytest.mark.parametrize("query_text", [
+    "Q(x, y) :- x -[(ab)^+]-> y",
+    "Q(x, y, z) :- x -[ab]-> y, y -[b]-> z, z -[ab*]-> x",
+    "Q(x) :- x -[aba]-> x",
+])
+def test_plans_that_read_no_index_build_none(query_text):
+    graph = uniform_random(12, 36, {"a", "b"}, seed=4)
+    before = index_builds()
+    answers = evaluate(parse_query(query_text), graph, "st")
+    assert answers
+    assert index_builds() == before
+
+
+def test_bound_membership_and_qinj_build_indexes():
+    graph = uniform_random(12, 36, {"a", "b"}, seed=4)
+    query = parse_query("Q(x, y) :- x -[(ab)^+]-> y")
+    answer = next(iter(evaluate(query, graph.copy(), "st")))
+    before = index_builds()
+    assert in_evaluation(query, graph.copy(), answer, "st")
+    assert index_builds() >= before + 1
+    before = index_builds()
+    evaluate(parse_query("Q(x, z) :- x -[a]-> y, y -[b]-> z"),
+             graph.copy(), "q-inj")
+    assert index_builds() >= before + 1
+
+
+def test_index_sides_build_on_first_read_only():
+    relation = Relation({(1, 2), (1, 3), (2, 2)})
+    before = index_builds()
+    assert relation.diagonal() == {2}
+    assert relation.restrict() is relation.pairs
+    assert index_builds() == before
+    assert relation.targets_of(1) == {2, 3}
+    assert relation.targets_of(4) == frozenset()
+    assert index_builds() == before + 1
+    assert relation.sources_of(2) == {1, 2}
+    assert relation.restrict(targets={3}) == {(1, 3)}
+    assert index_builds() == before + 2
