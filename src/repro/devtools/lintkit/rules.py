@@ -869,10 +869,7 @@ CHECKPOINTED_FUNCTIONS: dict[str, frozenset[str]] = {
     "engine/qinj.py": frozenset({"solutions"}),
     "engine/incremental.py": frozenset({"grow", "shrink"}),
     "engine/batch.py": frozenset({"_entry_answers"}),
-    "graphdb/paths.py": frozenset({"simple_paths", "simple_cycles_through"}),
-    "semantics/trails.py": frozenset(
-        {"trails", "_reachable_trail_targets"}
-    ),
+    "graphdb/paths.py": frozenset({"search"}),
 }
 
 _CTX_PARAM_NAMES = frozenset({"ctx", "context"})

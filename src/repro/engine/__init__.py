@@ -44,7 +44,6 @@ from repro.engine.adjacency import AdjacencyIndex, adjacency_index
 from repro.engine.batch import AtomJob, BatchExecutor, BatchPlan, QueryBatch
 from repro.engine.cache import (
     compiled_nfa,
-    coreachable_states,
     invalidate_engine_caches,
     reversed_nfa,
 )
@@ -68,7 +67,6 @@ __all__ = [
     "BatchExecutor",
     "BatchPlan",
     "compiled_nfa",
-    "coreachable_states",
     "explain_query",
     "invalidate_engine_caches",
     "JoinPlan",

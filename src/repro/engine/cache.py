@@ -1,6 +1,6 @@
 """Compilation and relation caches for the evaluation engine.
 
-Four cache families live here (the fifth, the atom-relation store,
+Five cache families live here (the sixth, the atom-relation store,
 lives in :mod:`repro.engine.relations` on top of :func:`graph_cached`):
 
 - **NFA compilation cache** — ``Regex → NFA`` memoization, keyed
@@ -10,10 +10,12 @@ lives in :mod:`repro.engine.relations` on top of :func:`graph_cached`):
   ``simple_path_pairs`` call.
 - **Per-disjunct results** — :func:`query_result`, per (graph version,
   semantics, ε-free disjunct).
-- **Co-reachability cache** — per-(graph, NFA, target) sets of product
-  states ``(node, state)`` from which an accepting configuration
-  ``(target, final)`` is reachable; used by the simple-path searches to
-  prune dead branches before backtracking into them.
+- **State masks** — :func:`nfa_masks`, per interned NFA: one bit per
+  state and memoized ``(mask, label) → mask`` step tables, the state
+  sets of the path-search kernel (:mod:`repro.graphdb.paths`).
+- **Co-reachability cache** — :func:`coreachable_masks`, per (graph,
+  NFA, target) the ``node → mask`` of states that can still accept at
+  the target; the kernel prunes dead branches with it.
 - **Analysis cache** — per-(query structure, semantics) memoization of
   the static analyzer's :class:`~repro.engine.analyze.AnalysisReport`.
   Deliberately *graph-free*: analysis facts and rewrites depend only on
@@ -151,10 +153,83 @@ def reversed_nfa(nfa: NFA) -> NFA:
     return reverse
 
 
+class _MaskTable(dict[tuple[int, Any], int]):
+    """``(mask, label) → mask``, filled on first lookup from ``moves``
+    (label → one successor mask per state bit; ``None``: every label
+    loops).  Racing threads compute equal entries, so writes are safe."""
+
+    __slots__ = ("_moves",)
+
+    def __init__(self, moves: dict[Any, list[int]] | None) -> None:
+        super().__init__()
+        self._moves = moves
+
+    def __missing__(self, key: tuple[int, Any]) -> int:
+        mask, label = key
+        if self._moves is None:
+            result = mask
+        else:
+            per_bit = self._moves.get(label)
+            result = 0
+            while mask and per_bit:
+                low = mask & -mask
+                result |= per_bit[low.bit_length() - 1]
+                mask ^= low
+        self[key] = result
+        return result
+
+
+class NFAMasks:
+    """An automaton over int bitmask state sets: initial and final
+    masks, and memoized forward (``step``) and backward (``back``)
+    tables holding only the (mask, label) pairs a search reached."""
+
+    __slots__ = ("initial", "finals", "step", "back")
+
+    def __init__(self, nfa: NFA | None) -> None:
+        if nfa is None:
+            self.initial = self.finals = 1
+            self.step = self.back = _MaskTable(None)
+            return
+        position = {state: i for i, state in enumerate(nfa.states)}
+        forward: dict[Any, list[int]] = {}
+        backward: dict[Any, list[int]] = {}
+        for (state, label), targets in nfa.transitions.items():
+            successors = forward.setdefault(label, [0] * len(position))
+            predecessors = backward.setdefault(label, [0] * len(position))
+            for target in targets:
+                successors[position[state]] |= 1 << position[target]
+                predecessors[position[target]] |= 1 << position[state]
+        self.initial = sum(1 << position[state] for state in nfa.initials)
+        self.finals = sum(1 << position[state] for state in nfa.finals)
+        self.step = _MaskTable(forward)
+        self.back = _MaskTable(backward)
+
+
+#: The universal automaton: one state, initial and final, looping on
+#: every label.
+_UNIVERSAL_MASKS = NFAMasks(None)
+
+_masks_cache = _LRUCache(_NFA_CACHE_CAP)
+
+
+def nfa_masks(nfa: NFA | None) -> NFAMasks:
+    """The :class:`NFAMasks` of ``nfa`` (``None``: no label constraint),
+    memoized by automaton identity."""
+    if nfa is None:
+        return _UNIVERSAL_MASKS
+    masks: NFAMasks | None = _masks_cache.get(nfa)
+    if masks is not None:
+        return masks
+    built: NFAMasks = _masks_cache.setdefault(nfa, NFAMasks(nfa))
+    return built
+
+
 def clear_compilation_caches() -> None:
     """Drop the process-wide NFA caches (mainly for tests)."""
     _nfa_cache.clear()
     _reverse_cache.clear()
+    _masks_cache.clear()
     _emptiness_cache.clear()
 
 
@@ -350,38 +425,38 @@ def query_result(
     )
 
 
-def coreachable_states(graph: Any, nfa: NFA, target: Any) -> frozenset[Any]:
-    """Product states ``(node, state)`` that can reach ``(target, f)``
-    for some final state f — computed by one backward sweep over the
-    product graph (graph in-edges × :func:`reversed_nfa` transitions)
-    and cached per (graph version, automaton, target).
-
-    This is an over-approximation of usefulness for any constrained
-    search (``forbidden`` sets only remove paths), so filtering DFS
-    frontiers through it is sound and changes no output.
+def coreachable_masks(
+    graph: Any, nfa: NFA | None, target: Any
+) -> tuple[NFAMasks, dict[Any, int]]:
+    """``(nfa_masks(nfa), useful)``: ``useful`` maps a node to the mask
+    of states that can reach ``(target, final)`` — one backward sweep
+    over graph in-edges × ``masks.back``, cached per (graph version,
+    automaton, target); nodes with none are absent.  Shared: never
+    mutate it.  Constraints (forbidden nodes or edges) only remove
+    paths, so pruning a search with it changes no output.
     """
 
-    def compute() -> frozenset[Any]:
+    def compute() -> tuple[NFAMasks, dict[Any, int]]:
+        masks = nfa_masks(nfa)
         index = adjacency_index(graph)
-        reverse_transitions: Any = reversed_nfa(nfa).transitions
-        seen: set[tuple[Any, Any]] = {(target, final) for final in nfa.finals}
-        stack = list(seen)
+        back = masks.back
+        useful = {target: masks.finals}
+        stack = [(target, masks.finals)]
         while stack:
-            node, state = stack.pop()
-            sources_by_label = index.in_sources(node)
-            if not sources_by_label:
-                continue
-            for label, sources in sources_by_label.items():
-                predecessors = reverse_transitions.get((state, label))
-                if not predecessors:
+            node, mask = stack.pop()
+            for label, sources in (index.in_sources(node) or {}).items():
+                pred = back[mask, label]
+                if not pred:
                     continue
-                for pred_state in predecessors:
-                    for source in sources:
-                        item = (source, pred_state)
-                        if item not in seen:
-                            seen.add(item)
-                            stack.append(item)
-        return frozenset(seen)
+                for source in sources:
+                    known = useful.get(source, 0)
+                    new = pred & ~known
+                    if new:
+                        useful[source] = known | new
+                        stack.append((source, new))
+        return masks, useful
 
-    result: frozenset[Any] = graph_cached(graph, ("coreach", nfa, target), compute)
+    result: tuple[NFAMasks, dict[Any, int]] = graph_cached(
+        graph, ("coreach", nfa, target), compute
+    )
     return result

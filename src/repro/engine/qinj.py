@@ -26,11 +26,10 @@ the polynomial machinery built for the other semantics:
    targets through the reduced table's hash index, atoms ordered
    smallest-table-first with connectivity preferred.
 4. **Constrained witnesses.**  Each atom's simple path (or simple
-   cycle) is enumerated at the point of use by
-   :func:`~repro.graphdb.paths.simple_paths` /
-   :func:`~repro.graphdb.paths.simple_cycles_through` with the search's
-   current forbidden set, so the DFS never enters a node the partial
-   solution already uses.
+   cycle) is enumerated at the point of use by the path-search kernel
+   (:func:`~repro.graphdb.paths.search`) with the search's current
+   forbidden set, so the DFS never enters a node the partial solution
+   already uses.
 
 The unguided search survives as
 :func:`repro.semantics.evaluation._qinj_solutions`; it is the reference
@@ -48,7 +47,7 @@ from repro.engine.join import TupleRelation
 from repro.engine.planner import semijoin_reduce
 from repro.engine.relations import Relation, atom_relation
 from repro.engine.runtime import checkpoint_site, resolve_context
-from repro.graphdb.paths import simple_cycles_through, simple_paths
+from repro.graphdb.paths import search
 from repro.semantics.base import Semantics
 
 SITE_QINJ_SEARCH = checkpoint_site(
@@ -167,12 +166,11 @@ class QinjPlan:
                     if undo is None:
                         continue
                     forbidden = (used | internal) - {node}
-                    for path in simple_cycles_through(
-                        graph, node, language=nfa, forbidden=forbidden,
-                        include_empty=False, ctx=ctx,
+                    for nodes, _labels in search(
+                        graph, nfa, node, node, forbidden, ctx=ctx
                     ):
                         ctx.consume_witnesses(1, SITE_QINJ_SEARCH)
-                        internals = set(path.internal_nodes())
+                        internals = set(nodes[1:-1])
                         internal.update(internals)
                         yield from place(depth + 1)
                         internal.difference_update(internals)
@@ -202,12 +200,11 @@ class QinjPlan:
                     if undo_target is None:
                         continue
                     forbidden = (used | internal) - {source, target}
-                    for path in simple_paths(
-                        graph, source, target, language=nfa,
-                        forbidden=forbidden, ctx=ctx,
+                    for nodes, _labels in search(
+                        graph, nfa, source, target, forbidden, ctx=ctx
                     ):
                         ctx.consume_witnesses(1, SITE_QINJ_SEARCH)
-                        internals = set(path.internal_nodes())
+                        internals = set(nodes[1:-1])
                         internal.update(internals)
                         yield from place(depth + 1)
                         internal.difference_update(internals)

@@ -146,18 +146,15 @@ def simple_path_pairs_among(
     label in the language of ``nfa`` (for u = v only the empty path is
     simple, so ``(u, u)`` survives iff ε is accepted)."""
     # Lazy import: graphdb.paths sits above the engine layer.
-    from repro.graphdb.paths import simple_paths
+    from repro.graphdb.paths import search
 
-    pairs = set()
-    for source, target in candidates:
-        if source == target:
-            if nfa.accepts(()):
-                pairs.add((source, target))
-            continue
-        for _path in simple_paths(graph, source, target, language=nfa):
-            pairs.add((source, target))
-            break
-    return pairs
+    accepts_empty = nfa.accepts(())
+    return {
+        (source, target)
+        for source, target in candidates
+        if (accepts_empty if source == target
+            else any(search(graph, nfa, source, target)))
+    }
 
 
 def _simple_path_pairs(graph: Any, nfa: Any) -> set[tuple[Any, Any]]:
@@ -170,16 +167,11 @@ def _simple_path_pairs(graph: Any, nfa: Any) -> set[tuple[Any, Any]]:
 def _simple_cycle_diagonal(graph: Any, nfa: Any) -> set[tuple[Any, Any]]:
     """``(v, v)`` for every node on a nonempty simple cycle with label
     in the language — a loop atom's relation under a-inj."""
-    from repro.graphdb.paths import simple_cycles_through
+    from repro.graphdb.paths import search
 
-    diagonal = set()
-    for node in graph.nodes:
-        for _cycle in simple_cycles_through(
-            graph, node, language=nfa, include_empty=False
-        ):
-            diagonal.add((node, node))
-            break
-    return diagonal
+    return {
+        (node, node) for node in graph.nodes if any(search(graph, nfa, node, node))
+    }
 
 
 #: Relation kind → pair computation.  The kinds are the ones

@@ -24,7 +24,7 @@ Contexts flow two ways:
 A single context may be shared across worker threads: the tick counter
 is updated without a lock (ticks may be lost under races, which only
 delays a real check by a bounded amount), while the cancellation token
-is a proper :class:`threading.Event`.
+is a flag set by one atomic store and never cleared.
 
 Failure model: an interrupted evaluation raises one of the
 :class:`~repro.errors.ResourceExhausted` family out of a checkpoint and
@@ -38,7 +38,6 @@ comparing post-interrupt re-evaluation against a fresh evaluation.
 
 from __future__ import annotations
 
-import threading
 import time
 from contextlib import contextmanager
 from contextvars import ContextVar
@@ -127,20 +126,22 @@ class ResourceBudget:
 
 
 class CancellationToken:
-    """Thread-safe cooperative cancellation flag."""
+    """Thread-safe cooperative cancellation flag: one attribute that
+    only ever goes from ``False`` to ``True`` (a single store, atomic
+    under the interpreter lock), read by every real checkpoint."""
 
-    __slots__ = ("_event",)
+    __slots__ = ("_cancelled",)
 
     def __init__(self) -> None:
-        self._event = threading.Event()
+        self._cancelled = False
 
     def cancel(self) -> None:
         """Request cancellation; observed at the next real checkpoint."""
-        self._event.set()
+        self._cancelled = True
 
     @property
     def cancelled(self) -> bool:
-        return self._event.is_set()
+        return self._cancelled
 
 
 class PartialAnswers(frozenset):  # type: ignore[type-arg]
@@ -286,7 +287,7 @@ class ExecutionContext:
             self._check(site, ticks)
 
     def _check(self, site: str, ticks: int) -> None:
-        if self.token.cancelled:
+        if self.token._cancelled:
             telemetry.count("governor.cancelled")
             raise EvaluationCancelled(site=site)
         deadline = self.deadline

@@ -1,4 +1,4 @@
-"""Paths, simple paths and simple cycles in a graph database.
+"""Paths, simple paths, simple cycles and trails in a graph database.
 
 Definitions follow §2 of the paper exactly:
 
@@ -6,24 +6,44 @@ Definitions follow §2 of the paper exactly:
   its label is the concatenation of edge labels (ε when empty);
 - a *simple path* has pairwise-distinct nodes (so a nonempty path from v to
   v is never simple, and the empty path at v is the only simple path v⇝v);
-- a *simple cycle* has v0 = vk and v0..v(k-1) pairwise distinct.
+- a *simple cycle* has v0 = vk and v0..v(k-1) pairwise distinct;
+- a *trail* (§7) repeats no edge, but may revisit nodes.
 
-Enumeration here is used by the a-inj / q-inj evaluators (the problem is
-NP-hard in general, Prop 3.2 — these are backtracking searches, with NFA
-product pruning).
+Enumerating these is the engine's only exponential stage: evaluation
+under both injective semantics is NP-complete (Prop 3.2; Mendelzon &
+Wood 1995).  One backtracking kernel, :func:`search`, does all of it,
+in a node-injective mode (simple paths and cycles, used by the a-inj /
+q-inj evaluators) and an edge-injective mode (trails, used by
+:mod:`repro.semantics.trails`).  It runs the graph × NFA product with
+state sets as int bitmasks (:func:`~repro.engine.cache.nfa_masks`),
+prunes every frontier through the per-target co-reachability masks
+(:func:`~repro.engine.cache.coreachable_masks`), and keeps an explicit
+stack of edge iterators, so paths may be longer than the interpreter
+recursion limit.  Edges expand in
+:func:`~repro.engine.adjacency.edge_sort_key` order, and every wrapper
+yields exactly the sequence an unpruned recursive DFS would
+(``tests/test_engine_differential.py`` pins it).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.engine.adjacency import adjacency_index, edge_sort_key
-from repro.engine.cache import compiled_nfa, coreachable_states
+from repro.engine.adjacency import adjacency_index
+from repro.engine.cache import compiled_nfa, coreachable_masks, nfa_masks
 from repro.engine.runtime import checkpoint_site, resolve_context
 
 SITE_PATH_DFS = checkpoint_site(
-    "paths.dfs", "simple-path / simple-cycle backtracking DFS (per frame)"
+    "paths.dfs",
+    "path-search kernel, node-injective mode: simple paths / cycles (per frame)",
 )
+SITE_TRAILS_DFS = checkpoint_site(
+    "trails.dfs",
+    "path-search kernel, edge-injective mode: trails (per edge considered)",
+)
+
+#: The ``target`` of an edge-injective search that accepts at every node.
+ANY_TARGET = object()
 
 
 @dataclass(frozen=True)
@@ -77,35 +97,94 @@ class Path:
         return "".join(parts)
 
 
-def _as_nfa(language):
-    if language is None:
-        return None
-    return compiled_nfa(language)
+def search(graph, language, source, target, blocked=frozenset(),
+           edge_injective=False, ctx=None):
+    """Yield the nonempty accepted paths from ``source``, in DFS order.
+
+    ``language`` (a Regex, an NFA, or ``None`` for any label) constrains
+    the path label.  Each hit is yielded as the search's live ``(nodes,
+    labels)`` lists, valid until the next resumption — copy to keep.
+
+    - Node-injective (the default): simple paths ``source ⇝ target``,
+      or simple cycles through ``source`` when ``target == source``.  A
+      path stops at ``target`` and avoids the nodes in ``blocked``.
+      Checkpoints ``paths.dfs`` once per frame.
+    - ``edge_injective``: trails, which may revisit nodes and run on
+      through ``target``; they avoid the edges in ``blocked``.  With
+      ``target=ANY_TARGET`` every accepted trail is a hit.
+      Checkpoints ``trails.dfs`` once per edge considered.
+
+    The visited set makes memoization unsound, which is the source of
+    NP-hardness (Prop 3.2); co-reachability pruning only skips branches
+    that can never accept, so it changes neither the hits nor their
+    order.
+    """
+    nfa = None if language is None else compiled_nfa(language)
+    if target is ANY_TARGET:
+        masks, useful = nfa_masks(nfa), dict.fromkeys(graph.nodes, -1)
+    else:
+        masks, useful = coreachable_masks(graph, nfa, target)
+    states = masks.initial & useful.get(source, 0)
+    if not states:
+        return
+    ctx = resolve_context(ctx)
+    step, finals = masks.step, masks.finals
+    out_sorted = adjacency_index(graph).out_sorted
+    any_target = target is ANY_TARGET
+    visited = set(blocked)
+    nodes, labels = [source], []
+    if not edge_injective:
+        visited.add(source)
+        ctx.checkpoint(SITE_PATH_DFS)
+    # Frame: (resumable edge iterator, state mask on entry, the edge
+    # taken to enter — None for the root frame, which unwinds nothing).
+    stack = [(iter(out_sorted(source)), states, None)]
+    while stack:
+        edges, states, _ = stack[-1]
+        for edge in edges:
+            if edge_injective:
+                ctx.checkpoint(SITE_TRAILS_DFS)
+                if edge in visited:
+                    continue
+            nxt = edge.target
+            nxt_states = step[states, edge.label] & useful.get(nxt, 0)
+            if not nxt_states:
+                continue
+            if edge_injective:
+                visited.add(edge)
+            elif nxt == target:
+                if nxt_states & finals:
+                    nodes.append(nxt)
+                    labels.append(edge.label)
+                    yield nodes, labels
+                    nodes.pop()
+                    labels.pop()
+                continue
+            elif nxt in visited:
+                continue
+            else:
+                ctx.checkpoint(SITE_PATH_DFS)
+                visited.add(nxt)
+            nodes.append(nxt)
+            labels.append(edge.label)
+            if edge_injective and nxt_states & finals and (
+                any_target or nxt == target
+            ):
+                yield nodes, labels
+            stack.append((iter(out_sorted(nxt)), nxt_states, edge))
+            break
+        else:
+            entering = stack.pop()[2]
+            if entering is not None:
+                last = nodes.pop()
+                labels.pop()
+                visited.discard(entering if edge_injective else last)
 
 
-def _prepare_pruned_search(graph, nfa, source, target):
-    """Shared setup for the pruned backtracking searches: the adjacency
-    index, the co-reachability set for ``target``, and the initial NFA
-    states filtered to those alive at ``source``."""
-    index = adjacency_index(graph)
-    if nfa is None:
-        return index, None, None
-    useful = coreachable_states(graph, nfa, target)
-    initial_states = frozenset(
-        state for state in nfa.initials if (source, state) in useful
-    )
-    return index, useful, initial_states
-
-
-def _filtered_step(nfa, states, label, node, useful):
-    """One NFA step with dead states (not co-reachable at ``node``)
-    dropped; empty result means the branch can never accept."""
-    nxt_states = nfa.step(states, label)
-    if nxt_states:
-        nxt_states = frozenset(
-            state for state in nxt_states if (node, state) in useful
-        )
-    return nxt_states
+def accepts_empty(language):
+    """True iff the empty path's label ε is in ``language`` (``None``
+    accepts every label)."""
+    return language is None or compiled_nfa(language).accepts(())
 
 
 def simple_paths(graph, source, target, language=None, forbidden=frozenset(),
@@ -118,57 +197,17 @@ def simple_paths(graph, source, target, language=None, forbidden=frozenset(),
     the only simple path is the empty one (yielded when ε is accepted and
     ``require_nonempty`` is false).  ``require_nonempty`` has no effect
     when ``source != target`` — a simple path between distinct endpoints
-    is nonempty by construction.
-
-    Backtracking DFS over (node, NFA state set); the visited-node set makes
-    memoization unsound, which is exactly the source of NP-hardness
-    (Prop 3.2) — this is intentional, faithful behavior.  The frontier is
-    filtered through the product co-reachability set (states that can
-    still reach an accepting configuration at ``target`` in the full
-    graph), which prunes dead branches without changing the yielded
-    paths or their order.
+    is nonempty by construction.  The node-injective :func:`search`.
     """
-    nfa = _as_nfa(language)
     if source in forbidden or target in forbidden:
         return
     if source == target:
-        empty = Path((source,), ())
-        if not require_nonempty and (nfa is None or nfa.accepts(())):
-            yield empty
+        if not require_nonempty and accepts_empty(language):
+            yield Path((source,), ())
         return
-
-    index, useful, initial_states = _prepare_pruned_search(
-        graph, nfa, source, target
-    )
-    if nfa is not None and not initial_states:
-        return
-    ctx = resolve_context(ctx)
-
-    def extend(node, states, nodes, labels):
-        ctx.checkpoint(SITE_PATH_DFS)
-        for edge in index.out_sorted(node):
-            nxt = edge.target
-            nxt_states = None
-            if nfa is not None:
-                nxt_states = _filtered_step(nfa, states, edge.label, nxt, useful)
-                if not nxt_states:
-                    continue
-            if nxt in forbidden:
-                continue
-            if nxt == target:
-                path = Path(tuple(nodes) + (nxt,), tuple(labels) + (edge.label,))
-                if nfa is None or (nxt_states & nfa.finals):
-                    yield path
-                continue
-            if nxt in nodes:
-                continue
-            nodes.append(nxt)
-            labels.append(edge.label)
-            yield from extend(nxt, nxt_states, nodes, labels)
-            nodes.pop()
-            labels.pop()
-
-    yield from extend(source, initial_states, [source], [])
+    for nodes, labels in search(graph, language, source, target, forbidden,
+                                ctx=ctx):
+        yield Path(tuple(nodes), tuple(labels))
 
 
 def simple_cycles_through(graph, node, language=None, forbidden=frozenset(),
@@ -178,39 +217,13 @@ def simple_cycles_through(graph, node, language=None, forbidden=frozenset(),
     The empty cycle (label ε) is included when the language accepts ε and
     ``include_empty`` holds.  Internal nodes avoid ``forbidden``.
     """
-    nfa = _as_nfa(language)
     if node in forbidden:
         return
-    if include_empty and (nfa is None or nfa.accepts(())):
+    if include_empty and accepts_empty(language):
         yield Path((node,), ())
-
-    index, useful, initial_states = _prepare_pruned_search(graph, nfa, node, node)
-    if nfa is not None and not initial_states:
-        return
-    ctx = resolve_context(ctx)
-
-    def extend(current, states, nodes, labels):
-        ctx.checkpoint(SITE_PATH_DFS)
-        for edge in index.out_sorted(current):
-            nxt = edge.target
-            nxt_states = None
-            if nfa is not None:
-                nxt_states = _filtered_step(nfa, states, edge.label, nxt, useful)
-                if not nxt_states:
-                    continue
-            if nxt == node:
-                if nfa is None or (nxt_states & nfa.finals):
-                    yield Path(tuple(nodes) + (nxt,), tuple(labels) + (edge.label,))
-                continue
-            if nxt in forbidden or nxt in nodes:
-                continue
-            nodes.append(nxt)
-            labels.append(edge.label)
-            yield from extend(nxt, nxt_states, nodes, labels)
-            nodes.pop()
-            labels.pop()
-
-    yield from extend(node, initial_states, [node], [])
+    for nodes, labels in search(graph, language, node, node, forbidden,
+                                ctx=ctx):
+        yield Path(tuple(nodes), tuple(labels))
 
 
 def all_paths_up_to(graph, source, max_length):
@@ -231,8 +244,3 @@ def all_paths_up_to(graph, source, max_length):
             )
 
     yield from extend(Path((source,), ()))
-
-
-# Kept as the canonical expansion-order key (re-exported for callers
-# that sort ad-hoc edge collections).
-_edge_key = edge_sort_key

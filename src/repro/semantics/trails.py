@@ -25,26 +25,28 @@ duplicate atoms collapse by set semantics), while the path-based
 edge-disjointness implemented here rejects exactly that sharing.  The
 paper's §7 leaves the edge-injective definitions implicit; we implement
 the path-based reading and document the divergence.
+
+Every trail search here is the edge-injective mode of the one
+path-search kernel, :func:`repro.graphdb.paths.search`: an explicit
+stack (trails can be as long as |E|), bitmask NFA states, the
+co-reachability pruning of the simple-path searches wherever the
+target is fixed (a trail is a walk, so the pruning stays sound), and a
+``trails.dfs`` checkpoint per edge considered, so trail evaluation obeys
+timeouts, budgets and cancellation like every other engine loop.
 """
 
 from __future__ import annotations
 
 import enum
+import itertools
 
-from repro.engine.adjacency import adjacency_index, edge_sort_key
 from repro.engine.cache import compiled_nfa
-from repro.engine.runtime import checkpoint_site, resolve_context
-from repro.graphdb.graph import GraphDatabase
-from repro.graphdb.paths import Path
+from repro.graphdb.graph import Edge, GraphDatabase
+from repro.graphdb.paths import ANY_TARGET, Path, accepts_empty, search
 from repro.homomorphism.matcher import homomorphisms
 from repro.queries.atoms import CQAtom
 from repro.queries.cq import CQ
 from repro.queries.crpq import union_of
-
-
-SITE_TRAILS_DFS = checkpoint_site(
-    "trails.dfs", "trail-semantics DFS expansion (per edge considered)"
-)
 
 
 class TrailSemantics(enum.Enum):
@@ -75,67 +77,14 @@ def trails(graph, source, target, language=None, forbidden_edges=frozenset(),
     therefore tracks the set of used edges.  Closed trails (source ==
     target, length ≥ 1) are produced too; the empty trail is yielded for
     source == target when ε is accepted and ``require_nonempty`` is
-    false.
-
-    The DFS is an explicit stack of edge iterators (a trail can be as
-    long as |E|, far past the interpreter recursion limit the seed's
-    recursive closure hit) and checkpoints the execution context at
-    ``trails.dfs`` on every edge considered, so trail evaluation obeys
-    timeouts, budgets, and cancellation like every other engine loop.
+    false.  The edge-injective mode of the path-search kernel
+    (:func:`repro.graphdb.paths.search`).
     """
-    ctx = resolve_context(ctx)
-    nfa = _as_nfa(language)
-    if source == target and not require_nonempty:
-        if nfa is None or nfa.accepts(()):
-            yield Path((source,), ())
-
-    initial_states = frozenset(nfa.initials) if nfa is not None else None
-    used = set(forbidden_edges)
-    index = adjacency_index(graph)
-    nodes = [source]
-    labels = []
-    # Frame: (resumable edge iterator, NFA states on entry, the edge
-    # taken to enter — None for the root frame, which unwinds nothing).
-    stack = [(iter(index.out_sorted(source)), initial_states, None)]
-    while stack:
-        edges, states, entering_edge = stack[-1]
-        descended = False
-        for edge in edges:
-            ctx.checkpoint(SITE_TRAILS_DFS)
-            if edge in used:
-                continue
-            nxt_states = None
-            if nfa is not None:
-                nxt_states = nfa.step(states, edge.label)
-                if not nxt_states:
-                    continue
-            used.add(edge)
-            nodes.append(edge.target)
-            labels.append(edge.label)
-            if edge.target == target and (
-                nfa is None or (nxt_states & nfa.finals)
-            ):
-                yield Path(tuple(nodes), tuple(labels))
-            stack.append(
-                (iter(index.out_sorted(edge.target)), nxt_states, edge)
-            )
-            descended = True
-            break
-        if not descended:
-            stack.pop()
-            if entering_edge is not None:
-                nodes.pop()
-                labels.pop()
-                used.discard(entering_edge)
-
-
-def _as_nfa(language):
-    if language is None:
-        return None
-    return compiled_nfa(language)
-
-
-_edge_key = edge_sort_key
+    if source == target and not require_nonempty and accepts_empty(language):
+        yield Path((source,), ())
+    for nodes, labels in search(graph, language, source, target,
+                                forbidden_edges, edge_injective=True, ctx=ctx):
+        yield Path(tuple(nodes), tuple(labels))
 
 
 def trail_pairs(graph, language):
@@ -153,57 +102,23 @@ def trail_pairs(graph, language):
 
 
 def _reachable_trail_targets(graph, source, language, ctx=None):
-    """All v such that a trail from ``source`` to v spells a word in L.
-
-    Explicit-stack DFS, checkpointed at ``trails.dfs`` — same discipline
-    (and same reasons) as :func:`trails`.
-    """
-    ctx = resolve_context(ctx)
-    nfa = _as_nfa(language)
-    found = set()
-    if nfa.accepts(()):
-        found.add(source)
-    used = set()
-    index = adjacency_index(graph)
-    finals = nfa.finals
-    stack = [(iter(index.out_sorted(source)), frozenset(nfa.initials), None)]
-    while stack:
-        edges, states, entering_edge = stack[-1]
-        descended = False
-        for edge in edges:
-            ctx.checkpoint(SITE_TRAILS_DFS)
-            if edge in used:
-                continue
-            nxt_states = nfa.step(states, edge.label)
-            if not nxt_states:
-                continue
-            used.add(edge)
-            if nxt_states & finals:
-                found.add(edge.target)
-            stack.append(
-                (iter(index.out_sorted(edge.target)), nxt_states, edge)
-            )
-            descended = True
-            break
-        if not descended:
-            stack.pop()
-            if entering_edge is not None:
-                used.discard(entering_edge)
+    """All v such that a trail from ``source`` to v spells a word in L."""
+    found = {source} if accepts_empty(language) else set()
+    for nodes, _labels in search(graph, language, source, ANY_TARGET,
+                                 edge_injective=True, ctx=ctx):
+        found.add(nodes[-1])
     return found
 
 
 def closed_trail_nodes(graph, language):
     """{v : some nonempty closed trail at v has label in L} — the atom
     relation of atom-trail semantics for loop atoms (x -[L]-> x)."""
-    nfa = _as_nfa(language)
-    nodes = set()
-    for node in sorted(graph.nodes, key=repr):
-        for path in trails(graph, node, node, language=nfa,
-                           require_nonempty=True):
-            if len(path) >= 1:
-                nodes.add(node)
-                break
-    return nodes
+    nfa = compiled_nfa(language)
+    return {
+        node
+        for node in sorted(graph.nodes, key=repr)
+        if any(search(graph, nfa, node, node, edge_injective=True))
+    }
 
 
 def evaluate_trails(query, graph, semantics):
@@ -261,7 +176,7 @@ def _query_trail_solutions(query, graph, initial_mu=None):
     if any(node not in graph.nodes for node in mu.values()):
         return
     atoms = list(query.atoms)
-    nfas = [_as_nfa(atom.language) for atom in atoms]
+    nfas = [compiled_nfa(atom.language) for atom in atoms]
     used_edges = set()
 
     def node_candidates(variable):
@@ -275,8 +190,6 @@ def _query_trail_solutions(query, graph, initial_mu=None):
             if not free:
                 yield dict(mu)
                 return
-            import itertools
-
             for combo in itertools.product(sorted(graph.nodes, key=repr),
                                            repeat=len(free)):
                 assignment = dict(mu)
@@ -301,7 +214,8 @@ def _query_trail_solutions(query, graph, initial_mu=None):
                                    forbidden_edges=used_edges,
                                    require_nonempty=require_nonempty):
                     path_edges = {
-                        _edge_of(graph, path, i) for i in range(len(path))
+                        Edge(*step) for step in
+                        zip(path.nodes, path.labels, path.nodes[1:])
                     }
                     used_edges.update(path_edges)
                     yield from place_atom(index + 1)
@@ -312,10 +226,3 @@ def _query_trail_solutions(query, graph, initial_mu=None):
                 del mu[atom.source]
 
     yield from place_atom(0)
-
-
-def _edge_of(graph, path, position):
-    from repro.graphdb.graph import Edge
-
-    return Edge(path.nodes[position], path.labels[position],
-                path.nodes[position + 1])

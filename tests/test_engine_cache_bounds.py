@@ -9,7 +9,7 @@ graph-scoped relation caches key on NFA identity.
 import pytest
 
 from repro.engine import cache as engine_cache
-from repro.engine.cache import _LRUCache, compiled_nfa, reversed_nfa
+from repro.engine.cache import _LRUCache, compiled_nfa, nfa_masks, reversed_nfa
 from repro.regular.syntax import Symbol, concat, star
 
 
@@ -43,6 +43,7 @@ class TestCompilationCacheBounds:
     def tiny_caches(self, monkeypatch):
         monkeypatch.setattr(engine_cache, "_nfa_cache", _LRUCache(4))
         monkeypatch.setattr(engine_cache, "_reverse_cache", _LRUCache(4))
+        monkeypatch.setattr(engine_cache, "_masks_cache", _LRUCache(4))
 
     def test_nfa_cache_stays_bounded(self, tiny_caches):
         regexes = [star(concat(Symbol(("L", i)), Symbol("a"))) for i in range(10)]
@@ -63,3 +64,29 @@ class TestCompilationCacheBounds:
         for i in range(10):
             reversed_nfa(compiled_nfa(Symbol(("R", i))))
         assert len(engine_cache._reverse_cache) <= 4
+
+    def test_mask_cache_stays_bounded_and_interned(self, tiny_caches):
+        nfas = [compiled_nfa(Symbol(("M", i))) for i in range(10)]
+        masks = [nfa_masks(nfa) for nfa in nfas]
+        assert len(engine_cache._masks_cache) <= 4
+        assert nfa_masks(nfas[-1]) is masks[-1]
+        assert nfa_masks(None) is nfa_masks(None)
+
+
+def test_mask_step_tables_agree_with_the_automaton():
+    """Running a word over masks, forwards from the initial mask or
+    backwards from the final mask, accepts exactly the automaton's
+    language."""
+    import itertools
+
+    nfa = compiled_nfa(concat(star(Symbol("a")), concat(Symbol("b"), Symbol("a"))))
+    masks = nfa_masks(nfa)
+    for length in range(5):
+        for word in itertools.product("abc", repeat=length):
+            forward, backward = masks.initial, masks.finals
+            for label in word:
+                forward = masks.step[forward, label]
+            for label in reversed(word):
+                backward = masks.back[backward, label]
+            assert bool(forward & masks.finals) == nfa.accepts(word)
+            assert bool(backward & masks.initial) == nfa.accepts(word)

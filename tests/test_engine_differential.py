@@ -28,6 +28,7 @@ from repro.regular.parser import parse_regex
 from repro.semantics.base import ALL_SEMANTICS, Semantics
 from repro.semantics.evaluation import evaluate
 from repro.semantics.rpq import simple_cycle_nodes, simple_path_pairs, standard_pairs
+from repro.semantics.trails import trails
 
 
 # ----------------------------------------------------------------------
@@ -104,6 +105,35 @@ def brute_simple_cycles(graph, node, forbidden=frozenset()):
             yield from extend(nxt, nodes + (nxt,), labels + (edge.label,))
 
     yield from extend(node, (node,), ())
+
+
+def brute_trails(graph, source, target, forbidden_edges=frozenset(),
+                 require_nonempty=False):
+    """All trails source ⇝ target avoiding ``forbidden_edges``, as
+    (nodes, labels) tuples in the seed's DFS order, with no language
+    constraint and no pruning.  A trail runs on through ``target``."""
+    if source == target and not require_nonempty:
+        yield ((source,), ())
+
+    def extend(node, nodes, labels, used):
+        for edge in _seed_edge_order(graph, node):
+            if edge in used:
+                continue
+            trail = (nodes + (edge.target,), labels + (edge.label,))
+            if edge.target == target:
+                yield trail
+            yield from extend(edge.target, *trail, used | {edge})
+
+    yield from extend(source, (source,), (), frozenset(forbidden_edges))
+
+
+def _language(regex_text):
+    """The ``language`` argument for ``regex_text`` and its acceptance
+    test; ``None`` is the unconstrained search."""
+    if regex_text is None:
+        return None, lambda labels: True
+    nfa = compiled_nfa(parse_regex(regex_text))
+    return nfa, nfa.accepts
 
 
 def seed_simple_path_pairs(graph, language):
@@ -267,8 +297,8 @@ def test_simple_paths_order_and_forbidden_differential(seed):
         num_nodes, rng.randrange(1, 3 * num_nodes + 1), {"a", "b"}, seed=seed
     )
     nodes = sorted(graph.nodes, key=repr)
-    for regex_text in ["a*", "(ab)^+", "a(a+b)*b"]:
-        nfa = compiled_nfa(parse_regex(regex_text))
+    for regex_text in ["a*", "(ab)^+", "a(a+b)*b", None]:
+        language, accepts = _language(regex_text)
         for _ in range(4):
             source, target = rng.choice(nodes), rng.choice(nodes)
             forbidden = frozenset(
@@ -277,16 +307,15 @@ def test_simple_paths_order_and_forbidden_differential(seed):
             got = [
                 (path.nodes, path.labels)
                 for path in simple_paths(
-                    graph, source, target, language=nfa, forbidden=forbidden
+                    graph, source, target, language=language,
+                    forbidden=forbidden,
                 )
             ]
             want = [
                 path
                 for path in brute_simple_paths(graph, source, target, forbidden)
-                if nfa.accepts(path[1])
+                if accepts(path[1])
             ]
-            if source == target:
-                want = [path for path in want if nfa.accepts(())]
             assert got == want, (regex_text, source, target, forbidden)
 
 
@@ -298,28 +327,67 @@ def test_simple_cycles_differential(seed):
         num_nodes, rng.randrange(1, 3 * num_nodes + 1), {"a", "b"}, seed=seed
     )
     nodes = sorted(graph.nodes, key=repr)
-    for regex_text in ["a*", "(ab)^+", "(a+b)^+"]:
-        nfa = compiled_nfa(parse_regex(regex_text))
-        regex = parse_regex(regex_text)
+    for regex_text in ["a*", "(ab)^+", "(a+b)^+", None]:
+        language, accepts = _language(regex_text)
         for node in nodes:
             forbidden = frozenset(n for n in nodes if n != node and rng.random() < 0.3)
             got = [
                 (path.nodes, path.labels)
                 for path in simple_cycles_through(
-                    graph, node, language=nfa, forbidden=forbidden,
+                    graph, node, language=language, forbidden=forbidden,
                     include_empty=False,
                 )
             ]
             want = [
                 path
                 for path in brute_simple_cycles(graph, node, forbidden)
-                if nfa.accepts(path[1])
+                if accepts(path[1])
             ]
             assert got == want, (regex_text, node, forbidden)
+        if regex_text is None:
+            continue
+        regex = parse_regex(regex_text)
         assert simple_cycle_nodes(graph, regex, include_empty=False) == \
             seed_simple_cycle_nodes(graph, regex, include_empty=False)
         assert simple_cycle_nodes(graph, regex, include_empty=True) == \
             seed_simple_cycle_nodes(graph, regex, include_empty=True)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_trails_order_differential(seed):
+    """The edge-injective kernel mode yields exactly the seed DFS's
+    trails, in order, under every forbidden-edge set and with and
+    without the empty trail."""
+    rng = random.Random(500 + seed)
+    num_nodes = rng.randrange(3, 6)
+    graph = uniform_random(
+        num_nodes, rng.randrange(1, 3 * num_nodes + 1), {"a", "b"}, seed=seed
+    )
+    nodes = sorted(graph.nodes, key=repr)
+    edges = sorted(graph.edges, key=repr)
+    for regex_text in ["a*", "(ab)^+", "a(a+b)*b", None]:
+        language, accepts = _language(regex_text)
+        for _ in range(4):
+            source, target = rng.choice(nodes), rng.choice(nodes)
+            forbidden = frozenset(edge for edge in edges if rng.random() < 0.25)
+            require_nonempty = rng.random() < 0.5
+            got = [
+                (path.nodes, path.labels)
+                for path in trails(
+                    graph, source, target, language=language,
+                    forbidden_edges=forbidden,
+                    require_nonempty=require_nonempty,
+                )
+            ]
+            want = [
+                trail
+                for trail in brute_trails(
+                    graph, source, target, forbidden, require_nonempty
+                )
+                if accepts(trail[1])
+            ]
+            assert got == want, (regex_text, source, target, forbidden,
+                                 require_nonempty)
 
 
 # ----------------------------------------------------------------------
@@ -420,3 +488,45 @@ def test_qinj_enumeration_is_deterministic_across_calls():
     first = list(_qinj_solutions(disjunct, graph))
     second = list(_qinj_solutions(disjunct, graph))
     assert first == second
+
+
+def test_shared_mask_tables_fill_consistently_under_threads():
+    """Threads racing on a fresh automaton's step tables (filled on
+    first lookup, without a lock) all enumerate the reference paths."""
+    import sys
+    import threading
+
+    graph = uniform_random(7, 18, {"a", "b"}, seed=11)
+    nodes = sorted(graph.nodes, key=repr)
+    pairs = [(source, target) for source in nodes for target in nodes]
+    regex = parse_regex("a(a+b)*b+(ab)^+")
+
+    def enumerate_all(nfa):
+        return [
+            [(path.nodes, path.labels)
+             for path in simple_paths(graph, source, target, language=nfa)]
+            for source, target in pairs
+        ]
+
+    shared = NFA.from_regex(regex)
+    barrier = threading.Barrier(8, timeout=10)
+    results = []
+
+    def run():
+        barrier.wait()
+        results.append(enumerate_all(shared))
+
+    threads = [threading.Thread(target=run) for _ in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    want = enumerate_all(NFA.from_regex(regex))
+    assert any(want)
+    assert results == [want] * 8

@@ -270,6 +270,32 @@ class TestSiteProfiler:
             ("hot.site", 5), ("cold.site", 1),
         ]
 
+    def test_hits_stay_exact_across_threads(self):
+        import sys
+        import threading
+
+        profiler = SiteProfiler(sample_every=3)
+        barrier = threading.Barrier(8, timeout=10)
+
+        def hit():
+            barrier.wait()
+            for _ in range(2000):
+                profiler("t.shared")
+
+        threads = [threading.Thread(target=hit) for _ in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        (site, hits, _seconds), = profiler.rows()
+        assert (site, hits) == ("t.shared", 16000)
+
     def test_profiling_pops_its_probe_and_attaches_rows(self):
         ctx = ExecutionContext()
         with telemetry.tracing(ctx) as trace:

@@ -219,6 +219,39 @@ class TestExplicitStackDFS:
         assert len(found) == 1
         assert len(found[0]) == length
 
+    def test_simple_paths_survive_chain_past_recursion_limit(self):
+        from repro.graphdb.paths import simple_paths
+
+        g, nodes, length = self.long_chain()
+        found = list(
+            simple_paths(g, nodes[0], nodes[-1], language=parse_regex("a^+"))
+        )
+        assert len(found) == 1
+        assert found[0].nodes == tuple(nodes)
+
+    def test_simple_cycles_survive_cycle_past_recursion_limit(self):
+        from repro.graphdb.paths import simple_cycles_through
+
+        g, nodes, length = self.long_chain()
+        g.add_edge(nodes[-1], "a", nodes[0])
+        found = list(
+            simple_cycles_through(g, nodes[0], language=parse_regex("a^+"),
+                                  include_empty=False)
+        )
+        assert len(found) == 1
+        assert len(found[0]) == length + 1
+        assert found[0].is_simple_cycle()
+
+    def test_qinj_membership_survives_chain_past_recursion_limit(self):
+        from repro.semantics.evaluation import in_evaluation
+
+        g, nodes, _length = self.long_chain()
+        # The closing b keeps the planner's walk relation linear in the
+        # chain (a^+ alone would hold every ordered pair of the chain).
+        g.add_edge(nodes[-1], "b", "end")
+        query = parse_query("Q(x, y) :- x -[a^+b]-> y")
+        assert in_evaluation(query, g, (nodes[0], "end"), "q-inj")
+
     def test_reachable_targets_survive_chain_past_recursion_limit(self):
         from repro.semantics.trails import _reachable_trail_targets
 
