@@ -11,9 +11,10 @@ Public API highlights:
 - :func:`repro.evaluate_batch` — batched multi-query evaluation that
   amortizes NFA compilation and atom-relation work across queries;
 - :func:`repro.analyze` / :class:`repro.AnalysisReport` — the static
-  query analyzer every evaluation flows through: containment-certified
-  disjunct/atom pruning (audited decisions) plus warning-level lints,
-  memoized per query structure;
+  query analyzer every evaluation flows through: disjunct and
+  sibling-atom pruning, each certified by a containment or
+  language-inclusion verdict (audited decisions), plus warning-level
+  lints, memoized per query structure;
 - :func:`repro.incremental_store` /
   :class:`repro.IncrementalRelationStore` — incremental view
   maintenance for dynamic graphs: standard atom relations are grown /

@@ -9,8 +9,9 @@ Commands:
   and re-evaluate a query, with atom relations *maintained*
   incrementally across the updates instead of rebuilt;
 - ``analyze``   — statically analyze a query under a semantics: hard
-  facts, containment-certified pruning/rewrites (audited decisions),
-  and warning-level lints — no graph needed, nothing executed;
+  facts, certified disjunct and sibling-atom pruning (audited
+  decisions), and warning-level lints — no graph needed, nothing
+  executed;
 - ``stats``     — validate and render a ``metrics-report-v1`` JSON file
   (written by ``--metrics-out`` on evaluate / batch / update);
 - ``contains``  — decide containment between two queries;

@@ -13,9 +13,8 @@ The pipeline per ε-free disjunct:
 
 1. **Hard facts** (always on, no decider needed): atoms denoting the
    empty language make the disjunct unsatisfiable — it is dropped;
-   structurally duplicate disjuncts collapse; loop atoms, finite /
-   ε-only languages, isolated head variables and disconnected variable
-   graphs are recorded as facts and lints.
+   structurally duplicate disjuncts collapse; ε-only atoms, isolated
+   head variables and disconnected variable graphs are linted.
 2. **Sibling-language subsumption**: two atoms over the same ordered
    endpoint pair with L₁ ⊆ L₂ (decided exactly via the DFA complement
    product, gated by an automaton-size cap) make the superset atom
@@ -23,26 +22,25 @@ The pipeline per ε-free disjunct:
    witness path serves both.  Under query-injective semantics the
    witness paths must be internally disjoint, so the rewrite is
    *unsound* and only a lint is emitted.
-3. **Redundant-atom elimination** via
-   :func:`repro.optimize.remove_redundant_atoms` — every removal is
-   certified by two-sided containment under the query's semantics.
-4. **Disjunct subsumption**: disjunct dᵢ is dropped when a *conclusive*
+3. **Disjunct subsumption**: disjunct dᵢ is dropped when a *conclusive*
    ``contains(dᵢ, dⱼ, semantics)`` verdict proves dᵢ ⊆ dⱼ (sound for
    any union under any semantics).
 
-Rewrites (3) and (4) only trust deciders that are exact for the cell at
-hand: a star-free left side routes to the finite-left decider (exact
-under all three semantics), and a query-injective comparison may opt
-into the abstraction decider (Theorem 5.1 is proved for q-inj).  The
-standard-semantics abstraction verdicts carry a documented soundness
-caveat and the unrestricted atom-injective cell is undecidable
-(Theorem 5.2) — both are *skipped* for rewriting and surface as lints
-instead.  Decider budgets (:class:`repro.errors.SearchBudgetExceeded`)
-are caught and treated as inconclusive.
+Rewrite (3) only trusts a decider that is exact for the cell at hand:
+a star-free left side routes to the finite-left decider (exact under
+all three semantics).  A starred left side is *skipped* with a lint:
+the standard-semantics abstraction verdicts carry a documented
+soundness caveat, the unrestricted atom-injective cell is undecidable
+(Theorem 5.2), and the q-inj abstraction decider (Theorem 5.1) is
+exponential-class.  Decider budgets
+(:class:`repro.errors.SearchBudgetExceeded`) are caught and treated as
+inconclusive.
 
 Every behavior-changing step is recorded as an auditable
 :class:`AnalysisDecision` carrying the containment verdict that
 licensed it; lints are warning-level and never change behavior.
+``AnalysisReport.explain()`` derives each surviving disjunct's fact
+line (loops, finite languages, components, injective floor) on demand.
 """
 
 from __future__ import annotations
@@ -68,15 +66,12 @@ class AnalysisBudget:
 
     The defaults keep analysis cheap enough for the serving hot path
     (it is also memoized); tests raise them to exercise deep rewrites.
-    ``allow_abstraction=False`` keeps the (exponential-class)
-    abstraction decider off the default path even for q-inj.
     """
 
     max_checks: int = 32
     max_atoms: int = 6
     max_disjuncts: int = 8
     subset_state_cap: int = 12
-    allow_abstraction: bool = False
     expansion_budget: int = 120
     quotient_budget: int = 120
     max_classes: int = 250
@@ -128,45 +123,12 @@ class AnalysisLint:
 
 
 @dataclass(frozen=True)
-class DisjunctFacts:
-    """Hard facts about one *surviving* ε-free disjunct."""
-
-    disjunct: Any  # CRPQ
-    loop_atoms: Tuple[int, ...]
-    finite_language_atoms: Tuple[int, ...]
-    isolated_head_variables: Tuple[Any, ...]
-    connected_components: int
-    #: Injective floor hook: a q-inj assignment needs this many distinct
-    #: nodes, so the disjunct is trivially false on smaller graphs.  The
-    #: analyzer is graph-free; :mod:`repro.engine.qinj` applies the cap.
-    variables_required: int
-
-    def describe(self) -> str:
-        parts = [f"{len(self.disjunct.atoms)} atom(s)"]
-        if self.loop_atoms:
-            parts.append(f"loops {list(self.loop_atoms)}")
-        if self.finite_language_atoms:
-            parts.append(
-                f"finite languages {list(self.finite_language_atoms)}"
-            )
-        if self.isolated_head_variables:
-            rendered = ", ".join(
-                str(v) for v in self.isolated_head_variables
-            )
-            parts.append(f"domain-scan head vars {{{rendered}}}")
-        parts.append(f"{self.connected_components} component(s)")
-        parts.append(f"injective floor {self.variables_required} node(s)")
-        return "; ".join(parts)
-
-
-@dataclass(frozen=True)
 class AnalysisReport:
     """The analyzer's full output for one (query, semantics) pair."""
 
     semantics: Semantics
     original: Tuple[Any, ...]   # ε-free disjuncts before analysis
     disjuncts: Tuple[Any, ...]  # disjuncts after pruning/rewriting
-    facts: Tuple[DisjunctFacts, ...]  # aligned with ``disjuncts``
     decisions: Tuple[AnalysisDecision, ...]
     lints: Tuple[AnalysisLint, ...]
     from_cache: bool = field(default=False, compare=False)
@@ -192,9 +154,9 @@ class AnalysisReport:
             lines.append("lints:")
             for lint in self.lints:
                 lines.append(f"  {lint}")
-        for index, fact in enumerate(self.facts):
-            lines.append(f"disjunct {index}: {fact.disjunct}")
-            lines.append(f"  {fact.describe()}")
+        for index, disjunct in enumerate(self.disjuncts):
+            lines.append(f"disjunct {index}: {disjunct}")
+            lines.append(f"  {_describe(disjunct)}")
         return "\n".join(lines)
 
 
@@ -318,15 +280,14 @@ def _eps_free_list(disjuncts: Tuple[Any, ...]) -> List[Any]:
 def _passthrough_report(
     disjuncts: Tuple[Any, ...], semantics: Semantics
 ) -> AnalysisReport:
+    # Pass-through reports sit on the hot path of the containment
+    # deciders (thousands of throwaway membership checks), so they must
+    # cost no more than bare ε-elimination.
     eps_free = tuple(_eps_free_list(disjuncts))
-    # No facts: pass-through reports sit on the hot path of the
-    # containment deciders (thousands of throwaway membership checks),
-    # so they must cost no more than bare ε-elimination.
     return AnalysisReport(
         semantics=semantics,
         original=eps_free,
         disjuncts=eps_free,
-        facts=(),
         decisions=(),
         lints=(),
     )
@@ -339,11 +300,11 @@ class _CheckMeter:
         self.remaining = budget.max_checks
         self.exhausted = False
 
-    def take(self, cost: int = 1) -> bool:
-        if self.remaining < cost:
+    def take(self) -> bool:
+        if self.remaining < 1:
             self.exhausted = True
             return False
-        self.remaining -= cost
+        self.remaining -= 1
         return True
 
 
@@ -396,16 +357,13 @@ def _compute_report_inner(
             continue
         survivors.append((index, disjunct))
 
-    # Phase 2: per-disjunct atom rewrites.
-    rewritten: List[Tuple[int, Any]] = []
-    for index, disjunct in survivors:
-        disjunct = _prune_subsumed_sibling_atoms(
+    # Phase 2: per-disjunct sibling-atom rewrites.
+    rewritten = [
+        (index, _prune_subsumed_sibling_atoms(
             disjunct, index, semantics, budget, meter, decisions, lints
-        )
-        disjunct = _remove_redundant_atoms(
-            disjunct, index, semantics, budget, meter, decisions, lints
-        )
-        rewritten.append((index, disjunct))
+        ))
+        for index, disjunct in survivors
+    ]
 
     # Phase 3: disjunct subsumption across the union.
     final = _prune_subsumed_disjuncts(
@@ -421,13 +379,11 @@ def _compute_report_inner(
                      f"check(s); remaining rewrites skipped"),
         ))
 
-    facts = tuple(_disjunct_facts(d) for _i, d in final)
     _lint_facts(final, semantics, lints)
     return AnalysisReport(
         semantics=semantics,
         original=original,
         disjuncts=tuple(d for _i, d in final),
-        facts=facts,
         decisions=tuple(decisions),
         lints=tuple(lints),
     )
@@ -465,29 +421,40 @@ def _lint_epsilon_only_atoms(
                 ))
 
 
-def _disjunct_facts(disjunct: Any) -> DisjunctFacts:
-    loop_atoms = tuple(
-        i for i, atom in enumerate(disjunct.atoms) if atom.is_loop()
-    )
-    finite_atoms = tuple(
-        i for i, atom in enumerate(disjunct.atoms)
-        if language_is_finite(compiled_nfa(atom.language))
-    )
+def _isolated_head_variables(disjunct: Any) -> Tuple[Any, ...]:
+    """Head variables no atom mentions: each forces a full domain scan."""
     atom_variables = {
         v for atom in disjunct.atoms for v in (atom.source, atom.target)
     }
-    isolated_head = tuple(sorted(
+    return tuple(sorted(
         (v for v in set(disjunct.head) if v not in atom_variables),
         key=repr,
     ))
-    return DisjunctFacts(
-        disjunct=disjunct,
-        loop_atoms=loop_atoms,
-        finite_language_atoms=finite_atoms,
-        isolated_head_variables=isolated_head,
-        connected_components=_component_count(disjunct),
-        variables_required=len(disjunct.variables),
-    )
+
+
+def _describe(disjunct: Any) -> str:
+    """The fact line ``explain()`` prints under a surviving disjunct.
+
+    The injective floor is the number of distinct nodes a q-inj
+    assignment needs (:mod:`repro.engine.qinj` applies that cap)."""
+    atoms = disjunct.atoms
+    parts = [f"{len(atoms)} atom(s)"]
+    loops = [i for i, atom in enumerate(atoms) if atom.is_loop()]
+    if loops:
+        parts.append(f"loops {loops}")
+    finite = [
+        i for i, atom in enumerate(atoms)
+        if language_is_finite(compiled_nfa(atom.language))
+    ]
+    if finite:
+        parts.append(f"finite languages {finite}")
+    isolated = _isolated_head_variables(disjunct)
+    if isolated:
+        rendered = ", ".join(str(v) for v in isolated)
+        parts.append(f"domain-scan head vars {{{rendered}}}")
+    parts.append(f"{_component_count(disjunct)} component(s)")
+    parts.append(f"injective floor {len(disjunct.variables)} node(s)")
+    return "; ".join(parts)
 
 
 def _component_count(disjunct: Any) -> int:
@@ -517,24 +484,22 @@ def _lint_facts(
     lints: List[AnalysisLint],
 ) -> None:
     for index, disjunct in final:
-        fact = _disjunct_facts(disjunct)
-        if fact.isolated_head_variables:
-            rendered = ", ".join(
-                str(v) for v in fact.isolated_head_variables
-            )
+        isolated = _isolated_head_variables(disjunct)
+        if isolated:
+            rendered = ", ".join(str(v) for v in isolated)
             lints.append(AnalysisLint(
                 code="isolated-head-variable",
                 disjunct=index,
                 message=(f"head variable(s) {rendered} occur in no atom: "
                          f"full domain scan"),
             ))
-        if fact.connected_components > 1:
+        components = _component_count(disjunct)
+        if components > 1:
             lints.append(AnalysisLint(
                 code="disconnected-components",
                 disjunct=index,
-                message=(f"variable graph splits into "
-                         f"{fact.connected_components} components: "
-                         f"cartesian-product glue"),
+                message=(f"variable graph splits into {components} "
+                         f"components: cartesian-product glue"),
             ))
         if (semantics is Semantics.QUERY_INJECTIVE
                 and len(disjunct.atoms) == 1):
@@ -549,7 +514,7 @@ def _lint_facts(
 
 
 # ----------------------------------------------------------------------
-# Phase 2a: sibling-language subsumption
+# Phase 2: sibling-language subsumption
 # ----------------------------------------------------------------------
 
 
@@ -623,13 +588,11 @@ def _without_atoms(disjunct: Any, dropped: set) -> Any:
 
 
 # ----------------------------------------------------------------------
-# Phase 2b: certified redundant-atom elimination (optimize.py wiring)
+# Phase 3: disjunct subsumption across the union
 # ----------------------------------------------------------------------
 
 
-def _rewrite_grade_decider(
-    left: Any, semantics: Semantics, budget: AnalysisBudget
-) -> Optional[str]:
+def _rewrite_grade_decider(left: Any, semantics: Semantics) -> Optional[str]:
     """``None`` if conclusive verdicts with ``left`` on the left-hand
     side may license rewrites under ``semantics``; otherwise the lint
     message explaining why the cell is skipped."""
@@ -641,110 +604,8 @@ def _rewrite_grade_decider(
     if semantics is Semantics.STANDARD:
         return ("abstraction verdicts under st carry a soundness caveat "
                 "(Claim 5.1 is proved for q-inj): not rewrite-grade")
-    if not budget.allow_abstraction:
-        return ("abstraction decider disabled by budget "
-                "(allow_abstraction=False)")
-    return None
-
-
-def _has_redundancy_candidate(disjunct: Any) -> bool:
-    """Cheap structural screen before the decider-backed elimination.
-
-    An atom can only be certified redundant when the rest of the query
-    can imply it, which needs one of: a self-loop atom, two atoms with
-    the same language (duplicate pattern, possibly in another
-    component), two atoms over the same unordered endpoint pair
-    (parallel atoms), or an atom whose endpoints stay connected through
-    the remaining atoms (multi-hop implication).  Chains of distinct
-    languages — the common shape — fail every test and skip the
-    containment checks entirely.  False negatives only forgo an
-    optimization; they never affect soundness."""
-    atoms = disjunct.atoms
-    languages = [atom.language for atom in atoms]
-    if len(set(languages)) < len(languages):
-        return True
-    endpoint_pairs = [frozenset((atom.source, atom.target))
-                      for atom in atoms]
-    if len(set(endpoint_pairs)) < len(endpoint_pairs):
-        return True
-    for index, atom in enumerate(atoms):
-        if atom.source == atom.target:
-            return True
-        adjacency: Dict[Any, set] = {}
-        for other_index, other in enumerate(atoms):
-            if other_index == index:
-                continue
-            adjacency.setdefault(other.source, set()).add(other.target)
-            adjacency.setdefault(other.target, set()).add(other.source)
-        seen = {atom.source}
-        stack = [atom.source]
-        while stack:
-            node = stack.pop()
-            if node == atom.target:
-                return True
-            for neighbor in adjacency.get(node, ()):
-                if neighbor not in seen:
-                    seen.add(neighbor)
-                    stack.append(neighbor)
-    return False
-
-
-def _remove_redundant_atoms(
-    disjunct: Any,
-    index: int,
-    semantics: Semantics,
-    budget: AnalysisBudget,
-    meter: _CheckMeter,
-    decisions: List[AnalysisDecision],
-    lints: List[AnalysisLint],
-) -> Any:
-    num_atoms = len(disjunct.atoms)
-    if num_atoms < 2 or num_atoms > budget.max_atoms:
-        return disjunct
-    if not _has_redundancy_candidate(disjunct):
-        return disjunct
-    reason = _rewrite_grade_decider(disjunct, semantics, budget)
-    if reason is not None:
-        lints.append(AnalysisLint(
-            code="rewrite-skipped-inconclusive-cell",
-            disjunct=index,
-            message=f"redundant-atom elimination skipped: {reason}",
-        ))
-        return disjunct
-    # A full greedy pass costs ~2·|atoms| equivalence checks per
-    # removal round; require headroom for at least one round.
-    if not meter.take(2 * num_atoms):
-        return disjunct
-    from repro.optimize import remove_redundant_atoms as _optimize_remove
-
-    try:
-        smaller, removed = _optimize_remove(
-            disjunct, semantics, **budget.decider_options()
-        )
-    except SearchBudgetExceeded as error:
-        lints.append(AnalysisLint(
-            code="decider-budget-exceeded",
-            disjunct=index,
-            message=f"redundant-atom elimination abandoned: {error}",
-        ))
-        return disjunct
-    if not removed:
-        return disjunct
-    meter.take(2 * num_atoms * len(removed))  # post-hoc extra rounds
-    rendered = ", ".join(str(atom) for atom in removed)
-    decisions.append(AnalysisDecision(
-        kind="remove-redundant-atoms",
-        disjunct=index,
-        detail=f"dropped {len(removed)} atom(s): {rendered}",
-        verdict=(f"[{semantics}] two-sided containment certified each "
-                 f"removal (optimize.remove_redundant_atoms)"),
-    ))
-    return smaller
-
-
-# ----------------------------------------------------------------------
-# Phase 3: disjunct subsumption across the union
-# ----------------------------------------------------------------------
+    return ("the q-inj abstraction decider (Theorem 5.1) is "
+            "exponential-class: the analyzer does not run it")
 
 
 def _prune_subsumed_disjuncts(
@@ -764,7 +625,7 @@ def _prune_subsumed_disjuncts(
     position = 0
     while position < len(alive):
         index, disjunct = alive[position]
-        reason = _rewrite_grade_decider(disjunct, semantics, budget)
+        reason = _rewrite_grade_decider(disjunct, semantics)
         if reason is not None:
             lints.append(AnalysisLint(
                 code="rewrite-skipped-inconclusive-cell",
@@ -776,8 +637,6 @@ def _prune_subsumed_disjuncts(
         subsumed = False
         for other_index, other in alive:
             if other_index == index:
-                continue
-            if len(disjunct.head) != len(other.head):
                 continue
             if not meter.take():
                 return alive
@@ -816,7 +675,6 @@ __all__ = [
     "AnalysisDecision",
     "AnalysisLint",
     "AnalysisReport",
-    "DisjunctFacts",
     "analysis_disabled",
     "analyze",
     "analyzed_disjuncts",

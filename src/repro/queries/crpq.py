@@ -208,7 +208,9 @@ def union_of(*queries):
 
     Accepts CRPQs, CQs, and nested tuples/lists.  All containment and
     evaluation entry points accept such unions; unions arise naturally from
-    ε-elimination and from Theorem 5.2's Q2⟳ ∨ Q2→.
+    ε-elimination and from Theorem 5.2's Q2⟳ ∨ Q2→.  Every disjunct of a
+    union must have the same head arity; a mixed union raises
+    :class:`ValueError`.
     """
     flat = []
     for query in queries:
@@ -220,4 +222,9 @@ def union_of(*queries):
             flat.append(query)
         else:
             raise TypeError(f"expected CRPQ/CQ/union, got {query!r}")
+    arities = sorted({len(disjunct.head) for disjunct in flat})
+    if len(arities) > 1:
+        raise ValueError(
+            f"union disjuncts have mixed head arities {arities}"
+        )
     return tuple(flat)

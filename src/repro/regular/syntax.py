@@ -96,7 +96,12 @@ class Symbol(Regex):
         return True
 
     def __str__(self):
-        return str(self.label)
+        # Bare only when the parser reads the text back as this one
+        # symbol; anything else uses the ``<name>`` form.
+        text = str(self.label)
+        if len(text) == 1 and text not in _RESERVED and not text.isspace():
+            return text
+        return f"<{text}>"
 
 
 @dataclass(frozen=True)
@@ -174,7 +179,8 @@ class Plus(Regex):
         return False
 
     def __str__(self):
-        return f"{_wrap(self.inner)}+"
+        # ``^+``: a bare postfix ``+`` would read back as union.
+        return f"{_wrap(self.inner)}^+"
 
 
 @dataclass(frozen=True)
@@ -194,6 +200,10 @@ class Optional(Regex):
 
     def __str__(self):
         return f"{_wrap(self.inner)}?"
+
+
+#: Characters the regex parser gives a meaning of their own.
+_RESERVED = frozenset("()<+*?^ε∅")
 
 
 def _wrap(node):

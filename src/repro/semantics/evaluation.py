@@ -86,9 +86,10 @@ def evaluate(query, graph, semantics, *, budget=None, timeout=None,
     union's evaluation is the union of the evaluations.
 
     The ε-free disjuncts actually executed come from the static
-    analyzer (:mod:`repro.engine.analyze`): unsatisfiable or subsumed
-    disjuncts are pruned and certified-redundant atoms removed, under
-    rewrites sound for ``semantics`` — the answer set is unchanged.
+    analyzer (:mod:`repro.engine.analyze`): unsatisfiable, duplicate or
+    subsumed disjuncts are pruned and atoms implied by a sibling atom's
+    language dropped, under rewrites sound for ``semantics`` — the
+    answer set is unchanged.
     The analysis is memoized per query structure (graph-independent);
     :func:`repro.engine.analyze.analysis_disabled` restores the
     unanalyzed path.

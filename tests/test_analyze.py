@@ -1,15 +1,18 @@
 """Unit tests for the static query analyzer (engine/analyze.py).
 
 Covers the decision kinds (unsatisfiable / duplicate / subsumed
-disjuncts, sibling-language subsumption, certified redundant-atom
-elimination), the semantics-soundness gating (q-inj gets a lint where
-st / a-inj get a rewrite), budget exhaustion, memoization across graph
-mutations, the planner/qinj empty-language short-circuits, and the CLI
-surfaces (``analyze`` subcommand, ``--explain`` analysis section).
+disjuncts, sibling-language subsumption), the semantics-soundness
+gating (q-inj gets a lint where st / a-inj get a rewrite), budget
+exhaustion, that chain queries run no containment decider, memoization
+across graph mutations, the planner/qinj empty-language short-circuits,
+and the CLI surfaces (``analyze`` subcommand, ``--explain`` analysis
+section, the per-disjunct fact line).
 """
 
 import pytest
 
+from repro.analysis.catalog import by_name
+from repro.analysis.qinj_pruning import rare_chain_workload
 from repro.cli import main
 from repro.engine.analyze import (
     AnalysisBudget,
@@ -28,6 +31,7 @@ from repro.graphdb.graph import GraphDatabase
 from repro.queries.atoms import Atom
 from repro.queries.crpq import CRPQ
 from repro.queries.parser import parse_query
+from repro.regular.parser import parse_regex
 from repro.regular.syntax import Concat, Empty, Symbol, plus
 from repro.semantics.base import ALL_SEMANTICS
 from repro.semantics.evaluation import evaluate
@@ -112,9 +116,7 @@ class TestSiblingSubsumption:
 
     def test_qinj_gets_lint_not_sibling_drop(self):
         """q-inj witness paths must be internally disjoint, so the
-        sibling rewrite is unsound there — phase 2a only lints.  (A
-        later phase may still certify a removal by exact two-sided
-        containment, which is a different, sound decision.)"""
+        sibling rewrite is unsound there — phase 2 only lints."""
         report = analyze(self.query, "q-inj")
         assert "drop-atom-language-subsumed" not in decision_kinds(report)
         assert "atom-language-subsumed" in lint_codes(report)
@@ -128,19 +130,6 @@ class TestSiblingSubsumption:
 
 
 class TestCertifiedRewrites:
-    def test_remove_redundant_atoms_wired(self):
-        """optimize.remove_redundant_atoms runs inside analysis: with y
-        existential, the chain x-[a]->y-[b]->z is mutually implied by
-        x-[ab]->z under st, so greedy elimination certifies the query
-        down to the single ab-atom, each removal audited."""
-        q = parse_query("Q(x, z) :- x -[a]-> y, y -[b]-> z, x -[ab]-> z")
-        report = analyze(q, "st")
-        assert "remove-redundant-atoms" in decision_kinds(report)
-        assert len(report.disjuncts[0].atoms) == 1
-        decision = next(d for d in report.decisions
-                        if d.kind == "remove-redundant-atoms")
-        assert decision.verdict is not None
-
     def test_disjunct_subsumption_with_verdict(self, small_graph):
         general = parse_query("Q(x, y) :- x -[a]-> y")
         specialized = parse_query("Q(x, y) :- x -[a]-> y, y -[b]-> z")
@@ -169,6 +158,36 @@ class TestCertifiedRewrites:
         report = analyze(query, "st", budget=AnalysisBudget(max_checks=0))
         assert "analysis-budget-exhausted" in lint_codes(report)
         assert report.decisions == ()  # nothing licensed without checks
+
+    @pytest.mark.parametrize("query, semantics", [
+        *(pytest.param(q, s, id=f"rare-chain-{len(q.atoms)}-{s}")
+          for q in rare_chain_workload((2, 3, 4))
+          for s in ("a-inj", "q-inj")),
+        pytest.param(by_name("diamond").query, "q-inj", id="diamond-q-inj"),
+    ])
+    def test_chains_run_no_containment_decider(
+        self, monkeypatch, query, semantics
+    ):
+        """Single-disjunct queries have nothing for disjunct subsumption
+        to compare, and the sibling phase decides language inclusion on
+        automata: a cold analysis makes no ``contains`` call."""
+        import repro.containment.api as api
+        import repro.optimize as optimize
+
+        calls = []
+        real_contains = api.contains
+
+        def counting_contains(*args, **kwargs):
+            calls.append(args)
+            return real_contains(*args, **kwargs)
+
+        # optimize binds ``contains`` at import: count that name too.
+        monkeypatch.setattr(api, "contains", counting_contains)
+        monkeypatch.setattr(optimize, "contains", counting_contains)
+        clear_analysis_cache()
+        report = analyze(query, semantics)
+        assert not report.from_cache
+        assert calls == []
 
 
 class TestMemoization:
@@ -291,6 +310,21 @@ class TestSurfaces:
         q = parse_query("Q(x, y) :- x -[a]-> y")
         text = analyze(q, "st").explain()
         assert "1 ε-free disjunct(s) in, 1 out" in text
+
+    def test_explain_fact_line(self):
+        """The per-disjunct fact line: a b^+ loop (infinite), a finite
+        ac-atom, head variable w in no atom, components {x, y} and
+        {w}, and three variables for the injective floor."""
+        q = CRPQ(("y", "w"), (Atom("x", parse_regex("b^+"), "x"),
+                              Atom("x", parse_regex("ac"), "y")),
+                 extra_variables=("w",))
+        lines = analyze(q, "st").explain().splitlines()
+        assert lines[-2] == f"disjunct 0: {q}"
+        assert lines[-1] == (
+            "  2 atom(s); loops [0]; finite languages [1]; "
+            "domain-scan head vars {w}; 2 component(s); "
+            "injective floor 3 node(s)"
+        )
 
 
 class TestBatchAndIncrementalWiring:

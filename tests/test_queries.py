@@ -154,6 +154,21 @@ class TestUnionOf:
         with pytest.raises(TypeError):
             union_of(42)
 
+    def test_rejects_mixed_arities(self):
+        """A union's disjuncts share one head arity: every evaluator
+        agrees on that instead of ``evaluate`` returning mixed tuples."""
+        from repro.graphdb.graph import GraphDatabase
+        from repro.semantics.evaluation import evaluate
+
+        binary = parse_query("Q(x, y) :- x -[a]-> y")
+        boolean = parse_query("Q() :- x -[a]-> y")
+        with pytest.raises(ValueError, match=r"\[0, 2\]"):
+            union_of(binary, [boolean])
+        graph = GraphDatabase(nodes=["u", "v"])
+        graph.add_edge("u", "a", "v")
+        with pytest.raises(ValueError):
+            evaluate((binary, boolean), graph, "st")
+
 
 class TestQueryParser:
     def test_parse_single_letter_shorthand(self):

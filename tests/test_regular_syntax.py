@@ -152,8 +152,18 @@ class TestOperatorSugar:
     def test_mul_operator_is_concat(self):
         assert symbol("a") * symbol("b") == Concat(Symbol("a"), Symbol("b"))
 
-    def test_str_roundtrips_through_parser(self):
+    @pytest.mark.parametrize("regex", [
+        union(concat(Symbol("a"), Symbol("b")), star(Symbol("c"))),
+        # A bare postfix '+' would read back as union: a ∪ b*.
+        concat(plus(Symbol("a")), star(Symbol("b"))),
+        plus(concat(Symbol("a"), Symbol("b"))),
+        plus(concat(plus(Symbol("a")), Symbol("b"))),
+        # Multi-character labels would read back as one symbol per letter.
+        concat(Symbol("knows"), Symbol("knows")),
+        plus(union(Symbol("I1"), Symbol("a"))),
+    ], ids=["union-concat-star", "plus-then-star", "plus-of-concat",
+            "nested-plus", "multichar-symbols", "plus-of-multichar"])
+    def test_str_roundtrips_through_parser(self, regex):
         from repro.regular.parser import parse_regex
 
-        regex = union(concat(Symbol("a"), Symbol("b")), star(Symbol("c")))
         assert parse_regex(str(regex)) == regex
