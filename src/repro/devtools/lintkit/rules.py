@@ -865,7 +865,7 @@ CHECKPOINTED_FUNCTIONS: dict[str, frozenset[str]] = {
     "engine/planner.py": frozenset(
         {"semijoin_reduce", "_variable_elimination", "_yannakakis"}
     ),
-    "engine/join.py": frozenset({"natural_join"}),
+    "engine/join.py": frozenset({"natural_join", "join_project"}),
     "engine/qinj.py": frozenset({"solutions"}),
     "engine/incremental.py": frozenset({"grow", "shrink"}),
     "engine/batch.py": frozenset({"_entry_answers"}),

@@ -15,10 +15,13 @@ the glue is polynomial.  This module plans and executes that glue:
    Acyclic components get a join tree and run Yannakakis' algorithm:
    full semijoin reducer (bottom-up + top-down), then a bottom-up hash
    join projecting onto head variables — polynomial, output-sensitive.
+   Each node's last join is the fused ``join_project``, which never
+   builds that join's wide intermediate.
 3. **Cyclic components** run a semijoin pre-reduction to the
    arc-consistent fixpoint, then greedy min-degree variable elimination
-   over the reduced tables.  If an intermediate join exceeds
-   ``ELIMINATION_ROW_CAP`` rows the component falls back to the
+   over the reduced tables.  If an intermediate join has more than
+   ``ELIMINATION_ROW_CAP`` rows (counted in full, even where the join
+   is fused with its projection) the component falls back to the
    existing backtracking matcher (:mod:`repro.homomorphism.matcher`) —
    run only on the *reduced* cyclic residue, never on the full input.
 
@@ -36,6 +39,8 @@ from repro.engine.join import (
     TupleRelation,
     filter_rows,
     from_binary,
+    join_project,
+    joined_variables,
     natural_join,
     project,
     semijoin,
@@ -92,27 +97,36 @@ def semijoin_reduce(tables, ctx=None):
     over-approximation tables before its guided joint search.
     """
     ctx = resolve_context(ctx)
+    columns = [None] * len(tables)   # per table: variable -> value set
     changed = True
     while changed:
         changed = False
         _SEMIJOIN_PASSES.inc()
         domains = {}
-        for table in tables:
+        for position, table in enumerate(tables):
             ctx.checkpoint(SITE_PLANNER_REDUCE)
-            for variable in table.variables:
-                column = table.column(variable)
-                if variable in domains:
-                    domains[variable] &= column
-                else:
-                    domains[variable] = column
+            if columns[position] is None:
+                columns[position] = {
+                    variable: table.column(variable)
+                    for variable in table.variables
+                }
+            for variable, column in columns[position].items():
+                domain = domains.get(variable)
+                domains[variable] = column if domain is None else (
+                    domain & column
+                )
         for position, table in enumerate(tables):
             filtered = table
-            for variable in table.variables:
-                filtered = filter_rows(filtered, variable,
-                                       domains[variable])
+            for variable, column in columns[position].items():
+                # The domain is a subset of the column, so equal sizes
+                # mean the filter would keep every row.
+                if len(domains[variable]) != len(column):
+                    filtered = filter_rows(filtered, variable,
+                                           domains[variable])
             if len(filtered) != len(table):
                 _SEMIJOIN_ROWS_REMOVED.inc(len(table) - len(filtered))
                 tables[position] = filtered
+                columns[position] = None
                 changed = True
             if filtered.is_empty():
                 return None
@@ -306,13 +320,7 @@ class JoinPlan:
                 return frozenset()
             if rows.variables:
                 result = natural_join(result, rows, ctx)
-        head = tuple(self.query.head)
-        if head == result.variables:
-            return result.rows
-        positions = {v: i for i, v in enumerate(result.variables)}
-        return frozenset(
-            tuple(row[positions[v]] for v in head) for row in result.rows
-        )
+        return project(result, self.query.head).rows
 
     def is_satisfiable(self):
         """True iff the disjunct has at least one answer (under the
@@ -406,22 +414,32 @@ class JoinPlan:
         results = {}
         for node in post_order:
             acc = tables[node]
-            for child in component.children.get(node, ()):
+            children = component.children.get(node, ())
+            for child in children[:-1]:
                 ctx.checkpoint(SITE_PLANNER_YANNAKAKIS)
                 acc = natural_join(acc, results[child], ctx)
+            joined = (joined_variables(acc, results[children[-1]])
+                      if children else acc.variables)
             if node == component.root:
                 keep = component.out_vars
             else:
-                connector = set(acc.variables) & {
+                parent_vars = {
                     v
                     for planned in component.atoms
                     if planned.index == component.parent[node]
                     for v in (planned.atom.source, planned.atom.target)
                 }
                 keep = tuple(
-                    v for v in acc.variables if v in out_set or v in connector
+                    v for v in joined if v in out_set or v in parent_vars
                 )
-            results[node] = project(acc, keep)
+            if children:
+                # The last child join is fused with the projection.
+                ctx.checkpoint(SITE_PLANNER_YANNAKAKIS)
+                results[node], _ = join_project(
+                    acc, results[children[-1]], keep, ctx
+                )
+            else:
+                results[node] = project(acc, keep)
         return results[component.root]
 
     def _eliminate_cyclic(self, component, tables, ctx=None,
@@ -440,6 +458,28 @@ class JoinPlan:
 
     def _variable_elimination(self, component, tables, out_vars, ctx=None):
         ctx = resolve_context(ctx)
+
+        def join_all(tables, keep_of):
+            """``π_keep(t0 ⋈ … ⋈ tn)``, ``keep = keep_of(joined
+            variables)``, the last join fused with the projection.  Each
+            join's *full* row count is held to ELIMINATION_ROW_CAP."""
+            acc = tables[0]
+            for table in tables[1:-1]:
+                ctx.checkpoint(SITE_PLANNER_ELIMINATE)
+                acc = natural_join(acc, table, ctx)
+                if len(acc) > ELIMINATION_ROW_CAP:
+                    raise EliminationOverflow
+            if len(tables) == 1:
+                return project(acc, keep_of(acc.variables))
+            ctx.checkpoint(SITE_PLANNER_ELIMINATE)
+            last = tables[-1]
+            acc, full_rows = join_project(
+                acc, last, keep_of(joined_variables(acc, last)), ctx
+            )
+            if full_rows > ELIMINATION_ROW_CAP:
+                raise EliminationOverflow
+            return acc
+
         eliminate = list(component.elimination_order)
         # In existence mode the head variables are eliminated too (the
         # planned order omits them), leaving a nullary verdict.
@@ -450,21 +490,10 @@ class JoinPlan:
             rest = [t for t in tables if variable not in t.variables]
             if not involved:
                 continue
-            acc = involved[0]
-            for table in involved[1:]:
-                ctx.checkpoint(SITE_PLANNER_ELIMINATE)
-                acc = natural_join(acc, table, ctx)
-                if len(acc) > ELIMINATION_ROW_CAP:
-                    raise EliminationOverflow
-            keep = tuple(v for v in acc.variables if v != variable)
-            tables = rest + [project(acc, keep)]
-        acc = true_relation()
-        for table in tables:
-            ctx.checkpoint(SITE_PLANNER_ELIMINATE)
-            acc = natural_join(acc, table, ctx)
-            if len(acc) > ELIMINATION_ROW_CAP:
-                raise EliminationOverflow
-        return project(acc, out_vars)
+            tables = rest + [join_all(involved, lambda joined: tuple(
+                v for v in joined if v != variable
+            ))]
+        return join_all([true_relation()] + tables, lambda joined: out_vars)
 
     def _matcher_fallback(self, component, reduced_tables, out_vars,
                           exists_only=False):

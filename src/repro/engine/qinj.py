@@ -39,6 +39,7 @@ the differential suite and ``benchmarks/bench_qinj.py`` compare against.
 from __future__ import annotations
 
 import itertools
+import operator
 
 from repro.engine import telemetry
 from repro.engine.adjacency import adjacency_index
@@ -345,20 +346,17 @@ def plan_qinj(query, graph, binding=None, relation_for=None):
         else:
             # Injectivity: distinct variables never share a node, so the
             # diagonal can be dropped from every binary candidate table.
-            pairs = {
-                (source, target)
-                for source, target in relation.pairs
-                if source != target
-            }
-            base_sizes[index] = len(pairs)
-            table_position[index] = len(raw_tables)
-            raw_tables.append(
-                TupleRelation((atom.source, atom.target), pairs)
+            pairs = relation.pairs
+            table = TupleRelation(
+                (atom.source, atom.target),
+                itertools.compress(pairs,
+                                   itertools.starmap(operator.ne, pairs)),
             )
+            base_sizes[index] = len(table)
+            table_position[index] = len(raw_tables)
+            raw_tables.append(table)
     for variable, allowed in unary.items():
-        raw_tables.append(
-            TupleRelation((variable,), ((node,) for node in allowed))
-        )
+        raw_tables.append(TupleRelation((variable,), zip(allowed)))
     for variable, node in binding.items():
         raw_tables.append(TupleRelation((variable,), ((node,),)))
 

@@ -63,7 +63,11 @@ def parse_query(text):
 
 
 def _split_atoms(body_text):
-    """Split on commas that are not inside [...] brackets."""
+    """Split on commas that are not inside [...] brackets.
+
+    Every part must hold an atom: a leading, trailing or doubled comma
+    is a syntax error, not an empty conjunct.
+    """
     parts = []
     depth = 0
     current = []
@@ -77,6 +81,10 @@ def _split_atoms(body_text):
             current = []
         else:
             current.append(ch)
-    if current:
-        parts.append("".join(current))
-    return [part for part in parts if part.strip()]
+    parts.append("".join(current))
+    if not all(part.strip() for part in parts):
+        raise QuerySyntaxError(
+            f"malformed body: empty atom (leading, trailing or doubled "
+            f"comma) in {body_text!r}"
+        )
+    return parts

@@ -190,6 +190,18 @@ class TestQuerySyntaxExitCode:
         assert err.startswith("repro: malformed")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("query", [
+        "Q(x, y) :- ,",
+        "Q(x, y) :- x -[a]-> y,,y -[b]-> x",
+        "Q(x, y) :- x -[a]-> y,",
+    ])
+    def test_empty_atom_exits_input_code(self, graph_file, query, capsys):
+        code = main(["evaluate", query, graph_file])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert err.startswith("repro: malformed body: empty atom")
+        assert "Traceback" not in err
+
 
 class TestBudgetFlagValidation:
     @pytest.mark.parametrize("flags", [

@@ -455,16 +455,24 @@ def test_lk007_quiet_under_owning_lock(tmp_path):
 # LK008 checkpoint-discipline
 # ----------------------------------------------------------------------
 
+# A checkpointed fused join: join.py registers it beside natural_join,
+# so every join.py fixture below carries one.
+LK008_JOIN_PROJECT = """
+    def join_project(left, right, keep, ctx=None):
+        ctx.checkpoint("join.natural-join")
+        return left, 0
+"""
+
 LK008_NO_CTX = """
     def natural_join(left, right):
         checkpoint("join.natural-join")
         return left
-"""
+""" + LK008_JOIN_PROJECT
 
 LK008_NO_CHECKPOINT = """
     def natural_join(left, right, ctx=None):
         return left
-"""
+""" + LK008_JOIN_PROJECT
 
 LK008_GOOD = """
     from repro.engine.runtime import checkpoint_site, resolve_context
@@ -476,7 +484,7 @@ LK008_GOOD = """
         ctx = resolve_context(ctx)
         ctx.checkpoint(SITE)
         return left
-"""
+""" + LK008_JOIN_PROJECT
 
 LK008_NESTED_GOOD = """
     def natural_join(left, right, ctx=None):
@@ -484,6 +492,17 @@ LK008_NESTED_GOOD = """
             ctx.checkpoint("join.natural-join")
         inner()
         return left
+""" + LK008_JOIN_PROJECT
+
+# A copy of the fused join that lost its checkpoint call.
+LK008_JOIN_PROJECT_NO_CHECKPOINT = """
+    def natural_join(left, right, ctx=None):
+        ctx.checkpoint("join.natural-join")
+        return left
+
+
+    def join_project(left, right, keep, ctx=None):
+        return left, 0
 """
 
 
@@ -502,6 +521,16 @@ def test_lk008_fires_when_checkpoint_call_missing(tmp_path):
         rule="checkpoint-discipline",
     )
     assert rule_ids(result) == ["LK008"]
+    assert "checkpoint" in result.findings[0].message
+
+
+def test_lk008_fires_when_fused_join_loses_its_checkpoint(tmp_path):
+    result = lint_snippet(
+        tmp_path, "repro/engine/join.py", LK008_JOIN_PROJECT_NO_CHECKPOINT,
+        rule="checkpoint-discipline",
+    )
+    assert rule_ids(result) == ["LK008"]
+    assert "join_project()" in result.findings[0].message
     assert "checkpoint" in result.findings[0].message
 
 

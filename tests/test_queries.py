@@ -189,6 +189,24 @@ class TestQueryParser:
         assert q.atoms == ()
         assert q.variables == {"x"}
 
+    @pytest.mark.parametrize("body", [
+        ",",
+        "x -[a]-> y,",
+        ", x -[a]-> y",
+        "x -[a]-> y,,y -[b]-> x",
+        "x -[a]-> y, ,y -[b]-> x",
+    ])
+    def test_empty_atoms_are_syntax_errors(self, body):
+        # A stray comma used to be dropped silently: `Q(x, y) :- ,`
+        # parsed as the always-true query.
+        with pytest.raises(QuerySyntaxError, match="empty atom"):
+            parse_query(f"Q(x, y) :- {body}")
+
+    def test_empty_body_still_means_true(self):
+        q = parse_query("Q() :- ")
+        assert q.atoms == ()
+        assert q.is_boolean()
+
     @pytest.mark.parametrize("bad", [
         "Q(x) x -a-> y",
         "Q :- x -a-> y",
