@@ -1,7 +1,7 @@
-"""Join-glue benchmark — Yannakakis pipeline vs the pre-PR CSP glue.
+"""Join-glue benchmark — variable elimination vs the pre-PR CSP glue.
 
-Acceptance pin for the join-engine PR: on a chain-CRPQ workload
-(length-6 chains, standard semantics) the planner's Yannakakis glue
+Acceptance pin for the join engine: on a chain-CRPQ workload
+(length-6 chains, standard semantics) the planner's elimination glue
 must be ≥ 5× faster than the transcribed pre-join evaluation path —
 relation-``GraphDatabase`` materialization plus backtracking
 homomorphism enumeration (:func:`repro.analysis.join_glue.

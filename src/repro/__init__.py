@@ -22,7 +22,7 @@ Public API highlights:
   :meth:`GraphDatabase.remove_edge` / ``remove_node``) instead of
   rebuilt per mutation;
 - :func:`repro.explain_query` — per ε-free disjunct, the st / a-inj
-  join plan (acyclic vs cyclic, join-tree shape, relation sizes) or the
+  join plan (components, elimination order, relation sizes) or the
   q-inj relation-guided pruning plan (reduced candidate tables,
   variable domains, atom search order), without executing any glue or
   search;

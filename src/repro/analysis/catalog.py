@@ -98,7 +98,7 @@ CATALOG = (
     CatalogEntry(
         "chain-6",
         "length-6 chain — the join engine's acceptance workload (E7): "
-        "GYO-acyclic, evaluated by the Yannakakis semijoin pipeline",
+        "min-degree elimination drops its five inner variables in turn",
         parse_query(
             "Q(x0, x6) :- x0 -[<knows>]-> x1, x1 -[<knows>]-> x2, "
             "x2 -[<knows>]-> x3, x3 -[<wrote>]-> x4, "

@@ -1,4 +1,4 @@
-"""Join-glue scaling experiment (E7): Yannakakis joins vs the CSP glue.
+"""Join-glue scaling experiment (E7): hash-join elimination vs the CSP glue.
 
 PRs 1–2 made the per-atom relations cheap; what remained on the st /
 a-inj serving path was the *glue* — the pre-join-engine code rebuilt a
@@ -15,8 +15,9 @@ Modes:
   relation graph materialization + homomorphism enumeration.  This is
   the baseline :mod:`benchmarks.bench_join` gates against;
 - **join** — the shipping path (:func:`repro.semantics.evaluation.
-  evaluate`), which plans the chain as an acyclic join tree and runs
-  Yannakakis' semijoin pipeline.
+  evaluate`), which eliminates the chain's inner variables one at a
+  time by min-degree variable elimination, each step one fused
+  hash join and projection.
 
 Caches are dropped before every timed call (the per-query cost profile
 of a cache-less service); with single-symbol chain languages the atom

@@ -471,8 +471,8 @@ def build_parser():
     p_eval.add_argument(
         "--explain", action="store_true",
         help="print the plan per ε-free disjunct instead of executing: "
-             "the join plan under st / a-inj (acyclic vs cyclic, "
-             "join-tree shape, relation sizes), the relation-guided "
+             "the join plan under st / a-inj (components, elimination "
+             "order, relation sizes), the relation-guided "
              "pruning plan under q-inj (reduced candidate tables, "
              "variable domains, atom search order)",
     )

@@ -863,7 +863,7 @@ CHECKPOINTED_FUNCTIONS: dict[str, frozenset[str]] = {
         {"_reachable_product", "_dense_reachability_pairs"}
     ),
     "engine/planner.py": frozenset(
-        {"semijoin_reduce", "_variable_elimination", "_yannakakis"}
+        {"semijoin_reduce", "_variable_elimination"}
     ),
     "engine/join.py": frozenset({"natural_join", "join_project"}),
     "engine/qinj.py": frozenset({"solutions"}),

@@ -27,10 +27,10 @@ three pieces (see ARCHITECTURE.md for the full picture):
   (graph version, kind, NFA);
 - :mod:`repro.engine.join` — the tuple-relation algebra (hash join,
   semijoin, projection) the planner executes;
-- :mod:`repro.engine.planner` — the st / a-inj glue: GYO acyclicity
-  test → Yannakakis semijoin pipeline for acyclic disjuncts; semijoin
-  pre-reduction + min-degree variable elimination for cyclic ones, with
-  the backtracking matcher as the fallback on the reduced residue;
+- :mod:`repro.engine.planner` — the st / a-inj glue: min-degree
+  variable elimination over the base tables for every component; past
+  the elimination row cap, semijoin reduction and a second elimination,
+  then the backtracking matcher on the reduced residue;
 - :mod:`repro.engine.telemetry` — the layer-0 observability substrate:
   the process-wide :class:`MetricsRegistry` every subsystem above
   counts into, and the :class:`QueryTrace`/span machinery riding

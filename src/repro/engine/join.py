@@ -2,8 +2,8 @@
 
 The planner (:mod:`repro.engine.planner`) lowers an ε-free CRPQ disjunct
 to operations on :class:`TupleRelation` — an immutable set of rows over
-a named tuple of variables.  Four operators cover everything Yannakakis
-and variable elimination need:
+a named tuple of variables.  Four operators cover everything variable
+elimination and its overflow ladder need:
 
 - :func:`semijoin` — ``L ⋉ R``: the rows of L that agree with at least
   one row of R on their shared variables (hash lookup, no output growth;
@@ -16,11 +16,12 @@ and variable elimination need:
   grouped as ``key → set(kept tail)`` and the answer is the union of the
   per-key products, so the wide intermediate join is never built.
 
-The row budget sees the same number either way: :func:`join_project`
-counts the *full* join's rows (per-key multiplicities multiplied) and
-checks that count against the row cap before producing anything, so a
-query trips ``ResourceExhausted`` exactly when the materialized join
-would.
+Both joins count the *full* join's rows (per-key multiplicities
+multiplied) before producing anything, and check that count twice: the
+execution context's row cap (``ResourceExhausted``), then the caller's
+optional ``cap`` (:class:`EliminationOverflow`).  A query therefore
+trips either limit exactly when the materialized join would, without
+building a row of it.
 
 Every per-row loop runs in C: keys are :func:`operator.itemgetter`
 results (a scalar for a one-variable key, a tuple otherwise), filters are
@@ -45,6 +46,10 @@ SITE_JOIN = checkpoint_site(
 
 _EMPTY_ROWS = frozenset()
 TRUE_RELATION_ROWS = frozenset({()})
+
+
+class EliminationOverflow(Exception):
+    """A join's full row count exceeded the ``cap`` its caller passed."""
 
 
 class TupleRelation:
@@ -166,23 +171,24 @@ def joined_variables(left, right):
     )
 
 
-def natural_join(left, right, ctx=None):
+def natural_join(left, right, ctx=None, *, cap=None):
     """``left ⋈ right`` by hash join on the shared variables.
 
     Output variables are ``left.variables`` followed by the right-only
     variables; with no shared variables this is the cartesian product.
     The execution context bounds the output: one checkpoint per call
-    plus a row-cap check on the join's row count.  The unit ``{()}`` is
-    an identity: the other operand comes back as is, still checked
-    against the row cap.
+    plus a row-cap check on the join's row count, then the ``cap``
+    check (:class:`EliminationOverflow`), both before any row is built.
+    The unit ``{()}`` is an identity: the other operand comes back as
+    is, still checked against both caps.
     """
     ctx = resolve_context(ctx)
     ctx.checkpoint(SITE_JOIN)
-    result, _ = _join(left, right, joined_variables(left, right), ctx)
+    result, _ = _join(left, right, joined_variables(left, right), ctx, cap)
     return result
 
 
-def join_project(left, right, keep, ctx=None):
+def join_project(left, right, keep, ctx=None, *, cap=None):
     """The fused ``π_keep(left ⋈ right)``, and the full join's row count.
 
     Returns ``(relation, full_rows)``.  ``keep`` names distinct
@@ -191,26 +197,32 @@ def join_project(left, right, keep, ctx=None):
     keys of the tails' products, so no row of the wide join is built.
     ``full_rows`` — the sum over common keys of the two sides' row
     multiplicities multiplied — is what :func:`natural_join` would
-    materialize; it is checked against the row cap (one checkpoint per
-    call, as there) before any output is produced, and callers compare
-    it with their own caps.
+    materialize; it is checked against the row cap and then ``cap``
+    (one checkpoint per call, as there) before any output is produced.
     """
     ctx = resolve_context(ctx)
     ctx.checkpoint(SITE_JOIN)
-    return _join(left, right, tuple(keep), ctx)
+    return _join(left, right, tuple(keep), ctx, cap)
 
 
-def _join(left, right, keep, ctx):
-    """``(π_keep(left ⋈ right), |left ⋈ right|)`` under the row cap."""
+def _check_rows(ctx, rows, cap):
+    """The budget's row cap first (it raises), then the caller's."""
+    ctx.check_rows(rows, SITE_JOIN)
+    if cap is not None and rows > cap:
+        raise EliminationOverflow
+
+
+def _join(left, right, keep, ctx, cap):
+    """``(π_keep(left ⋈ right), |left ⋈ right|)`` under both row caps."""
     for unit, other in ((left, right), (right, left)):
         if not unit.variables and unit.rows:
-            ctx.check_rows(len(other), SITE_JOIN)
+            _check_rows(ctx, len(other), cap)
             return project(other, keep), len(other)
     left_positions, right_positions = _shared_positions(left, right)
     if len(right_positions) == len(right.variables):
         # right's variables are all left's: the join is the semijoin.
         result = semijoin(left, right)
-        ctx.check_rows(len(result), SITE_JOIN)
+        _check_rows(ctx, len(result), cap)
         return project(result, keep), len(result)
     wanted = set(keep)
     left_kept = tuple(
@@ -223,7 +235,7 @@ def _join(left, right, keep, ctx):
     )
     if not left_positions:
         full = len(left) * len(right)
-        ctx.check_rows(full, SITE_JOIN)
+        _check_rows(ctx, full, cap)
         lefts = [set(_tails(left, left_kept))] if full else []
         rights = [set(_tails(right, right_kept))]
     else:
@@ -233,7 +245,7 @@ def _join(left, right, keep, ctx):
         common = left_counts.keys() & right_counts.keys()
         full = sum(map(mul, map(left_counts.__getitem__, common),
                        map(right_counts.__getitem__, common)))
-        ctx.check_rows(full, SITE_JOIN)
+        _check_rows(ctx, full, cap)
         lefts = map(left_groups.__getitem__, common)
         rights = map(right_groups.__getitem__, common)
     produced = (tuple(left.variables[i] for i in left_kept),

@@ -1,9 +1,8 @@
-"""Join planning for the st / a-inj glue: GYO, Yannakakis, elimination.
+"""Join planning for the st / a-inj glue: min-degree variable elimination.
 
 An ε-free CRPQ disjunct under standard or atom-injective semantics is a
 conjunctive query over the atoms' *pair relations* — the NP-shaped part
-is only the glue, and for the acyclic queries dominating real workloads
-the glue is polynomial.  This module plans and executes that glue:
+is only the glue.  This module plans and executes that glue on one path:
 
 1. **Lowering.**  Every atom fetches its hash-indexed
    :class:`~repro.engine.relations.Relation` (walks under st, simple
@@ -11,19 +10,20 @@ the glue is polynomial.  This module plans and executes that glue:
    constraints (the relation's diagonal); the remaining binary atoms
    induce a variable graph whose connected components are planned
    independently and recombined by cartesian product.
-2. **Acyclicity test.**  GYO reduction on each component's hyperedges.
-   Acyclic components get a join tree and run Yannakakis' algorithm:
-   full semijoin reducer (bottom-up + top-down), then a bottom-up hash
-   join projecting onto head variables — polynomial, output-sensitive.
-   Each node's last join is the fused ``join_project``, which never
-   builds that join's wide intermediate.
-3. **Cyclic components** run a semijoin pre-reduction to the
-   arc-consistent fixpoint, then greedy min-degree variable elimination
-   over the reduced tables.  If an intermediate join has more than
-   ``ELIMINATION_ROW_CAP`` rows (counted in full, even where the join
-   is fused with its projection) the component falls back to the
-   existing backtracking matcher (:mod:`repro.homomorphism.matcher`) —
-   run only on the *reduced* cyclic residue, never on the full input.
+2. **Variable elimination** (bucket elimination, Dechter 1999).  Each
+   component gets a greedy min-degree order over its non-head
+   variables.  Execution runs over the *unreduced* base tables: every
+   step joins the tables that mention one variable and projects that
+   variable away, the last join fused with the projection
+   (``join_project`` never builds the wide intermediate).  On a chain
+   this does the work of a join-tree pass; on a cycle it is the
+   classic fill-in.
+3. **Overflow ladder.**  Every join counts its full row count before
+   building a row and raises once it exceeds ``ELIMINATION_ROW_CAP``.
+   The component's tables are then semijoin-reduced to the
+   arc-consistent fixpoint and eliminated again; a second overflow
+   runs the backtracking matcher (:mod:`repro.homomorphism.matcher`) on
+   the reduced residue, never on the full input.
 
 Query-injective semantics does not join here: its node-disjointness
 couples the atoms.  It instead runs the relation-guided joint search of
@@ -36,6 +36,7 @@ from __future__ import annotations
 from repro.engine import telemetry
 from repro.engine.cache import language_is_empty
 from repro.engine.join import (
+    EliminationOverflow,
     TupleRelation,
     filter_rows,
     from_binary,
@@ -43,17 +44,16 @@ from repro.engine.join import (
     joined_variables,
     natural_join,
     project,
-    semijoin,
     true_relation,
 )
 from repro.engine.relations import Relation
 from repro.engine.relations import relation_for as default_relation_for
 from repro.engine.runtime import checkpoint_site, resolve_context
 
-#: Row budget for one intermediate relation during variable elimination
-#: on a cyclic component.  Past it, the component falls back to the
-#: backtracking matcher over the semijoin-reduced tables (tests shrink
-#: this to force the fallback).  An explicit
+#: Row budget for one join during variable elimination.  Past it, the
+#: component's tables are semijoin-reduced and eliminated again, and
+#: past it a second time the backtracking matcher runs over the reduced
+#: tables (tests shrink this to force the ladder).  An explicit
 #: :class:`~repro.engine.runtime.ResourceBudget` row cap is checked
 #: *first* and raises instead of falling back.
 ELIMINATION_ROW_CAP = 200_000
@@ -61,25 +61,17 @@ ELIMINATION_ROW_CAP = 200_000
 SITE_PLANNER_REDUCE = checkpoint_site(
     "planner.reduce", "semijoin-reduction fixpoint (per table per pass)"
 )
-SITE_PLANNER_YANNAKAKIS = checkpoint_site(
-    "planner.yannakakis", "Yannakakis semijoin/join passes (per tree edge)"
-)
 SITE_PLANNER_ELIMINATE = checkpoint_site(
     "planner.eliminate", "variable-elimination joins (per intermediate join)"
 )
 
-_COMPONENTS_ACYCLIC = telemetry.registry().counter("planner.components.acyclic")
-_COMPONENTS_CYCLIC = telemetry.registry().counter("planner.components.cyclic")
+_COMPONENTS_JOIN = telemetry.registry().counter("planner.components.join")
 _COMPONENTS_DOMAIN = telemetry.registry().counter("planner.components.domain")
 _MATCHER_FALLBACKS = telemetry.registry().counter("planner.fallback.matcher")
 _SEMIJOIN_PASSES = telemetry.registry().counter("planner.semijoin.passes")
 _SEMIJOIN_ROWS_REMOVED = telemetry.registry().counter(
     "planner.semijoin.rows_removed"
 )
-
-
-class EliminationOverflow(Exception):
-    """Internal signal: a variable-elimination join outgrew the cap."""
 
 
 # ----------------------------------------------------------------------
@@ -92,7 +84,7 @@ def semijoin_reduce(tables, ctx=None):
     values survive in *every* other table mentioning the variable.
     Returns the reduced tables, or ``None`` when one empties.
 
-    Shared by the cyclic-component pipeline here and by the q-inj
+    Shared by the overflow ladder here and by the q-inj
     pruning plan (:mod:`repro.engine.qinj`), which reduces the standard
     over-approximation tables before its guided joint search.
     """
@@ -134,47 +126,8 @@ def semijoin_reduce(tables, ctx=None):
 
 
 # ----------------------------------------------------------------------
-# GYO reduction and elimination orders
+# Elimination orders
 # ----------------------------------------------------------------------
-
-
-def gyo_reduce(hyperedges):
-    """GYO-reduce ``{edge_id: frozenset(vars)}``.
-
-    Returns ``(acyclic, parent, root)`` where ``parent`` maps each
-    removed ear to the witness edge containing it — the join tree when
-    the reduction succeeds (``acyclic`` iff at most one edge survives).
-    Deterministic: ids are visited in sorted order.
-    """
-    remaining = {eid: set(vars_) for eid, vars_ in hyperedges.items()}
-    parent = {}
-    while len(remaining) > 1:
-        counts = {}
-        for vars_ in remaining.values():
-            for variable in vars_:
-                counts[variable] = counts.get(variable, 0) + 1
-        shrunk = False
-        for vars_ in remaining.values():
-            lonely = {v for v in vars_ if counts[v] == 1}
-            if lonely:
-                vars_ -= lonely
-                shrunk = True
-        ids = sorted(remaining)
-        removed = None
-        for eid in ids:
-            for fid in ids:
-                if fid != eid and remaining[eid] <= remaining[fid]:
-                    parent[eid] = fid
-                    removed = eid
-                    break
-            if removed is not None:
-                break
-        if removed is not None:
-            del remaining[removed]
-        elif not shrunk:
-            return False, parent, None
-    root = next(iter(remaining)) if remaining else None
-    return True, parent, root
 
 
 def min_degree_order(variables, edges, keep=()):
@@ -230,27 +183,18 @@ class PlannedAtom:
 class ComponentPlan:
     """The plan of one connected component of the variable graph."""
 
-    __slots__ = ("kind", "variables", "atoms", "out_vars", "parent",
-                 "root", "children", "elimination_order")
+    __slots__ = ("kind", "variables", "atoms", "out_vars",
+                 "elimination_order")
 
-    ACYCLIC = "acyclic"
-    CYCLIC = "cyclic"
+    JOIN = "join"
     DOMAIN = "domain"  # an isolated variable: a scan over the node set
 
-    def __init__(self, kind, variables, atoms, out_vars, parent=None,
-                 root=None, elimination_order=()):
+    def __init__(self, kind, variables, atoms, out_vars,
+                 elimination_order=()):
         self.kind = kind
         self.variables = tuple(sorted(variables, key=repr))
         self.atoms = tuple(atoms)
         self.out_vars = tuple(out_vars)
-        self.parent = dict(parent or {})
-        self.root = root
-        children = {planned.index: [] for planned in atoms}
-        for child, parent_id in self.parent.items():
-            children[parent_id].append(child)
-        self.children = {
-            node: tuple(sorted(ids)) for node, ids in children.items()
-        }
         self.elimination_order = tuple(elimination_order)
 
     def describe_lines(self):
@@ -260,26 +204,11 @@ class ComponentPlan:
             yield (f"component {{{variables}}}: domain scan "
                    f"(isolated variable; out: {out})")
             return
-        if self.kind == self.ACYCLIC:
-            yield (f"component {{{variables}}}: acyclic — Yannakakis "
-                   f"semijoin pipeline ({len(self.atoms)} relation(s); "
-                   f"out: {out})")
-            by_index = {planned.index: planned for planned in self.atoms}
-
-            def render(node, depth):
-                marker = "(root) " if depth == 0 else ""
-                yield "  " * depth + "  " + marker + by_index[node].describe()
-                for child in self.children.get(node, ()):
-                    yield from render(child, depth + 1)
-
-            yield "  join tree:"
-            yield from render(self.root, 0)
-            return
         order = ", ".join(str(v) for v in self.elimination_order) or "—"
-        yield (f"component {{{variables}}}: cyclic — semijoin "
-               f"pre-reduction + min-degree elimination (order: {order}; "
-               f"matcher fallback past {ELIMINATION_ROW_CAP} rows; "
-               f"out: {out})")
+        yield (f"component {{{variables}}}: min-degree elimination "
+               f"(order: {order}; out: {out})")
+        yield (f"    past {ELIMINATION_ROW_CAP} rows in a join: semijoin "
+               f"reduction, then elimination again, then the matcher")
         for planned in self.atoms:
             yield "    " + planned.describe()
 
@@ -287,8 +216,8 @@ class ComponentPlan:
 class JoinPlan:
     """A full glue plan for one ε-free disjunct (st / a-inj).
 
-    Construction fetches the atom relations and shapes the plan (GYO,
-    join trees, elimination orders) but executes **no** glue —
+    Construction fetches the atom relations and shapes the plan
+    (components, elimination orders) but executes **no** glue —
     ``answers()`` does the joining, ``explain()`` only renders.
     """
 
@@ -327,11 +256,9 @@ class JoinPlan:
         binding, when one is set).
 
         This is the membership path (`in_evaluation`), so it keeps the
-        old glue's early exit: components are checked independently, the
-        Yannakakis check stops after the upward semijoin pass (root
-        non-emptiness already decides the join), cyclic elimination
-        projects everything away, and the matcher fallback stops at its
-        first homomorphism.
+        old glue's early exit: components are checked independently,
+        elimination projects every variable away, and the matcher
+        fallback stops at its first homomorphism.
         """
         if self.empty_reason is not None:
             return False
@@ -371,87 +298,21 @@ class JoinPlan:
             if exists_only or not component.out_vars:
                 return true_relation() if values else TupleRelation((), ())
             return TupleRelation((variable,), ((value,) for value in values))
-        tables = {
-            planned.index: self._base_table(planned)
-            for planned in component.atoms
-        }
-        if any(table.is_empty() for table in tables.values()):
-            return TupleRelation(component.out_vars, ())
-        if component.kind == ComponentPlan.ACYCLIC:
-            return self._yannakakis(component, tables, ctx, exists_only)
-        return self._eliminate_cyclic(component, tables, ctx, exists_only)
-
-    def _yannakakis(self, component, tables, ctx=None, exists_only=False):
-        """Full reducer + bottom-up join over the GYO join tree."""
-        ctx = resolve_context(ctx)
-        post_order = []
-        stack = [component.root]
-        while stack:  # iterative DFS; reversed visit order is post-order
-            node = stack.pop()
-            post_order.append(node)
-            stack.extend(component.children.get(node, ()))
-        post_order.reverse()
-
-        # Upward semijoins: children reduce parents, leaves first.
-        for node in post_order:
-            if node == component.root:
-                continue
-            ctx.checkpoint(SITE_PLANNER_YANNAKAKIS)
-            parent_id = component.parent[node]
-            tables[parent_id] = semijoin(tables[parent_id], tables[node])
-            if tables[parent_id].is_empty():
-                return TupleRelation(component.out_vars, ())
-        if exists_only or not component.out_vars:
-            # Root non-emptiness already decides satisfiability.
-            return true_relation()
-        # Downward semijoins: parents reduce children, root first.
-        for node in reversed(post_order):
-            for child in component.children.get(node, ()):
-                ctx.checkpoint(SITE_PLANNER_YANNAKAKIS)
-                tables[child] = semijoin(tables[child], tables[node])
-        # Bottom-up join, projecting onto head variables + connectors.
-        out_set = set(component.out_vars)
-        results = {}
-        for node in post_order:
-            acc = tables[node]
-            children = component.children.get(node, ())
-            for child in children[:-1]:
-                ctx.checkpoint(SITE_PLANNER_YANNAKAKIS)
-                acc = natural_join(acc, results[child], ctx)
-            joined = (joined_variables(acc, results[children[-1]])
-                      if children else acc.variables)
-            if node == component.root:
-                keep = component.out_vars
-            else:
-                parent_vars = {
-                    v
-                    for planned in component.atoms
-                    if planned.index == component.parent[node]
-                    for v in (planned.atom.source, planned.atom.target)
-                }
-                keep = tuple(
-                    v for v in joined if v in out_set or v in parent_vars
-                )
-            if children:
-                # The last child join is fused with the projection.
-                ctx.checkpoint(SITE_PLANNER_YANNAKAKIS)
-                results[node], _ = join_project(
-                    acc, results[children[-1]], keep, ctx
-                )
-            else:
-                results[node] = project(acc, keep)
-        return results[component.root]
-
-    def _eliminate_cyclic(self, component, tables, ctx=None,
-                          exists_only=False):
-        ctx = resolve_context(ctx)
-        reduced = semijoin_reduce(list(tables.values()), ctx)
-        if reduced is None:
-            return TupleRelation(component.out_vars, ())
+        tables = [self._base_table(planned) for planned in component.atoms]
         out_vars = () if exists_only else component.out_vars
+        if any(table.is_empty() for table in tables):
+            return TupleRelation(out_vars, ())
         try:
-            return self._variable_elimination(component, list(reduced),
-                                              out_vars, ctx)
+            return self._variable_elimination(component, tables, out_vars,
+                                              ctx)
+        except EliminationOverflow:
+            pass
+        reduced = semijoin_reduce(tables, ctx)
+        if reduced is None:
+            return TupleRelation(out_vars, ())
+        try:
+            return self._variable_elimination(component, reduced, out_vars,
+                                              ctx)
         except EliminationOverflow:
             return self._matcher_fallback(component, reduced, out_vars,
                                           exists_only=exists_only)
@@ -466,18 +327,14 @@ class JoinPlan:
             acc = tables[0]
             for table in tables[1:-1]:
                 ctx.checkpoint(SITE_PLANNER_ELIMINATE)
-                acc = natural_join(acc, table, ctx)
-                if len(acc) > ELIMINATION_ROW_CAP:
-                    raise EliminationOverflow
+                acc = natural_join(acc, table, ctx, cap=ELIMINATION_ROW_CAP)
             if len(tables) == 1:
                 return project(acc, keep_of(acc.variables))
             ctx.checkpoint(SITE_PLANNER_ELIMINATE)
             last = tables[-1]
-            acc, full_rows = join_project(
-                acc, last, keep_of(joined_variables(acc, last)), ctx
-            )
-            if full_rows > ELIMINATION_ROW_CAP:
-                raise EliminationOverflow
+            acc, _ = join_project(acc, last,
+                                  keep_of(joined_variables(acc, last)), ctx,
+                                  cap=ELIMINATION_ROW_CAP)
             return acc
 
         eliminate = list(component.elimination_order)
@@ -498,8 +355,8 @@ class JoinPlan:
     def _matcher_fallback(self, component, reduced_tables, out_vars,
                           exists_only=False):
         """The pre-join-engine CSP glue, run only on the semijoin-reduced
-        residue of a cyclic component (first-witness exit in existence
-        mode)."""
+        residue of a component whose elimination overflowed twice
+        (first-witness exit in existence mode)."""
         _MATCHER_FALLBACKS.inc()
         from repro.graphdb.graph import GraphDatabase
         from repro.homomorphism.matcher import homomorphisms
@@ -626,27 +483,15 @@ def plan_eps_free(query, graph, semantics, relation_for=None, binding=None):
             components.append(ComponentPlan(
                 ComponentPlan.DOMAIN, member_vars, (), out_vars))
             continue
-        hyperedges = {
-            planned.index: frozenset((planned.atom.source,
-                                      planned.atom.target))
-            for planned in members
-        }
-        acyclic, parent, root = gyo_reduce(hyperedges)
-        if acyclic:
-            _COMPONENTS_ACYCLIC.inc()
-            components.append(ComponentPlan(
-                ComponentPlan.ACYCLIC, member_vars, members, out_vars,
-                parent=parent, root=root))
-        else:
-            order = min_degree_order(
-                member_vars,
-                [(p.atom.source, p.atom.target) for p in members],
-                keep=out_vars,
-            )
-            _COMPONENTS_CYCLIC.inc()
-            components.append(ComponentPlan(
-                ComponentPlan.CYCLIC, member_vars, members, out_vars,
-                elimination_order=order))
+        order = min_degree_order(
+            member_vars,
+            [(p.atom.source, p.atom.target) for p in members],
+            keep=out_vars,
+        )
+        _COMPONENTS_JOIN.inc()
+        components.append(ComponentPlan(
+            ComponentPlan.JOIN, member_vars, members, out_vars,
+            elimination_order=order))
     return JoinPlan(query, graph, semantics, components, unary,
                     loop_atoms, binding)
 

@@ -1,7 +1,7 @@
 """Execution governor: budgets, deadlines, cooperative cancellation.
 
-Every unbounded engine loop (product-reachability sweep, Yannakakis
-passes, variable elimination, q-inj backtracking, witness enumeration,
+Every unbounded engine loop (product-reachability sweep, semijoin
+reduction, variable elimination, q-inj backtracking, witness enumeration,
 incremental repair, batch jobs, simple-path DFS) calls
 :meth:`ExecutionContext.checkpoint` with a registered site id.  A
 checkpoint is an amortized guard: a cheap per-context counter on every

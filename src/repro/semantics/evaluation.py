@@ -8,8 +8,9 @@ Algorithms:
 
 - standard: per-atom walk relations (product-automaton BFS, NL in data
   complexity) glued by the join planner (:mod:`repro.engine.planner`):
-  GYO acyclicity test, Yannakakis semijoin pipeline for acyclic
-  disjuncts, semijoin-reduced variable elimination for cyclic ones;
+  min-degree variable elimination over hash joins for every disjunct,
+  with semijoin reduction and the backtracking matcher as the overflow
+  ladder past its row cap;
 - atom-injective: per-atom *simple-path* relations (NP-hard already per
   atom, Prop 3.2) glued the same way — atoms need not be disjoint;
 - query-injective: a *relation-guided* joint backtracking search

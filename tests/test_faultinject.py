@@ -66,7 +66,6 @@ EVAL_SITES = (
     "paths.dfs",
     "planner.eliminate",
     "planner.reduce",
-    "planner.yannakakis",
     "product.sweep",
     "qinj.search",
 )

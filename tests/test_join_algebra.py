@@ -264,11 +264,28 @@ def _fallbacks():
     return telemetry.registry().counter("planner.fallback.matcher").value
 
 
+def _count_reduces(monkeypatch):
+    """Count the planner's ``semijoin_reduce`` calls from now on."""
+    calls = []
+    original = planner.semijoin_reduce
+
+    def spy(tables, ctx=None):
+        calls.append(len(tables))
+        return original(tables, ctx)
+
+    monkeypatch.setattr(planner, "semijoin_reduce", spy)
+    return calls
+
+
 # One cyclic query and graph.  The matcher-fallback counts below were
 # recorded with the materializing join, whose largest intermediate here
 # has 190 rows; the fused join must reach the same verdict at the edge.
+# Elimination first runs over the unreduced base tables, so every cap
+# under that first run's largest join reduces once; only a cap the
+# reduced tables also outgrow reaches the matcher.
 CYCLIC = parse_query("Q(x, y) :- x -[a]-> y, y -[b]-> z, z -[a b]-> x")
 FALLBACKS_BY_CAP = {0: 1, 56: 1, 189: 1, 190: 0, 10_000: 0}
+REDUCES_BY_CAP = {0: 1, 56: 1, 189: 1, 190: 1, 10_000: 0}
 
 
 @pytest.mark.parametrize("cap,fallbacks", sorted(FALLBACKS_BY_CAP.items()))
@@ -277,6 +294,48 @@ def test_elimination_cap_fallback_count_is_unchanged(monkeypatch, cap,
     graph = uniform_random(40, 160, {"a", "b"}, seed=3)
     want = evaluate(CYCLIC, graph.copy(), "st")
     monkeypatch.setattr(planner, "ELIMINATION_ROW_CAP", cap)
+    reduces = _count_reduces(monkeypatch)
     before = _fallbacks()
     assert evaluate(CYCLIC, graph.copy(), "st") == want
     assert _fallbacks() - before == fallbacks
+    assert len(reduces) == REDUCES_BY_CAP[cap]
+
+
+STAR = parse_query("Q(p, q, r) :- x -[a]-> p, x -[b]-> q, x -[a]-> r")
+
+
+@pytest.mark.parametrize("query", [CYCLIC, STAR], ids=["cycle", "star"])
+def test_no_join_output_over_the_elimination_cap_is_built(monkeypatch,
+                                                          query):
+    """The elimination cap is checked on the full row count before a
+    join builds anything.  The cap sits just below the largest join of
+    an uncapped run (the largest materialized one, when a plain join
+    runs at all); under it every join output (the full count, for the
+    fused join) stays within the cap, and the ladder still finds the
+    same answers."""
+    graph = uniform_random(40, 160, {"a", "b"}, seed=3)
+    built, fused = [], []
+    original_join, original_fused = planner.natural_join, planner.join_project
+
+    def join_spy(left, right, *args, **kwargs):
+        result = original_join(left, right, *args, **kwargs)
+        if left.variables and right.variables:
+            built.append(len(result))
+        return result
+
+    def fused_spy(*args, **kwargs):
+        result, full = original_fused(*args, **kwargs)
+        fused.append(full)
+        return result, full
+
+    monkeypatch.setattr(planner, "natural_join", join_spy)
+    monkeypatch.setattr(planner, "join_project", fused_spy)
+    want = evaluate(query, graph.copy(), "st")
+    cap = max(built or fused) - 1
+    built.clear()
+    fused.clear()
+    monkeypatch.setattr(planner, "ELIMINATION_ROW_CAP", cap)
+    reduces = _count_reduces(monkeypatch)
+    assert evaluate(query, graph.copy(), "st") == want
+    assert reduces  # the cap was hit
+    assert max(built + fused, default=0) <= cap

@@ -1,8 +1,8 @@
 """Differential tests: join-engine glue vs the pre-PR CSP glue.
 
 The join planner replaced the st / a-inj glue (relation-``GraphDatabase``
-materialization + backtracking homomorphism enumeration) with GYO +
-Yannakakis / variable elimination.  None of that may change a single
+materialization + backtracking homomorphism enumeration) with min-degree
+variable elimination over hash joins.  None of that may change a single
 answer.  This suite transcribes the old glue independently (it reads
 atom relations through the same :func:`repro.semantics.evaluation.
 atom_pairs`, so the *only* difference is the glue) and pins
@@ -12,7 +12,8 @@ atom_pairs`, so the *only* difference is the glue) and pins
 - ``evaluate_batch`` — per-query equality through the shared store,
 
 on randomized graphs and random queries for standard and atom-injective
-semantics (q-inj keeps its joint search untouched; one spot check pins
+semantics, plus a set of named fixed shapes (the repo benchmark's cold
+standard-semantics queries, parallel atoms, a star, a long chain) (q-inj keeps its joint search untouched; one spot check pins
 it against the hierarchy anyway).
 """
 
@@ -20,6 +21,7 @@ import random
 
 import pytest
 
+from repro.analysis.catalog import by_name
 from repro.analysis.workloads import random_query
 from repro.graphdb.generators import uniform_random
 from repro.graphdb.graph import GraphDatabase
@@ -27,6 +29,7 @@ from repro.homomorphism.matcher import homomorphisms
 from repro.queries.atoms import CQAtom
 from repro.queries.cq import CQ
 from repro.queries.crpq import QueryClass, union_of
+from repro.queries.parser import parse_query
 from repro.semantics.base import Semantics
 from repro.semantics.evaluation import (
     atom_pairs,
@@ -146,6 +149,48 @@ def test_evaluate_batch_matches_old_glue(seed, semantics):
     _rng, graph, queries = _random_setup(seed, semantics)
     want = [old_evaluate(query, graph, semantics) for query in queries]
     assert evaluate_batch(queries, graph, semantics) == want
+
+
+# ----------------------------------------------------------------------
+# Named fixed shapes
+# ----------------------------------------------------------------------
+
+FIXED_SHAPES = {
+    # The cold standard-semantics shapes of perfbench/workloads.py.
+    "reach-plus": "Q(x, y) :- x -[(ab)^+]-> y",
+    "reach-star": "Q(x, y) :- x -[a* b]-> y",
+    "triangle": "Q(x, y, z) :- x -[ab]-> y, y -[b]-> z, z -[a b*]-> x",
+    "boolean": "Q() :- x -[(ab)^+]-> y, y -[ba]-> x",
+    "chain": "Q(x, y) :- x -[ab]-> z, z -[(ab)^+]-> y",
+    "parallel-atoms": "Q(x, y) :- x -[a^+ b]-> y, x -[(a+b) b]-> y",
+    "star-3": "Q(x, y, z) :- w -[a]-> x, w -[b]-> y, w -[ab]-> z",
+}
+
+
+def _fixed_shape(name):
+    if name == "chain-6":
+        entry = by_name(name)
+        return entry.query, entry.graph()
+    graph = uniform_random(10, 30, {"a", "b"}, seed=5)
+    return parse_query(FIXED_SHAPES[name]), graph
+
+
+@pytest.mark.parametrize("semantics",
+                         [Semantics.STANDARD, Semantics.ATOM_INJECTIVE],
+                         ids=str)
+@pytest.mark.parametrize("name", [*FIXED_SHAPES, "chain-6"])
+def test_fixed_shape_matches_old_glue(name, semantics):
+    query, graph = _fixed_shape(name)
+    answers = old_evaluate(query, graph, semantics)
+    assert evaluate(query, graph, semantics) == answers
+    rng = random.Random(name)
+    nodes = sorted(graph.nodes, key=repr)
+    candidates = sorted(answers, key=repr)[:3] + [
+        tuple(rng.choice(nodes) for _ in query.head) for _ in range(3)
+    ]
+    for target in candidates:
+        want = old_in_evaluation(query, graph, target, semantics)
+        assert in_evaluation(query, graph, target, semantics) == want, target
 
 
 @pytest.mark.parametrize("seed", range(4))

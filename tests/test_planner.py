@@ -4,8 +4,8 @@ The planner (:mod:`repro.engine.planner`) replaces the CSP glue on the
 st / a-inj hot path.  These tests pin the corners the differential
 suite's random queries may miss: disconnected queries, repeated
 variables in atoms and heads, loop atoms as unary relations, empty atom
-relations, Boolean queries, the cyclic matcher fallback, and the
-``--explain`` surfaces.
+relations, Boolean queries, the overflow ladder's matcher fallback, and
+the ``--explain`` surfaces.
 """
 
 import pytest
@@ -15,7 +15,6 @@ from repro.engine import planner
 from repro.engine.planner import (
     ComponentPlan,
     explain_query,
-    gyo_reduce,
     min_degree_order,
     plan_eps_free,
 )
@@ -43,30 +42,13 @@ def _diamond_graph():
 
 
 # ----------------------------------------------------------------------
-# GYO and elimination orders
+# Elimination orders
 # ----------------------------------------------------------------------
 
 
 class TestGYO:
-    def test_chain_is_acyclic(self):
-        edges = {0: frozenset("xy"), 1: frozenset("yz"), 2: frozenset("zw")}
-        acyclic, parent, root = gyo_reduce(edges)
-        assert acyclic
-        # Every non-root edge hangs off a witness that contains it.
-        assert set(parent) | {root} == set(edges)
-
-    def test_triangle_is_cyclic(self):
-        edges = {0: frozenset("xy"), 1: frozenset("yz"), 2: frozenset("zx")}
-        acyclic, _parent, root = gyo_reduce(edges)
-        assert not acyclic
-        assert root is None
-
-    def test_parallel_edges_are_acyclic(self):
-        edges = {0: frozenset("xy"), 1: frozenset("xy")}
-        acyclic, parent, root = gyo_reduce(edges)
-        assert acyclic
-        assert parent == {0: 1} or parent == {1: 0}
-        assert root in (0, 1)
+    """Elimination orders (the class keeps the name of the GYO
+    reduction the planner no longer runs)."""
 
     def test_min_degree_order_skips_kept_variables(self):
         order = min_degree_order(
@@ -85,20 +67,27 @@ class TestGYO:
 
 class TestPlanShapes:
     def test_chain_plans_acyclic(self):
+        """An acyclic chain runs the same elimination as a cycle: its
+        one inner variable is the whole order."""
         query = parse_query("Q(x, z) :- x -[a]-> y, y -[b]-> z")
         plan = plan_eps_free(query, _diamond_graph(), Semantics.STANDARD)
-        assert [c.kind for c in plan.components] == [ComponentPlan.ACYCLIC]
-        assert "Yannakakis" in plan.explain()
+        assert [c.kind for c in plan.components] == [ComponentPlan.JOIN]
+        assert plan.components[0].elimination_order == ("y",)
+        assert "min-degree elimination (order: y; out: x, z)" \
+            in plan.explain()
 
     def test_triangle_plans_cyclic(self):
         query = parse_query(
             "Q(x) :- x -[a]-> y, y -[b]-> z, z -[c]-> x"
         )
         plan = plan_eps_free(query, _diamond_graph(), Semantics.STANDARD)
-        assert [c.kind for c in plan.components] == [ComponentPlan.CYCLIC]
-        assert plan.components[0].elimination_order  # head var x survives
-        assert "x" not in plan.components[0].elimination_order
-        assert "cyclic" in plan.explain()
+        assert [c.kind for c in plan.components] == [ComponentPlan.JOIN]
+        assert plan.components[0].elimination_order == ("y", "z")
+        text = plan.explain()
+        assert "min-degree elimination (order: y, z; out: x)" in text
+        assert (f"past {planner.ELIMINATION_ROW_CAP} rows in a join: "
+                f"semijoin reduction, then elimination again, then the "
+                f"matcher") in text
 
     def test_explain_reports_relation_sizes(self):
         query = parse_query("Q(x, z) :- x -[a]-> y, y -[b]-> z")
@@ -323,7 +312,7 @@ class TestExplainCLI:
         assert main(["evaluate", "Q(x, z) :- x -[a]-> y, y -[b]-> z",
                      graph_file, "--explain"]) == 0
         out = capsys.readouterr().out
-        assert "Yannakakis" in out
+        assert "min-degree elimination (order: y; out: x, z)" in out
         assert "answer(s)" not in out
 
     def test_evaluate_explain_rejects_trails(self, graph_file, capsys):
@@ -339,6 +328,7 @@ class TestExplainCLI:
         assert main(["batch", graph_file, str(queries), "--explain"]) == 0
         out = capsys.readouterr().out
         assert "batch plan:" in out
-        assert "Yannakakis" in out
-        assert "cyclic" in out
+        assert "min-degree elimination (order: y; out: x, z)" in out
+        assert "min-degree elimination (order: y, z; out: x)" in out
+        assert "semijoin reduction, then elimination again" in out
         assert "answer(s)" not in out

@@ -257,8 +257,7 @@ class TestSiteRegistry:
         for site in ("product.sweep", "join.natural-join", "qinj.search",
                      "paths.dfs", "batch.entry",
                      "incremental.grow", "incremental.shrink",
-                     "planner.reduce", "planner.yannakakis",
-                     "planner.eliminate"):
+                     "planner.reduce", "planner.eliminate"):
             assert site in sites
 
     def test_architecture_doc_table_lists_every_engine_site(self):
