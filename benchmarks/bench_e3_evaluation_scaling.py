@@ -10,6 +10,10 @@ evaluation stays flat-ish, injective evaluation grows much faster.
 
 import pytest
 
+from _timing import interleaved_best_of
+from repro.engine import telemetry
+from repro.engine.cache import compiled_nfa
+from repro.engine.product import product_reachability_pairs
 from repro.graphdb.generators import two_lane_road, uniform_random
 from repro.queries.parser import parse_query
 from repro.semantics.evaluation import evaluate
@@ -37,3 +41,31 @@ def test_bench_qinj_data_scaling(benchmark, num_nodes):
     graph = uniform_random(num_nodes, 3 * num_nodes, {"a", "b"}, seed=5)
     query = parse_query("Q(x, y) :- x -[(ab)^+]-> y")
     benchmark(evaluate, query, graph, "q-inj")
+
+
+def test_large_answer_costs_about_the_kernel():
+    """Scale gate: at n=1000 the one-atom query has ~337k answers, past
+    the planner's elimination cap.  A cold ``evaluate`` must cost at
+    most 3x the product kernel alone on the same graph, and never fall
+    back to the matcher (the answer is the last join, not a blow-up)."""
+    graph = uniform_random(1000, 3000, {"a", "b"}, seed=0)
+    query = parse_query("Q(x, y) :- x -[(ab)^+]-> y")
+    (atom,) = query.atoms
+    nfa = compiled_nfa(atom.language)
+    fallbacks = telemetry.registry().counter("planner.fallback.matcher")
+    before = fallbacks.value
+    answers = evaluate(query, graph.copy(), "st")
+    assert {(u, v) for u, v in answers} == product_reachability_pairs(
+        graph.copy(), nfa)
+    evaluate_s, kernel_s = interleaved_best_of(
+        lambda: evaluate(query, graph.copy(), "st"),
+        lambda: product_reachability_pairs(graph.copy(), nfa),
+        rounds=3,
+    )
+    ratio = evaluate_s / kernel_s
+    print(f"\nE3 n=1000: {len(answers)} answers, evaluate {evaluate_s:.3f}s, "
+          f"kernel {kernel_s:.3f}s, ratio {ratio:.2f}x")
+    assert fallbacks.value == before
+    assert ratio <= 3.0, (
+        f"cold evaluate is {ratio:.2f}x the product kernel at n=1000"
+    )

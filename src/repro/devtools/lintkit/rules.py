@@ -867,7 +867,7 @@ CHECKPOINTED_FUNCTIONS: dict[str, frozenset[str]] = {
     ),
     "engine/join.py": frozenset({"natural_join", "join_project"}),
     "engine/qinj.py": frozenset({"solutions"}),
-    "engine/incremental.py": frozenset({"grow", "shrink"}),
+    "engine/incremental.py": frozenset({"rebuild", "grow", "shrink"}),
     "engine/batch.py": frozenset({"_entry_answers"}),
     "graphdb/paths.py": frozenset({"search"}),
 }

@@ -32,13 +32,23 @@ edges can only shrink masks *downstream* of a removed product edge: the
 dirty region is the forward closure of the removed edges' product
 targets over the old product graph (over-approximated by current ∪
 removed edges — sound, never smaller than the true region).  States
-outside it keep their masks; states inside are reset to their seeds plus
-the contributions of their unaffected predecessors and re-propagated
-internally.  Deltas with more than ``deletion_repair_cap`` removed
-edges, any removed *node* (bit-table hygiene), or a delta the graph's
-capped change-log no longer covers fall back to a full rebuild.
-Correctness never depends on the heuristic: every path recomputes the
-same fixpoint, only the amount of touched state differs.
+outside it keep their masks.  The closure records each dirty state's
+successors inside the region over the *current* graph, and every dirty
+state gets a base mask: its seed bit plus the masks of its unaffected
+predecessors.  The region is then *settled* in one pass — condensed
+into strongly connected components, base masks ORed per component, and
+the component masks pushed through the condensation in topological
+order — so each dirty state is written exactly once, however cyclic
+the product.  Current edges that leave the region reach only states
+that were unreachable before the delta, i.e. added edges; the insert
+pass that follows delivers the settled masks across them.
+:meth:`MaintainedRelation.rebuild` is the same settle over the whole
+reachable product, after one forward sweep from the seeds.  Deltas
+with more than ``deletion_repair_cap`` removed edges, any removed
+*node* (bit-table hygiene), or a delta the graph's capped change-log no
+longer covers fall back to that rebuild.  Correctness never depends on
+the heuristic: every path computes the same fixpoint, only the amount
+of touched state differs.
 
 **Sharing.**  The store is attached to the graph
 (``graph._incremental_store``) and consulted by exactly one relation
@@ -67,12 +77,13 @@ from collections import OrderedDict
 
 from repro.engine import telemetry
 from repro.engine.cache import compiled_nfa, reversed_nfa
-from repro.engine.product import _decode_mask
+from repro.engine.product import _decode_mask, _tarjan_sccs
 from repro.engine.relations import Relation
 from repro.engine.runtime import checkpoint_site, resolve_context
 
 SITE_INCREMENTAL_GROW = checkpoint_site(
-    "incremental.grow", "semi-naive insert propagation (per worklist pop)"
+    "incremental.grow",
+    "insert propagation and full rebuild (per product state)",
 )
 SITE_INCREMENTAL_SHRINK = checkpoint_site(
     "incremental.shrink", "deletion dirty-region repair (per product state)"
@@ -142,15 +153,40 @@ class MaintainedRelation:
 
     # -- full rebuild ---------------------------------------------------
 
-    def rebuild(self, graph):
-        """Recompute everything: the whole graph as one insert delta."""
+    def rebuild(self, graph, ctx=None):
+        """Recompute everything: one forward sweep from the seeds over
+        the current graph, then one :meth:`_settle` of the whole
+        reachable product."""
+        ctx = resolve_context(ctx)
+        transitions = self.nfa.transitions
         self.bit_of = {}
         self.node_of = []
         self.sources = {}
         self.target_masks = {}
         self.pairs = set()
         self.dirty = True
-        self.grow(graph, graph.nodes, graph.edges)
+        base = {}
+        for node in graph.nodes:
+            bit = 1 << self._bit(node)
+            for initial in self.nfa.initials:
+                base[(node, initial)] = bit
+        region = set(base)
+        stack = list(base)
+        succ = {}
+        while stack:
+            ctx.checkpoint(SITE_INCREMENTAL_GROW)
+            product_state = stack.pop()
+            node, state = product_state
+            successors = succ[product_state] = []
+            for edge in graph.out_edges(node):
+                for next_state in transitions.get((state, edge.label), ()):
+                    successor = (edge.target, next_state)
+                    successors.append(successor)
+                    if successor not in region:
+                        region.add(successor)
+                        stack.append(successor)
+        self._settle(succ, base)
+        self._rederive_targets(region)
         self.version = graph.version
 
     # -- insert-only maintenance ----------------------------------------
@@ -202,9 +238,12 @@ class MaintainedRelation:
 
         Sound for mixed deltas when run *before* :meth:`grow`: the dirty
         closure uses current ∪ removed edges (a superset of the old
-        product edges), repaired masks are the exact fixpoint given the
-        untouched exterior, and any growth the added edges owe the
-        exterior is delivered by the subsequent ``grow`` worklist.
+        product edges) and the settled masks are the exact fixpoint
+        given the untouched exterior.  A current product edge that
+        leaves the region leads to a state that was unreachable before
+        the delta, so it is an *added* edge; the subsequent ``grow``
+        jolts it with the settled mask and its worklist carries the bits
+        onward, back into the region too.
 
         An interrupt (deadline/cancellation) mid-repair leaves this
         object inconsistent; the owning store drops the state on any
@@ -214,7 +253,6 @@ class MaintainedRelation:
         nfa = self.nfa
         transitions = nfa.transitions
         reverse_transitions = reversed_nfa(nfa).transitions
-        finals = nfa.finals
         initials = nfa.initials
         sources = self.sources
 
@@ -235,12 +273,24 @@ class MaintainedRelation:
                         dirty.add(target_state)
                         stack.append(target_state)
 
-        # 2. Forward closure over the old product graph.
+        # 2. Forward closure over the old product graph, keeping each
+        #    dirty state's successors over the *current* graph that lie
+        #    in the region (every reachable successor joins it).
+        succ = {}
         while stack:
             ctx.checkpoint(SITE_INCREMENTAL_SHRINK)
-            node, state = stack.pop()
-            out_edges = list(graph.out_edges(node)) + removed_out.get(node, [])
-            for edge in out_edges:
+            product_state = stack.pop()
+            node, state = product_state
+            successors = succ[product_state] = []
+            for edge in graph.out_edges(node):
+                for next_state in transitions.get((state, edge.label), ()):
+                    successor = (edge.target, next_state)
+                    if successor in sources:
+                        successors.append(successor)
+                        if successor not in dirty:
+                            dirty.add(successor)
+                            stack.append(successor)
+            for edge in removed_out.get(node, ()):
                 for next_state in transitions.get((state, edge.label), ()):
                     successor = (edge.target, next_state)
                     if successor in sources and successor not in dirty:
@@ -262,39 +312,55 @@ class MaintainedRelation:
                         mask |= sources.get(predecessor, 0)
             base[(node, state)] = mask
 
-        # 4. Reset the region and re-propagate to the fixpoint.  The
-        #    worklist is deliberately *not* confined to the dirty region:
-        #    with a mixed delta, bits entering the region through an
-        #    added edge must flow onward to previously-unreachable
-        #    states, and the later ``grow`` jolt would no-op on them
-        #    (the mask is already present here).  Unrestricted
-        #    propagation is sound — only bits valid in the current graph
-        #    flow, and pure-deletion deltas never leave the region.
-        for state in dirty:
-            sources.pop(state, None)
-        pending = []
-
-        def raise_mask(state, bits):
-            old = sources.get(state, 0)
-            merged = old | bits
-            if merged != old:
-                sources[state] = merged
-                pending.append((state, merged & ~old))
-
-        for state, mask in base.items():
-            if mask:
-                raise_mask(state, mask)
-        while pending:
-            ctx.checkpoint(SITE_INCREMENTAL_SHRINK)
-            (node, state), bits = pending.pop()
-            if state in finals:
-                self._gain_targets(node, bits)
-            for edge in graph.out_edges(node):
-                for next_state in transitions.get((state, edge.label), ()):
-                    raise_mask((edge.target, next_state), bits)
+        # 4. Settle the region: every dirty state's mask written once.
+        self._settle(succ, base)
 
         # 5. Re-derive the pair masks of every affected target node.
-        for node in {node for node, state in dirty if state in finals}:
+        self._rederive_targets(dirty)
+
+    def _settle(self, succ, base):
+        """Write the least fixpoint of a region given its base masks.
+
+        ``succ`` maps every region state to its successors inside the
+        region, ``base`` every region state to the bits it holds without
+        the region (seeds plus exterior predecessors).  The region is
+        condensed with :func:`~repro.engine.product._tarjan_sccs` — the
+        members of one component share one mask — and the component
+        masks flow through the condensation in topological order (the
+        reverse of Tarjan's sinks-first emission), so each state is
+        written exactly once and a state's mask is final before any
+        successor component reads it.  States left without bits leave
+        ``sources`` (they are no longer reachable).
+
+        It walks only the states its caller's sweep has already
+        checkpointed, one pass over their successor lists, so it is not
+        a registered governed loop and carries no checkpoint site.
+        """
+        components, component_of = _tarjan_sccs(succ)
+        masks = [0] * len(components)
+        for state, mask in base.items():
+            masks[component_of[state]] |= mask
+        sources = self.sources
+        for identifier in range(len(components) - 1, -1, -1):
+            mask = masks[identifier]
+            members = components[identifier]
+            if not mask:
+                for member in members:
+                    sources.pop(member, None)
+                continue
+            for member in members:
+                sources[member] = mask
+                for successor in succ[member]:
+                    other = component_of[successor]
+                    if other != identifier:
+                        masks[other] |= mask
+
+    def _rederive_targets(self, region):
+        """Recompute the target mask and pairs of every node with a final
+        state in ``region`` from the settled source masks."""
+        sources = self.sources
+        finals = self.nfa.finals
+        for node in {node for node, state in region if state in finals}:
             new_mask = 0
             for final in finals:
                 new_mask |= sources.get((node, final), 0)

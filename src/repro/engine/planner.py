@@ -19,7 +19,9 @@ is only the glue.  This module plans and executes that glue on one path:
    this does the work of a join-tree pass; on a cycle it is the
    classic fill-in.
 3. **Overflow ladder.**  Every join counts its full row count before
-   building a row and raises once it exceeds ``ELIMINATION_ROW_CAP``.
+   building a row and raises once it exceeds ``ELIMINATION_ROW_CAP``
+   — except the component's last join, whose row count is the answer
+   size itself.
    The component's tables are then semijoin-reduced to the
    arc-consistent fixpoint and eliminated again; a second overflow
    runs the backtracking matcher (:mod:`repro.homomorphism.matcher`) on
@@ -320,10 +322,11 @@ class JoinPlan:
     def _variable_elimination(self, component, tables, out_vars, ctx=None):
         ctx = resolve_context(ctx)
 
-        def join_all(tables, keep_of):
+        def join_all(tables, keep_of, last_cap=ELIMINATION_ROW_CAP):
             """``π_keep(t0 ⋈ … ⋈ tn)``, ``keep = keep_of(joined
             variables)``, the last join fused with the projection.  Each
-            join's *full* row count is held to ELIMINATION_ROW_CAP."""
+            join's *full* row count is held to ELIMINATION_ROW_CAP, the
+            last one's to ``last_cap``."""
             acc = tables[0]
             for table in tables[1:-1]:
                 ctx.checkpoint(SITE_PLANNER_ELIMINATE)
@@ -334,7 +337,7 @@ class JoinPlan:
             last = tables[-1]
             acc, _ = join_project(acc, last,
                                   keep_of(joined_variables(acc, last)), ctx,
-                                  cap=ELIMINATION_ROW_CAP)
+                                  cap=last_cap)
             return acc
 
         eliminate = list(component.elimination_order)
@@ -350,7 +353,12 @@ class JoinPlan:
             tables = rest + [join_all(involved, lambda joined: tuple(
                 v for v in joined if v != variable
             ))]
-        return join_all([true_relation()] + tables, lambda joined: out_vars)
+        # Every variable left is a head variable, so the last join's
+        # full row count is the answer size: the cap could only reject
+        # an answer that must be built anyway (the budget's row cap
+        # still bounds it).
+        return join_all([true_relation()] + tables, lambda joined: out_vars,
+                        last_cap=None)
 
     def _matcher_fallback(self, component, reduced_tables, out_vars,
                           exists_only=False):

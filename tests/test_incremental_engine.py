@@ -4,15 +4,18 @@ query-result reuse, and the CLI / batch surfaces."""
 
 import pytest
 
+from repro.analysis.qinj_pruning import rare_backbone_graph
 from repro.cli import load_mutations, main
 from repro.engine.batch import BatchExecutor, QueryBatch
 from repro.engine.incremental import (
+    DELETION_REPAIR_CAP,
     IncrementalRelationStore,
     MaintainedRelation,
     incremental_store,
 )
 from repro.engine.cache import compiled_nfa
-from repro.engine.product import product_reachability_pairs
+from repro.engine.product import _decode_mask, product_reachability_pairs
+from repro.engine.runtime import ExecutionContext, active_context
 from repro.engine.relations import atom_relation
 from repro.graphdb.graph import GraphDatabase
 from repro.queries.parser import parse_query
@@ -264,6 +267,92 @@ class TestMaintainedRelationUnit:
         assert store.standard_relation(star).pairs == {("u", "u")}
         graph.add_node("v")
         assert store.standard_relation(star).pairs == {("u", "u"), ("v", "v")}
+
+
+def _decoded_sources(state):
+    """A maintained relation's source masks as node sets (bit tables
+    differ between stores)."""
+    return {
+        product_state: frozenset(_decode_mask(mask, state.node_of))
+        for product_state, mask in state.sources.items()
+    }
+
+
+def _repair_and_rebuild(graph, language, mutate):
+    """Apply ``mutate`` to two store-attached copies of ``graph`` — one
+    repairing in place, one forced to rebuild — and return both stores'
+    maintained states after the refresh."""
+    states = []
+    for cap in (DELETION_REPAIR_CAP, 0):
+        copy = graph.copy()
+        store = IncrementalRelationStore(copy, deletion_repair_cap=cap)
+        store.standard_relation(language)
+        mutate(copy)
+        assert (store.standard_relation(language).pairs
+                == _reference_pairs(copy, language))
+        action = "maintained" if cap else "rebuilt"
+        assert store.counts[action] == 1
+        states.append(store._states[compiled_nfa(language)])
+    return states
+
+
+class TestDeletionRepair:
+    """The SCC-settled deletion repair and the rebuild share one settle;
+    both must reach the fixpoint of a fresh kernel run."""
+
+    def test_repair_work_is_bounded_by_the_product(self):
+        """One deleted edge settles each dirty product state once: the
+        closure's checkpoint hits stay within twice the product-state
+        count, where re-propagating bit deltas popped a state once per
+        partial mask (~10x the product on this graph)."""
+        graph = rare_backbone_graph(80, seed=3)
+        edge = min((e for e in graph.edges if e.label == "a"), key=repr)
+        store = IncrementalRelationStore(graph)
+        store.standard_relation(LANG)
+        product_states = len(store._states[compiled_nfa(LANG)].sources)
+        graph.remove_edge(edge.source, edge.label, edge.target)
+        hits = []
+        ctx = ExecutionContext()
+        ctx.install_probe(lambda site: hits.append(site))
+        with active_context(ctx):
+            relation = store.standard_relation(LANG)
+        assert relation.pairs == _reference_pairs(graph, LANG)
+        assert store.counts["maintained"] == 1
+        shrink_hits = hits.count("incremental.shrink")
+        assert 0 < shrink_hits <= 2 * product_states
+
+    def test_mixed_delta_leaves_and_reenters_the_region(self):
+        """Removing ``u -a-> v`` dirties ``(v, a)`` and ``(m, a)``; the
+        added ``m -a-> n`` leads to ``(n, a)``, unreachable before, and
+        the existing ``n -a-> m`` carries the new bit ``m`` back into
+        the region."""
+        graph = GraphDatabase(edges=[("u", "a", "v"), ("v", "a", "m"),
+                                     ("n", "a", "m")])
+        language = parse_regex("a^+")
+
+        def mutate(copy):
+            copy.remove_edge("u", "a", "v")
+            copy.add_edge("m", "a", "n")
+
+        repaired, rebuilt = _repair_and_rebuild(graph, language, mutate)
+        assert _decoded_sources(repaired) == _decoded_sources(rebuilt)
+        assert ("m", "m") in repaired.pairs and ("m", "n") in repaired.pairs
+
+    def test_pure_deletion_empties_a_whole_component(self):
+        """``b a*`` from ``u``: removing ``u -b-> v`` strips every bit from
+        the product cycle ``(v, a) <-> (w, a)``, so the whole component
+        leaves the maintained state and only the three seeds stay."""
+        graph = GraphDatabase(edges=[("u", "b", "v"), ("v", "a", "w"),
+                                     ("w", "a", "v")])
+        language = parse_regex("b a*")
+
+        def mutate(copy):
+            copy.remove_edge("u", "b", "v")
+
+        repaired, rebuilt = _repair_and_rebuild(graph, language, mutate)
+        assert not repaired.pairs and not repaired.target_masks
+        assert _decoded_sources(repaired) == _decoded_sources(rebuilt)
+        assert len(repaired.sources) == 3
 
 
 class TestCLIUpdate:

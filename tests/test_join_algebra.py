@@ -339,3 +339,24 @@ def test_no_join_output_over_the_elimination_cap_is_built(monkeypatch,
     assert evaluate(query, graph.copy(), "st") == want
     assert reduces  # the cap was hit
     assert max(built + fused, default=0) <= cap
+
+
+ONE_ATOM = parse_query("Q(x, y) :- x -[(a b)^+]-> y")
+TWO_ATOM_CHAIN = parse_query("Q(x, y, z) :- x -[a]-> y, y -[b]-> z")
+
+
+@pytest.mark.parametrize("query", [ONE_ATOM, TWO_ATOM_CHAIN],
+                         ids=["one-atom", "two-atom-chain"])
+def test_answer_larger_than_the_elimination_cap_is_not_an_overflow(
+        monkeypatch, query):
+    """The last join of a component keeps only head variables, so its
+    row count is the answer size.  A cap just below that size must
+    neither reduce nor reach the matcher."""
+    graph = uniform_random(40, 160, {"a", "b"}, seed=3)
+    want = evaluate(query, graph.copy(), "st")
+    cap = len(want) - 1
+    monkeypatch.setattr(planner, "ELIMINATION_ROW_CAP", cap)
+    reduces = _count_reduces(monkeypatch)
+    before = _fallbacks()
+    assert evaluate(query, graph.copy(), "st") == want
+    assert reduces == [] and _fallbacks() == before
