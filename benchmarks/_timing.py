@@ -1,11 +1,12 @@
 """Shared wall-clock helpers for the acceptance benchmarks.
 
-Every gate times its candidate and baseline with one of these two, so
-the timing discipline (best-of rounds; alternation and a paused
-collector where a small overhead ratio is gated) lives in one place.
+Every gate times its candidate and baseline with one of these, so the
+timing discipline (best-of rounds or medians; alternation and a paused
+collector where a small ratio is gated) lives in one place.
 """
 
 import gc
+import statistics
 import time
 
 
@@ -19,12 +20,12 @@ def best_of(callable_, rounds=3):
     return best
 
 
-def interleaved_best_of(first, second, rounds):
-    """Min wall time of each callable with rounds alternated, so slow
+def _interleaved_times(first, second, rounds):
+    """Per-round wall times of each callable, rounds alternated so slow
     drift (frequency scaling, cache temperature) hits both equally.
     The collector is paused during timed sections: a cycle collection
     landing inside one run would otherwise dwarf the measured delta."""
-    bests = [float("inf"), float("inf")]
+    times = ([], [])
     gc.collect()
     gc.disable()
     try:
@@ -32,7 +33,20 @@ def interleaved_best_of(first, second, rounds):
             for slot, callable_ in enumerate((first, second)):
                 start = time.perf_counter()
                 callable_()
-                bests[slot] = min(bests[slot], time.perf_counter() - start)
+                times[slot].append(time.perf_counter() - start)
     finally:
         gc.enable()
-    return bests
+    return times
+
+
+def interleaved_best_of(first, second, rounds):
+    """Min wall time of each callable over alternated rounds."""
+    return [min(times) for times in _interleaved_times(first, second, rounds)]
+
+
+def interleaved_medians(first, second, rounds):
+    """Median wall time of each callable over alternated rounds — for
+    gates on a ratio of two comparable costs, where one lucky round
+    should not decide."""
+    return [statistics.median(times)
+            for times in _interleaved_times(first, second, rounds)]

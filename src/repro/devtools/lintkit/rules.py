@@ -866,7 +866,7 @@ CHECKPOINTED_FUNCTIONS: dict[str, frozenset[str]] = {
         {"semijoin_reduce", "_variable_elimination"}
     ),
     "engine/join.py": frozenset({"natural_join", "join_project"}),
-    "engine/qinj.py": frozenset({"solutions"}),
+    "engine/qinj.py": frozenset({"_search"}),
     "engine/incremental.py": frozenset({"rebuild", "grow", "shrink"}),
     "engine/batch.py": frozenset({"_entry_answers"}),
     "graphdb/paths.py": frozenset({"search"}),

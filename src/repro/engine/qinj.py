@@ -29,7 +29,12 @@ the polynomial machinery built for the other semantics:
    cycle) is enumerated at the point of use by the path-search kernel
    (:func:`~repro.graphdb.paths.search`) with the search's current
    forbidden set, so the DFS never enters a node the partial solution
-   already uses.
+   already uses.  :meth:`QinjPlan.answers` keeps only head tuples, so
+   it runs the search under an exit rule: once every head variable is
+   bound, the rest of the search only checks that a completion exists
+   — the binding's witness loop stops at the first witness whose
+   continuation succeeds, and deeper levels yield at most one
+   solution.  :meth:`QinjPlan.solutions` still enumerates everything.
 
 The unguided search survives as
 :func:`repro.semantics.evaluation._qinj_solutions`; it is the reference
@@ -100,10 +105,14 @@ class QinjPlan:
     # -- execution ------------------------------------------------------
 
     def answers(self):
-        """The disjunct's q-inj answer set: a frozenset of head tuples."""
+        """The disjunct's q-inj answer set: a frozenset of head tuples.
+
+        Runs the search under the exit rule (see :meth:`_search`), so it
+        places one witness per answer rather than every solution."""
         head = self.query.head
         return frozenset(
-            tuple(mu[v] for v in head) for mu in self.solutions()
+            tuple(mu[v] for v in head)
+            for mu in self._search(resolve_context(None), by_head=True)
         )
 
     def is_satisfiable(self):
@@ -118,16 +127,53 @@ class QinjPlan:
         atom has a simple-path (simple-cycle for loop atoms) witness with
         fresh internal nodes — the same solution set as the unguided
         search, enumerated over the reduced candidate space only."""
+        yield from self._search(resolve_context(ctx), by_head=False)
+
+    def _search(self, ctx, by_head):
+        """The joint backtracking search behind :meth:`solutions`
+        (``by_head=False``: every solution) and :meth:`answers`
+        (``by_head=True``: one solution per head tuple).
+
+        The exit rule of ``by_head``: the *bind depth* is the search
+        level whose atom binds the last head variable (-1 when the
+        binding pins the whole head, ``len(order)`` when a head variable
+        is in no atom).  At the bind depth each endpoint binding whose
+        head tuple is new runs its witness loop only until the first
+        witness whose continuation succeeds; a tuple already found is
+        skipped.  Every deeper level, and the free-variable scan, is an
+        existence check that yields at most one solution.  Each level
+        undoes its own ``mu`` / ``used`` / ``internal`` changes before it
+        returns, and a level never abandons a suspended inner level: it
+        stops only between continuations, on their return values."""
         if self.empty_reason is not None:
             return
-        ctx = resolve_context(ctx)
         graph = self.graph
         atoms, nfas = self.atoms, self.nfas
         tables, domains, order = self.tables, self.domains, self.order
+        head = self.query.head
         mu = dict(self.binding)
         used = set(mu.values())
         internal = set()
         ordered_nodes = adjacency_index(graph).nodes_sorted
+        # Variables in no atom (and not pinned) are placed last, from
+        # leftover nodes; under the exit rule only the head's vary.
+        in_atoms = {v for atom in atoms for v in (atom.source, atom.target)}
+        free = [v for v in sorted(self.query.variables, key=repr)
+                if v not in mu and v not in in_atoms]
+        spread = [v for v in free if v in head] if by_head else free
+        rest = [v for v in free if v not in spread]
+        bind_depth = len(order) + 1     # never reached: full enumeration
+        if by_head:
+            unbound = set(head) - set(mu)
+            bind_depth = -1
+            for depth, index in enumerate(order):
+                if not unbound:
+                    break
+                unbound -= {atoms[index].source, atoms[index].target}
+                bind_depth = depth
+            if unbound:
+                bind_depth = len(order)
+        seen = set()                    # head tuples found (by_head)
 
         def available(pool):
             return tuple(
@@ -150,35 +196,15 @@ class QinjPlan:
             used.discard(mu.pop(variable))
 
         def place(depth):
+            """Yield the solutions extending μ from ``depth`` on; return
+            whether any was yielded."""
             ctx.checkpoint(SITE_QINJ_SEARCH)
             if depth == len(order):
-                yield from place_free()
-                return
+                return (yield from place_free())
             index = order[depth]
             atom, nfa = atoms[index], nfas[index]
-            if atom.is_loop():
-                variable = atom.source
-                if variable in mu:
-                    candidates = (mu[variable],)
-                else:
-                    candidates = available(domains.get(variable, ()))
-                for node in candidates:
-                    undo = assign(variable, node)
-                    if undo is None:
-                        continue
-                    forbidden = (used | internal) - {node}
-                    for nodes, _labels in search(
-                        graph, nfa, node, node, forbidden, ctx=ctx
-                    ):
-                        ctx.consume_witnesses(1, SITE_QINJ_SEARCH)
-                        internals = set(nodes[1:-1])
-                        internal.update(internals)
-                        yield from place(depth + 1)
-                        internal.difference_update(internals)
-                    if undo:
-                        unassign(variable)
-                return
-            table = tables[index]
+            exists = depth > bind_depth
+            found = False
             if atom.source in mu:
                 sources = (mu[atom.source],)
             else:
@@ -187,46 +213,85 @@ class QinjPlan:
                 undo_source = assign(atom.source, source)
                 if undo_source is None:
                     continue
-                if atom.target in mu:
+                if atom.is_loop():
+                    targets = (source,)
+                elif atom.target in mu:
                     targets = (
                         (mu[atom.target],)
-                        if (source, mu[atom.target]) in table else ()
+                        if (source, mu[atom.target]) in tables[index]
+                        else ()
                     )
                 else:
                     targets = available(
-                        sorted(table.targets_of(source), key=repr)
+                        sorted(tables[index].targets_of(source), key=repr)
                     )
                 for target in targets:
                     undo_target = assign(atom.target, target)
                     if undo_target is None:
                         continue
-                    forbidden = (used | internal) - {source, target}
-                    for nodes, _labels in search(
-                        graph, nfa, source, target, forbidden, ctx=ctx
-                    ):
-                        ctx.consume_witnesses(1, SITE_QINJ_SEARCH)
-                        internals = set(nodes[1:-1])
-                        internal.update(internals)
-                        yield from place(depth + 1)
-                        internal.difference_update(internals)
+                    if depth != bind_depth:
+                        if (yield from witnesses(depth, nfa, source, target)):
+                            found = True
+                    else:
+                        key = tuple(mu[v] for v in head)
+                        if key not in seen and (yield from witnesses(
+                                depth, nfa, source, target)):
+                            seen.add(key)
+                            found = True
                     if undo_target:
                         unassign(atom.target)
+                    if found and exists:
+                        break
                 if undo_source:
                     unassign(atom.source)
+                if found and exists:
+                    break
+            return found
+
+        def witnesses(depth, nfa, source, target):
+            """Run the continuation under each simple path (simple cycle
+            when ``source == target``) that avoids the nodes in use; from
+            the bind depth on, stop at the first that succeeds."""
+            forbidden = (used | internal) - {source, target}
+            found = False
+            for nodes, _labels in search(
+                graph, nfa, source, target, forbidden, ctx=ctx
+            ):
+                ctx.consume_witnesses(1, SITE_QINJ_SEARCH)
+                internals = set(nodes[1:-1])
+                internal.update(internals)
+                if (yield from place(depth + 1)):
+                    found = True
+                internal.difference_update(internals)
+                if found and depth >= bind_depth:
+                    break
+            return found
 
         def place_free():
-            # Variables in no atom (and not pinned): any leftover nodes,
-            # injectively — identical to the unguided search's scan.
-            free = [v for v in sorted(self.query.variables, key=repr)
-                    if v not in mu]
+            # Free variables take leftover nodes injectively — the
+            # unguided search's scan when every one of them spreads.
             if not free:
                 yield dict(mu)
-                return
+                return True
             leftover = available(ordered_nodes)
-            for combo in itertools.permutations(leftover, len(free)):
+            if len(leftover) < len(free):
+                return False
+            found = False
+            for combo in itertools.permutations(leftover, len(spread)):
                 assignment = dict(mu)
-                assignment.update(zip(free, combo))
+                assignment.update(zip(spread, combo))
+                if rest:
+                    assignment.update(zip(
+                        rest, (node for node in leftover if node not in combo)
+                    ))
+                if bind_depth == len(order):
+                    key = tuple(assignment[v] for v in head)
+                    if key in seen:
+                        continue
+                    seen.add(key)
                 yield assignment
+                found = True
+            return found
 
         yield from place(0)
 
@@ -283,7 +348,8 @@ class QinjPlan:
             )
         lines.append(
             "  witnesses: simple-path DFS per candidate pair, avoiding "
-            "nodes already used"
+            "nodes already used; answers stop at the first witness "
+            "once the head is bound"
         )
         return "\n".join(lines)
 

@@ -14,8 +14,11 @@ two versions and maintain its derived structures incrementally
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import defaultdict, deque
 from dataclasses import dataclass
+from itertools import islice
+from operator import itemgetter
 
 #: Default number of change-log entries kept per graph.  Once the log
 #: outgrows the cap the oldest entries are dropped and ``delta_since``
@@ -83,6 +86,9 @@ class GraphDatabase:
         self._changelog = deque()      # (version, op, payload)
         self._changelog_cap = changelog_cap
         self._changelog_floor = 0      # oldest version delta_since can serve
+        # (family, key) -> frozen copy of that index entry; a mutation
+        # evicts exactly the entries it changes (see _snapshot).
+        self._snapshots = {}
         for node in nodes:
             self.add_node(node)
         for edge in edges:
@@ -127,6 +133,7 @@ class GraphDatabase:
         self._out[source].add(edge)
         self._in[target].add(edge)
         self._by_label[label].add(edge)
+        self._evict_snapshots(edge)
         self._version += 1
         for node in new_nodes:
             self._log("+n", node)
@@ -150,6 +157,7 @@ class GraphDatabase:
             members.discard(edge)
             if not members:
                 del mapping[key]
+        self._evict_snapshots(edge)
         self._version += 1
         self._log("-e", edge)
         return edge
@@ -175,9 +183,19 @@ class GraphDatabase:
                                                     repr(e.target))):
             self.remove_edge(edge.source, edge.label, edge.target)
         self._nodes.discard(node)
+        self._snapshots.pop(("out", node), None)
+        self._snapshots.pop(("in", node), None)
         self._version += 1
         self._log("-n", node)
         return node
+
+    def _evict_snapshots(self, edge):
+        """Drop the snapshots of the three index entries ``edge``
+        belongs to; every other snapshot stays valid."""
+        snapshots = self._snapshots
+        snapshots.pop(("out", edge.source), None)
+        snapshots.pop(("in", edge.target), None)
+        snapshots.pop(("label", edge.label), None)
 
     def delta_since(self, version):
         """The net :class:`GraphDelta` between ``version`` and now.
@@ -196,9 +214,10 @@ class GraphDatabase:
             return None
         added_nodes, removed_nodes = set(), set()
         added_edges, removed_edges = set(), set()
-        for entry_version, op, payload in self._changelog:
-            if entry_version <= version:
-                continue
+        # Entry versions are non-decreasing: fold only the entries
+        # strictly newer than ``version``.
+        start = bisect_right(self._changelog, version, key=itemgetter(0))
+        for _version, op, payload in islice(self._changelog, start, None):
             if op == "+n":
                 if payload in removed_nodes:
                     removed_nodes.discard(payload)
@@ -267,19 +286,15 @@ class GraphDatabase:
         return len(self._edges)
 
     def _snapshot(self, family, mapping, key):
-        """A frozen copy of ``mapping[key]``, memoized per graph version
-        so repeated accessor calls don't re-copy unchanged sets."""
-        cache = self.__dict__.get("_snapshot_cache")
-        if cache is None or cache[0] != self._version:
-            cache = (self._version, {})
-            self._snapshot_cache = cache
-        snapshots = cache[1]
+        """A frozen copy of ``mapping[key]``, memoized until a mutation
+        changes that entry, so repeated accessor calls — across versions
+        too — don't re-copy unchanged sets."""
         cache_key = (family, key)
-        value = snapshots.get(cache_key)
+        value = self._snapshots.get(cache_key)
         if value is None:
             members = mapping.get(key)
             value = frozenset(members) if members else frozenset()
-            snapshots[cache_key] = value
+            self._snapshots[cache_key] = value
         return value
 
     def out_edges(self, node):

@@ -128,9 +128,10 @@ def evaluate(query, graph, semantics, *, budget=None, timeout=None,
             if trace:
                 with telemetry.tracing(ctx or activated_context()) \
                         as query_trace:
-                    _union_disjuncts(query, graph, semantics, results)
+                    answers = _union_disjuncts(query, graph, semantics,
+                                               results)
             else:
-                _union_disjuncts(query, graph, semantics, results)
+                answers = _union_disjuncts(query, graph, semantics, results)
     except (ResourceExhausted, EvaluationCancelled) as error:
         if on_budget == "raise":
             raise
@@ -140,19 +141,24 @@ def evaluate(query, graph, semantics, *, budget=None, timeout=None,
         return partial
     if query_trace is not None:
         return telemetry.TracedAnswers(
-            results, trace=query_trace, span=query_trace.root
+            answers, trace=query_trace, span=query_trace.root
         )
-    return frozenset(results)
+    return frozenset(answers)
 
 
 def _union_disjuncts(query, graph, semantics, results):
-    """Accumulate every analyzed disjunct's answers into ``results``
-    (mutated in place so ``on_budget="partial"`` sees completed
-    disjuncts), under an ``analyze`` span when a trace is active."""
+    """The union of every analyzed disjunct's answers, under an
+    ``analyze`` span when a trace is active.  A lone disjunct's result
+    frozenset comes back as is (``frozenset()`` of it copies nothing);
+    several accumulate into ``results``, mutated in place so
+    ``on_budget="partial"`` sees completed disjuncts."""
     with telemetry.span("analyze", semantics=str(semantics)):
         disjuncts = analyzed_disjuncts(query, semantics)
+    if len(disjuncts) == 1:
+        return evaluate_eps_free(disjuncts[0], graph, semantics)
     for eps_free in disjuncts:
         results |= evaluate_eps_free(eps_free, graph, semantics)
+    return results
 
 
 def evaluate_batch(queries, graph, semantics, max_workers=None, *,

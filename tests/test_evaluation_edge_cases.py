@@ -1,9 +1,11 @@
 """Deeper edge-case coverage for evaluation under all semantics:
 parallel edges, repeated head variables, large arities, self-loop webs,
-label types, and the empty-query corner."""
+label types, the empty-query corner, and the identity of returned
+answer sets."""
 
 import pytest
 
+from repro.engine.telemetry import TracedAnswers
 from repro.graphdb.graph import GraphDatabase
 from repro.queries.atoms import Atom
 from repro.queries.crpq import CRPQ
@@ -111,6 +113,28 @@ class TestDegenerateQueries:
         q = parse_query("Q(x, y, z) :- x -[a]-> y, y -[b]-> z")
         g = GraphDatabase(edges=[("u", "a", "v"), ("v", "b", "w")])
         assert evaluate(q, g, "q-inj") == {("u", "v", "w")}
+
+
+class TestAnswerSetIdentity:
+    def test_lone_disjunct_answers_are_returned_without_a_copy(self):
+        g = GraphDatabase(edges=[("u", "a", "v"), ("v", "a", "w")])
+        q = parse_query("Q(x, y) :- x -[a^+]-> y")
+        for semantics in ("st", "a-inj", "q-inj"):
+            first = evaluate(q, g, semantics)
+            assert type(first) is frozenset, semantics
+            # The cached per-disjunct frozenset itself, not a copy.
+            assert evaluate(q, g, semantics) is first, semantics
+            traced = evaluate(q, g, semantics, trace=True)
+            assert isinstance(traced, TracedAnswers) and traced == first
+
+    def test_several_disjuncts_are_merged(self):
+        g = GraphDatabase(edges=[("u", "a", "v"), ("v", "b", "w")])
+        union = (parse_query("Q(x, y) :- x -[a]-> y"),
+                 parse_query("Q(x, y) :- x -[b]-> y"))
+        for semantics in ("st", "a-inj", "q-inj"):
+            answers = evaluate(union, g, semantics)
+            assert type(answers) is frozenset, semantics
+            assert answers == {("u", "v"), ("v", "w")}, semantics
 
 
 class TestArityValidation:

@@ -1,5 +1,7 @@
 """Tests for the graph-database substrate and path machinery."""
 
+import random
+
 import pytest
 
 from repro.graphdb.graph import Edge, GraphDatabase
@@ -222,6 +224,93 @@ class TestChangeLog:
         g = GraphDatabase()
         with pytest.raises(ValueError, match="ahead"):
             g.delta_since(g.version + 1)
+
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_delta_since_matches_state_difference(self, seed):
+        """Random add/remove sequences: every ``delta_since(v)`` is the
+        net difference between the recorded state at ``v`` and now, or
+        ``None`` exactly when more entries than the cap are newer
+        than ``v`` (counted on an uncapped twin's log)."""
+        rng = random.Random(seed)
+        cap = 12
+        graph = GraphDatabase(changelog_cap=cap)
+        twin = GraphDatabase(changelog_cap=10_000)
+        states = {graph.version: (frozenset(), frozenset())}
+        for _ in range(80):
+            roll = rng.random()
+            edges = sorted(graph.edges)
+            nodes = sorted(graph.nodes)
+            if roll < 0.5 or not edges:
+                edge = (rng.randrange(6), rng.choice("ab"), rng.randrange(6))
+                for g in (graph, twin):
+                    g.add_edge(*edge)
+            elif roll < 0.8:
+                edge = rng.choice(edges)
+                for g in (graph, twin):
+                    g.remove_edge(edge.source, edge.label, edge.target)
+            elif roll < 0.9:
+                node = rng.randrange(8)
+                for g in (graph, twin):
+                    g.add_node(node)
+            else:
+                node = rng.choice(nodes)
+                for g in (graph, twin):
+                    g.remove_node(node, cascade=True)
+            assert graph.version == twin.version
+            states[graph.version] = (graph.nodes, graph.edges)
+            for version, (nodes_then, edges_then) in states.items():
+                newer = sum(1 for entry in twin._changelog
+                            if entry[0] > version)
+                delta = graph.delta_since(version)
+                if newer > cap:
+                    assert delta is None
+                    continue
+                assert delta == twin.delta_since(version)
+                assert delta.added_nodes == graph.nodes - nodes_then
+                assert delta.removed_nodes == nodes_then - graph.nodes
+                assert delta.added_edges == graph.edges - edges_then
+                assert delta.removed_edges == edges_then - graph.edges
+
+
+class TestSnapshots:
+    def test_snapshots_follow_every_mutation(self):
+        g = GraphDatabase(edges=[(1, "a", 2), (2, "b", 3), (3, "a", 1)])
+        assert g.out_edges(1) == {Edge(1, "a", 2)}
+        assert g.in_edges(1) == {Edge(3, "a", 1)}
+        assert g.edges_with_label("a") == {Edge(1, "a", 2), Edge(3, "a", 1)}
+        g.add_edge(1, "b", 3)
+        assert g.out_edges(1) == {Edge(1, "a", 2), Edge(1, "b", 3)}
+        assert g.in_edges(3) == {Edge(2, "b", 3), Edge(1, "b", 3)}
+        assert g.edges_with_label("b") == {Edge(2, "b", 3), Edge(1, "b", 3)}
+        g.remove_edge(1, "a", 2)
+        assert g.out_edges(1) == {Edge(1, "b", 3)}
+        assert g.in_edges(2) == frozenset()
+        assert g.edges_with_label("a") == {Edge(3, "a", 1)}
+        g.remove_node(3, cascade=True)
+        assert g.out_edges(1) == frozenset()
+        assert g.out_edges(2) == frozenset()
+        assert g.in_edges(1) == frozenset()
+        assert g.out_edges(3) == frozenset() and g.in_edges(3) == frozenset()
+        assert g.edges_with_label("a") == frozenset()
+        assert g.edges_with_label("b") == frozenset()
+        g.add_edge(3, "a", 1)
+        assert g.out_edges(3) == {Edge(3, "a", 1)}
+        assert g.in_edges(1) == {Edge(3, "a", 1)}
+
+    def test_untouched_snapshot_survives_a_version_bump(self):
+        g = GraphDatabase(edges=[(1, "a", 2), (3, "b", 4)])
+        out, into, label = g.out_edges(3), g.in_edges(4), \
+            g.edges_with_label("b")
+        touched = g.out_edges(1)
+        g.add_edge(1, "a", 5)
+        g.remove_edge(1, "a", 2)
+        g.add_node(6)
+        assert g.out_edges(3) is out
+        assert g.in_edges(4) is into
+        assert g.edges_with_label("b") is label
+        assert g.out_edges(1) is not touched
+        assert g.out_edges(1) == {Edge(1, "a", 5)}
 
 
 class TestPath:

@@ -1,7 +1,7 @@
 """Unit tests for the relation-guided q-inj engine
-(:mod:`repro.engine.qinj`): witness search, plan construction,
-pruning soundness edge cases, explain rendering, and the CLI / batch
-surfaces of the pruning plan.
+(:mod:`repro.engine.qinj`): witness search, the answers() exit rule,
+plan construction, pruning soundness edge cases, explain rendering, and
+the CLI / batch surfaces of the pruning plan.
 """
 
 import pytest
@@ -11,10 +11,15 @@ from repro.engine.batch import BatchExecutor, QueryBatch
 from repro.engine.analyze import analyzed_disjuncts
 from repro.engine.cache import _graph_cache
 from repro.engine.qinj import QinjPlan, plan_qinj
+from repro.engine.runtime import ExecutionContext, active_context
 from repro.engine.telemetry import registry as metrics_registry
+from repro.graphdb.generators import uniform_random
 from repro.graphdb.graph import GraphDatabase
+from repro.queries.atoms import Atom
+from repro.queries.crpq import CRPQ
 from repro.queries.parser import parse_query
-from repro.semantics.evaluation import evaluate
+from repro.regular.parser import parse_regex
+from repro.semantics.evaluation import _qinj_solutions, evaluate
 
 # ----------------------------------------------------------------------
 # Witness search
@@ -33,6 +38,108 @@ def test_qinj_evaluation_leaves_no_per_endpoint_witness_entries():
     assert evaluate(query, graph, "q-inj")
     kinds = {key[0] for key in _graph_cache(graph)}
     assert not any("witness" in str(kind) for kind in kinds), kinds
+
+
+# ----------------------------------------------------------------------
+# The answers() exit rule: one witness per answer once the head is bound
+# ----------------------------------------------------------------------
+
+
+def _reference_answers(query, graph):
+    return frozenset(
+        tuple(mu[v] for v in query.head)
+        for mu in _qinj_solutions(query, graph)
+    )
+
+
+def _reference_solutions(query, graph):
+    return {frozenset(mu.items()) for mu in _qinj_solutions(query, graph)}
+
+
+def _exit_rule_graph():
+    """Several simple paths per endpoint pair, a c-shortcut, loops."""
+    return GraphDatabase(edges=[
+        ("u", "a", "v"), ("u", "a", "w"), ("v", "a", "w"),
+        ("v", "b", "z"), ("w", "b", "z"), ("w", "b", "v"),
+        ("u", "c", "z"), ("z", "a", "u"), ("z", "b", "z"),
+        ("v", "a", "v"), ("p", "a", "u"),
+    ])
+
+
+_FREE_VARIABLES = CRPQ(
+    ("x", "f"),
+    (Atom("x", parse_regex("a^+"), "y"),),
+    extra_variables=("x", "y", "f", "g"),
+)
+
+
+@pytest.mark.parametrize("query", [
+    # Boolean head: existence mode from the first atom on.
+    "Q() :- x -[a^+]-> y, y -[b]-> z",
+    # Diamond: the head binds at the last atom, reached through two ys.
+    "Q(x, z) :- x -[a]-> y, y -[b]-> z",
+    "Q(x, z) :- x -[a^+]-> y, y -[b^+]-> z",
+    # Chain whose endpoints the c-shortcut places first.
+    "Q(x, z) :- x -[a^+]-> y, y -[b]-> z, x -[c]-> z",
+    # Loop atoms, alone and beside a binary atom.
+    "Q(x) :- x -[(a+b)^+]-> x",
+    "Q(x, y) :- x -[a^+]-> x, x -[a+b]-> y",
+    "Q() :- x -[b]-> x, y -[a]-> y",
+    # Duplicate atoms need two internally disjoint witnesses.
+    "Q(x, y) :- x -[a^+]-> y, x -[a^+]-> y",
+    "Q(x) :- x -[(a+b)^+]-> y, x -[(a+b)^+]-> y",
+], ids=lambda text: text.split(" :- ")[1])
+def test_answers_equal_reference_head_projection(query):
+    graph = _exit_rule_graph()
+    disjunct = _eps_free(query)
+    assert plan_qinj(disjunct, graph).answers() == \
+        _reference_answers(disjunct, graph)
+
+
+def test_chain_endpoints_are_placed_first():
+    query = _eps_free("Q(x, z) :- x -[a^+]-> y, y -[b]-> z, x -[c]-> z")
+    plan = plan_qinj(query, _exit_rule_graph())
+    # The c-atom binds the whole head before the chain is searched.
+    assert plan.order[0] == 2
+    assert plan.answers() == {("u", "z")}
+
+
+def test_head_variable_in_no_atom():
+    graph = _exit_rule_graph()
+    plan = plan_qinj(_FREE_VARIABLES, graph)
+    answers = plan.answers()
+    assert answers == _reference_answers(_FREE_VARIABLES, graph)
+    assert {f for _x, f in answers} == graph.nodes  # f ranges freely
+    assert {frozenset(mu.items()) for mu in plan.solutions()} == \
+        _reference_solutions(_FREE_VARIABLES, graph)
+
+
+def test_answers_then_solutions_on_one_plan():
+    """answers() leaves the plan as it found it: a later solutions()
+    still enumerates every solution."""
+    graph = _exit_rule_graph()
+    for text in ("Q(x, z) :- x -[a^+]-> y, y -[b^+]-> z",
+                 "Q(x) :- x -[(a+b)^+]-> y, x -[(a+b)^+]-> y"):
+        query = _eps_free(text)
+        plan = plan_qinj(query, graph)
+        assert plan.answers() == _reference_answers(query, graph)
+        assert {frozenset(mu.items()) for mu in plan.solutions()} == \
+            _reference_solutions(query, graph)
+
+
+def test_one_atom_answers_consume_one_witness_each():
+    graph = uniform_random(22, 66, {"a", "b"}, seed=1)
+    query = _eps_free("Q(x, y) :- x -[(ab)^+]-> y")
+    plan = plan_qinj(query, graph)
+    ctx = ExecutionContext()
+    with active_context(ctx):
+        answers = plan.answers()
+    assert answers == _reference_answers(query, graph)
+    assert ctx.witnesses == len(answers)
+    # The full enumeration still yields once per simple path.
+    ctx = ExecutionContext()
+    solutions = list(plan.solutions(ctx))
+    assert len(solutions) == ctx.witnesses > len(answers)
 
 
 # ----------------------------------------------------------------------
@@ -162,6 +269,7 @@ def test_explain_renders_pruning_pipeline():
     assert "variable domains" in text
     assert "search order" in text
     assert "witnesses: simple-path DFS per candidate pair" in text
+    assert "first witness" in text
 
 
 def test_explain_lists_unconstrained_variables():
