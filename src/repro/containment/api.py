@@ -35,14 +35,28 @@ def containment_cell(q1, q2):
     return classify(q1), classify(q2)
 
 
+def check_head_arities(q1, q2):
+    """Raise :class:`ValueError` unless Q1 and Q2 (CRPQs, CQs or unions)
+    have heads of one arity: containment compares answer tuples."""
+    left, right = union_of(q1), union_of(q2)
+    if left and right and len(left[0].head) != len(right[0].head):
+        raise ValueError(
+            f"Q1 has head arity {len(left[0].head)} but Q2 has head "
+            f"arity {len(right[0].head)}: containment compares answers "
+            f"of one arity"
+        )
+
+
 def contains(q1, q2, semantics, exact=False, max_word_length=4, **budgets):
     """Decide Q1 ⊆★ Q2.  Accepts CRPQs, CQs, or unions on both sides.
 
     Returns a :class:`repro.containment.result.ContainmentResult`.  With
     ``exact=True`` the call raises :class:`NotSupportedError` when only a
     bounded verdict is possible (undecidable cell) instead of returning
-    a CONTAINED_UP_TO_BOUND verdict.
+    a CONTAINED_UP_TO_BOUND verdict.  Heads of different arity raise
+    :class:`ValueError`.
     """
+    check_head_arities(q1, q2)
     semantics = Semantics.coerce(semantics)
     left_class, _right_class = containment_cell(q1, q2)
     if left_class in (QueryClass.CQ, QueryClass.CRPQ_FIN):

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.containment.api import check_head_arities
 from repro.containment.result import Verdict
 from repro.homomorphism.matcher import cq_homomorphisms
 from repro.queries.crpq import union_of
@@ -64,6 +65,7 @@ def containment_certificate(q1, q2, semantics, expansion_budget=100000,
     Returns ``(verdict, certificate_or_counterexample)``.  Star-free Q1
     only (the finite cells of Figure 1).
     """
+    check_head_arities(q1, q2)
     semantics = Semantics.coerce(semantics)
     left_disjuncts = []
     for disjunct in union_of(q1):

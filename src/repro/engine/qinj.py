@@ -35,6 +35,13 @@ the polynomial machinery built for the other semantics:
    — the binding's witness loop stops at the first witness whose
    continuation succeeds, and deeper levels yield at most one
    solution.  :meth:`QinjPlan.solutions` still enumerates everything.
+   The *terminal level* of :meth:`QinjPlan.answers` — the last atom,
+   at or past the bind depth, not a loop, with no variable left to
+   place — only asks whether each target has some witness, under a
+   forbidden set that is the same for every new target of one source.
+   There each source keeps one ``reached`` set of the kernel's accepted
+   endpoints, and a target an earlier search from that source already
+   stepped onto is answered with no search of its own.
 
 The unguided search survives as
 :func:`repro.semantics.evaluation._qinj_solutions`; it is the reference
@@ -173,6 +180,13 @@ class QinjPlan:
                 bind_depth = depth
             if unbound:
                 bind_depth = len(order)
+        # The terminal level (last atom, nothing left to place, past the
+        # bind depth) only checks that each target has a witness, under
+        # one forbidden set per source, so one search's harvest answers
+        # other targets.  Its targets run in descending order: the DFS
+        # expands edges in ascending target order, so a search for a
+        # late target harvests the earlier ones on its way.
+        terminal = by_head and not free and bind_depth < len(order)
         seen = set()                    # head tuples found (by_head)
 
         def available(pool):
@@ -204,6 +218,8 @@ class QinjPlan:
             index = order[depth]
             atom, nfa = atoms[index], nfas[index]
             exists = depth > bind_depth
+            harvest = terminal and depth == len(order) - 1 \
+                and not atom.is_loop() and atom.target not in mu
             found = False
             if atom.source in mu:
                 sources = (mu[atom.source],)
@@ -213,6 +229,7 @@ class QinjPlan:
                 undo_source = assign(atom.source, source)
                 if undo_source is None:
                     continue
+                reached = set() if harvest else None
                 if atom.is_loop():
                     targets = (source,)
                 elif atom.target in mu:
@@ -222,20 +239,22 @@ class QinjPlan:
                         else ()
                     )
                 else:
-                    targets = available(
-                        sorted(tables[index].targets_of(source), key=repr)
-                    )
+                    targets = available(sorted(
+                        tables[index].targets_of(source), key=repr,
+                        reverse=harvest,
+                    ))
                 for target in targets:
                     undo_target = assign(atom.target, target)
                     if undo_target is None:
                         continue
                     if depth != bind_depth:
-                        if (yield from witnesses(depth, nfa, source, target)):
+                        if (yield from witnesses(
+                                depth, nfa, source, target, reached)):
                             found = True
                     else:
                         key = tuple(mu[v] for v in head)
                         if key not in seen and (yield from witnesses(
-                                depth, nfa, source, target)):
+                                depth, nfa, source, target, reached)):
                             seen.add(key)
                             found = True
                     if undo_target:
@@ -248,14 +267,21 @@ class QinjPlan:
                     break
             return found
 
-        def witnesses(depth, nfa, source, target):
+        def witnesses(depth, nfa, source, target, reached):
             """Run the continuation under each simple path (simple cycle
             when ``source == target``) that avoids the nodes in use; from
-            the bind depth on, stop at the first that succeeds."""
+            the bind depth on, stop at the first that succeeds.  At the
+            terminal level ``reached`` is the source's harvest: a target
+            in it has a witness already, and the continuation reads no
+            path, so it runs with no search."""
+            if reached is not None and target in reached:
+                ctx.consume_witnesses(1, SITE_QINJ_SEARCH)
+                return (yield from place(depth + 1))
             forbidden = (used | internal) - {source, target}
             found = False
             for nodes, _labels in search(
-                graph, nfa, source, target, forbidden, ctx=ctx
+                graph, nfa, source, target, forbidden, ctx=ctx,
+                reached=reached,
             ):
                 ctx.consume_witnesses(1, SITE_QINJ_SEARCH)
                 internals = set(nodes[1:-1])
@@ -349,7 +375,9 @@ class QinjPlan:
         lines.append(
             "  witnesses: simple-path DFS per candidate pair, avoiding "
             "nodes already used; answers stop at the first witness "
-            "once the head is bound"
+            "once the head is bound, and the terminal level shares one "
+            "harvest per source: a target an earlier DFS from that "
+            "source reached needs no DFS of its own"
         )
         return "\n".join(lines)
 

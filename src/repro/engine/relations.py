@@ -19,6 +19,7 @@ from __future__ import annotations
 from typing import Any, Callable, Iterable, Iterator
 
 from repro.engine import telemetry
+from repro.engine.adjacency import adjacency_index
 from repro.engine.cache import RELATION_KEY, compiled_nfa, graph_cached
 from repro.engine.product import product_reachability_pairs
 
@@ -144,17 +145,34 @@ def simple_path_pairs_among(
 ) -> set[tuple[Any, Any]]:
     """The candidate pairs ``(u, v)`` joined by some *simple path* with
     label in the language of ``nfa`` (for u = v only the empty path is
-    simple, so ``(u, u)`` survives iff ε is accepted)."""
+    simple, so ``(u, u)`` survives iff ε is accepted).
+
+    Candidates are grouped by source, and each source keeps one
+    ``reached`` set of the kernel's accepted endpoints
+    (:func:`~repro.graphdb.paths.search`): a target some earlier search
+    from that source already stepped onto is accepted with no search of
+    its own.  Sources and targets run in ``nodes_sorted`` order, so the
+    number of searches does not depend on set iteration order; targets
+    run in descending order, because the DFS expands edges in ascending
+    target order and so a search for a late target steps onto (and
+    harvests) the earlier ones first."""
     # Lazy import: graphdb.paths sits above the engine layer.
     from repro.graphdb.paths import search
 
     accepts_empty = nfa.accepts(())
-    return {
-        (source, target)
-        for source, target in candidates
-        if (accepts_empty if source == target
-            else any(search(graph, nfa, source, target)))
-    }
+    rank = adjacency_index(graph).node_bit.__getitem__
+    by_source: dict[Any, list[Any]] = {}
+    for source, target in candidates:
+        by_source.setdefault(source, []).append(target)
+    pairs: set[tuple[Any, Any]] = set()
+    for source in sorted(by_source, key=rank):
+        reached: set[Any] = set()
+        for target in sorted(by_source[source], key=rank, reverse=True):
+            if (accepts_empty if source == target
+                    else target in reached or any(
+                        search(graph, nfa, source, target, reached=reached))):
+                pairs.add((source, target))
+    return pairs
 
 
 def _simple_path_pairs(graph: Any, nfa: Any) -> set[tuple[Any, Any]]:

@@ -22,7 +22,10 @@ stack of edge iterators, so paths may be longer than the interpreter
 recursion limit.  Edges expand in
 :func:`~repro.engine.adjacency.edge_sort_key` order, and every wrapper
 yields exactly the sequence an unpruned recursive DFS would
-(``tests/test_engine_differential.py`` pins it).
+(``tests/test_engine_differential.py`` pins it).  A node-injective
+search can also collect, in a caller's ``reached`` set, every node it
+steps onto over an accepted label: one DFS from a source then answers
+many targets (the a-inj relation and q-inj's last atom use it).
 """
 
 from __future__ import annotations
@@ -98,7 +101,7 @@ class Path:
 
 
 def search(graph, language, source, target, blocked=frozenset(),
-           edge_injective=False, ctx=None):
+           edge_injective=False, ctx=None, reached=None):
     """Yield the nonempty accepted paths from ``source``, in DFS order.
 
     ``language`` (a Regex, an NFA, or ``None`` for any label) constrains
@@ -114,11 +117,28 @@ def search(graph, language, source, target, blocked=frozenset(),
       ``target=ANY_TARGET`` every accepted trail is a hit.
       Checkpoints ``trails.dfs`` once per edge considered.
 
+    ``reached`` (node-injective mode only) is a set the search adds to:
+    on every edge it takes to a node ``nxt`` outside the visited set,
+    ``nxt`` is added when the stepped state mask — before the
+    co-reachability mask of ``target`` — meets the final states.  The
+    stack path plus that edge is then a simple path from ``source``
+    that avoids ``blocked`` and whose label the automaton accepts, so
+    every added node is a sound simple-path endpoint for any target,
+    whatever ``target`` the search runs towards.  The source is never
+    added (it is visited), so cycle mode adds only other nodes.  Callers
+    that ask for many targets from one source under one ``blocked`` set
+    share one ``reached`` set and skip the search for a target already
+    in it.  The hits, their order and the checkpoints are the same
+    with or without ``reached``.
+
     The visited set makes memoization unsound, which is the source of
     NP-hardness (Prop 3.2); co-reachability pruning only skips branches
     that can never accept, so it changes neither the hits nor their
     order.
     """
+    if edge_injective and reached is not None:
+        raise ValueError("reached collects simple-path endpoints: it needs "
+                         "node-injective mode")
     nfa = None if language is None else compiled_nfa(language)
     if target is ANY_TARGET:
         masks, useful = nfa_masks(nfa), dict.fromkeys(graph.nodes, -1)
@@ -147,7 +167,11 @@ def search(graph, language, source, target, blocked=frozenset(),
                 if edge in visited:
                     continue
             nxt = edge.target
-            nxt_states = step[states, edge.label] & useful.get(nxt, 0)
+            stepped = step[states, edge.label]
+            if (reached is not None and stepped & finals
+                    and nxt not in visited):
+                reached.add(nxt)
+            nxt_states = stepped & useful.get(nxt, 0)
             if not nxt_states:
                 continue
             if edge_injective:

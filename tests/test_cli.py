@@ -124,6 +124,20 @@ class TestCommands:
         assert err.startswith("repro: ")
         assert "non-negative" in err
 
+    @pytest.mark.parametrize("command", ["contains", "certify"])
+    @pytest.mark.parametrize("semantics", ["st", "a-inj", "q-inj"])
+    def test_head_arity_mismatch_exits_input_code(self, command, semantics,
+                                                  capsys):
+        code = main([
+            command, "Q(x) :- x -[a]-> y", "Q(x, y) :- x -[a]-> y",
+            "--semantics", semantics,
+        ])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert err.startswith("repro: ")
+        assert "head arity 1" in err and "arity 2" in err
+        assert "target tuple" not in err
+
     def test_figure1(self, capsys):
         assert main(["figure1"]) == 0
         out = capsys.readouterr().out

@@ -49,6 +49,19 @@ class TestDispatch:
         with pytest.raises(NotSupportedError):
             contains(q1, q2, "a-inj", exact=True)
 
+    @pytest.mark.parametrize("semantics", ["st", "a-inj", "q-inj"])
+    @pytest.mark.parametrize("left", [
+        "Q(x) :- x -[a]-> y",       # finite left
+        "Q(x) :- x -[a^+]-> y",     # starred left
+    ])
+    def test_head_arity_mismatch_names_both_arities(self, left, semantics):
+        q1 = parse_query(left)
+        q2 = parse_query("Q(x, y) :- x -[a]-> y")
+        with pytest.raises(ValueError, match="head arity 1 .* arity 2"):
+            contains(q1, q2, semantics)
+        with pytest.raises(ValueError, match="head arity 2 .* arity 1"):
+            contains(q2, q1, semantics)
+
     def test_bool_semantics_of_result(self):
         q = parse_query("Q() :- x -a-> y")
         assert bool(contains(q, q, "st"))

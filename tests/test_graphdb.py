@@ -1,6 +1,7 @@
 """Tests for the graph-database substrate and path machinery."""
 
 import random
+import re
 
 import pytest
 
@@ -8,6 +9,7 @@ from repro.graphdb.graph import Edge, GraphDatabase
 from repro.graphdb.paths import (
     Path,
     all_paths_up_to,
+    search,
     simple_cycles_through,
     simple_paths,
 )
@@ -404,6 +406,101 @@ class TestSimpleCycles:
         assert list(
             simple_cycles_through(g, "u", forbidden={"v"}, include_empty=False)
         ) == []
+
+
+class TestReachedHarvest:
+    """``search(..., reached=)`` collects nodes that end an accepted
+    simple path from the source, checked against an engine-free
+    enumeration of node sequences (labels matched with :mod:`re`)."""
+
+    LANGUAGES = [
+        ("(ab)^+", r"(ab)+"),
+        ("a(a+b)*", r"a[ab]*"),
+        ("a^+b", r"a+b"),
+        ("(a+b)b", r"[ab]b"),
+    ]
+
+    @staticmethod
+    def accepted_ends(graph, source, blocked, pattern):
+        """Last nodes of the nonempty simple paths from ``source`` that
+        avoid ``blocked`` and whose label fully matches ``pattern``."""
+        ends = set()
+
+        def extend(path, word):
+            for edge in graph.out_edges(path[-1]):
+                if edge.target in path or edge.target in blocked:
+                    continue
+                spelled = word + edge.label
+                if re.fullmatch(pattern, spelled):
+                    ends.add(edge.target)
+                extend(path + [edge.target], spelled)
+
+        extend([source], "")
+        return ends
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_harvest_ends_accepted_simple_paths(self, seed):
+        rng = random.Random(seed)
+        size = rng.randint(4, 8)
+        graph = generators.uniform_random(size, 2 * size, {"a", "b"},
+                                          seed=seed)
+        nodes = sorted(graph.nodes)
+        for regex, pattern in self.LANGUAGES:
+            language = parse_regex(regex)
+            for source in rng.sample(nodes, 3):
+                # Two path-mode targets and cycle mode (target == source).
+                others = [node for node in nodes if node != source]
+                for target in rng.sample(others, 2) + [source]:
+                    blocked = {node for node in others
+                               if node != target and rng.random() < 0.25}
+                    expected = self.accepted_ends(graph, source, blocked,
+                                                  pattern)
+                    plain = [
+                        (tuple(n), tuple(l)) for n, l in
+                        search(graph, language, source, target, blocked)
+                    ]
+                    reached = set()
+                    hits = [
+                        (tuple(n), tuple(l)) for n, l in
+                        search(graph, language, source, target, blocked,
+                               reached=reached)
+                    ]
+                    assert hits == plain
+                    assert source not in reached
+                    assert reached <= expected
+                    early = set()
+                    found = any(search(graph, language, source, target,
+                                       blocked, reached=early))
+                    assert found == bool(plain)
+                    assert source not in early
+                    assert early <= reached
+
+    def test_harvest_reaches_past_the_target_not_the_source(self):
+        graph = GraphDatabase(edges=[
+            ("u", "a", "v"), ("v", "b", "w"), ("w", "a", "x"),
+            ("x", "b", "y"), ("v", "b", "u"),
+        ])
+        language = parse_regex("(ab)^+")
+        reached = set()
+        assert any(search(graph, language, "u", "y", reached=reached))
+        assert reached == {"w", "y"}
+        # Cycle mode: the edge v -b-> w is stepped over (w cannot return
+        # to u), yet it spells ab, so w is harvested; u never is.
+        reached = set()
+        assert len(list(search(graph, language, "u", "u",
+                               reached=reached))) == 1
+        assert reached == {"w"}
+        # A blocked node cuts the paths through it.
+        reached = set()
+        assert not any(search(graph, language, "u", "y", {"x"},
+                              reached=reached))
+        assert reached == {"w"}
+
+    def test_edge_injective_refuses_reached(self):
+        graph = GraphDatabase(edges=[("u", "a", "v")])
+        with pytest.raises(ValueError, match="node-injective"):
+            next(search(graph, None, "u", "v", edge_injective=True,
+                        reached=set()))
 
 
 class TestAllPaths:

@@ -4,8 +4,11 @@ plan construction, pruning soundness edge cases, explain rendering, and
 the CLI / batch surfaces of the pruning plan.
 """
 
+from collections import Counter
+
 import pytest
 
+from repro.analysis.catalog import by_name
 from repro.cli import main
 from repro.engine.batch import BatchExecutor, QueryBatch
 from repro.engine.analyze import analyzed_disjuncts
@@ -127,19 +130,116 @@ def test_answers_then_solutions_on_one_plan():
             _reference_solutions(query, graph)
 
 
-def test_one_atom_answers_consume_one_witness_each():
+def _count_searches(monkeypatch):
+    """Record ``(blocked, reached)`` of every q-inj kernel search and
+    count the paths the searches yield."""
+    from repro.engine import qinj
+
+    calls, yields = [], []
+    original = qinj.search
+
+    def counting(graph, nfa, source, target, blocked=frozenset(), **kwargs):
+        calls.append((frozenset(blocked), kwargs.get("reached")))
+        for hit in original(graph, nfa, source, target, blocked, **kwargs):
+            yields.append(target)
+            yield hit
+
+    monkeypatch.setattr(qinj, "search", counting)
+    return calls, yields
+
+
+def test_one_atom_answers_consume_one_witness_each(monkeypatch):
     graph = uniform_random(22, 66, {"a", "b"}, seed=1)
     query = _eps_free("Q(x, y) :- x -[(ab)^+]-> y")
     plan = plan_qinj(query, graph)
+    calls, _yields = _count_searches(monkeypatch)
     ctx = ExecutionContext()
     with active_context(ctx):
         answers = plan.answers()
     assert answers == _reference_answers(query, graph)
     assert ctx.witnesses == len(answers)
+    # The last atom shares one harvest per source: some answers need no
+    # search of their own.
+    assert 0 < len(calls) < len(answers)
+    del calls[:]
     # The full enumeration still yields once per simple path.
     ctx = ExecutionContext()
     solutions = list(plan.solutions(ctx))
     assert len(solutions) == ctx.witnesses > len(answers)
+    assert calls and all(reached is None for _blocked, reached in calls)
+
+
+# ----------------------------------------------------------------------
+# The terminal level shares one harvest per source
+# ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("query", [
+    "Q(x, z) :- x -[a^+]-> y, y -[(a+b)^+]-> z",
+    "Q(x, z) :- x -[a]-> y, y -[(ab)^+]-> z",
+    "Q(x, w) :- x -[a]-> y, y -[b]-> z, z -[(a+b)^+]-> w",
+    "Q(x, w) :- x -[a^+]-> y, y -[b^+]-> z, z -[(a+b)^+]-> w",
+], ids=lambda text: text.split(" :- ")[1])
+def test_terminal_harvest_fires_under_a_forbidden_set(query, seed,
+                                                       monkeypatch):
+    graph = uniform_random(12, 36, {"a", "b"}, seed=seed)
+    disjunct = _eps_free(query)
+    plan = plan_qinj(disjunct, graph)
+    calls, yields = _count_searches(monkeypatch)
+    ctx = ExecutionContext()
+    with active_context(ctx):
+        answers = plan.answers()
+    assert answers == _reference_answers(disjunct, graph)
+    harvests = [blocked for blocked, reached in calls if reached is not None]
+    # Every harvesting search avoids the nodes an earlier atom placed ...
+    assert harvests and all(harvests)
+    # ... and some witnesses came from a harvest, with no search.
+    assert ctx.witnesses > len(yields)
+    # Full enumeration never harvests, and keeps its multiplicity.
+    del calls[:]
+    assert Counter(frozenset(mu.items()) for mu in plan.solutions()) == \
+        Counter(frozenset(mu.items())
+                for mu in _qinj_solutions(disjunct, graph))
+    assert all(reached is None for _blocked, reached in calls)
+
+
+def _no_harvest(plan, monkeypatch):
+    calls, _yields = _count_searches(monkeypatch)
+    answers = plan.answers()
+    assert calls and all(reached is None for _blocked, reached in calls)
+    return answers
+
+
+def test_catalog_diamond_binds_both_ends_before_its_last_atom(monkeypatch):
+    """The diamond's first atom binds the whole head, so its last atom
+    has one target per source: there is nothing to share."""
+    entry = by_name("diamond")
+    (disjunct,) = entry.query.epsilon_free_union()
+    graph = entry.graph()
+    plan = plan_qinj(disjunct, graph)
+    assert _no_harvest(plan, monkeypatch) == \
+        _reference_answers(disjunct, graph)
+
+
+def test_no_harvest_with_a_head_variable_in_no_atom(monkeypatch):
+    graph = _exit_rule_graph()
+    plan = plan_qinj(_FREE_VARIABLES, graph)
+    assert _no_harvest(plan, monkeypatch) == \
+        _reference_answers(_FREE_VARIABLES, graph)
+
+
+def test_no_harvest_when_a_loop_atom_is_last(monkeypatch):
+    graph = GraphDatabase(edges=[
+        ("u", "a", "v"), ("v", "b", "v"), ("v", "a", "w"), ("w", "b", "v"),
+        ("p", "a", "q"), ("q", "b", "q"),
+    ])
+    disjunct = _eps_free("Q(x, y) :- x -[a]-> y, y -[b^+]-> y")
+    plan = plan_qinj(disjunct, graph)
+    assert disjunct.atoms[plan.order[-1]].is_loop()
+    answers = _no_harvest(plan, monkeypatch)
+    assert answers == _reference_answers(disjunct, graph)
+    assert answers == {("u", "v"), ("p", "q")}
 
 
 # ----------------------------------------------------------------------
@@ -269,6 +369,7 @@ def test_explain_renders_pruning_pipeline():
     assert "variable domains" in text
     assert "search order" in text
     assert "witnesses: simple-path DFS per candidate pair" in text
+    assert "the terminal level shares one harvest per source" in text
     assert "first witness" in text
 
 

@@ -240,3 +240,82 @@ def test_index_sides_build_on_first_read_only():
     assert relation.sources_of(2) == {1, 2}
     assert relation.restrict(targets={3}) == {(1, 3)}
     assert index_builds() == before + 2
+
+
+# ----------------------------------------------------------------------
+# The a-inj relation shares one kernel harvest per source
+# ----------------------------------------------------------------------
+
+
+def _count_searches(monkeypatch):
+    from repro.graphdb import paths
+
+    calls = []
+    original = paths.search
+
+    def counting(*args, **kwargs):
+        calls.append(args[2:4])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(paths, "search", counting)
+    return calls
+
+
+def test_simple_path_relation_runs_fewer_searches_than_candidates(
+        monkeypatch):
+    from repro.graphdb.paths import search
+
+    graph = uniform_random(22, 66, {"a", "b"}, seed=1)
+    nfa = compiled_nfa(parse_regex("(ab)^+"))
+    candidates = [(u, v) for u, v in atom_relation(graph, nfa, "standard").pairs
+                  if u != v]
+    # One full search per candidate pair: the relation without harvest.
+    expected = {(u, v) for u, v in candidates if any(search(graph, nfa, u, v))}
+    calls = _count_searches(monkeypatch)
+    assert atom_relation(graph, nfa, "simple-path").pairs == expected
+    assert 0 < len(calls) < len(candidates)
+    assert len(set(calls)) == len(calls)
+
+
+_HASH_SEED_PROBE = """
+from repro.engine.relations import atom_relation
+from repro.graphdb import paths
+from repro.graphdb.generators import uniform_random
+from repro.regular.parser import parse_regex
+
+base = uniform_random(22, 66, {"a", "b"}, seed=1)
+graph = base.rename_nodes({node: f"n{node}" for node in base.nodes})
+calls = []
+original = paths.search
+
+def counting(*args, **kwargs):
+    calls.append(args[2:4])
+    return original(*args, **kwargs)
+
+paths.search = counting
+pairs = atom_relation(graph, parse_regex("(ab)^+"), "simple-path").pairs
+print(len(calls), len(pairs), sorted(calls)[:5])
+"""
+
+
+def test_simple_path_search_count_ignores_hash_seed():
+    """String node ids iterate in a hash-seeded order; the relation
+    walks sources and targets in ``nodes_sorted`` order instead, so two
+    interpreters with different hash seeds run the same searches."""
+    import os
+    import pathlib
+    import subprocess
+    import sys
+
+    import repro
+
+    src = str(pathlib.Path(repro.__file__).resolve().parents[1])
+    outputs = []
+    for hash_seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+        outputs.append(subprocess.run(
+            [sys.executable, "-c", _HASH_SEED_PROBE], env=env, check=True,
+            capture_output=True, text=True,
+        ).stdout)
+    assert outputs[0] == outputs[1]
+    assert int(outputs[0].split()[0]) > 0
