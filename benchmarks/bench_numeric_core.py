@@ -24,12 +24,13 @@ Run with::
 import random
 import resource
 
-from _timing import interleaved_best_of
+from _timing import interleaved_best_of, interleaved_medians
 from _trajectory import TrajectoryRecorder
-from repro.engine.adjacency import adjacency_index
+from repro.engine.adjacency import AdjacencyIndex, adjacency_index
 from repro.engine.backend import use_backend
 from repro.engine.cache import compiled_nfa
 from repro.engine.product import product_reachability_pairs
+from repro.graphdb.generators import uniform_random
 from repro.graphdb.graph import GraphDatabase
 from repro.queries.parser import parse_query
 
@@ -42,6 +43,9 @@ NODES = 20_000
 EDGES = 1_000_000
 ROUNDS = 3
 ATTEMPTS = 3
+#: Cold CSR-only index build over an every-facet build, at most.
+MAX_CSR_SHARE = 0.5
+CSR_ROUNDS = 15
 
 
 def _build_graph():
@@ -108,4 +112,45 @@ def test_dense_kernel_speedup_and_rss_within_bounds():
     )
     assert peak_rss_kb <= MAX_PEAK_RSS_KB, (
         f"peak RSS {peak_rss_kb} KiB over the {MAX_PEAK_RSS_KB} KiB bound"
+    )
+
+
+def _read_every_facet(index):
+    node = index.nodes_sorted[0]
+    index.out_sorted(node)
+    index.out_targets(node)
+    index.in_sources(node)
+    index.label_sources("a")
+    index.label_targets("a")
+    index.label_loops("a")
+    return index.csr_out()
+
+
+def test_cold_csr_build_costs_at_most_half_of_every_facet():
+    graph = uniform_random(2000, 6000, {"a", "b"}, seed=0)
+    assert (AdjacencyIndex(graph).csr_out().keys()
+            == _read_every_facet(AdjacencyIndex(graph)).keys())
+
+    def csr_only():
+        AdjacencyIndex(graph).csr_out()
+
+    def every_facet():
+        _read_every_facet(AdjacencyIndex(graph))
+
+    share = float("inf")
+    for _ in range(ATTEMPTS):
+        csr_time, full_time = interleaved_medians(
+            csr_only, every_facet, CSR_ROUNDS
+        )
+        share = min(share, csr_time / full_time)
+        if share <= MAX_CSR_SHARE:
+            break
+    print(f"\ncold index: CSR only {csr_time * 1e3:.2f} ms, every facet "
+          f"{full_time * 1e3:.2f} ms, share {share:.2f}x")
+    _TRAJECTORY.record("cold_csr_share_x", share,
+                       {"csr_only_s": csr_time, "every_facet_s": full_time,
+                        "edges": graph.edge_count()})
+    assert share <= MAX_CSR_SHARE, (
+        f"a CSR-only index build costs {share:.2f}x of an every-facet "
+        f"build (gate {MAX_CSR_SHARE}x)"
     )

@@ -9,18 +9,28 @@ tuples afterwards.
 
 The index is cached on the graph instance and keyed by the graph's
 mutation counter (``GraphDatabase.version``), so any ``add_node`` /
-``add_edge`` after the build transparently invalidates it.  Because one
-index is shared across every consumer of a graph version, all returned
-containers are immutable: tuples, frozensets, and read-only mapping
-proxies.
+``add_edge`` after the build transparently invalidates it.
+
+Construction keeps only the repr-sorted node interning (``nodes_sorted``
+and ``node_bit``) and one frozen copy of the version's edge set.  Every
+other facet (the sorted out-edges, the label partitions, the per-label
+node sets and the CSR rows) is built from that snapshot on its first
+read, so a cold standard-semantics query pays for the CSR rows alone.
+The index keeps no reference to the graph: a facet first read after a
+mutation still describes the index's own version.  A facet is computed
+outside any lock and published once with ``dict.setdefault``, so racing
+readers all get the first published value.  Because one index is shared
+across every consumer of a graph version, all returned containers are
+immutable: tuples, frozensets, and read-only mapping proxies.
 """
 
 from __future__ import annotations
 
+from itertools import accumulate
 from types import MappingProxyType
-from typing import TYPE_CHECKING, Any, Mapping
+from typing import TYPE_CHECKING, Any, Callable, Mapping
 
-from repro.engine.backend import index_array, zeros_index_array
+from repro.engine.backend import index_array
 
 if TYPE_CHECKING:
     from array import array
@@ -28,6 +38,11 @@ if TYPE_CHECKING:
 #: ``{label: (neighbors...)}`` partition handed out by the index —
 #: a read-only view; mutating it raises ``TypeError``.
 LabelPartition = Mapping[Any, tuple[Any, ...]]
+
+#: ``{label: nodes}`` for the sources, targets and self-loops of each label.
+LabelSets = tuple[
+    dict[Any, frozenset[Any]], dict[Any, frozenset[Any]], dict[Any, frozenset[Any]]
+]
 
 
 def edge_sort_key(edge: Any) -> tuple[str, str]:
@@ -41,38 +56,30 @@ def _as_partition(partition: dict[Any, list[Any]]) -> LabelPartition:
     )
 
 
+def _frozen_values(by_label: dict[Any, set[Any]]) -> dict[Any, frozenset[Any]]:
+    return {label: frozenset(nodes) for label, nodes in by_label.items()}
+
+
 class AdjacencyIndex:
     """Pre-sorted, label-partitioned adjacency for one graph version.
 
     All returned containers are immutable views built once — they are
     shared across every consumer of the same graph version, so the
     label partitions are :class:`types.MappingProxyType` instances and
-    writes to them raise.
+    writes to them raise.  A built facet lives in the instance
+    ``__dict__``; until then its class-level ``None`` default answers.
     """
-
-    __slots__ = (
-        "version",
-        "nodes_sorted",
-        "node_bit",
-        "_out_sorted",
-        "_out_by_label",
-        "_in_by_label",
-        "_label_sources",
-        "_label_targets",
-        "_label_loops",
-        "_csr_out",
-    )
 
     version: int
     nodes_sorted: tuple[Any, ...]
     node_bit: dict[Any, int]
-    _out_sorted: dict[Any, tuple[Any, ...]]
-    _out_by_label: dict[Any, LabelPartition]
-    _in_by_label: dict[Any, LabelPartition]
-    _label_sources: dict[Any, frozenset[Any]]
-    _label_targets: dict[Any, frozenset[Any]]
-    _label_loops: dict[Any, frozenset[Any]]
-    _csr_out: Mapping[Any, tuple["array[int]", "array[int]"]] | None
+    _edges: frozenset[Any]
+
+    _out_sorted: dict[Any, tuple[Any, ...]] | None = None
+    _out_by_label: dict[Any, LabelPartition] | None = None
+    _in_by_label: dict[Any, LabelPartition] | None = None
+    _label_sets: LabelSets | None = None
+    _csr_out: Mapping[Any, tuple["array[int]", "array[int]"]] | None = None
 
     _EMPTY: tuple[Any, ...] = ()
     _EMPTY_SET: frozenset[Any] = frozenset()
@@ -81,67 +88,112 @@ class AdjacencyIndex:
         self.version = graph.version
         self.nodes_sorted = tuple(sorted(graph.nodes, key=repr))
         self.node_bit = {node: index for index, node in enumerate(self.nodes_sorted)}
-        out_sorted: dict[Any, tuple[Any, ...]] = {}
+        self._edges = graph.edges
+
+    def _publish(self, name: str, build: Callable[[], Any]) -> Any:
+        """Build facet ``name`` and publish it once: the first value
+        stored wins, and every racing builder returns that one."""
+        return vars(self).setdefault(name, build())
+
+    def _build_out_sorted(self) -> dict[Any, tuple[Any, ...]]:
+        grouped: dict[Any, list[Any]] = {}
+        for edge in self._edges:
+            grouped.setdefault(edge.source, []).append(edge)
+        return {
+            node: tuple(sorted(edges, key=edge_sort_key))
+            for node, edges in grouped.items()
+        }
+
+    def _build_out_by_label(self) -> dict[Any, LabelPartition]:
         out_by_label: dict[Any, LabelPartition] = {}
-        in_by_label: dict[Any, LabelPartition] = {}
         for node in self.nodes_sorted:
-            out_edges = tuple(sorted(graph.out_edges(node), key=edge_sort_key))
-            if out_edges:
-                out_sorted[node] = out_edges
-                partition: dict[Any, list[Any]] = {}
-                for edge in out_edges:
-                    partition.setdefault(edge.label, []).append(edge.target)
-                out_by_label[node] = _as_partition(partition)
-            partition = {}
-            for edge in graph.in_edges(node):
-                partition.setdefault(edge.label, []).append(edge.source)
+            partition: dict[Any, list[Any]] = {}
+            for edge in self.out_sorted(node):
+                partition.setdefault(edge.label, []).append(edge.target)
             if partition:
-                in_by_label[node] = _as_partition(partition)
-        self._out_sorted = out_sorted
-        self._out_by_label = out_by_label
-        self._in_by_label = in_by_label
-        label_sources: dict[Any, set[Any]] = {}
-        label_targets: dict[Any, set[Any]] = {}
-        label_loops: dict[Any, set[Any]] = {}
-        for edge in graph.edges:
-            label_sources.setdefault(edge.label, set()).add(edge.source)
-            label_targets.setdefault(edge.label, set()).add(edge.target)
+                out_by_label[node] = _as_partition(partition)
+        return out_by_label
+
+    def _build_in_by_label(self) -> dict[Any, LabelPartition]:
+        grouped: dict[Any, dict[Any, list[Any]]] = {}
+        for edge in self._edges:
+            grouped.setdefault(edge.target, {}).setdefault(
+                edge.label, []
+            ).append(edge.source)
+        return {node: _as_partition(partition) for node, partition in grouped.items()}
+
+    def _build_label_sets(self) -> LabelSets:
+        sources: dict[Any, set[Any]] = {}
+        targets: dict[Any, set[Any]] = {}
+        loops: dict[Any, set[Any]] = {}
+        for edge in self._edges:
+            sources.setdefault(edge.label, set()).add(edge.source)
+            targets.setdefault(edge.label, set()).add(edge.target)
             if edge.source == edge.target:
-                label_loops.setdefault(edge.label, set()).add(edge.source)
-        self._label_sources = {
-            label: frozenset(nodes) for label, nodes in label_sources.items()
-        }
-        self._label_targets = {
-            label: frozenset(nodes) for label, nodes in label_targets.items()
-        }
-        self._label_loops = {
-            label: frozenset(nodes) for label, nodes in label_loops.items()
-        }
-        self._csr_out = None
+                loops.setdefault(edge.label, set()).add(edge.source)
+        return (_frozen_values(sources), _frozen_values(targets),
+                _frozen_values(loops))
+
+    def _build_csr_out(self) -> Mapping[Any, tuple["array[int]", "array[int]"]]:
+        node_bit = self.node_bit
+        rows: dict[Any, dict[int, list[int]]] = {}
+        for edge in self._edges:
+            rows.setdefault(edge.label, {}).setdefault(
+                node_bit[edge.source], []
+            ).append(node_bit[edge.target])
+        count = len(self.nodes_sorted)
+        csr: dict[Any, tuple["array[int]", "array[int]"]] = {}
+        for label, by_source in rows.items():
+            degrees = [0] * (count + 1)
+            targets: list[int] = []
+            for source in sorted(by_source):
+                row = by_source[source]
+                # Ids follow repr order, so an id-sorted row is in
+                # edge_sort_key order within the label.
+                row.sort()
+                targets.extend(row)
+                degrees[source + 1] = len(row)
+            csr[label] = (index_array(accumulate(degrees)), index_array(targets))
+        return MappingProxyType(csr)
+
+    def _labels(self) -> LabelSets:
+        facet = self._label_sets
+        if facet is None:
+            facet = self._publish("_label_sets", self._build_label_sets)
+        return facet
 
     def out_sorted(self, node: Any) -> tuple[Any, ...]:
         """Edges leaving ``node``, sorted by :func:`edge_sort_key`."""
-        return self._out_sorted.get(node, self._EMPTY)
+        facet = self._out_sorted
+        if facet is None:
+            facet = self._publish("_out_sorted", self._build_out_sorted)
+        return facet.get(node, self._EMPTY)
 
     def out_targets(self, node: Any) -> LabelPartition | None:
         """``{label: (targets...)}`` partition of the out-edges of ``node``."""
-        return self._out_by_label.get(node)
+        facet = self._out_by_label
+        if facet is None:
+            facet = self._publish("_out_by_label", self._build_out_by_label)
+        return facet.get(node)
 
     def in_sources(self, node: Any) -> LabelPartition | None:
         """``{label: (sources...)}`` partition of the in-edges of ``node``."""
-        return self._in_by_label.get(node)
+        facet = self._in_by_label
+        if facet is None:
+            facet = self._publish("_in_by_label", self._build_in_by_label)
+        return facet.get(node)
 
     def label_sources(self, label: Any) -> frozenset[Any]:
         """Nodes with an outgoing ``label`` edge (a frozenset)."""
-        return self._label_sources.get(label, self._EMPTY_SET)
+        return self._labels()[0].get(label, self._EMPTY_SET)
 
     def label_targets(self, label: Any) -> frozenset[Any]:
         """Nodes with an incoming ``label`` edge (a frozenset)."""
-        return self._label_targets.get(label, self._EMPTY_SET)
+        return self._labels()[1].get(label, self._EMPTY_SET)
 
     def label_loops(self, label: Any) -> frozenset[Any]:
         """Nodes with a ``label`` self-loop (a frozenset)."""
-        return self._label_loops.get(label, self._EMPTY_SET)
+        return self._labels()[2].get(label, self._EMPTY_SET)
 
     def csr_out(self) -> Mapping[Any, tuple["array[int]", "array[int]"]]:
         """Label-partitioned CSR adjacency over dense node ids.
@@ -151,36 +203,15 @@ class AdjacencyIndex:
         ``label``-successors of the node interned at ``i`` (see
         ``node_bit``) are ``targets[offsets[i]:offsets[i + 1]]``, in
         the same deterministic :func:`edge_sort_key` order as the
-        object-level partitions.  Built lazily on first request (only
-        the dense kernels pay for it) and cached for the lifetime of
-        this index — the arrays are shared, so treat them as frozen;
-        the mapping itself is a read-only proxy.
+        object-level partitions.  Built straight from the edge snapshot
+        on first request (only the dense kernels pay for it) and cached
+        for the lifetime of this index — the arrays are shared, so treat
+        them as frozen; the mapping itself is a read-only proxy.
         """
-        csr = self._csr_out
-        if csr is not None:
-            return csr
-        node_bit = self.node_bit
-        labels = tuple(self._label_sources)
-        count = len(self.nodes_sorted)
-        offsets = {label: zeros_index_array(count + 1) for label in labels}
-        targets: dict[Any, list[int]] = {label: [] for label in labels}
-        for position, node in enumerate(self.nodes_sorted):
-            partition = self._out_by_label.get(node)
-            if partition:
-                for label, label_targets in partition.items():
-                    targets[label].extend(
-                        node_bit[target] for target in label_targets
-                    )
-            for label in labels:
-                offsets[label][position + 1] = len(targets[label])
-        csr = MappingProxyType(
-            {
-                label: (offsets[label], index_array(targets[label]))
-                for label in labels
-            }
-        )
-        self._csr_out = csr
-        return csr
+        facet = self._csr_out
+        if facet is None:
+            facet = self._publish("_csr_out", self._build_csr_out)
+        return facet
 
 
 def adjacency_index(graph: Any) -> AdjacencyIndex:

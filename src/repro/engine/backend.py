@@ -5,8 +5,8 @@ Both kernels carry per-component source sets as plain Python ints (one
 bit per source node, combined with big-int OR, which runs in C); the
 engine imports no NumPy.  The compact numeric core's index arrays (the
 interned CSR adjacency in :mod:`repro.engine.adjacency`) are built
-through :func:`index_array` / :func:`zeros_index_array` here.  The join
-glue (:mod:`repro.engine.planner`, :mod:`repro.engine.qinj`,
+through :func:`index_array` here.  The join glue
+(:mod:`repro.engine.planner`, :mod:`repro.engine.qinj`,
 :mod:`repro.engine.join`) has one path under both backends: it joins
 graph nodes and never imports this module.  Two backends exist:
 
@@ -53,11 +53,6 @@ BACKEND_NAMES = ("python", "array")
 def index_array(values: Any = ()) -> "array[int]":
     """A signed 64-bit index array (the CSR offsets/targets type)."""
     return array("q", values)
-
-
-def zeros_index_array(length: int) -> "array[int]":
-    """A zero-filled signed 64-bit index array of ``length`` entries."""
-    return array("q", bytes(8 * length))
 
 
 class Backend:

@@ -26,8 +26,10 @@ Two kernels run these phases, selected by ``REPRO_BACKEND``
 (:func:`_dense_reachability_pairs`) over interned ids.  Both carry a
 component's source set as one plain Python int, so the kernel cost per
 OR is pinned by the node count; the dense kernel decodes a mask by a
-byte-table walk over its nonzero bytes (:func:`_int_bits`), the
-reference path and the incremental store by lowest-bit peeling
+byte-table walk over its nonzero bytes (:func:`_int_bits`), once per
+distinct mask (final components downstream of the same seeds share
+one), and returns its pair set itself rather than a copy; the reference
+path and the incremental store decode by lowest-bit peeling
 (:func:`_decode_mask`).
 """
 
@@ -69,8 +71,11 @@ def product_reachability_pairs(
 
     if active_backend().dense_kernels:
         _DENSE_DISPATCH.inc()
-        pairs.update(_dense_reachability_pairs(index, nfa, ctx))
-        return pairs
+        # Hand back the kernel's own set: ``pairs`` holds only the
+        # ε-diagonal here, so folding it in beats copying every pair.
+        dense_pairs = _dense_reachability_pairs(index, nfa, ctx)
+        dense_pairs |= pairs
+        return dense_pairs
 
     adjacency, seeds = _reachable_product(index, nfa, ctx)
     components, component_of = _tarjan_sccs(adjacency)
@@ -324,11 +329,18 @@ def _dense_reachability_pairs(
             final_targets.setdefault(
                 comp_of[vid] - 1, []
             ).append(nodes[pid // width])
+    # Final components downstream of the same seeds share one source
+    # mask, so each distinct mask is decoded once.
     pairs: set[tuple[Any, Any]] = set()
+    decoded: dict[int, list[Any]] = {}
     for identifier, final_nodes in final_targets.items():
-        sources = [nodes[bit] for bit in _int_bits(masks[identifier])]
-        if sources:
-            pairs.update(_cartesian(sources, final_nodes))
+        mask = masks[identifier]
+        if not mask:
+            continue
+        sources = decoded.get(mask)
+        if sources is None:
+            sources = decoded[mask] = [nodes[bit] for bit in _int_bits(mask)]
+        pairs.update(_cartesian(sources, final_nodes))
     return pairs
 
 

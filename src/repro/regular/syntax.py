@@ -45,8 +45,35 @@ class Regex:
     def __mul__(self, other):
         return concat(self, other)
 
+    # The dataclass-generated hash re-walks the whole tree on every call,
+    # and regexes key the NFA and analysis caches, so each node keeps its
+    # structural hash once computed.  The cache is not a field: it takes
+    # no part in ``__eq__`` or ``repr``.
+    def __hash__(self):
+        cached = self.__dict__.get("_hash")
+        if cached is None:
+            cached = self.__dict__["_hash"] = self._structural_hash()
+        return cached
 
-@dataclass(frozen=True)
+    def __getstate__(self):
+        # str hashes differ across processes, so a pickled or copied
+        # node recomputes its hash rather than restoring a stale one.
+        state = dict(self.__dict__)
+        state.pop("_hash", None)
+        return state
+
+
+def _node(cls):
+    """Declare a regex AST node: a frozen dataclass whose generated
+    structural hash is kept as ``_structural_hash`` and cached by
+    :meth:`Regex.__hash__`."""
+    cls = dataclass(frozen=True)(cls)
+    cls._structural_hash = cls.__hash__
+    cls.__hash__ = Regex.__hash__
+    return cls
+
+
+@_node
 class Empty(Regex):
     """The empty language ∅."""
 
@@ -63,7 +90,7 @@ class Empty(Regex):
         return "∅"
 
 
-@dataclass(frozen=True)
+@_node
 class Epsilon(Regex):
     """The language {ε}."""
 
@@ -80,7 +107,7 @@ class Epsilon(Regex):
         return "ε"
 
 
-@dataclass(frozen=True)
+@_node
 class Symbol(Regex):
     """A single-symbol language {a}."""
 
@@ -104,7 +131,7 @@ class Symbol(Regex):
         return f"<{text}>"
 
 
-@dataclass(frozen=True)
+@_node
 class Concat(Regex):
     """Concatenation L1 · L2."""
 
@@ -124,7 +151,7 @@ class Concat(Regex):
         return f"{_wrap(self.left)}{_wrap(self.right)}"
 
 
-@dataclass(frozen=True)
+@_node
 class Union(Regex):
     """Union L1 + L2."""
 
@@ -144,7 +171,7 @@ class Union(Regex):
         return f"({self.left}+{self.right})"
 
 
-@dataclass(frozen=True)
+@_node
 class Star(Regex):
     """Kleene closure L*."""
 
@@ -163,7 +190,7 @@ class Star(Regex):
         return f"{_wrap(self.inner)}*"
 
 
-@dataclass(frozen=True)
+@_node
 class Plus(Regex):
     """Positive closure L+ = L · L*."""
 
@@ -183,7 +210,7 @@ class Plus(Regex):
         return f"{_wrap(self.inner)}^+"
 
 
-@dataclass(frozen=True)
+@_node
 class Optional(Regex):
     """L? = L + ε."""
 

@@ -15,6 +15,10 @@ first run over the tree (and which were then fixed, not baselined):
 - ``engine/adjacency.py`` handed out live inner dicts from
   ``out_targets`` / ``in_sources``; one caller mutating its view would
   corrupt every consumer of the graph version (LK001's bug class).
+
+The adjacency index builds its facets on first read, so it also pins
+that a facet first read after a mutation still describes the index's own
+version, and that a cold query builds only the facets it reads.
 """
 
 import sys
@@ -32,11 +36,14 @@ from repro.engine.cache import (
     clear_analysis_cache,
     graph_cached,
 )
+from repro.engine.backend import use_backend
 from repro.engine.relations import atom_relation
-from repro.graphdb.graph import GraphDatabase
+from repro.graphdb.generators import uniform_random
+from repro.graphdb.graph import Edge, GraphDatabase
 from repro.queries.parser import parse_query
 from repro.regular.parser import parse_regex
 from repro.regular.syntax import Symbol
+from repro.semantics.evaluation import evaluate
 
 
 class VersionCountingGraph:
@@ -184,3 +191,118 @@ def test_adjacency_partitions_are_read_only():
         del sources["a"]
     # The shared index is unharmed.
     assert set(index.out_targets(2)) == {"a", "b"}
+
+
+# ----------------------------------------------------------------------
+# Adjacency facets: built on first read, from the index's own version
+# ----------------------------------------------------------------------
+
+#: Every facet the index builds lazily (instance attributes once built).
+FACETS = ("_out_sorted", "_out_by_label", "_in_by_label", "_label_sets",
+          "_csr_out")
+
+
+def built_facets(index):
+    return {name for name in FACETS if name in vars(index)}
+
+
+def facet_view(index, nodes, labels):
+    """Every facet of ``index``, read over ``nodes`` and ``labels``, in
+    comparable form (``in_sources`` is unordered by contract)."""
+    return {
+        "nodes_sorted": index.nodes_sorted,
+        "out_sorted": {node: index.out_sorted(node) for node in nodes},
+        "out_targets": {
+            node: dict(index.out_targets(node) or {}) for node in nodes
+        },
+        "in_sources": {
+            node: {label: sorted(sources, key=repr)
+                   for label, sources in (index.in_sources(node) or {}).items()}
+            for node in nodes
+        },
+        "label_sets": {
+            label: (index.label_sources(label), index.label_targets(label),
+                    index.label_loops(label))
+            for label in labels
+        },
+        "csr_out": {
+            label: (list(offsets), list(targets))
+            for label, (offsets, targets) in index.csr_out().items()
+        },
+    }
+
+
+def test_facets_first_read_after_mutation_describe_the_old_version():
+    graph = small_graph()
+    before = graph.copy()
+    stale = adjacency_index(graph)
+    version = graph.version
+    assert not built_facets(stale)
+    graph.add_edge(1, "b", 1)
+    graph.remove_edge(2, "a", 3)
+    graph.add_node(9)
+    nodes = graph.nodes | before.nodes
+    labels = {"a", "b", "c"}
+    assert facet_view(stale, nodes, labels) == facet_view(
+        adjacency_index(before), nodes, labels
+    )
+    assert built_facets(stale) == set(FACETS)
+    assert stale.version == version
+    fresh = adjacency_index(graph)
+    assert fresh is not stale and fresh.version == graph.version
+    assert facet_view(fresh, nodes, labels) == facet_view(
+        adjacency_index(graph.copy()), nodes, labels
+    )
+    loop = Edge(1, "b", 1)
+    assert loop in fresh.out_sorted(1) and loop not in stale.out_sorted(1)
+    assert fresh.label_loops("b") == {1} and not stale.label_loops("b")
+    assert fresh.in_sources(3) == {"b": (2,)}
+    assert 9 in fresh.node_bit and 9 not in stale.node_bit
+
+
+def test_cold_st_query_builds_only_the_csr_facet():
+    graph = uniform_random(30, 90, {"a", "b"}, seed=3)
+    query = parse_query("Q(x, z) :- x -[a]-> y, y -[b^+]-> z")
+    with use_backend("array"):
+        assert evaluate(query, graph, "st")
+    assert built_facets(adjacency_index(graph)) == {"_csr_out"}
+
+
+def test_ainj_query_builds_the_search_facets():
+    graph = uniform_random(30, 90, {"a", "b"}, seed=3)
+    query = parse_query("Q(x, z) :- x -[a]-> y, y -[b^+]-> z")
+    with use_backend("array"):
+        assert evaluate(query, graph, "a-inj")
+    assert {"_out_sorted", "_in_by_label"} <= built_facets(
+        adjacency_index(graph)
+    )
+
+
+def test_racing_first_reads_get_one_published_facet():
+    graph = uniform_random(60, 300, {"a", "b"}, seed=5)
+    index = adjacency_index(graph)
+    node = index.nodes_sorted[0]
+    reads = (index.csr_out, lambda: index.out_sorted(node),
+             lambda: index.out_targets(node), lambda: index.in_sources(node),
+             lambda: index.label_sources("a"), lambda: index.label_loops("b"))
+    barrier = threading.Barrier(16, timeout=10)
+    results = []
+
+    def first_reads():
+        barrier.wait()
+        results.append([read() for read in reads])
+
+    threads = [threading.Thread(target=first_reads) for _ in range(16)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(results) == 16
+    for position in range(len(reads)):
+        assert len({id(values[position]) for values in results}) == 1

@@ -1,5 +1,12 @@
 """Unit tests for the regex AST and combinators."""
 
+import copy
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.regular.syntax import (
@@ -23,6 +30,7 @@ from repro.regular.syntax import (
     word,
 )
 from repro.regular.nfa import NFA
+from repro.regular.parser import parse_regex
 
 
 class TestNullability:
@@ -167,3 +175,46 @@ class TestOperatorSugar:
         from repro.regular.parser import parse_regex
 
         assert parse_regex(str(regex)) == regex
+
+
+class TestCachedHash:
+    """Each node caches its structural hash; the cache is invisible to
+    equality and ``repr`` and never survives a pickle or copy, because
+    str hashes differ across processes."""
+
+    TEXT = "(<ab>c)^+ + d*e? + ε"
+
+    def test_cache_is_invisible_to_eq_and_repr(self):
+        hashed, fresh = parse_regex(self.TEXT), parse_regex(self.TEXT)
+        text = repr(hashed)
+        assert hash(hashed) == hash(fresh)
+        assert hashed == fresh and repr(hashed) == repr(fresh) == text
+
+    def test_copies_hash_and_compare_equal(self):
+        regex = parse_regex(self.TEXT)
+        hash(regex)
+        for clone in (copy.copy(regex), copy.deepcopy(regex),
+                      pickle.loads(pickle.dumps(regex))):
+            assert clone == regex and hash(clone) == hash(regex)
+
+    def test_pickle_across_hash_seeds(self):
+        dump = ("import pickle, sys; from repro.regular.parser import "
+                f"parse_regex; r = parse_regex({self.TEXT!r}); hash(r); "
+                "sys.stdout.write(pickle.dumps(r).hex())")
+        load = ("import pickle, sys; from repro.regular.parser import "
+                f"parse_regex; fresh = parse_regex({self.TEXT!r}); "
+                "loaded = pickle.loads(bytes.fromhex(sys.stdin.read())); "
+                "assert loaded == fresh and hash(loaded) == hash(fresh); "
+                "assert {fresh: 1}[loaded] == 1; print('ok')")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+
+        def run(code, seed, stdin=""):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+            completed = subprocess.run(
+                [sys.executable, "-c", code], input=stdin, env=env,
+                capture_output=True, text=True, timeout=120,
+            )
+            assert completed.returncode == 0, completed.stderr
+            return completed.stdout
+
+        assert run(load, "2", run(dump, "1")).strip() == "ok"
