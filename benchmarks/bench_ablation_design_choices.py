@@ -12,10 +12,14 @@
   post-hoc filtering of all partitions.
 """
 
+from itertools import product
+
 import pytest
 
 from repro.containment.abstraction import _combined_q2_nfa, atom_classes
 from repro.containment.preprocess import merge_degree_one_variables
+from repro.engine.cache import compiled_nfa
+from repro.engine.relations import simple_path_pairs_among
 from repro.graphdb.generators import uniform_random
 from repro.queries.parser import parse_query
 from repro.regular.parser import parse_regex
@@ -54,15 +58,21 @@ def test_bench_classes_without_merge(benchmark):
 HARD_REGEX = parse_regex("(aa)*")
 
 
+def _unpruned_simple_path_pairs(graph, regex):
+    """Every node pair is a candidate: no walk-relation filter."""
+    return simple_path_pairs_among(
+        graph, compiled_nfa(regex), product(graph.nodes, repeat=2)
+    )
+
+
 @pytest.mark.parametrize("prune", [True, False],
                          ids=["pruned", "unpruned"])
 def test_bench_simple_path_pruning(benchmark, prune):
     graph = uniform_random(8, 16, {"a"}, seed=9)
-    pairs = benchmark(simple_path_pairs, graph, HARD_REGEX,
-                      prune_with_standard=prune)
+    run = simple_path_pairs if prune else _unpruned_simple_path_pairs
+    pairs = benchmark(run, graph, HARD_REGEX)
     # Same result either way — the ablation is performance-only.
-    reference = simple_path_pairs(graph, HARD_REGEX, prune_with_standard=True)
-    assert pairs == reference
+    assert pairs == simple_path_pairs(graph, HARD_REGEX)
 
 
 def _partitions_posthoc(items, conflicting):

@@ -4,8 +4,8 @@ Acceptance pin for the join engine: on a chain-CRPQ workload
 (length-6 chains, standard semantics) the planner's elimination glue
 must be ≥ 5× faster than the transcribed pre-join evaluation path —
 relation-``GraphDatabase`` materialization plus backtracking
-homomorphism enumeration (:func:`repro.analysis.join_glue.
-csp_glue_evaluate`, the same baseline E7 sweeps).
+homomorphism enumeration (``csp_glue_evaluate`` in
+``tests/reference/baselines.py``).
 
 Engine caches are dropped before every evaluation so each call pays the
 full uncached cost; the chain languages are single symbols, so the atom
@@ -22,9 +22,10 @@ import pytest
 from _timing import best_of
 from _trajectory import TrajectoryRecorder
 from repro.analysis.batching import drop_all_caches
-from repro.analysis.join_glue import chain_query, csp_glue_evaluate
+from repro.analysis.join_glue import chain_query
 from repro.graphdb.generators import uniform_random
 from repro.semantics.evaluation import evaluate
+from tests.reference.baselines import csp_glue_evaluate
 
 _TRAJECTORY = TrajectoryRecorder("join")
 

@@ -5,9 +5,8 @@ Acceptance pin for the q-inj fast path: on the E8 workload
 (rare-label chain CRPQs of lengths 2–4 over noise-dominated graphs,
 :mod:`repro.analysis.qinj_pruning`) the relation-guided evaluator must
 be ≥ 5× faster than the seed-era unguided joint backtracking search
-(:func:`repro.analysis.qinj_pruning.unguided_qinj_evaluate`, built
-around the reference ``_qinj_solutions`` kept in
-:mod:`repro.semantics.evaluation`).
+(``unguided_qinj_evaluate``, built around the unguided
+``_qinj_solutions``, both in ``tests/reference/baselines.py``).
 
 Engine caches are dropped before every evaluation so each call pays the
 full uncached cost; the rare-label languages are single symbols, so the
@@ -36,11 +35,11 @@ from repro.analysis.batching import drop_all_caches
 from repro.analysis.qinj_pruning import (
     rare_backbone_graph,
     rare_chain_workload,
-    unguided_qinj_evaluate,
 )
 from repro.graphdb.generators import uniform_random
 from repro.queries.parser import parse_query
 from repro.semantics.evaluation import evaluate
+from tests.reference.baselines import unguided_qinj_evaluate
 
 _TRAJECTORY = TrajectoryRecorder("qinj")
 

@@ -14,12 +14,7 @@ from repro.analysis.experiments import (
     hierarchy_check,
     semantics_census,
 )
-from repro.analysis.join_glue import (
-    chain_query,
-    csp_glue_evaluate,
-    join_glue_report_text,
-    run_join_glue_scaling,
-)
+from repro.analysis.join_glue import chain_query
 
 __all__ = [
     "FIGURE1",
@@ -28,13 +23,10 @@ __all__ = [
     "agreement_matrix",
     "batch_report_text",
     "chain_query",
-    "csp_glue_evaluate",
     "drop_all_caches",
     "evaluate_independent",
     "hierarchy_check",
-    "join_glue_report_text",
     "run_batch_throughput",
-    "run_join_glue_scaling",
     "semantics_census",
     "shared_atom_workload",
 ]

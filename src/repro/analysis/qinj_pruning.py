@@ -1,4 +1,4 @@
-"""q-inj pruning experiment (E8): relation-guided vs unguided search.
+"""q-inj pruning workload (E8): rare-label chains over noise.
 
 PR 3 left query-injective semantics on the seed-era joint backtracking
 search: every variable drew its candidates from *all* nodes, so even a
@@ -6,58 +6,26 @@ query whose atoms touch a handful of edges paid a full quadratic
 endpoint sweep per atom before the injective search could start.  The
 relation-guided evaluator (:mod:`repro.engine.qinj`) prunes those
 candidates with the polynomial standard relations (semijoin-reduced to
-the arc-consistent fixpoint) and memoizes per-endpoint-pair path
-witnesses; E8 measures what that buys on the workload shape it targets:
+the arc-consistent fixpoint).  E8 is the workload shape it targets:
 rare-label chain CRPQs over graphs dominated by noise edges, so the
 true candidate sets are tiny while the node count grows.
 
-Modes:
-
-- **unguided** — the seed-era search (:func:`unguided_qinj_evaluate`),
-  transcribed around :func:`repro.semantics.evaluation._qinj_solutions`,
-  which is kept verbatim as the reference.  This is the baseline
-  :mod:`benchmarks.bench_qinj` gates against;
-- **guided** — the shipping path (:func:`repro.semantics.evaluation.
-  evaluate`), which plans with :func:`repro.engine.qinj.plan_qinj`.
-
-Caches are dropped before every timed call (the per-query cost profile
-of a cache-less service); the rare-label languages are single symbols,
-so the standard pruning relations are trivial to compute and the
-*search* dominates both timings — exactly the cost the guidance removes.
+:mod:`benchmarks.bench_qinj` times the guided evaluator against the
+unguided search (``tests/reference/baselines.py``) on this workload;
+the rare-label languages are single symbols, so the standard pruning
+relations are trivial to compute and the *search* dominates both
+timings — exactly the cost the guidance removes.
 """
 
 from __future__ import annotations
 
 import random
-import time
-from dataclasses import dataclass
-from functools import partial
 
-from repro.analysis.batching import drop_all_caches
 from repro.analysis.join_glue import chain_query
 from repro.graphdb.generators import uniform_random
-from repro.queries.crpq import union_of
-from repro.semantics.evaluation import _qinj_solutions, evaluate
 
 #: The rare backbone label the E8 chain queries follow.
 RARE_LABEL = "r"
-
-
-@dataclass
-class QinjRow:
-    """One measurement: graph size, search mode, time, answer count."""
-
-    family: str
-    mode: str  # "unguided" | "guided"
-    num_nodes: int
-    chain_length: int
-    seconds: float
-    answers: int
-
-    def __str__(self):
-        return (f"{self.family:<14} {self.mode:<9} n={self.num_nodes:<4} "
-                f"k={self.chain_length:<2} {self.seconds:>9.4f}s  "
-                f"{self.answers:>7} answers")
 
 
 def rare_backbone_graph(num_nodes, edge_factor=3, num_chains=None,
@@ -89,78 +57,3 @@ def rare_chain_workload(chain_lengths=(2, 3, 4)):
     return [
         chain_query(length, (RARE_LABEL,)) for length in chain_lengths
     ]
-
-
-def unguided_qinj_evaluate(query, graph):
-    """The seed-era q-inj evaluation path, transcribed: every ε-free
-    disjunct runs the unguided joint backtracking search
-    (:func:`repro.semantics.evaluation._qinj_solutions`) with full node
-    scans per variable.  Atom-language NFAs come from the same engine
-    caches the guided path uses, so the two modes differ *only* in
-    candidate pruning and witness memoization."""
-    results = set()
-    for disjunct in union_of(query):
-        for eps_free in disjunct.epsilon_free_union():
-            results |= {
-                tuple(mu[v] for v in eps_free.head)
-                for mu in _qinj_solutions(eps_free, graph)
-            }
-    return frozenset(results)
-
-
-def _timed(callable_):
-    start = time.perf_counter()
-    value = callable_()
-    return time.perf_counter() - start, value
-
-
-def run_qinj_scaling(num_nodes_list=(20, 30, 45, 60), chain_lengths=(2, 3, 4),
-                     seed=11):
-    """Run the E8 sweep: per graph size and chain length, one unguided
-    and one guided row, with identical answer sets asserted."""
-    queries = rare_chain_workload(chain_lengths)
-    rows = []
-    for num_nodes in num_nodes_list:
-        graph = rare_backbone_graph(num_nodes, seed=seed)
-        for length, query in zip(chain_lengths, queries):
-            family = f"rare-chain-{length}"
-
-            drop_all_caches(graph)
-            unguided_seconds, unguided_answers = _timed(
-                partial(unguided_qinj_evaluate, query, graph))
-            drop_all_caches(graph)
-            guided_seconds, guided_answers = _timed(
-                partial(evaluate, query, graph, "q-inj"))
-
-            if unguided_answers != guided_answers:
-                raise AssertionError(
-                    f"guided/unguided q-inj divergence at n={num_nodes}, "
-                    f"k={length}"
-                )
-            rows.append(QinjRow(family, "unguided", num_nodes, length,
-                                unguided_seconds, len(unguided_answers)))
-            rows.append(QinjRow(family, "guided", num_nodes, length,
-                                guided_seconds, len(guided_answers)))
-    return rows
-
-
-def qinj_report_text(rows):
-    """Render rows plus the per-size guided-over-unguided speedup
-    (summed across chain lengths, the workload-level view)."""
-    lines = ["family         mode      size    k     seconds  answers",
-             "-" * 58]
-    lines.extend(str(row) for row in rows)
-    lines.append("")
-    totals = {}
-    for row in rows:
-        key = (row.num_nodes, row.mode)
-        totals[key] = totals.get(key, 0.0) + row.seconds
-    for num_nodes in sorted({row.num_nodes for row in rows}):
-        unguided = totals.get((num_nodes, "unguided"))
-        guided = totals.get((num_nodes, "guided"))
-        if unguided and guided and guided > 0:
-            lines.append(
-                f"n={num_nodes}: guided q-inj speedup = "
-                f"{unguided / guided:.1f}× over the unguided search"
-            )
-    return "\n".join(lines)

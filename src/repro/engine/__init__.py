@@ -37,7 +37,7 @@ three pieces (see ARCHITECTURE.md for the full picture):
   :class:`~repro.engine.runtime.ExecutionContext`.
 
 Everything here is output-equivalent to the seed implementations; the
-differential suite (``tests/test_engine_differential.py``) pins that.
+differential matrix (``tests/differential_matrix.py``) pins that.
 """
 
 from repro.engine.adjacency import AdjacencyIndex, adjacency_index

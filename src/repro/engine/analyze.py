@@ -74,17 +74,15 @@ class AnalysisBudget:
     subset_state_cap: int = 12
     expansion_budget: int = 120
     quotient_budget: int = 120
-    max_classes: int = 250
-    max_candidates: int = 500
 
     def decider_options(self) -> Dict[str, int]:
-        """The budget kwargs forwarded to ``containment.api.contains``
-        (it picks the ones its routed decider understands)."""
+        """The budget kwargs forwarded to ``containment.api.contains``.
+        Subsumption checks run only on star-free left sides, which
+        ``contains`` routes to ``contains_finite_left``: these two
+        budgets are the only ones it reads."""
         return {
             "expansion_budget": self.expansion_budget,
             "quotient_budget": self.quotient_budget,
-            "max_classes": self.max_classes,
-            "max_candidates": self.max_candidates,
         }
 
 

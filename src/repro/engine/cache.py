@@ -6,8 +6,7 @@ lives in :mod:`repro.engine.relations` on top of :func:`graph_cached`):
 - **NFA compilation cache** — ``Regex → NFA`` memoization, keyed
   *structurally* (regex AST nodes are frozen dataclasses, so equal
   regexes share one compiled automaton).  The seed recompiled every
-  atom language on every ``evaluate`` / ``_qinj_solutions`` /
-  ``simple_path_pairs`` call.
+  atom language on every ``evaluate`` / ``simple_path_pairs`` call.
 - **Per-disjunct results** — :func:`query_result`, per (graph version,
   semantics, ε-free disjunct).
 - **State masks** — :func:`nfa_masks`, per interned NFA: one bit per
@@ -409,8 +408,9 @@ def query_result(
     the store for a *reusable* result: when every base table of the
     disjunct is a maintained relation whose identity (and the node set)
     has not moved since the last evaluation, the stored answers are
-    returned without re-planning (sound for st / a-inj, which are pure
-    functions of their tables; q-inj always recomputes).
+    returned without re-planning.  Only standard answers are reused:
+    a-inj reads version-discard simple-path tables and q-inj depends on
+    witness paths, so both always recompute.
     """
     store = getattr(graph, "_incremental_store", None)
     if store is not None:

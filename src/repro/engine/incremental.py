@@ -476,25 +476,21 @@ class IncrementalRelationStore:
     def query_result(self, semantics, query, compute):
         """Versioned result reuse for one ε-free disjunct.
 
-        Standard and atom-injective answers are pure functions of the
-        plan's base tables plus the node set, so when *every* atom of
-        ``query`` is served by a maintained relation and neither the
-        table identities (materialization hands out the same object
-        while the pairs are unchanged) nor the node set moved since the
-        last evaluation, the previous answers are returned without
-        planning or joining.  Query-injective answers depend on witness
-        *paths*, not just endpoint tables, so they always recompute.
-        Falls back to ``compute()`` whenever any table is not maintained
-        (a-inj simple-path tables stay version-discard).
+        Only standard answers are reused: they are a pure function of
+        the plan's base tables plus the node set, and every standard
+        table is maintained.  When neither the table identities
+        (materialization hands out the same object while the pairs are
+        unchanged) nor the node set moved since the last evaluation, the
+        previous answers are returned without planning or joining.
+        Atom-injective answers read simple-path tables, which stay
+        version-discard, and query-injective answers depend on witness
+        *paths*, not just endpoint tables, so both always recompute.
         """
         from repro.semantics.base import Semantics
 
-        if semantics is Semantics.QUERY_INJECTIVE:
+        if semantics is not Semantics.STANDARD:
             return compute()
-        fingerprint = self._result_fingerprint(query, semantics)
-        if fingerprint is None:
-            return compute()
-        relations, nodes = fingerprint
+        relations, nodes = self._result_fingerprint(query)
         key = (semantics, query)
         with self._lock:
             entry = self._query_results.get(key)
@@ -516,15 +512,9 @@ class IncrementalRelationStore:
                 self._query_results.popitem(last=False)
         return answers
 
-    def _result_fingerprint(self, query, semantics):
-        """The reuse key of one disjunct: its maintained base tables (by
-        identity) plus the node set — or ``None`` when any atom's table
-        is not maintained (a-inj), which disables reuse for the
-        disjunct.  Only called for st / a-inj."""
-        from repro.semantics.base import Semantics
-
-        if semantics is not Semantics.STANDARD:
-            return None
+    def _result_fingerprint(self, query):
+        """The reuse key of one standard disjunct: its maintained base
+        tables (by identity) plus the node set."""
         relations = tuple(
             self.standard_relation(atom.language) for atom in query.atoms
         )

@@ -43,9 +43,10 @@ the polynomial machinery built for the other semantics:
    endpoints, and a target an earlier search from that source already
    stepped onto is answered with no search of its own.
 
-The unguided search survives as
-:func:`repro.semantics.evaluation._qinj_solutions`; it is the reference
-the differential suite and ``benchmarks/bench_qinj.py`` compare against.
+The unguided search lives on in ``tests/reference/baselines.py`` as
+the baseline ``benchmarks/bench_qinj.py`` times this one against; the
+differential matrix checks answers against a brute injective search
+(``tests/reference/brute.py``).
 """
 
 from __future__ import annotations

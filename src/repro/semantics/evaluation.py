@@ -22,9 +22,6 @@ Algorithms:
   database), each atom's witness path enumerated under the search's
   forbidden-node set.
 
-The unguided joint search (:func:`_qinj_solutions`) is kept verbatim as
-the differential-test and benchmark reference.
-
 Dynamic graphs: attaching an
 :class:`~repro.engine.incremental.IncrementalRelationStore` to a graph
 changes none of these entry points — the planners and the atom-relation
@@ -36,12 +33,9 @@ through the same maintained tables.
 
 from __future__ import annotations
 
-import itertools
-
 from repro.engine import telemetry
-from repro.engine.adjacency import adjacency_index
 from repro.engine.analyze import analyzed_disjuncts
-from repro.engine.cache import compiled_nfa, query_result
+from repro.engine.cache import query_result
 from repro.engine.planner import plan_eps_free
 from repro.engine.qinj import plan_qinj
 from repro.engine.runtime import (
@@ -52,7 +46,6 @@ from repro.engine.runtime import (
     active_context,
 )
 from repro.errors import EvaluationCancelled, ResourceExhausted
-from repro.graphdb.paths import simple_cycles_through, simple_paths
 from repro.queries.crpq import union_of
 from repro.semantics.base import Semantics
 from repro.semantics.rpq import atom_relation_kind, relation_by_kind
@@ -274,118 +267,3 @@ def atom_pairs(graph, atom, semantics):
     return relation_by_kind(
         graph, atom.language, atom_relation_kind(atom, semantics)
     )
-
-
-# ----------------------------------------------------------------------
-# Query-injective evaluation: the unguided joint backtracking reference
-# ----------------------------------------------------------------------
-
-
-def _qinj_solutions(query, graph, initial_mu=None):
-    """Yield injective assignments μ : vars(Q) → V(G) such that every atom
-    has a simple path (or simple cycle, for loop atoms) whose internal
-    nodes are fresh: distinct across atoms and distinct from every μ-image.
-
-    This is exactly an injective homomorphism from some expansion of Q
-    (Prop 2.2), searched directly on the database.
-
-    The serving path no longer calls this: :mod:`repro.engine.qinj`
-    runs the same search over relation-pruned candidate domains.  This
-    unguided version is kept verbatim as the reference that
-    ``tests/test_qinj_guided_differential.py`` and
-    ``benchmarks/bench_qinj.py`` compare against.
-    """
-    mu = dict(initial_mu or {})
-    values = list(mu.values())
-    if len(set(values)) != len(values):
-        return
-    if any(node not in graph.nodes for node in values):
-        return
-    atoms = list(query.atoms)
-    nfas = [compiled_nfa(atom.language) for atom in atoms]
-    # One sorted pass over the nodes for the whole search (the seed
-    # re-sorted graph.nodes by repr on every _candidates call deep in
-    # the backtracking loop); this also pins a deterministic
-    # enumeration order across calls.
-    ordered_nodes = adjacency_index(graph).nodes_sorted
-    used_values = set(values)
-    internal_used = set()
-
-    def place_atom(index):
-        if index == len(atoms):
-            yield from place_isolated()
-            return
-        atom = atoms[index]
-        nfa = nfas[index]
-        for source in _candidates(atom.source):
-            undo_source = _assign(atom.source, source)
-            if undo_source is None:
-                continue
-            for target in _candidates(atom.target):
-                if atom.is_loop() and target != source:
-                    continue
-                undo_target = _assign(atom.target, target)
-                if undo_target is None:
-                    continue
-                forbidden = (used_values | internal_used) - {source, target}
-                if atom.is_loop():
-                    paths = simple_cycles_through(
-                        graph, source, language=nfa,
-                        forbidden=forbidden, include_empty=False,
-                    )
-                else:
-                    paths = simple_paths(
-                        graph, source, target, language=nfa, forbidden=forbidden
-                    )
-                for path in paths:
-                    internals = set(path.internal_nodes())
-                    internal_used.update(internals)
-                    yield from place_atom(index + 1)
-                    internal_used.difference_update(internals)
-                if undo_target:
-                    _unassign(atom.target)
-                if atom.is_loop():
-                    break  # target is the same variable; source loop covers it
-            if undo_source:
-                _unassign(atom.source)
-
-    def _candidates(variable):
-        if variable in mu:
-            return (mu[variable],)
-        return tuple(
-            node
-            for node in ordered_nodes
-            if node not in used_values and node not in internal_used
-        )
-
-    def _assign(variable, node):
-        """Try μ(variable) = node; return True if newly assigned, False if
-        already consistently assigned, None on conflict."""
-        if variable in mu:
-            return False if mu[variable] == node else None
-        if node in used_values or node in internal_used:
-            return None
-        mu[variable] = node
-        used_values.add(node)
-        return True
-
-    def _unassign(variable):
-        used_values.discard(mu[variable])
-        del mu[variable]
-
-    def place_isolated():
-        free = [v for v in sorted(query.variables, key=repr) if v not in mu]
-        if not free:
-            yield dict(mu)
-            return
-        available = [
-            node
-            for node in ordered_nodes
-            if node not in used_values and node not in internal_used
-        ]
-        for combo in itertools.permutations(available, len(free)):
-            assignment = dict(mu)
-            assignment.update(zip(free, combo))
-            yield assignment
-
-    yield from place_atom(0)

@@ -17,10 +17,8 @@ for each distinct atom language once.
 
 from __future__ import annotations
 
-from itertools import product
-
 from repro.engine.cache import compiled_nfa
-from repro.engine.relations import atom_relation, simple_path_pairs_among
+from repro.engine.relations import atom_relation
 from repro.semantics.base import Semantics
 
 
@@ -35,22 +33,14 @@ def standard_pairs(graph, language):
     return atom_relation(graph, language, "standard").pairs
 
 
-def simple_path_pairs(graph, language, prune_with_standard=True):
+def simple_path_pairs(graph, language):
     """Return {(u, v) : some *simple path* u ⇝ v has label in L}.
 
     For u = v only the empty path is simple, so (u, u) appears iff ε ∈ L.
-    ``prune_with_standard`` first filters candidate pairs with the
-    (polynomial) walk relation — a simple path is a walk.  Only the
-    pruned (default) strategy is cached; the unpruned variant always
-    recomputes (note it still uses the engine's pruned path search —
-    the genuinely engine-independent references live in
-    ``tests/test_engine_differential.py``).
+    Candidate pairs are first filtered with the (polynomial) walk
+    relation — a simple path is a walk.
     """
-    if prune_with_standard:
-        return atom_relation(graph, language, "simple-path").pairs
-    return simple_path_pairs_among(
-        graph, compiled_nfa(language), product(graph.nodes, repeat=2)
-    )
+    return atom_relation(graph, language, "simple-path").pairs
 
 
 def simple_cycle_nodes(graph, language, include_empty=True):

@@ -1,26 +1,22 @@
-"""Differential property tests: analyzed ≡ unanalyzed evaluation.
-
-The static analyzer may only prune or rewrite when the answer set is
-provably unchanged, so for every seeded random (query, graph) pair and
-every semantics, evaluation through the analyzer must match the
-pass-through (``analysis_disabled``) path exactly.  Random single
-queries, random unions, and engineered pruning shapes (∅ atoms, sibling
-subsumption, subsumed disjuncts, duplicate disjuncts) are all covered;
-well over 50 seeded cases run across the parametrizations.
+"""The differential matrix's analyzer axes (:mod:`tests.differential_matrix`):
+``analysis_disabled()`` must not change an answer.  Engineered shapes
+(∅ atoms, sibling subsumption, subsumed and duplicate disjuncts) check
+that the analyzer fires there and that analyzed equals unanalyzed.
 """
 
 import random
 
 import pytest
 
-from repro.analysis.workloads import random_query, random_word_graph
+from repro.analysis.workloads import random_word_graph
 from repro.engine.analyze import analysis_disabled, analyze
 from repro.queries.atoms import Atom
-from repro.queries.crpq import CRPQ, QueryClass
+from repro.queries.crpq import CRPQ
 from repro.queries.parser import parse_query
 from repro.regular.syntax import Concat, Empty, Symbol
 from repro.semantics.base import ALL_SEMANTICS
-from repro.semantics.evaluation import evaluate, in_evaluation
+from repro.semantics.evaluation import evaluate
+from tests.differential_matrix import check, stripe
 
 ALPHABET = ("a", "b")
 
@@ -36,57 +32,21 @@ class TestRandomSingleQueries:
     @pytest.mark.parametrize("seed", range(18))
     @pytest.mark.parametrize("semantics", ALL_SEMANTICS)
     def test_analyzed_equals_unanalyzed(self, seed, semantics):
-        rng = random.Random(900 + seed)
-        query_class = rng.choice(
-            [QueryClass.CQ, QueryClass.CRPQ_FIN, QueryClass.CRPQ]
-        )
-        query = random_query(
-            rng, query_class,
-            num_variables=rng.randint(2, 3),
-            num_atoms=rng.randint(1, 3),
-            alphabet=ALPHABET,
-            arity=rng.randint(0, 2),
-        )
-        graph = random_word_graph(rng, ALPHABET, num_nodes=4, num_edges=7)
-        analyzed, baseline = both_ways(query, graph, semantics)
-        assert analyzed == baseline, (seed, str(query))
+        check("analysis-off", stripe(seed, 18), [semantics],
+              where=lambda subject: not subject.is_union)
 
 
 class TestRandomUnions:
     @pytest.mark.parametrize("seed", range(12))
     @pytest.mark.parametrize("semantics", ALL_SEMANTICS)
     def test_union_analyzed_equals_unanalyzed(self, seed, semantics):
-        rng = random.Random(1300 + seed)
-        arity = rng.randint(0, 2)
-        union = tuple(
-            random_query(
-                rng,
-                rng.choice([QueryClass.CQ, QueryClass.CRPQ_FIN]),
-                num_variables=rng.randint(2, 3),
-                num_atoms=rng.randint(1, 3),
-                alphabet=ALPHABET,
-                arity=arity,
-            )
-            for _ in range(rng.randint(2, 3))
-        )
-        graph = random_word_graph(rng, ALPHABET, num_nodes=4, num_edges=7)
-        analyzed, baseline = both_ways(union, graph, semantics)
-        assert analyzed == baseline, (seed, [str(q) for q in union])
+        check("analysis-off", stripe(seed, 12), [semantics],
+              where=lambda subject: subject.is_union)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_in_evaluation_agrees(self, seed):
-        rng = random.Random(1700 + seed)
-        query = random_query(
-            rng, QueryClass.CRPQ_FIN,
-            num_variables=3, num_atoms=2, alphabet=ALPHABET, arity=2,
-        )
-        graph = random_word_graph(rng, ALPHABET, num_nodes=4, num_edges=7)
-        nodes = sorted(graph.nodes, key=repr)
-        for target in [(nodes[0], nodes[0]), (nodes[0], nodes[-1])]:
-            analyzed = in_evaluation(query, graph, target, "st")
-            with analysis_disabled():
-                baseline = in_evaluation(query, graph, target, "st")
-            assert analyzed == baseline, (seed, str(query), target)
+        check("in-evaluation-analysis-off", stripe(seed, 8),
+              where=lambda subject: subject.is_union)
 
 
 class TestEngineeredPruningShapes:

@@ -3,17 +3,16 @@
 The backend selects only the product kernel: the ``array`` backend
 (interned CSR adjacency, dense product kernel) must be
 answer-for-answer identical to the ``python`` backend, which keeps the
-seed-era object-keyed kernel alive as the differential reference.  Both
-carry source sets as plain Python ints, and the join glue has one path
-under both.  This suite pins that equality at two levels — the
-product-reachability kernel, and full ``evaluate``/batch/incremental
-runs across all semantics — plus the seam's selection mechanics, the
-dense kernel's mask decoder, and the engine's freedom from NumPy.
+seed-era object-keyed kernel alive as the differential reference.  This
+suite pins that equality at the product-reachability kernel and on
+trail semantics, and hosts the differential matrix's python-backend
+axis (:mod:`tests.differential_matrix`); it also checks the seam's
+selection mechanics, the dense kernel's mask decoder, and the engine's
+freedom from NumPy.
 
-Every cross-backend comparison evaluates against ``graph.copy()``: the
-engine's result caches are version-keyed per graph *object*, so reusing
-one object would turn the second backend's run into a cache hit and the
-comparison into a tautology.
+Every cross-backend comparison runs on ``graph.copy()``: the engine's
+caches are version-keyed per graph *object*, so reusing one object
+would turn the second backend's run into a cache hit.
 """
 
 import os
@@ -43,8 +42,9 @@ from repro.queries.parser import parse_query
 from repro.regular.nfa import NFA
 from repro.regular.parser import parse_regex
 from repro.semantics.base import ALL_SEMANTICS
-from repro.semantics.evaluation import evaluate, evaluate_batch
+from repro.semantics.evaluation import evaluate, in_evaluation
 from repro.semantics.trails import evaluate_trails
+from tests.differential_matrix import ST_AINJ, check, stripe
 
 
 # ----------------------------------------------------------------------
@@ -296,33 +296,17 @@ def test_dense_kernel_degenerate_inputs():
 
 
 # ----------------------------------------------------------------------
-# End-to-end evaluate differential — all semantics, both backends
+# End-to-end: the matrix's python-backend axis, and fixed shapes
 # ----------------------------------------------------------------------
-
-QUERIES = [
-    "Q(x, y) :- x -[a(a+b)*]-> y",
-    "Q(x) :- x -[(ab)^+]-> x",                      # loop atom
-    "Q(x, y) :- x -[(ab)*]-> y, y -[b*]-> x",       # ε-containing languages
-    "Q() :- x -[a^+]-> y, y -[b]-> z",              # boolean, chained atoms
-    "Q(x, y) :- x -[a*]-> y, y -[b]-> z",
-]
 
 
 @pytest.mark.parametrize("semantics", ALL_SEMANTICS, ids=str)
 @pytest.mark.parametrize("seed", range(4))
 def test_evaluate_differential_between_backends(semantics, seed):
-    rng = random.Random(900 + seed)
-    num_nodes = rng.randrange(2, 7)
-    graph = uniform_random(
-        num_nodes, rng.randrange(1, 2 * num_nodes + 1), {"a", "b"}, seed=seed
-    )
-    for query_text in QUERIES:
-        query = parse_query(query_text)
-        with use_backend("python"):
-            want = evaluate(query, graph.copy(), semantics)
-        with use_backend("array"):
-            got = evaluate(query, graph.copy(), semantics)
-        assert got == want, (query_text, seed)
+    """The matrix's ``python-backend`` axis: every case evaluated under
+    the seed-era kernel matches the reference (the rest of the matrix
+    runs under the default backend, or under ``REPRO_BACKEND``)."""
+    check("python-backend", stripe(seed, 4), [semantics])
 
 
 @pytest.mark.parametrize("trail_semantics", ["atom-trail", "query-trail"])
@@ -336,89 +320,33 @@ def test_trail_semantics_differential_between_backends(trail_semantics):
     assert got == want
 
 
+# The matrix's batch, store and membership axes under the seed-era
+# kernel, on every fifth case (the full matrix runs them under the
+# default backend, or under ``REPRO_BACKEND``).
+
+
 def test_membership_binding_differential():
-    """Membership checks agree across backends: pinned head variables
-    restrict the base tables the same way under either product kernel,
-    and a bound value outside the graph restricts to ∅ (no error).
-    """
-    from repro.semantics.evaluation import in_evaluation
-
-    graph = uniform_random(6, 14, {"a", "b"}, seed=41)
-    query = parse_query("Q(x, y) :- x -[a(a+b)*]-> y")
+    """Pinned head variables restrict the base tables the same way under
+    either kernel, and a bound value outside the graph restricts to ∅
+    (no error)."""
     with use_backend("python"):
-        answers = evaluate(query, graph.copy(), "st")
-    assert answers  # the probe below must not be vacuous
-    nodes = sorted(graph.nodes, key=repr)
-    probes = list(answers)[:3] + [(nodes[0], nodes[0]), (nodes[-1], nodes[0])]
-    for probe in probes:
-        with use_backend("python"):
-            want = in_evaluation(query, graph.copy(), probe, "st")
-        with use_backend("array"):
-            got = in_evaluation(query, graph.copy(), probe, "st")
-        assert got == want, probe
+        check("in-evaluation", stripe(0, 5), ST_AINJ)
+    query = parse_query("Q(x, y) :- x -[a(a+b)*]-> y")
+    graph = uniform_random(6, 14, {"a", "b"}, seed=41)
     with use_backend("array"):
-        assert not in_evaluation(
-            query, graph.copy(), ("ghost-node", nodes[0]), "st"
-        )
-
-
-# ----------------------------------------------------------------------
-# Batch and incremental paths
-# ----------------------------------------------------------------------
-
-BATCH_QUERIES = [
-    parse_query("Q(x, z) :- x -[a*]-> y, y -[b]-> z"),
-    parse_query("Q(x) :- x -[aa*]-> y, y -[bb*]-> z, z -[a*]-> x"),
-    parse_query("Q(x, z) :- x -[aa]-> y, y -[(a+b)^+]-> z"),
-]
+        assert not in_evaluation(query, graph, ("ghost-node", 0), "st")
 
 
 @pytest.mark.parametrize("workers", [None, 2])
 def test_batch_differential_between_backends(workers):
-    graph = uniform_random(6, 14, {"a", "b"}, seed=21)
     with use_backend("python"):
-        want = tuple(
-            evaluate_batch(BATCH_QUERIES, graph.copy(), "st",
-                           max_workers=workers)
-        )
-    with use_backend("array"):
-        got = tuple(
-            evaluate_batch(BATCH_QUERIES, graph.copy(), "st",
-                           max_workers=workers)
-        )
-    assert got == want
-
-
-def _mutable_graph():
-    graph = GraphDatabase()
-    graph.add_path(["n0", "n1", "n2", "n3", "n0"], ["a", "a", "a", "a"])
-    graph.add_edge("n0", "b", "n2")
-    graph.add_edge("n1", "b", "n3")
-    graph.add_edge("n3", "a", "n4")
-    return graph
-
-
-INCR_QUERY = parse_query("Q(x, z) :- x -[a*]-> y, y -[b]-> z")
-
-
-def _incremental_trace(graph):
-    """Maintained evaluation across a grow delta and a shrink delta."""
-    incremental_store(graph)
-    trace = [evaluate(INCR_QUERY, graph, "st")]
-    graph.add_edge("n4", "a", "n0")
-    trace.append(evaluate(INCR_QUERY, graph, "st"))
-    graph.remove_edge("n2", "a", "n3")
-    trace.append(evaluate(INCR_QUERY, graph, "st"))
-    return tuple(trace)
+        check("batch" if workers is None else "batch-threaded",
+              stripe(1, 5), ST_AINJ)
 
 
 def test_incremental_differential_between_backends():
     with use_backend("python"):
-        want = _incremental_trace(_mutable_graph())
-    with use_backend("array"):
-        got = _incremental_trace(_mutable_graph())
-    assert got == want
-    assert want[0] != want[1]  # the deltas actually changed answers
+        check("store", stripe(2, 5), ST_AINJ)
 
 
 def test_backend_switch_mid_graph_is_sound():

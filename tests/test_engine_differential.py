@@ -1,255 +1,47 @@
-"""Differential tests: engine hot paths vs seed brute-force references.
+"""Differential tests: engine hot paths vs the brute-force references.
 
 The engine layer (``repro.engine``) replaces the seed's per-source BFS
 with a single product sweep, adds NFA/relation caches, and prunes the
 simple-path backtracking with co-reachability sets.  None of that may
 change a single answer.  This suite pins output equality (and, for the
-path enumerators, *order* equality) against independent re-implementations
-of the seed algorithms on randomized graphs, across all three semantics,
-including loop atoms and ``forbidden``-set interactions.
+path enumerators, *order* equality) against :mod:`tests.reference.brute`
+on randomized graphs, including ``forbidden``-set interactions, and
+checks ``evaluate`` on pinned query shapes (loop atoms, ε languages,
+permuted, repeated and projected heads) under all three semantics.  The
+configuration axes run in the differential matrix
+(:mod:`tests.differential_matrix`).
 """
 
 import random
-from collections import deque
 
 import pytest
 
 from repro.engine.cache import compiled_nfa
+from repro.engine.qinj import plan_qinj
 from repro.graphdb.generators import uniform_random
 from repro.graphdb.graph import GraphDatabase
 from repro.graphdb.paths import all_paths_up_to, simple_cycles_through, simple_paths
-from repro.homomorphism.matcher import homomorphisms
-from repro.queries.atoms import CQAtom
-from repro.queries.cq import CQ
 from repro.queries.crpq import union_of
 from repro.queries.parser import parse_query
 from repro.regular.nfa import NFA
 from repro.regular.parser import parse_regex
-from repro.semantics.base import ALL_SEMANTICS, Semantics
+from repro.semantics.base import ALL_SEMANTICS
 from repro.semantics.evaluation import evaluate
 from repro.semantics.rpq import simple_cycle_nodes, simple_path_pairs, standard_pairs
 from repro.semantics.trails import trails
+from tests.reference import brute
 
 
-# ----------------------------------------------------------------------
-# Seed reference implementations (transcribed, no engine involvement)
-# ----------------------------------------------------------------------
-
-
-def seed_standard_pairs(graph, language):
-    """The seed algorithm: one product BFS per source node."""
-    nfa = NFA.from_regex(language) if not isinstance(language, NFA) else language
-    accepts_epsilon = nfa.accepts(())
-    pairs = set()
-    for source in graph.nodes:
-        if accepts_epsilon:
-            pairs.add((source, source))
-        start = {(source, state) for state in nfa.initials}
-        seen = set(start)
-        queue = deque(start)
-        while queue:
-            node, state = queue.popleft()
-            for edge in graph.out_edges(node):
-                for nxt_state in nfa.transitions.get((state, edge.label), ()):
-                    item = (edge.target, nxt_state)
-                    if item in seen:
-                        continue
-                    seen.add(item)
-                    queue.append(item)
-                    if nxt_state in nfa.finals:
-                        pairs.add((source, edge.target))
-    return pairs
-
-
-def _seed_edge_order(graph, node):
-    return sorted(graph.out_edges(node), key=lambda e: (repr(e.label), repr(e.target)))
-
-
-def brute_simple_paths(graph, source, target, forbidden=frozenset()):
-    """All simple paths source ⇝ target as (nodes, labels) tuples, in the
-    seed's DFS order, with *no* language constraint and no pruning."""
-    if source in forbidden or target in forbidden:
-        return
-    if source == target:
-        yield ((source,), ())
-        return
-
-    def extend(node, nodes, labels):
-        for edge in _seed_edge_order(graph, node):
-            nxt = edge.target
-            if nxt in forbidden:
-                continue
-            if nxt == target:
-                yield (nodes + (nxt,), labels + (edge.label,))
-                continue
-            if nxt in nodes:
-                continue
-            yield from extend(nxt, nodes + (nxt,), labels + (edge.label,))
-
-    yield from extend(source, (source,), ())
-
-
-def brute_simple_cycles(graph, node, forbidden=frozenset()):
-    """All nonempty simple cycles through ``node``, seed DFS order."""
-    if node in forbidden:
-        return
-
-    def extend(current, nodes, labels):
-        for edge in _seed_edge_order(graph, current):
-            nxt = edge.target
-            if nxt == node:
-                yield (nodes + (nxt,), labels + (edge.label,))
-                continue
-            if nxt in forbidden or nxt in nodes:
-                continue
-            yield from extend(nxt, nodes + (nxt,), labels + (edge.label,))
-
-    yield from extend(node, (node,), ())
-
-
-def brute_trails(graph, source, target, forbidden_edges=frozenset(),
-                 require_nonempty=False):
-    """All trails source ⇝ target avoiding ``forbidden_edges``, as
-    (nodes, labels) tuples in the seed's DFS order, with no language
-    constraint and no pruning.  A trail runs on through ``target``."""
-    if source == target and not require_nonempty:
-        yield ((source,), ())
-
-    def extend(node, nodes, labels, used):
-        for edge in _seed_edge_order(graph, node):
-            if edge in used:
-                continue
-            trail = (nodes + (edge.target,), labels + (edge.label,))
-            if edge.target == target:
-                yield trail
-            yield from extend(edge.target, *trail, used | {edge})
-
-    yield from extend(source, (source,), (), frozenset(forbidden_edges))
+def _random_graph(rng, seed, node_range, edge_factor, labels="ab"):
+    num_nodes = rng.randrange(*node_range)
+    return uniform_random(num_nodes, rng.randrange(1, edge_factor * num_nodes + 1),
+                          set(labels), seed=seed)
 
 
 def _language(regex_text):
-    """The ``language`` argument for ``regex_text`` and its acceptance
-    test; ``None`` is the unconstrained search."""
-    if regex_text is None:
-        return None, lambda labels: True
-    nfa = compiled_nfa(parse_regex(regex_text))
-    return nfa, nfa.accepts
-
-
-def seed_simple_path_pairs(graph, language):
-    nfa = NFA.from_regex(language)
-    pairs = set()
-    for source in graph.nodes:
-        for target in graph.nodes:
-            if source == target:
-                if nfa.accepts(()):
-                    pairs.add((source, target))
-                continue
-            if any(
-                nfa.accepts(labels)
-                for _nodes, labels in brute_simple_paths(graph, source, target)
-            ):
-                pairs.add((source, target))
-    return pairs
-
-
-def seed_simple_cycle_nodes(graph, language, include_empty=True):
-    nfa = NFA.from_regex(language)
-    nodes = set()
-    for node in graph.nodes:
-        if include_empty and nfa.accepts(()):
-            nodes.add(node)
-            continue
-        if any(
-            nfa.accepts(labels)
-            for _nodes, labels in brute_simple_cycles(graph, node)
-        ):
-            nodes.add(node)
-    return nodes
-
-
-def reference_evaluate(query, graph, semantics):
-    """Seed ``evaluate``: same ε-elimination and homomorphism glue, with
-    atom relations computed by the brute-force references above."""
-    semantics = Semantics.coerce(semantics)
-    results = set()
-    for disjunct in union_of(query):
-        for eps_free in disjunct.epsilon_free_union():
-            if semantics is Semantics.QUERY_INJECTIVE:
-                results |= _reference_qinj(eps_free, graph)
-            else:
-                results |= _reference_relational(eps_free, graph, semantics)
-    return frozenset(results)
-
-
-def _reference_relational(query, graph, semantics):
-    relation_graph = GraphDatabase(nodes=graph.nodes)
-    cq_atoms = []
-    for index, atom in enumerate(query.atoms):
-        label = ("rel", index)
-        if semantics is Semantics.STANDARD:
-            pairs = seed_standard_pairs(graph, atom.language)
-        elif atom.is_loop():
-            pairs = {
-                (node, node)
-                for node in seed_simple_cycle_nodes(
-                    graph, atom.language, include_empty=False
-                )
-            }
-        else:
-            pairs = seed_simple_path_pairs(graph, atom.language)
-        for source, target in pairs:
-            relation_graph.add_edge(source, label, target)
-        cq_atoms.append(CQAtom(atom.source, label, atom.target))
-    relation_cq = CQ(query.head, cq_atoms, extra_variables=query.variables)
-    return {
-        tuple(hom[v] for v in query.head)
-        for hom in homomorphisms(relation_cq, relation_graph)
-    }
-
-
-def _reference_qinj(query, graph):
-    """Brute-force q-inj: every injective assignment of *all* variables,
-    then backtracking placement of internally-disjoint atom paths."""
-    import itertools
-
-    variables = sorted(query.variables, key=repr)
-    nodes = sorted(graph.nodes, key=repr)
-    atoms = list(query.atoms)
-    nfas = [NFA.from_regex(atom.language) for atom in atoms]
-    results = set()
-    for combo in itertools.permutations(nodes, len(variables)):
-        mu = dict(zip(variables, combo))
-        used = set(combo)
-
-        def place(index, internal_used):
-            if index == len(atoms):
-                return True
-            atom = atoms[index]
-            nfa = nfas[index]
-            source, target = mu[atom.source], mu[atom.target]
-            forbidden = (used | internal_used) - {source, target}
-            if atom.is_loop():
-                candidates = [
-                    path
-                    for path in brute_simple_cycles(graph, source, forbidden)
-                    if nfa.accepts(path[1])
-                ]
-            else:
-                candidates = [
-                    path
-                    for path in brute_simple_paths(graph, source, target, forbidden)
-                    if nfa.accepts(path[1])
-                ]
-            for path_nodes, _labels in candidates:
-                internals = set(path_nodes[1:-1])
-                if place(index + 1, internal_used | internals):
-                    return True
-            return False
-
-        if place(0, set()):
-            results.add(tuple(mu[v] for v in query.head))
-    return results
+    """The compiled ``language`` argument for ``regex_text``; ``None`` is
+    the unconstrained search."""
+    return None if regex_text is None else compiled_nfa(parse_regex(regex_text))
 
 
 # ----------------------------------------------------------------------
@@ -262,29 +54,20 @@ REGEXES = ["a*", "(ab)^+", "a(a+b)*b", "c?a^+", "(a+bc)*", "abc", "a+b+c"]
 @pytest.mark.parametrize("seed", range(12))
 def test_standard_pairs_differential(seed):
     rng = random.Random(seed)
-    num_nodes = rng.randrange(2, 12)
-    graph = uniform_random(
-        num_nodes, rng.randrange(1, 3 * num_nodes + 1), {"a", "b", "c"}, seed=seed
-    )
+    graph = _random_graph(rng, seed, (2, 12), 3, "abc")
     for regex_text in REGEXES:
         regex = parse_regex(regex_text)
-        assert set(standard_pairs(graph, regex)) == seed_standard_pairs(graph, regex)
+        assert set(standard_pairs(graph, regex)) == brute.walk_pairs(graph, regex)
 
 
 @pytest.mark.parametrize("seed", range(8))
 def test_simple_path_pairs_differential(seed):
     rng = random.Random(100 + seed)
-    num_nodes = rng.randrange(2, 7)
-    graph = uniform_random(
-        num_nodes, rng.randrange(1, 2 * num_nodes + 1), {"a", "b"}, seed=seed
-    )
+    graph = _random_graph(rng, seed, (2, 7), 2)
     for regex_text in ["a*", "(ab)^+", "a(a+b)*b", "a+b"]:
         regex = parse_regex(regex_text)
-        want = seed_simple_path_pairs(graph, regex)
-        assert set(simple_path_pairs(graph, regex)) == want
-        # The unpruned strategy must agree too (and stays uncached, so it
-        # remains an independent check of the pruned one).
-        assert set(simple_path_pairs(graph, regex, prune_with_standard=False)) == want
+        assert set(simple_path_pairs(graph, regex)) == \
+            brute.simple_path_pairs(graph, regex)
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -292,13 +75,10 @@ def test_simple_paths_order_and_forbidden_differential(seed):
     """Pruning may skip dead branches but must preserve the exact yield
     sequence (paths and their order), for every forbidden set."""
     rng = random.Random(200 + seed)
-    num_nodes = rng.randrange(2, 7)
-    graph = uniform_random(
-        num_nodes, rng.randrange(1, 3 * num_nodes + 1), {"a", "b"}, seed=seed
-    )
+    graph = _random_graph(rng, seed, (2, 7), 3)
     nodes = sorted(graph.nodes, key=repr)
     for regex_text in ["a*", "(ab)^+", "a(a+b)*b", None]:
-        language, accepts = _language(regex_text)
+        language = _language(regex_text)
         for _ in range(4):
             source, target = rng.choice(nodes), rng.choice(nodes)
             forbidden = frozenset(
@@ -311,24 +91,18 @@ def test_simple_paths_order_and_forbidden_differential(seed):
                     forbidden=forbidden,
                 )
             ]
-            want = [
-                path
-                for path in brute_simple_paths(graph, source, target, forbidden)
-                if accepts(path[1])
-            ]
+            want = list(brute.simple_paths(graph, source, target, forbidden,
+                                           language))
             assert got == want, (regex_text, source, target, forbidden)
 
 
 @pytest.mark.parametrize("seed", range(8))
 def test_simple_cycles_differential(seed):
     rng = random.Random(300 + seed)
-    num_nodes = rng.randrange(2, 7)
-    graph = uniform_random(
-        num_nodes, rng.randrange(1, 3 * num_nodes + 1), {"a", "b"}, seed=seed
-    )
+    graph = _random_graph(rng, seed, (2, 7), 3)
     nodes = sorted(graph.nodes, key=repr)
     for regex_text in ["a*", "(ab)^+", "(a+b)^+", None]:
-        language, accepts = _language(regex_text)
+        language = _language(regex_text)
         for node in nodes:
             forbidden = frozenset(n for n in nodes if n != node and rng.random() < 0.3)
             got = [
@@ -338,19 +112,14 @@ def test_simple_cycles_differential(seed):
                     include_empty=False,
                 )
             ]
-            want = [
-                path
-                for path in brute_simple_cycles(graph, node, forbidden)
-                if accepts(path[1])
-            ]
+            want = list(brute.simple_cycles(graph, node, forbidden, language))
             assert got == want, (regex_text, node, forbidden)
         if regex_text is None:
             continue
         regex = parse_regex(regex_text)
-        assert simple_cycle_nodes(graph, regex, include_empty=False) == \
-            seed_simple_cycle_nodes(graph, regex, include_empty=False)
-        assert simple_cycle_nodes(graph, regex, include_empty=True) == \
-            seed_simple_cycle_nodes(graph, regex, include_empty=True)
+        for include_empty in (False, True):
+            assert simple_cycle_nodes(graph, regex, include_empty) == \
+                brute.simple_cycle_nodes(graph, regex, include_empty)
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -359,14 +128,11 @@ def test_trails_order_differential(seed):
     trails, in order, under every forbidden-edge set and with and
     without the empty trail."""
     rng = random.Random(500 + seed)
-    num_nodes = rng.randrange(3, 6)
-    graph = uniform_random(
-        num_nodes, rng.randrange(1, 3 * num_nodes + 1), {"a", "b"}, seed=seed
-    )
+    graph = _random_graph(rng, seed, (3, 6), 3)
     nodes = sorted(graph.nodes, key=repr)
     edges = sorted(graph.edges, key=repr)
     for regex_text in ["a*", "(ab)^+", "a(a+b)*b", None]:
-        language, accepts = _language(regex_text)
+        language = _language(regex_text)
         for _ in range(4):
             source, target = rng.choice(nodes), rng.choice(nodes)
             forbidden = frozenset(edge for edge in edges if rng.random() < 0.25)
@@ -379,13 +145,8 @@ def test_trails_order_differential(seed):
                     require_nonempty=require_nonempty,
                 )
             ]
-            want = [
-                trail
-                for trail in brute_trails(
-                    graph, source, target, forbidden, require_nonempty
-                )
-                if accepts(trail[1])
-            ]
+            want = list(brute.trails(graph, source, target, forbidden,
+                                     require_nonempty, language))
             assert got == want, (regex_text, source, target, forbidden,
                                  require_nonempty)
 
@@ -411,14 +172,10 @@ QUERIES = [
 @pytest.mark.parametrize("seed", range(4))
 def test_evaluate_differential(query_text, semantics, seed):
     rng = random.Random(400 + seed)
-    num_nodes = rng.randrange(2, 6)
-    graph = uniform_random(
-        num_nodes, rng.randrange(1, 2 * num_nodes + 1), {"a", "b"}, seed=seed
-    )
+    graph = _random_graph(rng, seed, (2, 6), 2)
     query = parse_query(query_text)
     got = evaluate(query, graph, semantics)
-    want = reference_evaluate(query, graph, semantics)
-    assert got == want
+    assert got == brute.answers(query, graph, semantics)
     assert isinstance(got, frozenset)
 
 
@@ -480,14 +237,12 @@ def test_query_result_cache_invalidated_by_mutation():
 
 
 def test_qinj_enumeration_is_deterministic_across_calls():
-    from repro.semantics.evaluation import _qinj_solutions
-
     graph = uniform_random(5, 10, {"a", "b"}, seed=3)
     query = parse_query("Q(x, y) :- x -[a^+]-> y")
     disjunct = union_of(query)[0].epsilon_free_union()[0]
-    first = list(_qinj_solutions(disjunct, graph))
-    second = list(_qinj_solutions(disjunct, graph))
-    assert first == second
+    first = list(plan_qinj(disjunct, graph).solutions())
+    second = list(plan_qinj(disjunct, graph).solutions())
+    assert first and first == second
 
 
 def test_shared_mask_tables_fill_consistently_under_threads():

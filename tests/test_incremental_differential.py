@@ -1,147 +1,43 @@
-"""Incremental-vs-rebuild differential property suite (satellite of the
-incremental-maintenance PR).
-
-The contract of :class:`repro.engine.incremental.IncrementalRelationStore`
-is *observational equivalence*: a graph served through maintained
-relations must answer every query exactly like a freshly built graph
-with the same nodes and edges.  This harness sweeps that property over
-~50 seeded random cases per semantics: evaluate (warming the store),
-apply a random mutation mix — edge inserts, edge deletions, cascade
-node removals, new nodes — then evaluate again through the *same* graph
-object and compare against a pristine :class:`GraphDatabase` rebuilt
-from the final state, for several consecutive rounds (so maintenance
-runs on top of maintained state, not only on top of a fresh build).
-
-Instances are intentionally tiny (3–6 nodes, ≤ 3 atoms) so the sweep
-stays inside the property-suite time budget while still hitting loop
-atoms, repeated head variables, disconnected components, and the
-deletion-repair / rebuild decision boundary (a second store runs with
-``deletion_repair_cap=0`` to force the rebuild path on every deletion
-and must agree too).
+"""The differential matrix's store axes (:mod:`tests.differential_matrix`):
+a store attached before the first evaluation, the case's mutation stream
+replayed on the same graph object, and the answers checked after every
+round.  Two variants force the other side of each refresh decision: a
+``deletion_repair_cap`` of 0, and a change-log that holds no entry.
 """
-
-import random
 
 import pytest
 
-from repro.analysis.workloads import random_query
-from repro.engine.incremental import IncrementalRelationStore
-from repro.graphdb.graph import GraphDatabase
-from repro.queries.crpq import QueryClass
+from repro.queries.crpq import union_of
 from repro.semantics.base import ALL_SEMANTICS
-from repro.semantics.evaluation import evaluate
-
-#: Seeded cases per semantics (the acceptance floor is 50).
-CASE_COUNT = 50
-
-#: Mutate-then-evaluate rounds per case.
-ROUNDS = 3
-
-
-def _build_case(seed):
-    """One deterministic instance: graph, query, and a mutation plan."""
-    rng = random.Random(31000 + seed)
-    num_nodes = rng.randrange(3, 7)
-    graph = GraphDatabase(nodes=range(num_nodes))
-    for _ in range(rng.randrange(num_nodes, 2 * num_nodes + 3)):
-        graph.add_edge(rng.randrange(num_nodes), rng.choice("ab"),
-                       rng.randrange(num_nodes))
-    query = random_query(
-        rng,
-        QueryClass.CRPQ_FIN,
-        num_variables=rng.randrange(2, 5),
-        num_atoms=rng.randrange(1, 4),
-        arity=rng.randrange(0, 3),
-    )
-    return rng, graph, query
-
-
-def _mutate(rng, graph):
-    """Apply 1–3 random mutations: inserts and delete mixes."""
-    num_nodes = graph.node_count() + 2
-    for _ in range(rng.randrange(1, 4)):
-        roll = rng.random()
-        if roll < 0.5 or not graph.edges:
-            graph.add_edge(rng.randrange(num_nodes), rng.choice("ab"),
-                           rng.randrange(num_nodes))
-        elif roll < 0.85:
-            edge = rng.choice(sorted(graph.edges, key=repr))
-            graph.remove_edge(edge.source, edge.label, edge.target)
-        else:
-            node = rng.choice(sorted(graph.nodes, key=repr))
-            graph.remove_node(node, cascade=True)
+from tests.differential_matrix import CASE_COUNT, QUERY_CLASSES, ROUNDS, case, check
 
 
 @pytest.mark.parametrize("semantics", ALL_SEMANTICS, ids=str)
 @pytest.mark.parametrize("seed", range(CASE_COUNT))
 def test_incremental_equals_fresh_rebuild(seed, semantics):
-    rng, graph, query = _build_case(seed)
-    IncrementalRelationStore(graph)
-    evaluate(query, graph, semantics)  # warm the maintained state
-    for round_index in range(ROUNDS):
-        _mutate(rng, graph)
-        incremental = evaluate(query, graph, semantics)
-        fresh = GraphDatabase(nodes=graph.nodes, edges=graph.edges)
-        rebuilt = evaluate(query, fresh, semantics)
-        assert incremental == rebuilt, (
-            str(query), round_index,
-            sorted(incremental ^ rebuilt, key=repr),
-        )
+    check("store", [seed], [semantics])
 
 
 @pytest.mark.parametrize("seed", range(0, CASE_COUNT, 5))
 def test_forced_rebuild_path_agrees(seed):
-    """``deletion_repair_cap=0`` forces the rebuild decision on every
-    deletion delta; answers must not depend on the heuristic."""
-    rng, graph, query = _build_case(seed)
-    IncrementalRelationStore(graph, deletion_repair_cap=0)
-    evaluate(query, graph, "st")
-    for _ in range(ROUNDS):
-        _mutate(rng, graph)
-        incremental = evaluate(query, graph, "st")
-        fresh = GraphDatabase(nodes=graph.nodes, edges=graph.edges)
-        assert incremental == evaluate(query, fresh, "st")
+    check("store-no-repair", range(seed, seed + 5))
 
 
 @pytest.mark.parametrize("seed", range(0, CASE_COUNT, 5))
 def test_narrow_changelog_window_agrees(seed):
-    """A change-log too small for the delta forces ``delta_since`` to
-    answer ``None`` and the store to rebuild; answers must not change."""
-    rng = random.Random(52000 + seed)
-    graph = GraphDatabase(nodes=range(5), changelog_cap=2)
-    for _ in range(8):
-        graph.add_edge(rng.randrange(5), rng.choice("ab"), rng.randrange(5))
-    query = random_query(rng, QueryClass.CRPQ_FIN, num_variables=3,
-                         num_atoms=2, arity=2)
-    store = IncrementalRelationStore(graph)
-    evaluate(query, graph, "st")
-    for round_index in range(ROUNDS):
-        _mutate(rng, graph)
-        # Guarantee the round outgrows the 2-entry log window: three
-        # fresh-node edges log two entries each.
-        for offset in range(3):
-            graph.add_edge(offset, rng.choice("ab"),
-                           ("fresh", round_index, offset))
-        incremental = evaluate(query, graph, "st")
-        fresh = GraphDatabase(nodes=graph.nodes, edges=graph.edges)
-        assert incremental == evaluate(query, fresh, "st")
-    assert store.counts["rebuilt"] > 0
+    check("store-short-log", range(seed, seed + 5))
 
 
 def test_case_generator_sweeps_deletions_and_inserts():
-    """The harness must actually exercise both delta directions and the
-    cascade-removal path somewhere in range."""
-    saw_insert = saw_delete = saw_node_removal = False
-    for seed in range(CASE_COUNT):
-        rng, graph, _query = _build_case(seed)
-        mark = graph.version
-        for _ in range(ROUNDS):
-            _mutate(rng, graph)
-        delta = graph.delta_since(mark)
-        if delta.added_edges:
-            saw_insert = True
-        if delta.removed_edges:
-            saw_delete = True
-        if delta.removed_nodes:
-            saw_node_removal = True
-    assert saw_insert and saw_delete and saw_node_removal
+    """The generator reaches every feature the matrix claims to cover."""
+    cases = [case(seed) for seed in range(CASE_COUNT)]
+    queries = [query for subject in cases for query in union_of(subject.query)]
+    mutations = {mutation[0] for subject in cases
+                 for mutations in subject.rounds for mutation in mutations}
+    assert {query.query_class() for query in queries} == set(QUERY_CLASSES)
+    assert any(atom.is_loop() for query in queries for atom in query.atoms)
+    assert any(subject.is_union for subject in cases)
+    assert {subject.arity for subject in cases} == {0, 1, 2}
+    assert {type(subject.nodes[0]) for subject in cases} == {int, str}
+    assert mutations == {"add-edge", "remove-edge", "remove-node", "add-node"}
+    assert all(len(subject.rounds) == ROUNDS for subject in cases)

@@ -213,15 +213,17 @@ class TestQueryResultReuse:
         }
         assert store.counts["results_reused"] == 0
 
-    def test_qinj_never_reuses(self):
-        # q-inj answers depend on witness paths, not just endpoint
-        # tables — the reuse layer must step aside.
+    @pytest.mark.parametrize("semantics", ["q-inj", "a-inj"])
+    def test_qinj_never_reuses(self, semantics):
+        # q-inj answers depend on witness paths and a-inj answers on
+        # version-discard simple-path tables — only standard answers are
+        # reused, so the reuse layer must step aside for both.
         graph = GraphDatabase(edges=[(1, "a", 2), (2, "a", 3)])
         store = IncrementalRelationStore(graph)
         query = parse_query("Q(x, y) :- x -[aa]-> y")
-        assert evaluate(query, graph, "q-inj") == {(1, 3)}
+        assert evaluate(query, graph, semantics) == {(1, 3)}
         graph.add_edge(9, "zzz", 9)
-        assert evaluate(query, graph, "q-inj") == {(1, 3)}
+        assert evaluate(query, graph, semantics) == {(1, 3)}
         assert store.counts["results_reused"] == 0
 
 

@@ -22,7 +22,8 @@ from repro.queries.atoms import Atom
 from repro.queries.crpq import CRPQ
 from repro.queries.parser import parse_query
 from repro.regular.parser import parse_regex
-from repro.semantics.evaluation import _qinj_solutions, evaluate
+from repro.semantics.evaluation import evaluate
+from tests.reference.baselines import _qinj_solutions, unguided_qinj_evaluate
 
 # ----------------------------------------------------------------------
 # Witness search
@@ -46,13 +47,6 @@ def test_qinj_evaluation_leaves_no_per_endpoint_witness_entries():
 # ----------------------------------------------------------------------
 # The answers() exit rule: one witness per answer once the head is bound
 # ----------------------------------------------------------------------
-
-
-def _reference_answers(query, graph):
-    return frozenset(
-        tuple(mu[v] for v in query.head)
-        for mu in _qinj_solutions(query, graph)
-    )
 
 
 def _reference_solutions(query, graph):
@@ -96,7 +90,7 @@ def test_answers_equal_reference_head_projection(query):
     graph = _exit_rule_graph()
     disjunct = _eps_free(query)
     assert plan_qinj(disjunct, graph).answers() == \
-        _reference_answers(disjunct, graph)
+        unguided_qinj_evaluate(disjunct, graph)
 
 
 def test_chain_endpoints_are_placed_first():
@@ -111,7 +105,7 @@ def test_head_variable_in_no_atom():
     graph = _exit_rule_graph()
     plan = plan_qinj(_FREE_VARIABLES, graph)
     answers = plan.answers()
-    assert answers == _reference_answers(_FREE_VARIABLES, graph)
+    assert answers == unguided_qinj_evaluate(_FREE_VARIABLES, graph)
     assert {f for _x, f in answers} == graph.nodes  # f ranges freely
     assert {frozenset(mu.items()) for mu in plan.solutions()} == \
         _reference_solutions(_FREE_VARIABLES, graph)
@@ -125,7 +119,7 @@ def test_answers_then_solutions_on_one_plan():
                  "Q(x) :- x -[(a+b)^+]-> y, x -[(a+b)^+]-> y"):
         query = _eps_free(text)
         plan = plan_qinj(query, graph)
-        assert plan.answers() == _reference_answers(query, graph)
+        assert plan.answers() == unguided_qinj_evaluate(query, graph)
         assert {frozenset(mu.items()) for mu in plan.solutions()} == \
             _reference_solutions(query, graph)
 
@@ -156,7 +150,7 @@ def test_one_atom_answers_consume_one_witness_each(monkeypatch):
     ctx = ExecutionContext()
     with active_context(ctx):
         answers = plan.answers()
-    assert answers == _reference_answers(query, graph)
+    assert answers == unguided_qinj_evaluate(query, graph)
     assert ctx.witnesses == len(answers)
     # The last atom shares one harvest per source: some answers need no
     # search of their own.
@@ -185,12 +179,15 @@ def test_terminal_harvest_fires_under_a_forbidden_set(query, seed,
                                                        monkeypatch):
     graph = uniform_random(12, 36, {"a", "b"}, seed=seed)
     disjunct = _eps_free(query)
+    reference = Counter(frozenset(mu.items())
+                        for mu in _qinj_solutions(disjunct, graph))
     plan = plan_qinj(disjunct, graph)
     calls, yields = _count_searches(monkeypatch)
     ctx = ExecutionContext()
     with active_context(ctx):
         answers = plan.answers()
-    assert answers == _reference_answers(disjunct, graph)
+    assert answers == {tuple(dict(mu)[v] for v in disjunct.head)
+                       for mu in reference}
     harvests = [blocked for blocked, reached in calls if reached is not None]
     # Every harvesting search avoids the nodes an earlier atom placed ...
     assert harvests and all(harvests)
@@ -199,8 +196,7 @@ def test_terminal_harvest_fires_under_a_forbidden_set(query, seed,
     # Full enumeration never harvests, and keeps its multiplicity.
     del calls[:]
     assert Counter(frozenset(mu.items()) for mu in plan.solutions()) == \
-        Counter(frozenset(mu.items())
-                for mu in _qinj_solutions(disjunct, graph))
+        reference
     assert all(reached is None for _blocked, reached in calls)
 
 
@@ -219,14 +215,14 @@ def test_catalog_diamond_binds_both_ends_before_its_last_atom(monkeypatch):
     graph = entry.graph()
     plan = plan_qinj(disjunct, graph)
     assert _no_harvest(plan, monkeypatch) == \
-        _reference_answers(disjunct, graph)
+        unguided_qinj_evaluate(disjunct, graph)
 
 
 def test_no_harvest_with_a_head_variable_in_no_atom(monkeypatch):
     graph = _exit_rule_graph()
     plan = plan_qinj(_FREE_VARIABLES, graph)
     assert _no_harvest(plan, monkeypatch) == \
-        _reference_answers(_FREE_VARIABLES, graph)
+        unguided_qinj_evaluate(_FREE_VARIABLES, graph)
 
 
 def test_no_harvest_when_a_loop_atom_is_last(monkeypatch):
@@ -238,7 +234,7 @@ def test_no_harvest_when_a_loop_atom_is_last(monkeypatch):
     plan = plan_qinj(disjunct, graph)
     assert disjunct.atoms[plan.order[-1]].is_loop()
     answers = _no_harvest(plan, monkeypatch)
-    assert answers == _reference_answers(disjunct, graph)
+    assert answers == unguided_qinj_evaluate(disjunct, graph)
     assert answers == {("u", "v"), ("p", "q")}
 
 

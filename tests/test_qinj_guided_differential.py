@@ -1,128 +1,37 @@
-"""Differential tests: relation-guided q-inj vs the unguided search.
-
-The guided evaluator (:mod:`repro.engine.qinj`) replaced full node
-scans with standard-relation pruning, semijoin-reduced domains, a
-size-ordered atom schedule and memoized path witnesses.  None of that
-may change a single answer.  This suite runs the seed-era unguided
-joint search (kept verbatim as
-:func:`repro.semantics.evaluation._qinj_solutions`) as the reference
-and pins
-
-- ``evaluate`` — answer-set equality,
-- ``in_evaluation`` — membership equality on answers and non-answers,
-- ``evaluate_batch`` — per-query equality through the shared pruning
-  store,
-
-on randomized graphs and random queries, plus hand-built instances for
-the shapes the pruning treats specially: loop atoms (unary diagonal
-constraints), disconnected query components, atom-free variables (the
-leftover-node scan) and parallel atoms sharing one edge.
+"""The differential matrix's q-inj axes (:mod:`tests.differential_matrix`):
+the relation-guided search against the brute injective search.
+Hand-built instances pin the shapes the pruning treats specially: loop
+atoms, disconnected components, atom-free variables and parallel atoms
+sharing one edge.
 """
-
-import random
 
 import pytest
 
-from repro.analysis.workloads import random_query
-from repro.graphdb.generators import uniform_random
 from repro.graphdb.graph import GraphDatabase
-from repro.queries.crpq import QueryClass, union_of
 from repro.queries.parser import parse_query
-from repro.semantics.evaluation import (
-    _qinj_solutions,
-    evaluate,
-    evaluate_batch,
-    in_evaluation,
-)
+from repro.semantics.base import Semantics
+from repro.semantics.evaluation import evaluate, in_evaluation
+from tests.differential_matrix import check, stripe
+from tests.reference.brute import answers
 
-# ----------------------------------------------------------------------
-# The unguided q-inj evaluation path, transcribed
-# ----------------------------------------------------------------------
-
-
-def unguided_evaluate(query, graph):
-    results = set()
-    for disjunct in union_of(query):
-        for eps_free in disjunct.epsilon_free_union():
-            results |= {
-                tuple(mu[v] for v in eps_free.head)
-                for mu in _qinj_solutions(eps_free, graph)
-            }
-    return frozenset(results)
-
-
-def unguided_in_evaluation(query, graph, target_tuple):
-    target_tuple = tuple(target_tuple)
-    for disjunct in union_of(query):
-        for eps_free in disjunct.epsilon_free_union():
-            binding = {}
-            consistent = True
-            for variable, node in zip(eps_free.head, target_tuple):
-                if binding.get(variable, node) != node:
-                    consistent = False
-                    break
-                binding[variable] = node
-            if not consistent:
-                continue
-            for _mu in _qinj_solutions(eps_free, graph, initial_mu=binding):
-                return True
-    return False
-
-
-# ----------------------------------------------------------------------
-# Randomized equivalence
-# ----------------------------------------------------------------------
-
-
-def _random_setup(seed):
-    rng = random.Random(7000 + seed)
-    num_nodes = rng.randrange(3, 8)
-    graph = uniform_random(
-        num_nodes, rng.randrange(2, 3 * num_nodes), {"a", "b"}, seed=seed
-    )
-    queries = [
-        random_query(
-            rng, QueryClass.CRPQ_FIN,
-            num_variables=rng.randrange(2, 5),
-            num_atoms=rng.randrange(1, 4),
-            arity=rng.randrange(0, 3),
-        )
-        for _ in range(4)
-    ]
-    return rng, graph, queries
+QINJ = [Semantics.QUERY_INJECTIVE]
 
 
 @pytest.mark.parametrize("seed", range(10))
 def test_evaluate_matches_unguided(seed):
-    _rng, graph, queries = _random_setup(seed)
-    for query in queries:
-        want = unguided_evaluate(query, graph)
-        assert evaluate(query, graph, "q-inj") == want, str(query)
+    check("evaluate", stripe(seed, 10), QINJ)
 
 
 @pytest.mark.parametrize("seed", range(6))
 def test_in_evaluation_matches_unguided(seed):
-    rng, graph, queries = _random_setup(seed)
-    nodes = sorted(graph.nodes, key=repr)
-    for query in queries:
-        answers = sorted(unguided_evaluate(query, graph), key=repr)
-        candidates = list(answers[:3])
-        for _ in range(3):  # random tuples, mostly non-answers
-            candidates.append(tuple(rng.choice(nodes) for _ in query.head))
-        for target in candidates:
-            want = unguided_in_evaluation(query, graph, target)
-            assert in_evaluation(query, graph, target, "q-inj") == want, (
-                str(query), target
-            )
+    check("in-evaluation", stripe(seed, 6), QINJ)
 
 
 @pytest.mark.parametrize("seed", range(6))
 @pytest.mark.parametrize("workers", [None, 3], ids=["serial", "threaded"])
 def test_evaluate_batch_matches_unguided(seed, workers):
-    _rng, graph, queries = _random_setup(seed)
-    want = [unguided_evaluate(query, graph) for query in queries]
-    got = evaluate_batch(queries, graph, "q-inj", max_workers=workers)
-    assert got == want
+    check("batch" if workers is None else "batch-threaded",
+          stripe(seed, 6), QINJ)
 
 
 # ----------------------------------------------------------------------
@@ -155,7 +64,7 @@ def _pinned_graph():
 def test_special_shapes_match_unguided(text):
     graph = _pinned_graph()
     query = parse_query(text)
-    want = unguided_evaluate(query, graph)
+    want = answers(query, graph, "q-inj")
     assert evaluate(query, graph, "q-inj") == want, str(query)
     nodes = sorted(graph.nodes, key=repr)
     probes = sorted(want, key=repr)[:3] + [
@@ -163,10 +72,8 @@ def test_special_shapes_match_unguided(text):
         tuple(nodes[-len(query.head):]) if query.head else (),
     ]
     for target in probes:
-        expected = unguided_in_evaluation(query, graph, target)
-        assert in_evaluation(query, graph, target, "q-inj") == expected, (
-            str(query), target
-        )
+        assert in_evaluation(query, graph, target, "q-inj") == \
+            (target in want), (str(query), target)
 
 
 def test_internal_node_clash_still_detected():
@@ -181,7 +88,7 @@ def test_internal_node_clash_still_detected():
     query = parse_query(
         "Q() :- x1 -[aa]-> y1, x2 -[bb]-> y2"
     )
-    assert unguided_evaluate(query, graph) == frozenset()
+    assert answers(query, graph, "q-inj") == frozenset()
     assert evaluate(query, graph, "q-inj") == frozenset()
     # Removing one atom makes it satisfiable — the clash, not the
     # individual atoms, is what rules the query out.
@@ -192,5 +99,5 @@ def test_internal_node_clash_still_detected():
 def test_more_variables_than_nodes_short_circuits():
     graph = GraphDatabase(edges=[("u", "a", "v")])
     query = parse_query("Q() :- x -[a]-> y, p -[a]-> q")
-    assert unguided_evaluate(query, graph) == frozenset()
+    assert answers(query, graph, "q-inj") == frozenset()
     assert evaluate(query, graph, "q-inj") == frozenset()
