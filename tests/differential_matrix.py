@@ -148,17 +148,25 @@ def expected(subject, semantics, rounds=0, disjunct=None):
     return frozenset().union(*per_disjunct)
 
 
-def stripe(slot, slots):
-    return range(slot, CASE_COUNT, slots)
+def stripe(slot, slots, seeds=range(CASE_COUNT)):
+    return seeds[slot::slots]
 
 
-def check(axis, seeds, semantics_list=ALL_SEMANTICS, where=None):
-    """Run ``axis`` on the cases of ``seeds`` that ``where`` accepts,
-    under every semantics of ``semantics_list``."""
+def union_seeds(unions=True):
+    """The seeds whose query is (or, with ``unions=False``, is not) a
+    union."""
+    return [seed for seed in range(CASE_COUNT)
+            if case(seed).is_union == unions]
+
+
+def check(axis, seeds, semantics_list=ALL_SEMANTICS):
+    """Run ``axis`` on the cases of ``seeds`` under every semantics of
+    ``semantics_list``; an empty slice fails rather than passing
+    vacuously."""
+    assert seeds, f"no case for axis {axis}"
     for subject in map(case, seeds):
-        if where is None or where(subject):
-            for semantics in semantics_list:
-                AXES[axis](subject, semantics)
+        for semantics in semantics_list:
+            AXES[axis](subject, semantics)
 
 
 def _agree(got, subject, semantics, rounds=0):

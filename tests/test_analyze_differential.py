@@ -16,7 +16,7 @@ from repro.queries.parser import parse_query
 from repro.regular.syntax import Concat, Empty, Symbol
 from repro.semantics.base import ALL_SEMANTICS
 from repro.semantics.evaluation import evaluate
-from tests.differential_matrix import check, stripe
+from tests.differential_matrix import check, stripe, union_seeds
 
 ALPHABET = ("a", "b")
 
@@ -32,21 +32,19 @@ class TestRandomSingleQueries:
     @pytest.mark.parametrize("seed", range(18))
     @pytest.mark.parametrize("semantics", ALL_SEMANTICS)
     def test_analyzed_equals_unanalyzed(self, seed, semantics):
-        check("analysis-off", stripe(seed, 18), [semantics],
-              where=lambda subject: not subject.is_union)
+        check("analysis-off", stripe(seed, 18, union_seeds(False)),
+              [semantics])
 
 
 class TestRandomUnions:
     @pytest.mark.parametrize("seed", range(12))
     @pytest.mark.parametrize("semantics", ALL_SEMANTICS)
     def test_union_analyzed_equals_unanalyzed(self, seed, semantics):
-        check("analysis-off", stripe(seed, 12), [semantics],
-              where=lambda subject: subject.is_union)
+        check("analysis-off", stripe(seed, 12, union_seeds()), [semantics])
 
     @pytest.mark.parametrize("seed", range(8))
     def test_in_evaluation_agrees(self, seed):
-        check("in-evaluation-analysis-off", stripe(seed, 8),
-              where=lambda subject: subject.is_union)
+        check("in-evaluation-analysis-off", stripe(seed, 8, union_seeds()))
 
 
 class TestEngineeredPruningShapes:
