@@ -339,6 +339,7 @@ def test_membership_binding_differential():
 
 @pytest.mark.parametrize("workers", [None, 2])
 def test_batch_differential_between_backends(workers):
+    # Any worker count selects the threaded axis, which runs 3 workers.
     with use_backend("python"):
         check("batch" if workers is None else "batch-threaded",
               stripe(1, 5), ST_AINJ)
