@@ -50,7 +50,6 @@ from repro.errors import (
     SearchBudgetExceeded,
 )
 from repro.engine.analyze import (
-    AnalysisBudget,
     AnalysisDecision,
     AnalysisLint,
     AnalysisReport,
@@ -90,7 +89,6 @@ __all__ = [
     "union_of",
     "NFA",
     "Semantics",
-    "AnalysisBudget",
     "AnalysisDecision",
     "AnalysisLint",
     "AnalysisReport",

@@ -9,9 +9,9 @@ Commands:
   and re-evaluate a query, with atom relations *maintained*
   incrementally across the updates instead of rebuilt;
 - ``analyze``   — statically analyze a query under a semantics: hard
-  facts, certified disjunct and sibling-atom pruning (audited
-  decisions), and warning-level lints — no graph needed, nothing
-  executed;
+  facts, unsatisfiable/duplicate disjunct and sibling-atom pruning
+  (audited decisions), and warning-level lints — no graph needed,
+  nothing executed;
 - ``stats``     — validate and render a ``metrics-report-v1`` JSON file
   (written by ``--metrics-out`` on evaluate / batch / update);
 - ``contains``  — decide containment between two queries;
@@ -535,7 +535,7 @@ def build_parser():
     p_an = sub.add_parser(
         "analyze",
         help="statically analyze a query: pruning decisions with their "
-             "containment verdicts, plus lint diagnostics",
+             "language-inclusion verdicts, plus lint diagnostics",
     )
     p_an.add_argument("query", help='e.g. "Q(x,y) :- x -[(ab)*]-> y"')
     p_an.add_argument(

@@ -60,7 +60,6 @@ from repro.containment.preprocess import (
     split_parallel_singletons,
 )
 from repro.containment.result import ContainmentResult, Verdict
-from repro.engine.analyze import analysis_disabled
 from repro.engine.cache import compiled_nfa
 from repro.errors import SearchBudgetExceeded
 from repro.queries.crpq import union_of
@@ -215,15 +214,9 @@ def contains_abstraction(q1, q2, semantics, max_classes=20000,
     Exact for query-injective semantics (Theorem 5.1 / Claim 5.1); for
     standard semantics see the module docstring caveat.
 
-    Candidate membership checks run with static analysis off — each
-    candidate expansion is a throwaway database (see finite_left).
+    Candidate membership checks read Q2's memoized analysis report (see
+    finite_left).
     """
-    with analysis_disabled():
-        return _contains_abstraction(q1, q2, semantics,
-                                     max_classes, max_candidates)
-
-
-def _contains_abstraction(q1, q2, semantics, max_classes, max_candidates):
     semantics = Semantics.coerce(semantics)
     if semantics is Semantics.ATOM_INJECTIVE:
         raise ValueError(

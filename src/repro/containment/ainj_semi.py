@@ -16,7 +16,6 @@ the honest verdict CONTAINED_UP_TO_BOUND.
 from __future__ import annotations
 
 from repro.containment.result import ContainmentResult, Verdict
-from repro.engine.analyze import analysis_disabled
 from repro.errors import SearchBudgetExceeded
 from repro.queries.crpq import union_of
 from repro.semantics.base import Semantics
@@ -29,16 +28,9 @@ def search_ainj_counterexample(q1, q2, max_word_length, expansion_budget=20000,
     """Search for an a-inj containment counterexample with atom words of
     length ≤ ``max_word_length``.  Returns a ContainmentResult.
 
-    Membership checks over candidate databases run with static analysis
-    off — each candidate is a throwaway graph (see finite_left).
+    Membership checks over candidate databases read Q2's memoized
+    analysis report (see finite_left).
     """
-    with analysis_disabled():
-        return _search_ainj_counterexample(q1, q2, max_word_length,
-                                           expansion_budget, quotient_budget)
-
-
-def _search_ainj_counterexample(q1, q2, max_word_length, expansion_budget,
-                                quotient_budget):
     semantics = Semantics.ATOM_INJECTIVE
     right = union_of(q2)
     left_disjuncts = []

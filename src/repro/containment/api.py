@@ -47,6 +47,12 @@ def check_head_arities(q1, q2):
         )
 
 
+#: Every keyword ``contains(**budgets)`` accepts.
+_BUDGET_NAMES = frozenset(
+    {"expansion_budget", "quotient_budget", "max_classes", "max_candidates"}
+)
+
+
 def contains(q1, q2, semantics, exact=False, max_word_length=4, **budgets):
     """Decide Q1 ⊆★ Q2.  Accepts CRPQs, CQs, or unions on both sides.
 
@@ -55,7 +61,20 @@ def contains(q1, q2, semantics, exact=False, max_word_length=4, **budgets):
     bounded verdict is possible (undecidable cell) instead of returning
     a CONTAINED_UP_TO_BOUND verdict.  Heads of different arity raise
     :class:`ValueError`.
+
+    ``budgets`` forwards the deciders' search caps: ``expansion_budget``
+    and ``quotient_budget`` (finite-left and the a-inj semi-decider),
+    ``max_classes`` and ``max_candidates`` (abstraction).  The decider
+    the cell picks reads only its own; any other name is a
+    :class:`TypeError`.
     """
+    unknown = sorted(set(budgets) - _BUDGET_NAMES)
+    if unknown:
+        raise TypeError(
+            f"contains() got unexpected budget keyword(s) "
+            f"{', '.join(unknown)}; expected one of "
+            f"{', '.join(sorted(_BUDGET_NAMES))}"
+        )
     check_head_arities(q1, q2)
     semantics = Semantics.coerce(semantics)
     left_class, _right_class = containment_cell(q1, q2)

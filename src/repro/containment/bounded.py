@@ -9,7 +9,6 @@ suite uses this as ground truth to cross-validate the exact deciders.
 from __future__ import annotations
 
 from repro.containment.result import ContainmentResult, Verdict
-from repro.engine.analyze import analysis_disabled
 from repro.errors import SearchBudgetExceeded
 from repro.queries.crpq import union_of
 from repro.semantics.base import Semantics
@@ -22,18 +21,9 @@ def search_counterexample(q1, q2, semantics, max_word_length,
     """Search for a ★-expansion of Q1 (word length ≤ bound) on which Q2
     fails; returns NOT_CONTAINED with witness, or CONTAINED_UP_TO_BOUND.
 
-    Like every decider, the membership checks run under
-    ``analysis_disabled()``: the static analyzer consults containment
-    deciders, so letting its cache warm from inside a decider would
-    recurse (and pollute analysis stats with decider-internal probes).
+    Like every decider, the membership checks read Q2's memoized
+    analysis report (see finite_left).
     """
-    with analysis_disabled():
-        return _search_counterexample(q1, q2, semantics, max_word_length,
-                                      expansion_budget, quotient_budget)
-
-
-def _search_counterexample(q1, q2, semantics, max_word_length,
-                           expansion_budget, quotient_budget):
     semantics = Semantics.coerce(semantics)
     right = union_of(q2)
     left_disjuncts = []

@@ -15,7 +15,6 @@ decidable — so this decider is exact for all three semantics, giving the
 from __future__ import annotations
 
 from repro.containment.result import ContainmentResult, Verdict
-from repro.engine.analyze import analysis_disabled
 from repro.queries.crpq import union_of
 from repro.semantics.base import Semantics
 from repro.semantics.evaluation import in_evaluation
@@ -29,17 +28,10 @@ def contains_finite_left(q1, q2, semantics, expansion_budget=200000,
     Returns a :class:`ContainmentResult`; counterexamples are the failing
     expansion CQs.
 
-    The membership checks over expansion databases run with static
-    analysis off: each candidate is a throwaway graph, so plan-time
-    analysis of Q2 buys nothing and would dominate the decider's cost.
+    The membership checks over expansion databases run on the analyzed
+    path: Q2 is analyzed once (the report is memoized by query
+    structure), and every check reuses its ε-free disjunct list.
     """
-    with analysis_disabled():
-        return _contains_finite_left(q1, q2, semantics,
-                                     expansion_budget, quotient_budget)
-
-
-def _contains_finite_left(q1, q2, semantics, expansion_budget,
-                          quotient_budget):
     semantics = Semantics.coerce(semantics)
     left_disjuncts = []
     for disjunct in union_of(q1):

@@ -346,102 +346,63 @@ class VersionReadOnce(Rule):
 
 
 # ----------------------------------------------------------------------
-# LK004 decider-guard
+# LK004 engine-decider-free
 # ----------------------------------------------------------------------
+
+#: The packages that hold the containment deciders and the
+#: decider-certified optimizer.
+DECIDER_MODULES = ("repro.containment", "repro.optimize")
 
 
 @register
-class DeciderGuard(Rule):
-    """Containment deciders evaluate expansions under ``analysis_disabled()``.
+class EngineDeciderFree(Rule):
+    """The engine decides with automata only: it imports no decider.
 
-    **Origin: PR 6.**  The deciders' counterexample searches evaluate
-    the right-hand query over thousands of throwaway expansion
-    databases via ``in_evaluation`` / ``evaluate``.  Those inner calls
-    must run under :func:`repro.engine.analyze.analysis_disabled` —
-    otherwise every candidate pays plan-time analysis, and worse, the
-    analyzer (which invokes the deciders for its rewrites) would
-    recurse into itself.  The rule requires every ``in_evaluation`` /
-    ``evaluate`` call in ``containment/`` modules to be lexically
-    inside a ``with analysis_disabled():`` block, or inside a helper
-    whose every intra-module call site is (transitively) guarded.
+    **Origin: the analyzer's deleted disjunct-subsumption phase.**  The
+    static analyzer once ran the containment deciders to drop subsumed
+    disjuncts; that coupling needed a re-entrancy guard and an
+    ``analysis_disabled()`` wrapper in every decider, and it certified
+    no rewrite on real traffic.  Now the deciders sit strictly above the
+    engine and evaluate through it like any other caller.  The rule
+    flags any import of ``repro.containment`` or ``repro.optimize`` in
+    a module under ``engine/`` — function-level (lazy) and
+    ``TYPE_CHECKING`` imports included, since LK006 exempts exactly the
+    lazy form.
     """
 
     rule_id = "LK004"
-    rule_name = "decider-guard"
-
-    _TARGETS = frozenset({"in_evaluation", "evaluate"})
+    rule_name = "engine-decider-free"
 
     def check(self, ctx: LintContext) -> Iterator[Finding]:
-        if not ctx.path_matches("/containment/"):
+        if not ctx.path_matches("/engine/"):
             return
-        target_calls = [
-            node for node in ast.walk(ctx.tree)
-            if isinstance(node, ast.Call) and _call_name(node) in self._TARGETS
-        ]
-        if not target_calls:
-            return
-        guarded_functions = self._guarded_only_functions(ctx)
-        for call in target_calls:
-            if self._lexically_guarded(ctx, call):
-                continue
-            function = ctx.enclosing_function(call)
-            if function is not None and function.name in guarded_functions:
-                continue
-            where = function.name + "()" if function else "module scope"
-            yield self.finding(
-                ctx, call,
-                f"{_call_name(call)}() in {where} runs outside "
-                f"analysis_disabled() — decider membership checks must "
-                f"not recurse into the static analyzer (PR 6 guard)",
-            )
+        for node in ast.walk(ctx.tree):
+            imported = self._decider_import(ctx, node)
+            if imported is not None:
+                yield self.finding(
+                    ctx, node,
+                    f"engine module imports {imported} — the engine "
+                    f"decides with automata only and never runs a "
+                    f"containment decider",
+                )
 
     @staticmethod
-    def _lexically_guarded(ctx: LintContext, node: ast.AST) -> bool:
-        for ancestor in ctx.ancestors(node):
-            if isinstance(ancestor, (ast.With, ast.AsyncWith)):
-                for item in ancestor.items:
-                    expr = item.context_expr
-                    if (
-                        isinstance(expr, ast.Call)
-                        and _call_name(expr) == "analysis_disabled"
-                    ):
-                        return True
-        return False
-
-    def _guarded_only_functions(self, ctx: LintContext) -> frozenset[str]:
-        """Names of module functions whose every intra-module call site
-        is guarded (lexically or, transitively, via another guarded-only
-        function).  A function never called inside the module — a public
-        entry point — is *not* guarded-only: entry points must guard
-        lexically."""
-        functions = {
-            node.name: node
-            for node in ctx.tree.body
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-        }
-        call_sites: dict[str, list[ast.Call]] = {name: [] for name in functions}
-        for node in ast.walk(ctx.tree):
-            if isinstance(node, ast.Call):
-                name = _call_name(node)
-                if name in call_sites:
-                    call_sites[name].append(node)
-        guarded = {
-            name for name, sites in call_sites.items() if sites
-        }
-        changed = True
-        while changed:
-            changed = False
-            for name in tuple(guarded):
-                for site in call_sites[name]:
-                    if self._lexically_guarded(ctx, site):
-                        continue
-                    caller = ctx.enclosing_function(site)
-                    if caller is not None and caller.name in guarded:
-                        continue
-                    guarded.discard(name)
-                    changed = True
-                    break
-        return frozenset(guarded)
+    def _decider_import(ctx: LintContext, node: ast.AST) -> str | None:
+        """The decider module ``node`` imports, or ``None``."""
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = ImportLayering._resolve_from(ctx, node)
+            if base is None:
+                return None
+            names = [f"{base}.{alias.name}" for alias in node.names]
+        else:
+            return None
+        for name in names:
+            for module in DECIDER_MODULES:
+                if name == module or name.startswith(module + "."):
+                    return name
+        return None
 
 
 # ----------------------------------------------------------------------

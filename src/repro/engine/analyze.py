@@ -1,44 +1,31 @@
 """Static query analysis: plan-time pruning, rewrites, lint diagnostics.
 
-The paper's decidability results (Figure 1) are *static analyses* of
-queries; this module finally runs them on the execution path.  A query
-is analyzed once per (query structure, semantics) — never per graph —
-and the memoized :class:`AnalysisReport` feeds every evaluator:
+A query is analyzed once per (query structure, semantics) — never per
+graph — and the memoized :class:`AnalysisReport` feeds every evaluator:
 ``evaluate`` / ``in_evaluation`` consume the pruned disjunct list, the
 batch executor shares one report per admitted query, and the
 incremental layer reuses reports across graph mutations for free
 because the cache key is graph-independent.
 
-The pipeline per ε-free disjunct:
+The analyzer decides with automata only; it never runs a containment
+decider.  The pipeline per ε-free disjunct:
 
-1. **Hard facts** (always on, no decider needed): atoms denoting the
-   empty language make the disjunct unsatisfiable — it is dropped;
-   structurally duplicate disjuncts collapse; ε-only atoms, isolated
-   head variables and disconnected variable graphs are linted.
+1. **Hard facts**: atoms denoting the empty language make the disjunct
+   unsatisfiable — it is dropped; structurally duplicate disjuncts
+   collapse; ε-only atoms, isolated head variables and disconnected
+   variable graphs are linted.
 2. **Sibling-language subsumption**: two atoms over the same ordered
    endpoint pair with L₁ ⊆ L₂ (decided exactly via the DFA complement
-   product, gated by an automaton-size cap) make the superset atom
-   redundant under standard and atom-injective semantics — the same
-   witness path serves both.  Under query-injective semantics the
-   witness paths must be internally disjoint, so the rewrite is
-   *unsound* and only a lint is emitted.
-3. **Disjunct subsumption**: disjunct dᵢ is dropped when a *conclusive*
-   ``contains(dᵢ, dⱼ, semantics)`` verdict proves dᵢ ⊆ dⱼ (sound for
-   any union under any semantics).
-
-Rewrite (3) only trusts a decider that is exact for the cell at hand:
-a star-free left side routes to the finite-left decider (exact under
-all three semantics).  A starred left side is *skipped* with a lint:
-the standard-semantics abstraction verdicts carry a documented
-soundness caveat, the unrestricted atom-injective cell is undecidable
-(Theorem 5.2), and the q-inj abstraction decider (Theorem 5.1) is
-exponential-class.  Decider budgets
-(:class:`repro.errors.SearchBudgetExceeded`) are caught and treated as
-inconclusive.
+   product) make the superset atom redundant under standard and
+   atom-injective semantics — the same witness path serves both.
+   Under query-injective semantics the witness paths must be
+   internally disjoint, so the rewrite is *unsound* and only a lint is
+   emitted.  :data:`MAX_CHECKS`, :data:`MAX_ATOMS` and
+   :data:`SUBSET_STATE_CAP` bound this phase's work.
 
 Every behavior-changing step is recorded as an auditable
-:class:`AnalysisDecision` carrying the containment verdict that
-licensed it; lints are warning-level and never change behavior.
+:class:`AnalysisDecision` carrying the inclusion verdict that licensed
+it; lints are warning-level and never change behavior.
 ``AnalysisReport.explain()`` derives each surviving disjunct's fact
 line (loops, finite languages, components, injective floor) on demand.
 """
@@ -52,7 +39,6 @@ from dataclasses import dataclass, field, replace
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from repro.engine.cache import analysis_report, compiled_nfa, language_is_empty
-from repro.errors import SearchBudgetExceeded
 from repro.queries.crpq import CRPQ, union_of
 from repro.regular.dfa import nfa_language_subset
 from repro.regular.syntax import Empty, remove_epsilon
@@ -60,41 +46,21 @@ from repro.regular.words import language_is_finite
 from repro.semantics.base import Semantics
 
 
-@dataclass(frozen=True)
-class AnalysisBudget:
-    """Caps on the analyzer's decider work.
-
-    The defaults keep analysis cheap enough for the serving hot path
-    (it is also memoized); tests raise them to exercise deep rewrites.
-    """
-
-    max_checks: int = 32
-    max_atoms: int = 6
-    max_disjuncts: int = 8
-    subset_state_cap: int = 12
-    expansion_budget: int = 120
-    quotient_budget: int = 120
-
-    def decider_options(self) -> Dict[str, int]:
-        """The budget kwargs forwarded to ``containment.api.contains``.
-        Subsumption checks run only on star-free left sides, which
-        ``contains`` routes to ``contains_finite_left``: these two
-        budgets are the only ones it reads."""
-        return {
-            "expansion_budget": self.expansion_budget,
-            "quotient_budget": self.quotient_budget,
-        }
-
-
-DEFAULT_BUDGET = AnalysisBudget()
+#: Phase 2 runs at most this many DFA-subset checks per analysis; past
+#: it the analysis stops rewriting and lints ``analysis-budget-exhausted``.
+MAX_CHECKS = 32
+#: Disjuncts with more atoms than this skip the sibling phase.
+MAX_ATOMS = 6
+#: Atom pairs whose larger NFA has more states than this are not checked.
+SUBSET_STATE_CAP = 12
 
 
 @dataclass(frozen=True)
 class AnalysisDecision:
     """One audited, behavior-changing analysis step.
 
-    ``verdict`` renders the containment result that licensed the step
-    (``None`` for hard facts, which need no decider).
+    ``verdict`` renders the language-inclusion result that licensed the
+    step (``None`` for hard facts, which need none).
     """
 
     kind: str
@@ -159,24 +125,20 @@ class AnalysisReport:
 
 
 # ----------------------------------------------------------------------
-# Enable/disable and re-entrancy state
+# The unanalyzed reference path
 # ----------------------------------------------------------------------
 
 _state = threading.local()
-
-
-def _analysis_active() -> bool:
-    return not getattr(_state, "disabled", False) \
-        and getattr(_state, "depth", 0) == 0
 
 
 @contextmanager
 def analysis_disabled() -> Iterator[None]:
     """Context manager: run evaluation on the unanalyzed path.
 
-    Differential tests and the benchmark baseline use this to compare
-    pruned vs seed behavior; the pass-through report it yields performs
-    ε-elimination only, exactly like the pre-analyzer engine.
+    The differential matrix's analysis axis and the benchmark baselines
+    use this to compare pruned vs seed behavior; the pass-through report
+    it yields performs ε-elimination only, exactly like the pre-analyzer
+    engine.
     """
     previous = getattr(_state, "disabled", False)
     _state.disabled = True
@@ -186,40 +148,22 @@ def analysis_disabled() -> Iterator[None]:
         _state.disabled = previous
 
 
-@contextmanager
-def _reentrancy_guard() -> Iterator[None]:
-    """The containment deciders evaluate queries internally; those inner
-    evaluations must not recurse into the analyzer (cost, and the
-    deciders were validated against the unanalyzed engine)."""
-    _state.depth = getattr(_state, "depth", 0) + 1
-    try:
-        yield
-    finally:
-        _state.depth -= 1
-
-
 # ----------------------------------------------------------------------
 # Entry points
 # ----------------------------------------------------------------------
 
 
-def analyze(
-    query: Any,
-    semantics: Any,
-    budget: Optional[AnalysisBudget] = None,
-) -> AnalysisReport:
+def analyze(query: Any, semantics: Any) -> AnalysisReport:
     """Analyze ``query`` (a CRPQ, CQ, or union) under ``semantics``.
 
-    With the default budget the report is memoized process-wide, keyed
-    by query structure + semantics — graph-independent, so one report
-    serves every graph version.  A custom ``budget`` bypasses the cache.
+    The report is memoized process-wide, keyed by query structure +
+    semantics — graph-independent, so one report serves every graph
+    version.
     """
     semantics = Semantics.coerce(semantics)
     disjuncts = union_of(query)
-    if not _analysis_active():
+    if getattr(_state, "disabled", False):
         return _passthrough_report(disjuncts, semantics)
-    if budget is not None:
-        return _compute_report(disjuncts, semantics, budget)
     key = (
         tuple(_structural_key(d) for d in disjuncts),
         semantics,
@@ -229,7 +173,7 @@ def analyze(
     def _compute() -> AnalysisReport:
         nonlocal computed
         computed = True
-        return _compute_report(disjuncts, semantics, DEFAULT_BUDGET)
+        return _compute_report(disjuncts, semantics)
 
     report: AnalysisReport = analysis_report(key, _compute)
     if computed:
@@ -278,9 +222,6 @@ def _eps_free_list(disjuncts: Tuple[Any, ...]) -> List[Any]:
 def _passthrough_report(
     disjuncts: Tuple[Any, ...], semantics: Semantics
 ) -> AnalysisReport:
-    # Pass-through reports sit on the hot path of the containment
-    # deciders (thousands of throwaway membership checks), so they must
-    # cost no more than bare ε-elimination.
     eps_free = tuple(_eps_free_list(disjuncts))
     return AnalysisReport(
         semantics=semantics,
@@ -292,10 +233,10 @@ def _passthrough_report(
 
 
 class _CheckMeter:
-    """Counts decider invocations against ``budget.max_checks``."""
+    """Counts DFA-subset checks against :data:`MAX_CHECKS`."""
 
-    def __init__(self, budget: AnalysisBudget) -> None:
-        self.remaining = budget.max_checks
+    def __init__(self) -> None:
+        self.remaining = MAX_CHECKS
         self.exhausted = False
 
     def take(self) -> bool:
@@ -307,27 +248,16 @@ class _CheckMeter:
 
 
 def _compute_report(
-    disjuncts: Tuple[Any, ...],
-    semantics: Semantics,
-    budget: AnalysisBudget,
-) -> AnalysisReport:
-    with _reentrancy_guard():
-        return _compute_report_inner(disjuncts, semantics, budget)
-
-
-def _compute_report_inner(
-    disjuncts: Tuple[Any, ...],
-    semantics: Semantics,
-    budget: AnalysisBudget,
+    disjuncts: Tuple[Any, ...], semantics: Semantics
 ) -> AnalysisReport:
     decisions: List[AnalysisDecision] = []
     lints: List[AnalysisLint] = []
     _lint_epsilon_only_atoms(disjuncts, lints)
     original = tuple(_eps_free_list(disjuncts))
-    meter = _CheckMeter(budget)
+    meter = _CheckMeter()
 
     # Phase 1: unsatisfiable disjuncts (an atom denoting ∅) and exact
-    # structural duplicates — sound under every semantics, decider-free.
+    # structural duplicates — sound under every semantics.
     survivors: List[Tuple[int, Any]] = []
     for index, disjunct in enumerate(original):
         empty_atom = _first_empty_atom(disjunct)
@@ -356,24 +286,19 @@ def _compute_report_inner(
         survivors.append((index, disjunct))
 
     # Phase 2: per-disjunct sibling-atom rewrites.
-    rewritten = [
+    final = [
         (index, _prune_subsumed_sibling_atoms(
-            disjunct, index, semantics, budget, meter, decisions, lints
+            disjunct, index, semantics, meter, decisions, lints
         ))
         for index, disjunct in survivors
     ]
-
-    # Phase 3: disjunct subsumption across the union.
-    final = _prune_subsumed_disjuncts(
-        rewritten, semantics, budget, meter, decisions, lints
-    )
 
     if meter.exhausted:
         lints.append(AnalysisLint(
             code="analysis-budget-exhausted",
             disjunct=None,
             message=(f"stopped after "
-                     f"{budget.max_checks - meter.remaining} containment "
+                     f"{MAX_CHECKS - meter.remaining} inclusion "
                      f"check(s); remaining rewrites skipped"),
         ))
 
@@ -520,12 +445,11 @@ def _prune_subsumed_sibling_atoms(
     disjunct: Any,
     index: int,
     semantics: Semantics,
-    budget: AnalysisBudget,
     meter: _CheckMeter,
     decisions: List[AnalysisDecision],
     lints: List[AnalysisLint],
 ) -> Any:
-    if len(disjunct.atoms) < 2 or len(disjunct.atoms) > budget.max_atoms:
+    if len(disjunct.atoms) < 2 or len(disjunct.atoms) > MAX_ATOMS:
         return disjunct
     groups: Dict[Tuple[Any, Any], List[int]] = {}
     for position, atom in enumerate(disjunct.atoms):
@@ -544,7 +468,7 @@ def _prune_subsumed_sibling_atoms(
                 nfa_j = compiled_nfa(atom_j.language)
                 nfa_k = compiled_nfa(atom_k.language)
                 if max(len(nfa_j.states), len(nfa_k.states)) \
-                        > budget.subset_state_cap:
+                        > SUBSET_STATE_CAP:
                     continue
                 if not meter.take():
                     return _without_atoms(disjunct, dropped)
@@ -585,91 +509,7 @@ def _without_atoms(disjunct: Any, dropped: set) -> Any:
     return CRPQ(disjunct.head, kept, extra_variables=disjunct.variables)
 
 
-# ----------------------------------------------------------------------
-# Phase 3: disjunct subsumption across the union
-# ----------------------------------------------------------------------
-
-
-def _rewrite_grade_decider(left: Any, semantics: Semantics) -> Optional[str]:
-    """``None`` if conclusive verdicts with ``left`` on the left-hand
-    side may license rewrites under ``semantics``; otherwise the lint
-    message explaining why the cell is skipped."""
-    if left.is_star_free():
-        return None  # finite-left decider: exact for all three semantics
-    if semantics is Semantics.ATOM_INJECTIVE:
-        return ("unrestricted a-inj containment is undecidable "
-                "(Theorem 5.2): only bounded verdicts exist")
-    if semantics is Semantics.STANDARD:
-        return ("abstraction verdicts under st carry a soundness caveat "
-                "(Claim 5.1 is proved for q-inj): not rewrite-grade")
-    return ("the q-inj abstraction decider (Theorem 5.1) is "
-            "exponential-class: the analyzer does not run it")
-
-
-def _prune_subsumed_disjuncts(
-    disjuncts: List[Tuple[int, Any]],
-    semantics: Semantics,
-    budget: AnalysisBudget,
-    meter: _CheckMeter,
-    decisions: List[AnalysisDecision],
-    lints: List[AnalysisLint],
-) -> List[Tuple[int, Any]]:
-    if len(disjuncts) < 2 or len(disjuncts) > budget.max_disjuncts:
-        return disjuncts
-    from repro.containment.api import contains
-    from repro.containment.result import Verdict
-
-    alive = list(disjuncts)
-    position = 0
-    while position < len(alive):
-        index, disjunct = alive[position]
-        reason = _rewrite_grade_decider(disjunct, semantics)
-        if reason is not None:
-            lints.append(AnalysisLint(
-                code="rewrite-skipped-inconclusive-cell",
-                disjunct=index,
-                message=f"subsumption check skipped: {reason}",
-            ))
-            position += 1
-            continue
-        subsumed = False
-        for other_index, other in alive:
-            if other_index == index:
-                continue
-            if not meter.take():
-                return alive
-            try:
-                result = contains(
-                    disjunct, other, semantics,
-                    **budget.decider_options(),
-                )
-            except SearchBudgetExceeded as error:
-                lints.append(AnalysisLint(
-                    code="decider-budget-exceeded",
-                    disjunct=index,
-                    message=f"subsumption check abandoned: {error}",
-                ))
-                continue
-            if result.conclusive and result.verdict is Verdict.CONTAINED:
-                decisions.append(AnalysisDecision(
-                    kind="drop-disjunct-subsumed",
-                    disjunct=index,
-                    detail=(f"contained in disjunct {other_index} "
-                            f"({other}): its contribution to the union "
-                            f"is redundant"),
-                    verdict=str(result),
-                ))
-                subsumed = True
-                break
-        if subsumed:
-            del alive[position]
-        else:
-            position += 1
-    return alive
-
-
 __all__ = [
-    "AnalysisBudget",
     "AnalysisDecision",
     "AnalysisLint",
     "AnalysisReport",

@@ -67,7 +67,7 @@ they too get cheaper under small deltas.
 structure and semantics only* — never by graph or version — so the
 serving loop over a store-attached dynamic graph re-plans mutated
 relations but never re-analyzes an unchanged query: pruning decisions
-and certified rewrites survive every update for free.
+and rewrites survive every update for free.
 """
 
 from __future__ import annotations

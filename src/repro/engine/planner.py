@@ -511,7 +511,8 @@ def explain_query(query, graph, semantics, relation_for=None):
 
     The first section is the static analyzer's audit trail
     (:mod:`repro.engine.analyze`): every pruned disjunct, every
-    certified rewrite with its containment verdict, and the lints.
+    sibling-atom rewrite with its language-inclusion verdict, and the
+    lints.
     Then, under st / a-inj, one :class:`JoinPlan` rendering per
     *analyzed* disjunct; under q-inj the relation-guided pruning plans
     of :mod:`repro.engine.qinj` (reduced candidate tables, variable

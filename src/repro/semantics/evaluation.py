@@ -80,13 +80,14 @@ def evaluate(query, graph, semantics, *, budget=None, timeout=None,
     union's evaluation is the union of the evaluations.
 
     The ε-free disjuncts actually executed come from the static
-    analyzer (:mod:`repro.engine.analyze`): unsatisfiable, duplicate or
-    subsumed disjuncts are pruned and atoms implied by a sibling atom's
-    language dropped, under rewrites sound for ``semantics`` — the
-    answer set is unchanged.
+    analyzer (:mod:`repro.engine.analyze`): unsatisfiable or duplicate
+    disjuncts are pruned and atoms implied by a sibling atom's language
+    dropped, under rewrites sound for ``semantics`` — the answer set is
+    unchanged.
     The analysis is memoized per query structure (graph-independent);
     :func:`repro.engine.analyze.analysis_disabled` restores the
-    unanalyzed path.
+    unanalyzed path, which only reference comparisons (the differential
+    matrix, benchmark baselines) use.
 
     Resource governance: ``budget`` (a
     :class:`~repro.engine.runtime.ResourceBudget`) or the ``timeout``

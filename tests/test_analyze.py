@@ -1,9 +1,9 @@
 """Unit tests for the static query analyzer (engine/analyze.py).
 
-Covers the decision kinds (unsatisfiable / duplicate / subsumed
-disjuncts, sibling-language subsumption), the semantics-soundness
-gating (q-inj gets a lint where st / a-inj get a rewrite), budget
-exhaustion, that chain queries run no containment decider, memoization
+Covers the decision kinds (unsatisfiable / duplicate disjuncts,
+sibling-language subsumption), the semantics-soundness gating (q-inj
+gets a lint where st / a-inj get a rewrite), check-cap exhaustion,
+that no analysis runs a containment decider, memoization
 across graph mutations, the planner/qinj empty-language short-circuits,
 and the CLI surfaces (``analyze`` subcommand, ``--explain`` analysis
 section, the per-disjunct fact line).
@@ -14,8 +14,8 @@ import pytest
 from repro.analysis.catalog import by_name
 from repro.analysis.qinj_pruning import rare_chain_workload
 from repro.cli import main
+import repro.engine.analyze as analyze_module
 from repro.engine.analyze import (
-    AnalysisBudget,
     analysis_disabled,
     analyze,
     analyzed_disjuncts,
@@ -130,32 +130,11 @@ class TestSiblingSubsumption:
 
 
 class TestCertifiedRewrites:
-    def test_disjunct_subsumption_with_verdict(self, small_graph):
-        general = parse_query("Q(x, y) :- x -[a]-> y")
-        specialized = parse_query("Q(x, y) :- x -[a]-> y, y -[b]-> z")
-        report = analyze((specialized, general), "st")
-        assert "drop-disjunct-subsumed" in decision_kinds(report)
-        assert len(report.disjuncts) == 1
-        decision = next(d for d in report.decisions
-                        if d.kind == "drop-disjunct-subsumed")
-        assert "finite-left" in decision.verdict
-        assert evaluate((specialized, general), small_graph, "st") \
-            == evaluate(general, small_graph, "st")
-
-    def test_ainj_unrestricted_cell_not_rewritten(self):
-        """Starred left side under a-inj: undecidable cell (Thm 5.2) —
-        subsumption checks are skipped with an explanatory lint."""
-        starred_special = parse_query(
-            "Q(x, y) :- x -[a^+]-> y, y -[b]-> z"
-        )
-        general = parse_query("Q(x, y) :- x -[a^+]-> y")
-        report = analyze((starred_special, general), "a-inj")
-        assert "drop-disjunct-subsumed" not in decision_kinds(report)
-        assert "rewrite-skipped-inconclusive-cell" in lint_codes(report)
-
-    def test_budget_exhaustion_lint(self):
+    def test_budget_exhaustion_lint(self, monkeypatch):
         query = parse_query("Q(x, y) :- x -[a]-> y, x -[(a+b)]-> y")
-        report = analyze(query, "st", budget=AnalysisBudget(max_checks=0))
+        clear_analysis_cache()
+        monkeypatch.setattr(analyze_module, "MAX_CHECKS", 0)
+        report = analyze(query, "st")
         assert "analysis-budget-exhausted" in lint_codes(report)
         assert report.decisions == ()  # nothing licensed without checks
 
@@ -164,13 +143,18 @@ class TestCertifiedRewrites:
           for q in rare_chain_workload((2, 3, 4))
           for s in ("a-inj", "q-inj")),
         pytest.param(by_name("diamond").query, "q-inj", id="diamond-q-inj"),
+        *(pytest.param(
+            (parse_query("Q(x, y) :- x -[a]-> y, y -[b]-> z"),
+             parse_query("Q(x, y) :- x -[a]-> y")),
+            s, id=f"specialized-general-union-{s}")
+          for s in ("st", "a-inj", "q-inj")),
     ])
     def test_chains_run_no_containment_decider(
         self, monkeypatch, query, semantics
     ):
-        """Single-disjunct queries have nothing for disjunct subsumption
-        to compare, and the sibling phase decides language inclusion on
-        automata: a cold analysis makes no ``contains`` call."""
+        """The analyzer decides language inclusion on automata only: a
+        cold analysis makes no ``contains`` call, also on a union whose
+        first disjunct is contained in its second."""
         import repro.containment.api as api
         import repro.optimize as optimize
 
@@ -218,18 +202,6 @@ class TestMemoization:
         stats = analysis_cache_stats()
         assert stats["misses"] == misses_before
         assert stats["hits"] >= 3
-
-    def test_deciders_do_not_populate_analysis_cache(self):
-        """containment deciders evaluate throwaway expansion queries
-        with analysis off; they must not pollute (or pay for) the
-        analysis cache."""
-        from repro.containment.api import contains
-
-        clear_analysis_cache()
-        q1 = parse_query("Q() :- x -[a]-> y, y -[b]-> z")
-        q2 = parse_query("Q() :- x -[a]-> y")
-        contains(q1, q2, "st")
-        assert analysis_cache_stats()["entries"] == 0
 
     def test_analysis_disabled_is_passthrough(self):
         q = parse_query("Q(x, y) :- x -[a]-> y, x -[(a+b)]-> y")
@@ -297,11 +269,10 @@ class TestSurfaces:
         assert "atom-language-subsumed" in out
 
     def test_explain_has_analysis_section(self, small_graph):
-        general = parse_query("Q(x, y) :- x -[a]-> y")
-        specialized = parse_query("Q(x, y) :- x -[a]-> y, y -[b]-> z")
-        text = explain_query((specialized, general), small_graph, "st")
+        query = parse_query("Q(x, y) :- x -[a]-> y, y -[b]-> z")
+        text = explain_query((query, query), small_graph, "st")
         assert "analysis [st]" in text
-        assert "drop-disjunct-subsumed" in text
+        assert "drop-disjunct-duplicate" in text
         # Only the surviving disjunct gets a plan section.
         assert text.count("disjunct:") == 1
         assert "answer(s)" not in text

@@ -76,6 +76,25 @@ class TestDispatch:
         # NOT_CONTAINED; just check bool() mirrors the verdict.
         assert bool(bounded) == (bounded.verdict is Verdict.CONTAINED)
 
+    @pytest.mark.parametrize("left", [
+        "Q() :- x -[a]-> y",       # finite left
+        "Q() :- x -[a^+]-> y",     # starred left
+    ])
+    def test_unknown_budget_keyword_raises(self, left):
+        """A misspelt budget must fail loudly, not run the decider with
+        its default budget."""
+        q2 = parse_query("Q() :- x -[a+b]-> y")
+        with pytest.raises(TypeError, match="expansion_budjet"):
+            contains(parse_query(left), q2, "st", expansion_budjet=1)
+
+    def test_known_budget_keywords_are_accepted(self):
+        q1 = parse_query("Q() :- x -[a]-> y")
+        q2 = parse_query("Q() :- x -[a+b]-> y")
+        result = contains(q1, q2, "st", expansion_budget=10,
+                          quotient_budget=10, max_classes=10,
+                          max_candidates=10)
+        assert result.verdict is Verdict.CONTAINED
+
 
 class TestAInjSemiDecider:
     def test_finds_quotient_counterexample(self):

@@ -9,9 +9,6 @@ first run over the tree (and which were then fixed, not baselined):
   (LK003, the PR 5 TOCTOU class);
 - ``engine/batch.py`` mutated the executor's shared relation store from
   thread-pool workers without a lock (LK007);
-- ``containment/bounded.py`` ran its membership checks outside
-  ``analysis_disabled()``, recursing into the static analyzer and
-  polluting its cache stats (LK004);
 - ``engine/adjacency.py`` handed out live inner dicts from
   ``out_targets`` / ``in_sources``; one caller mutating its view would
   corrupt every consumer of the graph version (LK001's bug class).
@@ -26,16 +23,10 @@ import threading
 
 import pytest
 
-from repro.containment.bounded import search_counterexample
-from repro.containment.result import Verdict
 from repro.engine import relations
 from repro.engine.adjacency import adjacency_index
 from repro.engine.batch import BatchExecutor
-from repro.engine.cache import (
-    analysis_cache_stats,
-    clear_analysis_cache,
-    graph_cached,
-)
+from repro.engine.cache import graph_cached
 from repro.engine.backend import use_backend
 from repro.engine.relations import atom_relation
 from repro.graphdb.generators import uniform_random
@@ -154,23 +145,6 @@ def test_batch_executor_keeps_no_private_store():
     executor = BatchExecutor(small_graph(), "st")
     for private in ("_lock", "_relations", "_relations_version"):
         assert not hasattr(executor, private)
-
-
-# ----------------------------------------------------------------------
-# Decider guard (LK004)
-# ----------------------------------------------------------------------
-
-
-def test_bounded_search_runs_under_analysis_disabled():
-    q1 = parse_query("Q(x, y) :- x -[a a]-> y")
-    q2 = parse_query("Q(x, y) :- x -[a*]-> y")
-    clear_analysis_cache()
-    result = search_counterexample(q1, q2, "st", max_word_length=3)
-    assert result.verdict is Verdict.CONTAINED_UP_TO_BOUND
-    stats = analysis_cache_stats()
-    assert stats["hits"] == 0 and stats["misses"] == 0, (
-        "bounded search leaked membership checks into the analyzer cache"
-    )
 
 
 # ----------------------------------------------------------------------

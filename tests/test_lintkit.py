@@ -7,8 +7,9 @@ Three layers:
   (negative), proving each check actually guards its invariant;
 - **mechanism tests** — suppression comments, baseline round-trip,
   parse-error reporting, reporters, CLI exit codes;
-- **self-lint** — ``src/repro`` must come back clean (this is the same
-  gate CI runs), both in-process and through the module CLI.
+- **self-lint** — ``src/repro`` must come back clean in process (this
+  is the same gate CI runs); the module CLI runs on a small fixture
+  tree.
 """
 
 import json
@@ -234,49 +235,62 @@ def test_lk003_quiet_on_single_read(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# LK004 decider-guard
+# LK004 engine-decider-free
 # ----------------------------------------------------------------------
 
-LK004_BAD = """
-    from repro.semantics.evaluation import in_evaluation
-
-    def decide(query, graph, head, semantics):
-        return in_evaluation(query, graph, head, semantics)
+LK004_LAZY = """
+    def subsumed(left, right, semantics):
+        from repro.containment.api import contains
+        return contains(left, right, semantics)
 """
 
-LK004_GOOD = """
-    from repro.engine.analyze import analysis_disabled
-    from repro.semantics.evaluation import in_evaluation
+LK004_AUTOMATA = """
+    from repro.regular.dfa import nfa_language_subset
 
-    def decide(query, graph, head, semantics):
-        with analysis_disabled():
-            return _decide(query, graph, head, semantics)
-
-    def _decide(query, graph, head, semantics):
-        return in_evaluation(query, graph, head, semantics)
+    def subsumed(left, right):
+        return nfa_language_subset(left, right)
 """
 
 
-def test_lk004_fires_on_unguarded_membership_check(tmp_path):
+def test_lk004_fires_on_lazy_containment_import(tmp_path):
     result = lint_snippet(
-        tmp_path, "repro/containment/custom.py", LK004_BAD,
-        rule="decider-guard",
+        tmp_path, "repro/engine/custom.py", LK004_LAZY,
+        rule="engine-decider-free",
+    )
+    assert rule_ids(result) == ["LK004"]
+    assert "repro.containment.api" in result.findings[0].message
+
+
+@pytest.mark.parametrize("source", [
+    "import repro.containment.api\n",
+    "from repro import optimize\n",
+    "from repro.optimize import equivalent\n",
+    "from ..containment import bounded\n",
+    "from typing import TYPE_CHECKING\n"
+    "if TYPE_CHECKING:\n"
+    "    from repro.containment.result import Verdict\n",
+], ids=["import", "from-package", "from-module", "relative",
+        "type-checking"])
+def test_lk004_fires_on_every_import_form(tmp_path, source):
+    result = lint_snippet(
+        tmp_path, "repro/engine/custom.py", source,
+        rule="engine-decider-free",
     )
     assert rule_ids(result) == ["LK004"]
 
 
-def test_lk004_accepts_guard_in_public_wrapper(tmp_path):
+def test_lk004_quiet_on_automata_imports(tmp_path):
     result = lint_snippet(
-        tmp_path, "repro/containment/custom.py", LK004_GOOD,
-        rule="decider-guard",
+        tmp_path, "repro/engine/custom.py", LK004_AUTOMATA,
+        rule="engine-decider-free",
     )
     assert result.findings == []
 
 
-def test_lk004_scoped_to_containment(tmp_path):
+def test_lk004_scoped_to_engine(tmp_path):
     result = lint_snippet(
-        tmp_path, "repro/analysis/custom.py", LK004_BAD,
-        rule="decider-guard",
+        tmp_path, "repro/analysis/custom.py", LK004_LAZY,
+        rule="engine-decider-free",
     )
     assert result.findings == []
 
@@ -1048,14 +1062,27 @@ def test_self_lint_src_repro_is_clean():
     assert result.suppressed_count == 2
 
 
-def test_self_lint_via_module_cli():
+def test_self_lint_via_module_cli(tmp_path):
+    """The module CLI on a small clean tree: exit code 0 and the text
+    report's summary line.  The whole-tree check is the in-process
+    test above."""
+    for relpath, source in (
+        ("repro/engine/custom.py", LK004_AUTOMATA),
+        ("repro/containment/custom.py", LK004_LAZY),
+    ):
+        path = tmp_path / relpath
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(textwrap.dedent(source))
     completed = subprocess.run(
-        [sys.executable, "-m", "repro.devtools.lintkit", "src/repro"],
+        [sys.executable, "-m", "repro.devtools.lintkit",
+         str(tmp_path / "repro")],
         cwd=REPO_ROOT,
-        env={"PYTHONPATH": "src", "PATH": "/usr/bin:/bin"},
+        env={"PYTHONPATH": str(REPO_ROOT / "src"), "PATH": "/usr/bin:/bin"},
         capture_output=True,
         text=True,
         timeout=120,
     )
     assert completed.returncode == 0, completed.stdout + completed.stderr
-    assert "clean" in completed.stdout
+    assert completed.stdout.splitlines()[-1] == (
+        "clean: 0 finding(s), 0 baselined, 0 suppressed, 2 file(s) checked"
+    )
