@@ -19,7 +19,7 @@ from collections import deque
 
 import pytest
 
-from _timing import best_of
+from _timing import interleaved_medians
 from _trajectory import TrajectoryRecorder
 from repro.graphdb.generators import two_lane_road, uniform_random
 from repro.graphdb.graph import GraphDatabase
@@ -139,8 +139,8 @@ def test_engine_speedup_at_least_5x(num_nodes):
             _seed_evaluate_standard(E3_QUERY, graph)
 
     run_engine()  # warm the caches once, as a serving process would be
-    engine_time = best_of(run_engine)
-    seed_time = best_of(run_seed)
+    engine_time, seed_time = interleaved_medians(run_engine, run_seed,
+                                                 rounds=5)
     ratio = seed_time / engine_time
     print(f"\nE3 standard n={num_nodes}: seed {seed_time:.4f}s, "
           f"engine {engine_time:.4f}s, speedup {ratio:.1f}x")

@@ -168,10 +168,12 @@ STORE_ATTRIBUTE = "_incremental_store"
 
 #: (path suffix) → the functions allowed to read ``STORE_ATTRIBUTE``
 #: there (``None``: the whole module).  The relation store answers every
-#: relation lookup, ``query_result`` asks the store for reusable
+#: relation lookup and the planner's materialization peek,
+#: ``query_result`` asks the store for reusable
 #: answers, and the store's own module manages the attachment.
 STORE_READERS: dict[str, frozenset[str] | None] = {
-    "engine/relations.py": frozenset({"atom_relation"}),
+    "engine/relations.py": frozenset({"atom_relation",
+                                      "walk_relation_materialized"}),
     "engine/cache.py": frozenset({"query_result"}),
     "engine/incremental.py": None,
 }

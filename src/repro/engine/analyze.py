@@ -164,21 +164,19 @@ def analyze(query: Any, semantics: Any) -> AnalysisReport:
     disjuncts = union_of(query)
     if getattr(_state, "disabled", False):
         return _passthrough_report(disjuncts, semantics)
-    key = (
-        tuple(_structural_key(d) for d in disjuncts),
-        semantics,
-    )
+    key = (tuple(_structural_key(d) for d in disjuncts), semantics)
     computed = False
 
-    def _compute() -> AnalysisReport:
+    def _compute() -> Tuple[AnalysisReport, AnalysisReport]:
+        # The cache keeps the report beside its prebuilt cache-hit twin.
         nonlocal computed
         computed = True
-        return _compute_report(disjuncts, semantics)
+        report = _compute_report(disjuncts, semantics)
+        return report, replace(report, from_cache=True)
 
-    report: AnalysisReport = analysis_report(key, _compute)
-    if computed:
-        return report
-    return replace(report, from_cache=True)
+    fresh, cached = analysis_report(key, _compute)
+    result: AnalysisReport = fresh if computed else cached
+    return result
 
 
 def analyzed_disjuncts(query: Any, semantics: Any) -> Tuple[Any, ...]:
@@ -202,14 +200,13 @@ def _structural_key(disjunct: Any) -> Tuple[Any, ...]:
     atoms — but duplicates matter under query-injective semantics (two
     copies of one atom need two internally disjoint witness paths).
     Cache keys and duplicate detection therefore compare the atom
-    *multiset* (as a frozenset of (atom, count) pairs — order-free,
-    duplicates kept, no string rendering on the hot path) plus head and
-    variable set."""
-    return (
-        disjunct.head,
-        frozenset(Counter(disjunct.atoms).items()),
-        disjunct.variables,
-    )
+    *multiset* plus head and variable set.  Without duplicates that is
+    the atom set itself; otherwise a frozenset of (atom, count) pairs,
+    which never equals a set of atoms."""
+    atoms = frozenset(disjunct.atoms)
+    if len(atoms) != len(disjunct.atoms):
+        atoms = frozenset(Counter(disjunct.atoms).items())
+    return (disjunct.head, atoms, disjunct.variables)
 
 
 def _eps_free_list(disjuncts: Tuple[Any, ...]) -> List[Any]:

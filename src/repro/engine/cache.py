@@ -371,6 +371,12 @@ def graph_cached(
     return cache.setdefault(key, value)
 
 
+def graph_cache_holds(graph: Any, key: Any) -> bool:
+    """True iff ``key`` is cached for the graph's current version (a
+    peek: nothing is computed or counted)."""
+    return key in _graph_cache(graph)
+
+
 def _make_room(cache: dict[Any, Any]) -> None:
     """Cap-and-clear a full graph cache, keeping its atom relations.
 

@@ -471,6 +471,12 @@ class IncrementalRelationStore:
         with self._lock:
             return self._state_for(language).relation()
 
+    def holds(self, language):
+        """True iff the relation of ``language`` is maintained at the
+        graph's current version, so a read builds and repairs nothing."""
+        state = self._states.get(compiled_nfa(language))
+        return state is not None and state.version == self.graph.version
+
     # -- versioned query-result reuse ------------------------------------
 
     def query_result(self, semantics, query, compute):

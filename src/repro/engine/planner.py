@@ -27,6 +27,11 @@ is only the glue.  This module plans and executes that glue on one path:
    runs the backtracking matcher (:mod:`repro.homomorphism.matcher`) on
    the reduced residue, never on the full input.
 
+Under standard semantics, lowering starts with **path fusion**
+(:func:`_fuse_paths`): ``x -[L1]-> z ∧ z -[L2]-> y`` with ``z`` used
+nowhere else becomes ``x -[L1·L2]-> y``, one kernel run instead of two
+plus a join.  Walks split at any node, so this is exact under st only.
+
 Query-injective semantics does not join here: its node-disjointness
 couples the atoms.  It instead runs the relation-guided joint search of
 :mod:`repro.engine.qinj`, which borrows this module's semijoin reducer
@@ -34,6 +39,9 @@ to shrink the candidate space before backtracking.
 """
 
 from __future__ import annotations
+
+from collections import Counter
+from functools import lru_cache
 
 from repro.engine import telemetry
 from repro.engine.cache import language_is_empty
@@ -48,9 +56,12 @@ from repro.engine.join import (
     project,
     true_relation,
 )
-from repro.engine.relations import Relation
+from repro.engine.relations import Relation, walk_relation_materialized
 from repro.engine.relations import relation_for as default_relation_for
 from repro.engine.runtime import checkpoint_site, resolve_context
+from repro.queries.atoms import Atom
+from repro.regular.syntax import concat
+from repro.semantics.base import Semantics
 
 #: Row budget for one join during variable elimination.  Past it, the
 #: component's tables are semijoin-reduced and eliminated again, and
@@ -70,6 +81,7 @@ SITE_PLANNER_ELIMINATE = checkpoint_site(
 _COMPONENTS_JOIN = telemetry.registry().counter("planner.components.join")
 _COMPONENTS_DOMAIN = telemetry.registry().counter("planner.components.domain")
 _MATCHER_FALLBACKS = telemetry.registry().counter("planner.fallback.matcher")
+_FUSED = telemetry.registry().counter("planner.fused")
 _SEMIJOIN_PASSES = telemetry.registry().counter("planner.semijoin.passes")
 _SEMIJOIN_ROWS_REMOVED = telemetry.registry().counter(
     "planner.semijoin.rows_removed"
@@ -224,10 +236,10 @@ class JoinPlan:
     """
 
     __slots__ = ("query", "graph", "semantics", "components", "unary",
-                 "loop_atoms", "binding", "empty_reason")
+                 "loop_atoms", "binding", "empty_reason", "fusions")
 
     def __init__(self, query, graph, semantics, components, unary,
-                 loop_atoms, binding, empty_reason=None):
+                 loop_atoms, binding, empty_reason=None, fusions=()):
         self.query = query
         self.graph = graph
         self.semantics = semantics
@@ -236,6 +248,7 @@ class JoinPlan:
         self.loop_atoms = tuple(loop_atoms)
         self.binding = binding        # var -> node, from a target tuple
         self.empty_reason = empty_reason  # str | None; set => no glue runs
+        self.fusions = tuple(fusions)  # (variable, into, out, fused atom)
 
     # -- execution ------------------------------------------------------
 
@@ -406,6 +419,9 @@ class JoinPlan:
                 f"{k}={v}" for k, v in sorted(self.binding.items(), key=repr)
             )
             lines.append(f"binding: {rendered}")
+        for variable, into, out, atom in self.fusions:
+            lines.append(f"fused {variable}: atom {into} · atom {out} → "
+                         f"atom {into}·{out}: {atom}")
         for index, atom, size in self.loop_atoms:
             lines.append(
                 f"loop atom {index}: {atom} → unary |diag| = {size}"
@@ -424,6 +440,56 @@ class JoinPlan:
 # ----------------------------------------------------------------------
 
 
+@lru_cache(maxsize=256)
+def _fusion_candidates(head, atoms):
+    """The non-head variables met by exactly one atom into them, one
+    out of them and no loop atom, in fusion order (graph-free, so
+    memoized).  A fusion keeps every other variable's in/out atom
+    counts, so it never makes a new candidate."""
+    into, out, looped = Counter(), Counter(), set()
+    for atom in atoms:
+        if atom.is_loop():
+            looped.add(atom.source)
+        else:
+            out[atom.source] += 1
+            into[atom.target] += 1
+    return tuple(sorted(
+        (variable for variable in into
+         if into[variable] == out[variable] == 1
+         and variable not in looped and variable not in head),
+        key=repr,
+    ))
+
+
+def _fuse_paths(query, graph):
+    """``(labelled atoms, fusions)`` after st path fusion: ``(label,
+    atom)`` pairs, a fused atom labelled by its factors' labels joined
+    with ``·``.  A fusion is skipped when both factor relations are
+    materialized at this graph version: reading them costs nothing,
+    the fused relation one kernel run."""
+    labelled = list(enumerate(query.atoms))
+    fusions = []
+    for variable in _fusion_candidates(query.head, query.atoms):
+        touching = [position for position, (_, atom) in enumerate(labelled)
+                    if variable in (atom.source, atom.target)]
+        if len(touching) != 2:
+            continue  # an earlier fusion closed a loop onto ``variable``
+        first, second = (labelled[position] for position in touching)
+        if first[1].source == variable:
+            first, second = second, first
+        (into_label, into), (out_label, out) = first, second
+        if (walk_relation_materialized(graph, into.language)
+                and walk_relation_materialized(graph, out.language)):
+            continue
+        fused = Atom(into.source, concat(into.language, out.language),
+                     out.target)
+        labelled[touching[0]] = (f"{into_label}·{out_label}", fused)
+        del labelled[touching[1]]
+        fusions.append((variable, into_label, out_label, fused))
+        _FUSED.inc()
+    return labelled, fusions
+
+
 def plan_eps_free(query, graph, semantics, relation_for=None, binding=None):
     """Build a :class:`JoinPlan` for one ε-free disjunct under st / a-inj.
 
@@ -432,8 +498,8 @@ def plan_eps_free(query, graph, semantics, relation_for=None, binding=None):
     — the one atom-relation store, which hands out the attached
     incremental store's maintained relation for standard-kind tables.
     ``binding`` pins head variables to nodes (the membership check).
+    An explicit ``relation_for`` turns st path fusion off.
     """
-    relation_for = relation_for or default_relation_for
     # Empty-language short-circuit: an atom denoting ∅ makes the whole
     # disjunct unsatisfiable — return the empty plan *before* fetching
     # or materializing any base table (the analyzer normally drops such
@@ -446,10 +512,15 @@ def plan_eps_free(query, graph, semantics, relation_for=None, binding=None):
                 empty_reason=(f"atom {index} ({atom}) denotes the "
                               f"empty language"),
             )
+    if relation_for is None and semantics is Semantics.STANDARD:
+        labelled, fusions = _fuse_paths(query, graph)
+    else:
+        labelled, fusions = enumerate(query.atoms), []
+    relation_for = relation_for or default_relation_for
     unary = {}
     loop_atoms = []
     binary = []
-    for index, atom in enumerate(query.atoms):
+    for index, atom in labelled:
         relation = relation_for(graph, atom, semantics)
         if not isinstance(relation, Relation):
             relation = Relation(relation)
@@ -465,14 +536,15 @@ def plan_eps_free(query, graph, semantics, relation_for=None, binding=None):
             binary.append(PlannedAtom(index, atom, relation))
 
     # Connected components of the variable graph induced by binary atoms.
-    neighbours = {variable: set() for variable in query.variables}
+    variables = query.variables.difference(fusion[0] for fusion in fusions)
+    neighbours = {variable: set() for variable in variables}
     for planned in binary:
         neighbours[planned.atom.source].add(planned.atom.target)
         neighbours[planned.atom.target].add(planned.atom.source)
     components = []
     seen = set()
     head_vars = set(query.head)
-    for start in sorted(query.variables, key=repr):
+    for start in sorted(variables, key=repr):
         if start in seen:
             continue
         member_vars = {start}
@@ -501,7 +573,7 @@ def plan_eps_free(query, graph, semantics, relation_for=None, binding=None):
             ComponentPlan.JOIN, member_vars, members, out_vars,
             elimination_order=order))
     return JoinPlan(query, graph, semantics, components, unary,
-                    loop_atoms, binding)
+                    loop_atoms, binding, fusions=fusions)
 
 
 def explain_query(query, graph, semantics, relation_for=None):

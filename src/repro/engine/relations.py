@@ -20,7 +20,12 @@ from typing import Any, Callable, Iterable, Iterator
 
 from repro.engine import telemetry
 from repro.engine.adjacency import adjacency_index
-from repro.engine.cache import RELATION_KEY, compiled_nfa, graph_cached
+from repro.engine.cache import (
+    RELATION_KEY,
+    compiled_nfa,
+    graph_cache_holds,
+    graph_cached,
+)
 from repro.engine.product import product_reachability_pairs
 
 _EMPTY: frozenset[Any] = frozenset()
@@ -212,8 +217,9 @@ def atom_relation(graph: Any, language: Any, kind: str) -> Relation:
     racing callers all get one object and an interrupted compute
     publishes nothing.  For ``"standard"`` on a graph with an attached
     incremental store the store's maintained relation is returned
-    itself, counted as a hit: this is the only relation lookup that
-    reads the attached store (lintkit LK002).
+    itself, counted as a hit: this and the planner's peek
+    (:func:`walk_relation_materialized`) are the only reads of the
+    attached store here (lintkit LK002).
     """
     compute_pairs = _KIND_PAIRS.get(kind)
     if compute_pairs is None:
@@ -233,6 +239,18 @@ def atom_relation(graph: Any, language: Any, kind: str) -> Relation:
         misses=_RELATION_MISSES,
     )
     return relation
+
+
+def walk_relation_materialized(graph: Any, language: Any) -> bool:
+    """True iff :func:`atom_relation` holds the ``"standard"`` relation
+    of ``language`` at the graph's current version (in the attached
+    store, else in the graph cache).  Builds, repairs, counts nothing."""
+    nfa = compiled_nfa(language)
+    store = getattr(graph, "_incremental_store", None)
+    if store is not None:
+        current: bool = store.holds(nfa)
+        return current
+    return graph_cache_holds(graph, (RELATION_KEY, "standard", nfa))
 
 
 def relation_for(graph: Any, atom: Any, semantics: Any) -> Relation:

@@ -89,14 +89,24 @@ class GraphDatabase:
         # (family, key) -> frozen copy of that index entry; a mutation
         # evicts exactly the entries it changes (see _snapshot).
         self._snapshots = {}
-        for node in nodes:
-            self.add_node(node)
+        # No snapshot to evict and no delta reader yet: fill the indexes
+        # directly.  The version counts each distinct node and edge, and
+        # the change-log starts there (older delta_since answers None).
+        self._nodes.update(nodes)
+        version = len(self._nodes)
         for edge in edges:
-            if isinstance(edge, Edge):
-                self.add_edge(edge.source, edge.label, edge.target)
-            else:
+            if not isinstance(edge, Edge):
                 source, label, target = edge
-                self.add_edge(source, label, target)
+                edge = Edge(source, label, target)
+            if edge not in self._edges:
+                self._edges.add(edge)
+                self._nodes.add(edge.source)
+                self._nodes.add(edge.target)
+                self._out[edge.source].add(edge)
+                self._in[edge.target].add(edge)
+                self._by_label[edge.label].add(edge)
+                version += 1
+        self._version = self._changelog_floor = version
 
     # ------------------------------------------------------------------
     # Mutation

@@ -67,18 +67,22 @@ class TestGYO:
 
 class TestPlanShapes:
     def test_chain_plans_acyclic(self):
-        """An acyclic chain runs the same elimination as a cycle: its
-        one inner variable is the whole order."""
-        query = parse_query("Q(x, z) :- x -[a]-> y, y -[b]-> z")
+        """An acyclic shape runs the same elimination as a cycle: its
+        one inner variable is the whole order.  ``y`` meets three atoms,
+        so path fusion leaves it to the join."""
+        query = parse_query(
+            "Q(x, z, w) :- x -[a]-> y, y -[b]-> z, y -[b]-> w"
+        )
         plan = plan_eps_free(query, _diamond_graph(), Semantics.STANDARD)
         assert [c.kind for c in plan.components] == [ComponentPlan.JOIN]
         assert plan.components[0].elimination_order == ("y",)
-        assert "min-degree elimination (order: y; out: x, z)" \
+        assert "min-degree elimination (order: y; out: w, x, z)" \
             in plan.explain()
 
     def test_triangle_plans_cyclic(self):
+        # The z → y chord gives y and z three atoms each: no fusion.
         query = parse_query(
-            "Q(x) :- x -[a]-> y, y -[b]-> z, z -[c]-> x"
+            "Q(x) :- x -[a]-> y, y -[b]-> z, z -[c]-> x, z -[c]-> y"
         )
         plan = plan_eps_free(query, _diamond_graph(), Semantics.STANDARD)
         assert [c.kind for c in plan.components] == [ComponentPlan.JOIN]
@@ -90,7 +94,7 @@ class TestPlanShapes:
                 f"matcher") in text
 
     def test_explain_reports_relation_sizes(self):
-        query = parse_query("Q(x, z) :- x -[a]-> y, y -[b]-> z")
+        query = parse_query("Q(x, y, z) :- x -[a]-> y, y -[b]-> z")
         text = explain_query(query, _diamond_graph(), "st")
         assert "|R| = 2" in text  # both the a- and b-relations have 2 pairs
 
@@ -199,9 +203,12 @@ class TestMatcherFallback:
     def test_fallback_only_sees_the_reduced_residue(self, monkeypatch):
         graph = _diamond_graph()
         # A dangling a-edge: (v, q) joins no b-pair, so the semijoin
-        # pre-reduction must strip it before the matcher runs.
+        # pre-reduction must strip it before the matcher runs.  Every
+        # variable is in the head, so path fusion leaves the triangle be.
         graph.add_edge("v", "a", "q")
-        query = parse_query("Q(x) :- x -[a]-> y, y -[b]-> z, z -[c]-> x")
+        query = parse_query(
+            "Q(x, y, z) :- x -[a]-> y, y -[b]-> z, z -[c]-> x"
+        )
         seen = {}
         original = planner.JoinPlan._matcher_fallback
 
@@ -309,7 +316,9 @@ class TestExplainCLI:
 
     def test_evaluate_explain_prints_plan_not_answers(self, graph_file,
                                                       capsys):
-        assert main(["evaluate", "Q(x, z) :- x -[a]-> y, y -[b]-> z",
+        # y meets three atoms, so path fusion leaves it to the join.
+        assert main(["evaluate",
+                     "Q(x, z) :- x -[a]-> y, y -[b]-> z, y -[bc]-> x",
                      graph_file, "--explain"]) == 0
         out = capsys.readouterr().out
         assert "min-degree elimination (order: y; out: x, z)" in out
