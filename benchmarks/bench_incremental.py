@@ -18,7 +18,8 @@ Both modes run the identical update/query stream through the identical
 :class:`repro.engine.incremental.IncrementalRelationStore`, which grows
 / repairs the standard relations from the graph's change-log and reuses
 query results whose maintained base tables did not move.  Identical
-answer sequences are asserted before any timing.
+answer sequences are asserted before any timing, and each gate compares
+the medians of alternated recompute/incremental rounds.
 
 Run with::
 
@@ -27,7 +28,7 @@ Run with::
 
 import pytest
 
-from _timing import best_of
+from _timing import interleaved_medians
 from _trajectory import TrajectoryRecorder
 from repro.analysis.incremental import dynamic_update_stream, run_dynamic_stream
 from repro.analysis.qinj_pruning import rare_backbone_graph, rare_chain_workload
@@ -39,6 +40,8 @@ _TRAJECTORY = TrajectoryRecorder("incremental")
 
 NUM_NODES = 150
 NUM_STEPS = 20
+#: Alternated recompute/incremental rounds per gate (medians compared).
+ROUNDS = 5
 
 
 def _setup(delta_size, seed=7, remove_fraction=0.3, extra_queries=()):
@@ -90,10 +93,11 @@ def test_incremental_speedup_at_least_5x(delta_size):
     assert (_serve(base, queries, stream, True)
             == _serve(base, queries, stream, False))
 
-    recompute_time = best_of(
-        lambda: _serve(base, queries, stream, False))
-    incremental_time = best_of(
-        lambda: _serve(base, queries, stream, True))
+    recompute_time, incremental_time = interleaved_medians(
+        lambda: _serve(base, queries, stream, False),
+        lambda: _serve(base, queries, stream, True),
+        ROUNDS,
+    )
     ratio = recompute_time / incremental_time
     print(f"\nincremental Δ={delta_size}: recompute {recompute_time:.4f}s, "
           f"incremental {incremental_time:.4f}s, speedup {ratio:.1f}x")
@@ -113,10 +117,11 @@ def test_deletion_heavy_speedup_at_least_1_5x():
     assert (_serve(base, queries, stream, True)
             == _serve(base, queries, stream, False))
 
-    recompute_time = best_of(
-        lambda: _serve(base, queries, stream, False))
-    incremental_time = best_of(
-        lambda: _serve(base, queries, stream, True))
+    recompute_time, incremental_time = interleaved_medians(
+        lambda: _serve(base, queries, stream, False),
+        lambda: _serve(base, queries, stream, True),
+        ROUNDS,
+    )
     ratio = recompute_time / incremental_time
     print(f"\ndeletion-heavy Δ=4: recompute {recompute_time:.4f}s, "
           f"incremental {incremental_time:.4f}s, speedup {ratio:.2f}x")

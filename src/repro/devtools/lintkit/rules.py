@@ -168,12 +168,11 @@ STORE_ATTRIBUTE = "_incremental_store"
 
 #: (path suffix) → the functions allowed to read ``STORE_ATTRIBUTE``
 #: there (``None``: the whole module).  The relation store answers every
-#: relation lookup and the planner's materialization peek,
+#: relation lookup and tells the planner whether a store is attached,
 #: ``query_result`` asks the store for reusable
 #: answers, and the store's own module manages the attachment.
 STORE_READERS: dict[str, frozenset[str] | None] = {
-    "engine/relations.py": frozenset({"atom_relation",
-                                      "walk_relation_materialized"}),
+    "engine/relations.py": frozenset({"atom_relation", "store_attached"}),
     "engine/cache.py": frozenset({"query_result"}),
     "engine/incremental.py": None,
 }
@@ -822,15 +821,13 @@ class LockDiscipline(Rule):
 #: checkpoint from its loop, or deadlines/cancellation silently stop
 #: covering that loop.
 CHECKPOINTED_FUNCTIONS: dict[str, frozenset[str]] = {
-    "engine/product.py": frozenset(
-        {"_reachable_product", "_dense_reachability_pairs"}
-    ),
+    "engine/product.py": frozenset({"sweep", "_dense_reachability_pairs"}),
     "engine/planner.py": frozenset(
         {"semijoin_reduce", "_variable_elimination"}
     ),
     "engine/join.py": frozenset({"natural_join", "join_project"}),
     "engine/qinj.py": frozenset({"_search"}),
-    "engine/incremental.py": frozenset({"rebuild", "grow", "shrink"}),
+    "engine/incremental.py": frozenset({"grow", "shrink"}),
     "engine/batch.py": frozenset({"_entry_answers"}),
     "graphdb/paths.py": frozenset({"search"}),
 }
@@ -951,8 +948,7 @@ class BackendSeam(Rule):
     **Origin: PR 9 (compact numeric core), narrowed when the dense-id
     join glue and the wide-mask regime were deleted.**  Both product
     kernels carry source sets as plain Python ints and the CSR index
-    arrays are constructed behind the backend seam, selected by
-    ``REPRO_BACKEND``.  A ``numpy`` import anywhere — the seam included
+    arrays are constructed behind the backend seam.  A ``numpy`` import anywhere — the seam included
     — would bring back an optional dependency whose presence changes
     behaviour with the host (and costs every process its import time
     and resident memory).  A module importing ``array`` directly

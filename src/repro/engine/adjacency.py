@@ -105,14 +105,12 @@ class AdjacencyIndex:
         }
 
     def _build_out_by_label(self) -> dict[Any, LabelPartition]:
-        out_by_label: dict[Any, LabelPartition] = {}
-        for node in self.nodes_sorted:
-            partition: dict[Any, list[Any]] = {}
-            for edge in self.out_sorted(node):
-                partition.setdefault(edge.label, []).append(edge.target)
-            if partition:
-                out_by_label[node] = _as_partition(partition)
-        return out_by_label
+        grouped: dict[Any, dict[Any, list[Any]]] = {}
+        for edge in self._edges:
+            grouped.setdefault(edge.source, {}).setdefault(
+                edge.label, []
+            ).append(edge.target)
+        return {node: _as_partition(partition) for node, partition in grouped.items()}
 
     def _build_in_by_label(self) -> dict[Any, LabelPartition]:
         grouped: dict[Any, dict[Any, list[Any]]] = {}
@@ -170,7 +168,8 @@ class AdjacencyIndex:
         return facet.get(node, self._EMPTY)
 
     def out_targets(self, node: Any) -> LabelPartition | None:
-        """``{label: (targets...)}`` partition of the out-edges of ``node``."""
+        """``{label: (targets...)}`` partition of the out-edges of ``node``
+        (unordered: its one reader, the product sweep, is order-free)."""
         facet = self._out_by_label
         if facet is None:
             facet = self._publish("_out_by_label", self._build_out_by_label)

@@ -1,4 +1,4 @@
-"""Numeric-kernel backend seam (``REPRO_BACKEND``).
+"""Numeric-kernel backend seam (:func:`use_backend`).
 
 The backend selects the product-reachability kernel and nothing else.
 Both kernels carry per-component source sets as plain Python ints (one
@@ -11,21 +11,23 @@ through :func:`index_array` here.  The join glue
 graph nodes and never imports this module.  Two backends exist:
 
 ``python``
-    The seed-era reference: the object-keyed product search over
-    ``(node, state)`` tuples.  Engine output under this backend is the
-    differential baseline the array kernel is tested against.
+    The object-keyed product sweep and settle over ``(node, state)``
+    tuples — the same fixpoint code the incremental store runs.  Engine
+    output under this backend is the differential baseline the array
+    kernel is tested against.
 
 ``array`` (default)
     The dense kernel of :mod:`repro.engine.product`: interned node and
     state ids, one fused Tarjan pass over the CSR rows.
 
-Selection: the ``REPRO_BACKEND`` environment variable at first use,
-overridable in-process with :func:`use_backend`.  The override is a
-plain module global rather than a :class:`contextvars.ContextVar` on
-purpose — the batch executor's worker threads must observe the same
-backend as the thread that entered the override (contextvars do not
-cross ``ThreadPoolExecutor`` boundaries; see
-:mod:`repro.engine.runtime` for the same decision on probes).
+Selection: ``array`` unless :func:`use_backend` overrides it in-process
+(the differential tests and the repo benchmark's reference runs).  The
+override is a plain module global rather than a
+:class:`contextvars.ContextVar` on purpose — the batch executor's
+worker threads must observe the same backend as the thread that
+entered the override (contextvars do not cross ``ThreadPoolExecutor``
+boundaries; see :mod:`repro.engine.runtime` for the same decision on
+probes).
 
 lintkit rule LK009 enforces the seam: no module imports :mod:`numpy`,
 modules outside this file must not import :mod:`array` directly, and
@@ -36,15 +38,11 @@ one.
 
 from __future__ import annotations
 
-import os
 from array import array
 from contextlib import contextmanager
 from typing import Any, Iterator, Optional
 
 from repro.engine import telemetry
-
-#: Environment variable consulted on first :func:`active_backend` call.
-BACKEND_ENV = "REPRO_BACKEND"
 
 #: Valid backend names, in documentation order.
 BACKEND_NAMES = ("python", "array")
@@ -65,7 +63,7 @@ class Backend:
 
 
 class PythonBackend(Backend):
-    """Seed-era reference: the object-keyed product search."""
+    """The object-keyed product sweep and settle."""
 
     name = "python"
     dense_kernels = False
@@ -83,8 +81,7 @@ _ARRAY_BACKEND = ArrayBackend()
 
 _BY_NAME = {"python": _PYTHON_BACKEND, "array": _ARRAY_BACKEND}
 
-#: Resolved-from-environment default (first use) and in-process override.
-_default: Optional[Backend] = None
+#: The in-process override (``None``: the array default).
 _override: Optional[Backend] = None
 
 
@@ -98,18 +95,10 @@ def _named(name: str) -> Backend:
 
 
 def active_backend() -> Backend:
-    """The backend in effect: :func:`use_backend` override if active,
-    else the ``REPRO_BACKEND`` environment selection (default
-    ``array``)."""
+    """The backend in effect: the :func:`use_backend` override if
+    active, else ``array``."""
     override = _override
-    if override is not None:
-        return override
-    global _default
-    backend = _default
-    if backend is None:
-        backend = _default = _named(os.environ.get(BACKEND_ENV, "array"))
-        telemetry.count(f"backend.selected.{backend.name}")
-    return backend
+    return _ARRAY_BACKEND if override is None else override
 
 
 @contextmanager

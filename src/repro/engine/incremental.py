@@ -43,8 +43,9 @@ the product.  Current edges that leave the region reach only states
 that were unreachable before the delta, i.e. added edges; the insert
 pass that follows delivers the settled masks across them.
 :meth:`MaintainedRelation.rebuild` is the same settle over the whole
-reachable product, after one forward sweep from the seeds.  Deltas
-with more than ``deletion_repair_cap`` removed edges, any removed
+reachable product, after the product kernel's forward sweep from the
+seeds (:mod:`repro.engine.product` holds both).  Deltas
+with more than :data:`DELETION_REPAIR_CAP` removed edges, any removed
 *node* (bit-table hygiene), or a delta the graph's capped change-log no
 longer covers fall back to that rebuild.  Correctness never depends on
 the heuristic: every path computes the same fixpoint, only the amount
@@ -76,8 +77,9 @@ import threading
 from collections import OrderedDict
 
 from repro.engine import telemetry
+from repro.engine.adjacency import adjacency_index
 from repro.engine.cache import compiled_nfa, reversed_nfa
-from repro.engine.product import _decode_mask, _tarjan_sccs
+from repro.engine.product import _decode_mask, seed_masks, settle, sweep
 from repro.engine.relations import Relation
 from repro.engine.runtime import checkpoint_site, resolve_context
 
@@ -154,39 +156,22 @@ class MaintainedRelation:
     # -- full rebuild ---------------------------------------------------
 
     def rebuild(self, graph, ctx=None):
-        """Recompute everything: one forward sweep from the seeds over
-        the current graph, then one :meth:`_settle` of the whole
-        reachable product."""
+        """Recompute everything: the product kernel's forward
+        :func:`~repro.engine.product.sweep` from the seeds over the
+        current graph, then one :meth:`_settle` of the whole reachable
+        product."""
         ctx = resolve_context(ctx)
-        transitions = self.nfa.transitions
-        self.bit_of = {}
-        self.node_of = []
+        index = adjacency_index(graph)
+        self.bit_of = dict(index.node_bit)
+        self.node_of = list(index.nodes_sorted)
         self.sources = {}
         self.target_masks = {}
         self.pairs = set()
         self.dirty = True
-        base = {}
-        for node in graph.nodes:
-            bit = 1 << self._bit(node)
-            for initial in self.nfa.initials:
-                base[(node, initial)] = bit
-        region = set(base)
-        stack = list(base)
-        succ = {}
-        while stack:
-            ctx.checkpoint(SITE_INCREMENTAL_GROW)
-            product_state = stack.pop()
-            node, state = product_state
-            successors = succ[product_state] = []
-            for edge in graph.out_edges(node):
-                for next_state in transitions.get((state, edge.label), ()):
-                    successor = (edge.target, next_state)
-                    successors.append(successor)
-                    if successor not in region:
-                        region.add(successor)
-                        stack.append(successor)
+        base = seed_masks(self.node_of, self.nfa)
+        succ = sweep(index, self.nfa, base, SITE_INCREMENTAL_GROW, ctx)
         self._settle(succ, base)
-        self._rederive_targets(region)
+        self._rederive_targets(succ)
         self.version = graph.version
 
     # -- insert-only maintenance ----------------------------------------
@@ -319,41 +304,20 @@ class MaintainedRelation:
         self._rederive_targets(dirty)
 
     def _settle(self, succ, base):
-        """Write the least fixpoint of a region given its base masks.
-
-        ``succ`` maps every region state to its successors inside the
-        region, ``base`` every region state to the bits it holds without
-        the region (seeds plus exterior predecessors).  The region is
-        condensed with :func:`~repro.engine.product._tarjan_sccs` — the
-        members of one component share one mask — and the component
-        masks flow through the condensation in topological order (the
-        reverse of Tarjan's sinks-first emission), so each state is
-        written exactly once and a state's mask is final before any
-        successor component reads it.  States left without bits leave
-        ``sources`` (they are no longer reachable).
-
-        It walks only the states its caller's sweep has already
-        checkpointed, one pass over their successor lists, so it is not
-        a registered governed loop and carries no checkpoint site.
-        """
-        components, component_of = _tarjan_sccs(succ)
-        masks = [0] * len(components)
-        for state, mask in base.items():
-            masks[component_of[state]] |= mask
+        """Write the least fixpoint of a region given its base masks
+        (:func:`~repro.engine.product.settle`): every member of a
+        component takes the component's mask, so each state is written
+        exactly once.  States left without bits leave ``sources`` (they
+        are no longer reachable)."""
+        components, masks = settle(succ, base)
         sources = self.sources
-        for identifier in range(len(components) - 1, -1, -1):
-            mask = masks[identifier]
-            members = components[identifier]
-            if not mask:
+        for members, mask in zip(components, masks):
+            if mask:
+                for member in members:
+                    sources[member] = mask
+            else:
                 for member in members:
                     sources.pop(member, None)
-                continue
-            for member in members:
-                sources[member] = mask
-                for successor in succ[member]:
-                    other = component_of[successor]
-                    if other != identifier:
-                        masks[other] |= mask
 
     def _rederive_targets(self, region):
         """Recompute the target mask and pairs of every node with a final
@@ -400,11 +364,8 @@ class IncrementalRelationStore:
     warms relations from worker threads).
     """
 
-    def __init__(self, graph, deletion_repair_cap=DELETION_REPAIR_CAP,
-                 max_relations=STORE_RELATION_CAP):
+    def __init__(self, graph):
         self.graph = graph
-        self.deletion_repair_cap = deletion_repair_cap
-        self.max_relations = max_relations
         self._states = OrderedDict()   # interned NFA -> MaintainedRelation
         self._query_results = OrderedDict()  # (semantics, query) -> entry
         self._decisions = []
@@ -471,12 +432,6 @@ class IncrementalRelationStore:
         with self._lock:
             return self._state_for(language).relation()
 
-    def holds(self, language):
-        """True iff the relation of ``language`` is maintained at the
-        graph's current version, so a read builds and repairs nothing."""
-        state = self._states.get(compiled_nfa(language))
-        return state is not None and state.version == self.graph.version
-
     # -- versioned query-result reuse ------------------------------------
 
     def query_result(self, semantics, query, compute):
@@ -540,7 +495,7 @@ class IncrementalRelationStore:
                 self._states[nfa] = state
                 self._decide("built", state,
                              f"built relation ({len(state.pairs)} pairs)")
-                while len(self._states) > self.max_relations:
+                while len(self._states) > STORE_RELATION_CAP:
                     self._states.popitem(last=False)
             elif state.version != graph.version:
                 try:
@@ -570,12 +525,11 @@ class IncrementalRelationStore:
                          f"rebuilt: {len(delta.removed_nodes)} node(s) "
                          f"removed in delta")
             return
-        if len(delta.removed_edges) > self.deletion_repair_cap:
+        if len(delta.removed_edges) > DELETION_REPAIR_CAP:
             state.rebuild(graph)
             self._decide("rebuilt", state,
                          f"rebuilt: {len(delta.removed_edges)} removed "
-                         f"edges exceed repair cap "
-                         f"{self.deletion_repair_cap}")
+                         f"edges exceed repair cap {DELETION_REPAIR_CAP}")
             return
         if delta.removed_edges:
             state.shrink(graph, delta.removed_edges)
@@ -587,17 +541,10 @@ class IncrementalRelationStore:
                      f"({len(state.pairs)} pairs)")
 
 
-def incremental_store(graph, **kwargs):
+def incremental_store(graph):
     """The store attached to ``graph``, creating (and attaching) one on
-    first use — the one-liner that turns a graph dynamic.  Configuring
-    an *already attached* store is refused rather than silently ignored
-    (detach the old store first, or construct the store directly)."""
+    first use — the one-liner that turns a graph dynamic."""
     store = getattr(graph, "_incremental_store", None)
     if store is None:
-        store = IncrementalRelationStore(graph, **kwargs)
-    elif kwargs:
-        raise ValueError(
-            f"graph already has an attached store; cannot re-configure "
-            f"with {sorted(kwargs)} (detach it first)"
-        )
+        store = IncrementalRelationStore(graph)
     return store

@@ -27,7 +27,8 @@ is only the glue.  This module plans and executes that glue on one path:
    runs the backtracking matcher (:mod:`repro.homomorphism.matcher`) on
    the reduced residue, never on the full input.
 
-Under standard semantics, lowering starts with **path fusion**
+Under standard semantics on a graph with no incremental store attached,
+lowering starts with **path fusion**
 (:func:`_fuse_paths`): ``x -[L1]-> z ∧ z -[L2]-> y`` with ``z`` used
 nowhere else becomes ``x -[L1·L2]-> y``, one kernel run instead of two
 plus a join.  Walks split at any node, so this is exact under st only.
@@ -56,7 +57,11 @@ from repro.engine.join import (
     project,
     true_relation,
 )
-from repro.engine.relations import Relation, walk_relation_materialized
+from repro.engine.relations import (
+    Relation,
+    store_attached,
+    walk_relation_materialized,
+)
 from repro.engine.relations import relation_for as default_relation_for
 from repro.engine.runtime import checkpoint_site, resolve_context
 from repro.queries.atoms import Atom
@@ -498,7 +503,10 @@ def plan_eps_free(query, graph, semantics, relation_for=None, binding=None):
     — the one atom-relation store, which hands out the attached
     incremental store's maintained relation for standard-kind tables.
     ``binding`` pins head variables to nodes (the membership check).
-    An explicit ``relation_for`` turns st path fusion off.
+    An explicit ``relation_for`` or an attached incremental store
+    turns st path fusion off: a store would maintain each fused
+    language as a private relation beside the factors ``evaluate``
+    reads.
     """
     # Empty-language short-circuit: an atom denoting ∅ makes the whole
     # disjunct unsatisfiable — return the empty plan *before* fetching
@@ -512,7 +520,8 @@ def plan_eps_free(query, graph, semantics, relation_for=None, binding=None):
                 empty_reason=(f"atom {index} ({atom}) denotes the "
                               f"empty language"),
             )
-    if relation_for is None and semantics is Semantics.STANDARD:
+    if (relation_for is None and semantics is Semantics.STANDARD
+            and not store_attached(graph)):
         labelled, fusions = _fuse_paths(query, graph)
     else:
         labelled, fusions = enumerate(query.atoms), []

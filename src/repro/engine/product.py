@@ -6,37 +6,39 @@ touching up to |V|·|Q| product states.  This module computes the same
 relation with a single pass:
 
 1. one forward exploration from every seed ``(u, q0)`` materializes the
-   reachable product subgraph;
-2. an iterative Tarjan pass condenses it into strongly connected
-   components (emitted sinks-first, so the reversed emission order is a
-   topological order);
-3. source sets are propagated through the condensation as integer
-   bitmasks (node *u* contributes bit *u* at every seed ``(u, q0)``) —
-   one big-int OR per condensation edge instead of a fresh BFS per
-   source;
-4. every product state ``(v, f)`` with *f* final contributes the pairs
-   ``{(u, v) : bit u set on its component}``.
+   reachable product subgraph (:func:`sweep`);
+2. :func:`settle` condenses it into strongly connected components with
+   an iterative Tarjan pass (emitted sinks-first, so the reversed
+   emission order is a topological order) and propagates source sets
+   through the condensation as integer bitmasks (node *u* contributes
+   bit *u* at every seed ``(u, q0)``) — one big-int OR per product edge
+   between two components instead of a fresh BFS per source;
+3. every final-bearing component contributes the pairs
+   ``{(u, v) : bit u set on its mask, (v, f) a member with f final}``.
 
 Output-equivalent to the per-source BFS (pinned by the differential
 suite); asymptotically one product traversal plus output size.
 
-Two kernels run these phases, selected by ``REPRO_BACKEND``
-(:mod:`repro.engine.backend`): the object-keyed reference over
+Two kernels run these phases, selected by :func:`use_backend`
+(:mod:`repro.engine.backend`): the object-keyed one over
 ``(node, state)`` tuples and, by default, the dense kernel
-(:func:`_dense_reachability_pairs`) over interned ids.  Both carry a
-component's source set as one plain Python int, so the kernel cost per
-OR is pinned by the node count; the dense kernel decodes a mask by a
-byte-table walk over its nonzero bytes (:func:`_int_bits`), once per
-distinct mask (final components downstream of the same seeds share
-one), and returns its pair set itself rather than a copy; the reference
-path and the incremental store decode by lowest-bit peeling
-(:func:`_decode_mask`).
+(:func:`_dense_reachability_pairs`) over interned ids.  The
+object-keyed :func:`sweep` and :func:`settle` are also the incremental
+store's fixpoint (:mod:`repro.engine.incremental`): its full rebuild is
+the same sweep and settle, and its deletion repair settles the dirty
+region.  Both kernels carry a component's source set as one plain
+Python int, so the kernel cost per OR is pinned by the node count; the
+dense kernel decodes a mask by a byte-table walk over its nonzero bytes
+(:func:`_int_bits`), once per distinct mask (final components
+downstream of the same seeds share one), and returns its pair set
+itself rather than a copy; the object-keyed kernel and the incremental
+store decode by lowest-bit peeling (:func:`_decode_mask`).
 """
 
 from __future__ import annotations
 
 from itertools import product as _cartesian
-from typing import Any, Iterator, Optional, Sequence
+from typing import Any, Iterable, Iterator, Optional, Sequence
 
 from repro.engine import telemetry
 from repro.engine.adjacency import AdjacencyIndex, adjacency_index
@@ -77,25 +79,14 @@ def product_reachability_pairs(
         dense_pairs |= pairs
         return dense_pairs
 
-    adjacency, seeds = _reachable_product(index, nfa, ctx)
-    components, component_of = _tarjan_sccs(adjacency)
-    masks = _propagate_source_masks(
-        index, components, component_of, adjacency, seeds
-    )
-
+    base = seed_masks(nodes, nfa)
+    succ = sweep(index, nfa, base, SITE_PRODUCT_SWEEP, ctx)
+    components, masks = settle(succ, base)
     finals = nfa.finals
-    final_targets: dict[int, set[Any]] = {}
-    for product_node in adjacency:
-        if product_node[1] in finals:
-            component = component_of[product_node]
-            final_targets.setdefault(component, set()).add(product_node[0])
-    for component, targets in final_targets.items():
-        mask = masks[component]
-        if not mask:
-            continue
-        for source in _decode_mask(mask, nodes):
-            for target in targets:
-                pairs.add((source, target))
+    for members, mask in zip(components, masks):
+        targets = [node for node, state in members if state in finals]
+        if targets and mask:
+            pairs.update(_cartesian(list(_decode_mask(mask, nodes)), targets))
     return pairs
 
 
@@ -104,9 +95,9 @@ def _dense_reachability_pairs(
     nfa: Any,
     ctx: ExecutionContext,
 ) -> set[tuple[Any, Any]]:
-    """The array-backend kernel: the pure path's four phases (forward
-    sweep → Tarjan → mask propagation → final decode) fused so the
-    product graph is traversed **once**, entirely in dense integer
+    """The array-backend kernel: the object-keyed kernel's phases
+    (forward sweep → Tarjan → mask propagation → final decode) fused so
+    the product graph is traversed **once**, entirely in dense integer
     space.
 
     NFA states are interned to ``0..q-1`` (repr-sorted, mirroring the
@@ -118,12 +109,12 @@ def _dense_reachability_pairs(
     edges during component finalization — legal because Tarjan emits
     components sinks-first, so every cross-component successor already
     has its component assigned.  Source sets then propagate through the
-    condensation as int bitmasks, exactly as on the pure path.  Each kernel
+    condensation as int bitmasks, exactly as in :func:`settle`.  Each kernel
     works on flat int lists (``vid`` = discovery id), not dicts of
     tuples; the CSR rows are thawed to plain lists up front because
     C-level ``array.tolist()`` plus list slicing beats per-element
     ``array`` indexing on the hot edge loop.  Output-equivalent to the
-    pure path — pinned by ``tests/test_backend_differential.py``.
+    object-keyed kernel — pinned by ``tests/test_backend_differential.py``.
     """
     nodes = index.nodes_sorted
     count = len(nodes)
@@ -362,54 +353,89 @@ def _int_bits(mask: int) -> Iterator[int]:
                 yield base + bit
 
 
-def _reachable_product(
-    index: AdjacencyIndex, nfa: Any, ctx: Optional[ExecutionContext] = None
-) -> tuple[ProductAdjacency, list[ProductNode]]:
-    """Forward-explore the product graph from every ``(u, q0)`` seed.
-
-    Returns ``(adjacency, seeds)`` where ``adjacency`` maps each
-    reachable product state to a deduplicated successor list.
-    """
-    ctx = resolve_context(ctx)
-    transitions = nfa.transitions
-    seeds: list[ProductNode] = [
-        (node, initial) for node in index.nodes_sorted for initial in nfa.initials
-    ]
-    # ``None`` marks "reached, successors not yet expanded"; every entry
-    # is replaced by its successor list before the sweep returns.
-    pending: dict[ProductNode, list[ProductNode] | None] = {}
-    adjacency = pending
-    stack = list(seeds)
-    for seed in seeds:
-        adjacency[seed] = None
-    while stack:
-        ctx.checkpoint(SITE_PRODUCT_SWEEP)
-        product_node = stack.pop()
-        if adjacency.get(product_node) is not None:
-            continue
-        node, state = product_node
-        successors: set[ProductNode] = set()
-        targets_by_label = index.out_targets(node)
-        if targets_by_label:
-            for label, targets in targets_by_label.items():
-                next_states = transitions.get((state, label))
-                if not next_states:
-                    continue
-                for next_state in next_states:
-                    for target in targets:
-                        successors.add((target, next_state))
-        successor_list = list(successors)
-        adjacency[product_node] = successor_list
-        for successor in successor_list:
-            if successor not in adjacency:
-                adjacency[successor] = None
-                stack.append(successor)
-    expanded: ProductAdjacency = {
-        product_node: successor_list
-        for product_node, successor_list in pending.items()
-        if successor_list is not None
+def seed_masks(nodes: Sequence[Any], nfa: Any) -> dict[ProductNode, int]:
+    """Bit *i* at every seed ``(nodes[i], q0)``: the base masks of a
+    whole-product :func:`settle`."""
+    return {
+        (node, initial): 1 << bit
+        for bit, node in enumerate(nodes) for initial in nfa.initials
     }
-    return expanded, seeds
+
+
+def sweep(
+    index: AdjacencyIndex,
+    nfa: Any,
+    seeds: Iterable[ProductNode],
+    site: str,
+    ctx: ExecutionContext,
+) -> ProductAdjacency:
+    """Forward-explore the product graph from ``seeds`` over the
+    label-partitioned ``index.out_targets`` rows.
+
+    Returns every reachable product state mapped to its successor list
+    (a successor reached over two labels is listed twice, which
+    neither Tarjan nor :func:`settle` minds).  Each expansion
+    checkpoints at ``site``: the
+    kernel's ``product.sweep``, the incremental store's
+    ``incremental.grow``.
+    """
+    transitions = nfa.transitions
+    out_targets = index.out_targets
+    checkpoint = ctx.checkpoint
+    succ: ProductAdjacency = {}
+    stack = list(seeds)
+    reached = set(stack)
+    while stack:
+        checkpoint(site)
+        product_node = stack.pop()
+        node, state = product_node
+        successors: list[ProductNode] = []
+        succ[product_node] = successors
+        targets_by_label = out_targets(node)
+        if not targets_by_label:
+            continue
+        for label, targets in targets_by_label.items():
+            for next_state in transitions.get((state, label), ()):
+                for target in targets:
+                    successor = (target, next_state)
+                    successors.append(successor)
+                    if successor not in reached:
+                        reached.add(successor)
+                        stack.append(successor)
+    return succ
+
+
+def settle(
+    succ: ProductAdjacency, base: dict[ProductNode, int]
+) -> tuple[list[list[ProductNode]], list[int]]:
+    """The least fixpoint of a product region given its base masks.
+
+    ``succ`` maps every region state to its successors inside the
+    region, ``base`` region states to the bits they hold from outside
+    it (seed bits, exterior predecessors).  Returns ``(components,
+    masks)``: the region condensed by
+    :func:`_tarjan_sccs` — the members of one component share one
+    mask — with ``masks[c]`` pushed through the condensation in
+    topological order (the reverse of Tarjan's sinks-first emission),
+    so a component's mask is final before any successor reads it.
+
+    It walks only states a sweep has already checkpointed, one pass
+    over their successor lists, so it carries no checkpoint site.
+    """
+    components, component_of = _tarjan_sccs(succ)
+    masks = [0] * len(components)
+    for product_node, mask in base.items():
+        masks[component_of[product_node]] |= mask
+    for identifier in range(len(components) - 1, -1, -1):
+        mask = masks[identifier]
+        if not mask:
+            continue
+        for member in components[identifier]:
+            for successor in succ[member]:
+                other = component_of[successor]
+                if other != identifier:
+                    masks[other] |= mask
+    return components, masks
 
 
 def _tarjan_sccs(
@@ -464,38 +490,6 @@ def _tarjan_sccs(
                         break
                 components.append(members)
     return components, component_of
-
-
-def _propagate_source_masks(
-    index: AdjacencyIndex,
-    components: list[list[ProductNode]],
-    component_of: dict[ProductNode, int],
-    adjacency: ProductAdjacency,
-    seeds: list[ProductNode],
-) -> list[int]:
-    """Flow per-component source bitmasks forward through the condensation.
-
-    Tarjan emits components sinks-first, so iterating them in reverse
-    visits predecessors before successors; each component pushes its
-    accumulated mask across its outgoing condensation edges once.
-    """
-    node_bit = index.node_bit
-    masks = [0] * len(components)
-    for node, initial in seeds:
-        masks[component_of[(node, initial)]] |= 1 << node_bit[node]
-    for identifier in range(len(components) - 1, -1, -1):
-        mask = masks[identifier]
-        if not mask:
-            continue
-        successor_components: set[int] = set()
-        for member in components[identifier]:
-            for successor in adjacency[member]:
-                successor_component = component_of[successor]
-                if successor_component != identifier:
-                    successor_components.add(successor_component)
-        for successor_component in successor_components:
-            masks[successor_component] |= mask
-    return masks
 
 
 def _decode_mask(mask: int, nodes: Sequence[Any]) -> Iterator[Any]:

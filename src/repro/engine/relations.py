@@ -216,10 +216,10 @@ def atom_relation(graph: Any, language: Any, kind: str) -> Relation:
     ``dict.setdefault`` (:func:`~repro.engine.cache.graph_cached`), so
     racing callers all get one object and an interrupted compute
     publishes nothing.  For ``"standard"`` on a graph with an attached
-    incremental store the store's maintained relation is returned
-    itself, counted as a hit: this and the planner's peek
-    (:func:`walk_relation_materialized`) are the only reads of the
-    attached store here (lintkit LK002).
+    incremental store the store's maintained relation of ``language``
+    is returned itself, counted as a hit: this and
+    :func:`store_attached` are the only reads of the attached store
+    here (lintkit LK002).
     """
     compute_pairs = _KIND_PAIRS.get(kind)
     if compute_pairs is None:
@@ -229,7 +229,7 @@ def atom_relation(graph: Any, language: Any, kind: str) -> Relation:
         store = getattr(graph, "_incremental_store", None)
         if store is not None:
             _RELATION_HITS.inc()
-            maintained: Relation = store.standard_relation(nfa)
+            maintained: Relation = store.standard_relation(language)
             return maintained
     relation: Relation = graph_cached(
         graph,
@@ -241,16 +241,19 @@ def atom_relation(graph: Any, language: Any, kind: str) -> Relation:
     return relation
 
 
+def store_attached(graph: Any) -> bool:
+    """True iff an incremental store maintains the graph's walk
+    relations (:func:`atom_relation` then serves them from it)."""
+    return getattr(graph, "_incremental_store", None) is not None
+
+
 def walk_relation_materialized(graph: Any, language: Any) -> bool:
-    """True iff :func:`atom_relation` holds the ``"standard"`` relation
-    of ``language`` at the graph's current version (in the attached
-    store, else in the graph cache).  Builds, repairs, counts nothing."""
-    nfa = compiled_nfa(language)
-    store = getattr(graph, "_incremental_store", None)
-    if store is not None:
-        current: bool = store.holds(nfa)
-        return current
-    return graph_cache_holds(graph, (RELATION_KEY, "standard", nfa))
+    """True iff the graph cache holds the ``"standard"`` relation of
+    ``language`` at the graph's current version.  Builds, counts
+    nothing; a store-attached graph's relations live in the store."""
+    return graph_cache_holds(
+        graph, (RELATION_KEY, "standard", compiled_nfa(language))
+    )
 
 
 def relation_for(graph: Any, atom: Any, semantics: Any) -> Relation:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from itertools import islice
 from operator import itemgetter
 
-#: Default number of change-log entries kept per graph.  Once the log
+#: Number of change-log entries kept per graph.  Once the log
 #: outgrows the cap the oldest entries are dropped and ``delta_since``
 #: answers ``None`` for versions before the remaining window — callers
 #: must then rebuild rather than maintain.
@@ -76,7 +76,7 @@ class GraphDelta:
 class GraphDatabase:
     """A finite edge-labeled directed graph G = (V, E) over alphabet A."""
 
-    def __init__(self, nodes=(), edges=(), changelog_cap=CHANGELOG_CAP):
+    def __init__(self, nodes=(), edges=()):
         self._nodes = set()
         self._edges = set()
         self._out = defaultdict(set)   # node -> set of Edge
@@ -84,7 +84,6 @@ class GraphDatabase:
         self._by_label = defaultdict(set)
         self._version = 0
         self._changelog = deque()      # (version, op, payload)
-        self._changelog_cap = changelog_cap
         self._changelog_floor = 0      # oldest version delta_since can serve
         # (family, key) -> frozen copy of that index entry; a mutation
         # evicts exactly the entries it changes (see _snapshot).
@@ -114,7 +113,7 @@ class GraphDatabase:
 
     def _log(self, op, payload):
         self._changelog.append((self._version, op, payload))
-        while len(self._changelog) > self._changelog_cap:
+        while len(self._changelog) > CHANGELOG_CAP:
             dropped_version, _op, _payload = self._changelog.popleft()
             # Entries with version == v are not needed by delta_since(v)
             # (it folds strictly-newer entries), so the floor is exactly
@@ -347,9 +346,8 @@ class GraphDatabase:
     # ------------------------------------------------------------------
 
     def copy(self):
-        """Return an independent copy (same change-log cap, fresh log)."""
-        return GraphDatabase(self._nodes, self._edges,
-                             changelog_cap=self._changelog_cap)
+        """Return an independent copy (fresh change-log)."""
+        return GraphDatabase(self._nodes, self._edges)
 
     def rename_nodes(self, mapping):
         """Return a copy with nodes renamed through ``mapping``.

@@ -41,11 +41,9 @@ import enum
 import itertools
 
 from repro.engine.cache import compiled_nfa
-from repro.graphdb.graph import Edge, GraphDatabase
+from repro.engine.planner import plan_eps_free
+from repro.graphdb.graph import Edge
 from repro.graphdb.paths import ANY_TARGET, Path, accepts_empty, search
-from repro.homomorphism.matcher import homomorphisms
-from repro.queries.atoms import CQAtom
-from repro.queries.cq import CQ
 from repro.queries.crpq import union_of
 
 
@@ -142,31 +140,21 @@ def evaluate_trails(query, graph, semantics):
 
 
 def _evaluate_atom_trail(query, graph):
-    """Atom-trail evaluation: per-atom trail relations glued by a
-    homomorphism search (atoms may share edges)."""
-    relation_graph = GraphDatabase(nodes=graph.nodes)
-    cq_atoms = []
-    for index, atom in enumerate(query.atoms):
-        label = ("trail", index)
+    """Atom-trail evaluation: per-atom trail relations glued by the one
+    join planner (atoms may share edges)."""
+
+    def trail_relation(_graph, atom, _semantics):
         if atom.is_loop():
-            pairs = {
-                (node, node)
-                for node in closed_trail_nodes(graph, atom.language)
-            }
-        else:
-            # Note the diagonal stays in: two distinct variables may map
-            # to the same node via a nonempty *closed* trail — this is a
-            # genuine difference from simple-path semantics, where only
-            # the empty path connects a node to itself.
-            pairs = trail_pairs(graph, atom.language)
-        for source, target in pairs:
-            relation_graph.add_edge(source, label, target)
-        cq_atoms.append(CQAtom(atom.source, label, atom.target))
-    relation_cq = CQ(query.head, cq_atoms, extra_variables=query.variables)
-    return {
-        tuple(hom[v] for v in query.head)
-        for hom in homomorphisms(relation_cq, relation_graph)
-    }
+            return {(node, node)
+                    for node in closed_trail_nodes(graph, atom.language)}
+        # Note the diagonal stays in: two distinct variables may map to
+        # the same node via a nonempty *closed* trail — this is a genuine
+        # difference from simple-path semantics, where only the empty
+        # path connects a node to itself.
+        return trail_pairs(graph, atom.language)
+
+    return plan_eps_free(query, graph, TrailSemantics.ATOM_TRAIL,
+                         relation_for=trail_relation).answers()
 
 
 def _query_trail_solutions(query, graph, initial_mu=None):

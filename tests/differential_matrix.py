@@ -27,11 +27,12 @@ from functools import lru_cache
 import pytest
 
 from repro.analysis.workloads import random_query
-from repro.engine import planner
+from repro.engine import incremental, planner
 from repro.engine.analyze import analysis_disabled
 from repro.engine.backend import use_backend
 from repro.engine.incremental import IncrementalRelationStore
 from repro.engine.runtime import PartialAnswers, ResourceBudget
+from repro.graphdb import graph as graph_module
 from repro.graphdb.graph import GraphDatabase
 from repro.queries.crpq import QueryClass, union_of
 from repro.semantics.base import ALL_SEMANTICS, Semantics
@@ -60,10 +61,9 @@ class Case:
     def is_union(self):
         return isinstance(self.query, tuple)
 
-    def graph(self, rounds=0, **graph_options):
+    def graph(self, rounds=0):
         """A fresh graph after the first ``rounds`` mutation rounds."""
-        graph = GraphDatabase(nodes=self.nodes, edges=self.edges,
-                              **graph_options)
+        graph = GraphDatabase(nodes=self.nodes, edges=self.edges)
         for mutation in itertools.chain(*self.rounds[:rounds]):
             mutate(graph, mutation)
         return graph
@@ -244,25 +244,30 @@ def _partial(subject, semantics):
         _agree(got, subject, semantics)
 
 
-def _store(graph_options=None, **store_options):
+def _store(*constants):
     def run(subject, semantics):
         """A store attached before the first evaluation, and the mutation
-        stream replayed on the same graph object."""
-        graph = subject.graph(**(graph_options or {}))
-        store = IncrementalRelationStore(graph, **store_options)
-        _agree(evaluate(subject.query, graph, semantics), subject, semantics)
-        for rounds, mutations in enumerate(subject.rounds, 1):
-            for mutation in mutations:
-                mutate(graph, mutation)
+        stream replayed on the same graph object, with each ``(module,
+        name, value)`` of ``constants`` patched in."""
+        with pytest.MonkeyPatch.context() as patch:
+            for module, name, value in constants:
+                patch.setattr(module, name, value)
+            graph = subject.graph()
+            store = IncrementalRelationStore(graph)
             _agree(evaluate(subject.query, graph, semantics), subject,
-                   semantics, rounds)
+                   semantics)
+            for rounds, mutations in enumerate(subject.rounds, 1):
+                for mutation in mutations:
+                    mutate(graph, mutation)
+                _agree(evaluate(subject.query, graph, semantics), subject,
+                       semantics, rounds)
         return store
     return run
 
 
 def _store_short_log(subject, semantics):
     """A change-log that holds no entry: every refresh rebuilds."""
-    store = _store({"changelog_cap": 0})(subject, semantics)
+    store = _store((graph_module, "CHANGELOG_CAP", 0))(subject, semantics)
     assert store.counts["maintained"] == 0
 
 
@@ -281,6 +286,6 @@ AXES = {
     "row-cap-2": _under(lambda: _elimination_cap(2)),
     "partial": _partial,
     "store": _store(),
-    "store-no-repair": _store(deletion_repair_cap=0),
+    "store-no-repair": _store((incremental, "DELETION_REPAIR_CAP", 0)),
     "store-short-log": _store_short_log,
 }

@@ -1,9 +1,10 @@
-"""Differential tests for the numeric-backend seam (``REPRO_BACKEND``).
+"""Differential tests for the numeric-backend seam (``use_backend``).
 
 The backend selects only the product kernel: the ``array`` backend
 (interned CSR adjacency, dense product kernel) must be
-answer-for-answer identical to the ``python`` backend, which keeps the
-seed-era object-keyed kernel alive as the differential reference.  This
+answer-for-answer identical to the ``python`` backend, whose
+object-keyed sweep and settle are also the incremental store's
+fixpoint and serve as the differential reference.  This
 suite pins that equality at the product-reachability kernel and on
 trail semantics, and hosts the differential matrix's python-backend
 axis (:mod:`tests.differential_matrix`); it also checks the seam's
@@ -56,19 +57,8 @@ class TestBackendSelection:
     def test_names_cover_exactly_the_registered_backends(self):
         assert set(BACKEND_NAMES) == set(backend_module._BY_NAME)
 
-    def test_default_resolves_from_environment(self, monkeypatch):
-        monkeypatch.setattr(backend_module, "_default", None)
+    def test_default_is_array(self, monkeypatch):
         monkeypatch.setattr(backend_module, "_override", None)
-        monkeypatch.setenv("REPRO_BACKEND", "python")
-        assert active_backend().name == "python"
-        # Resolution happens once; later env changes are ignored.
-        monkeypatch.setenv("REPRO_BACKEND", "array")
-        assert active_backend().name == "python"
-
-    def test_unset_environment_defaults_to_array(self, monkeypatch):
-        monkeypatch.setattr(backend_module, "_default", None)
-        monkeypatch.setattr(backend_module, "_override", None)
-        monkeypatch.delenv("REPRO_BACKEND", raising=False)
         assert active_backend().name == "array"
         assert active_backend().dense_kernels
 
@@ -128,12 +118,14 @@ _NUMPY_PROBE = """
 import sys
 import repro
 from repro.devtools.obs.report import build_report
+from repro.engine.backend import use_backend
 from repro.graphdb.generators import uniform_random
 from repro.queries.parser import parse_query
 from repro.semantics.evaluation import evaluate
 
 graph = uniform_random(6, 14, {"a", "b"}, seed=3)
-evaluate(parse_query("Q(x, y) :- x -[a(a+b)*]-> y"), graph, "st")
+with use_backend(sys.argv[1]):
+    evaluate(parse_query("Q(x, y) :- x -[a(a+b)*]-> y"), graph, "st")
 build_report()
 print("numpy" in sys.modules)
 """
@@ -146,9 +138,9 @@ def test_engine_never_imports_numpy(backend_name):
     is installed.  Runs in a fresh interpreter: this process may have
     NumPy loaded by some other test's dependency."""
     src = Path(__file__).resolve().parents[1] / "src"
-    env = dict(os.environ, REPRO_BACKEND=backend_name, PYTHONPATH=str(src))
+    env = dict(os.environ, PYTHONPATH=str(src))
     completed = subprocess.run(
-        [sys.executable, "-c", _NUMPY_PROBE],
+        [sys.executable, "-c", _NUMPY_PROBE, backend_name],
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert completed.returncode == 0, completed.stderr
@@ -304,8 +296,8 @@ def test_dense_kernel_degenerate_inputs():
 @pytest.mark.parametrize("seed", range(4))
 def test_evaluate_differential_between_backends(semantics, seed):
     """The matrix's ``python-backend`` axis: every case evaluated under
-    the seed-era kernel matches the reference (the rest of the matrix
-    runs under the default backend, or under ``REPRO_BACKEND``)."""
+    the object-keyed kernel matches the reference (the rest of the
+    matrix runs under the default backend)."""
     check("python-backend", stripe(seed, 4), [semantics])
 
 
@@ -320,9 +312,9 @@ def test_trail_semantics_differential_between_backends(trail_semantics):
     assert got == want
 
 
-# The matrix's batch, store and membership axes under the seed-era
+# The matrix's batch, store and membership axes under the object-keyed
 # kernel, on every fifth case (the full matrix runs them under the
-# default backend, or under ``REPRO_BACKEND``).
+# default backend).
 
 
 def test_membership_binding_differential():

@@ -2,7 +2,7 @@
 a store attached before the first evaluation, the case's mutation stream
 replayed on the same graph object, and the answers checked after every
 round.  Two variants force the other side of each refresh decision: a
-``deletion_repair_cap`` of 0, and a change-log that holds no entry.
+``DELETION_REPAIR_CAP`` of 0, and a change-log that holds no entry.
 """
 
 import pytest

@@ -7,6 +7,7 @@ import pytest
 from repro.analysis.qinj_pruning import rare_backbone_graph
 from repro.cli import load_mutations, main
 from repro.engine.batch import BatchExecutor, QueryBatch
+from repro.engine import incremental
 from repro.engine.incremental import (
     DELETION_REPAIR_CAP,
     IncrementalRelationStore,
@@ -17,6 +18,7 @@ from repro.engine.cache import compiled_nfa
 from repro.engine.product import _decode_mask, product_reachability_pairs
 from repro.engine.runtime import ExecutionContext, active_context
 from repro.engine.relations import atom_relation
+from repro.graphdb import graph as graph_module
 from repro.graphdb.graph import GraphDatabase
 from repro.queries.parser import parse_query
 from repro.regular.parser import parse_regex
@@ -65,9 +67,10 @@ class TestDecisions:
         assert store.counts["maintained"] == 1
         assert store.counts["rebuilt"] == 0
 
-    def test_large_deletion_delta_rebuilds(self):
+    def test_large_deletion_delta_rebuilds(self, monkeypatch):
+        monkeypatch.setattr(incremental, "DELETION_REPAIR_CAP", 0)
         graph = _chain_graph()
-        store = IncrementalRelationStore(graph, deletion_repair_cap=0)
+        store = IncrementalRelationStore(graph)
         store.standard_relation(LANG)
         graph.remove_edge(2, "b", 3)
         assert (store.standard_relation(LANG).pairs
@@ -85,8 +88,9 @@ class TestDecisions:
         assert store.counts["rebuilt"] == 1
         assert "node" in store.decisions[-1][2]
 
-    def test_changelog_window_exceeded_rebuilds(self):
-        graph = GraphDatabase(edges=[(1, "a", 2)], changelog_cap=2)
+    def test_changelog_window_exceeded_rebuilds(self, monkeypatch):
+        monkeypatch.setattr(graph_module, "CHANGELOG_CAP", 2)
+        graph = GraphDatabase(edges=[(1, "a", 2)])
         store = IncrementalRelationStore(graph)
         store.standard_relation(LANG)
         for index in range(5):
@@ -109,9 +113,10 @@ class TestDecisions:
         store.clear_decisions()
         assert store.explain_text() == "no relation decisions recorded"
 
-    def test_store_caps_maintained_relations(self):
+    def test_store_caps_maintained_relations(self, monkeypatch):
+        monkeypatch.setattr(incremental, "STORE_RELATION_CAP", 2)
         graph = _chain_graph()
-        store = IncrementalRelationStore(graph, max_relations=2)
+        store = IncrementalRelationStore(graph)
         for symbol in ("a", "b", "ab", "ba"):
             store.standard_relation(parse_regex(symbol))
         assert len(store._states) == 2
@@ -123,20 +128,6 @@ class TestDecisions:
         assert graph._incremental_store is store
         store.detach()
         assert not hasattr(graph, "_incremental_store")
-
-    def test_incremental_store_refuses_reconfiguring_attached_store(self):
-        graph = _chain_graph()
-        incremental_store(graph)
-        with pytest.raises(ValueError, match="already has an attached"):
-            incremental_store(graph, deletion_repair_cap=0)
-
-    def test_copy_preserves_changelog_cap(self):
-        graph = GraphDatabase(edges=[(1, "a", 2)], changelog_cap=2)
-        copied = graph.copy()
-        mark = copied.version
-        for index in range(5):
-            copied.add_node(index + 10)
-        assert copied.delta_since(mark) is None  # 2-entry window carried
 
     def test_relation_for_serves_qinj_standard_without_store(self):
         # The default hook must behave identically with and without an
@@ -280,14 +271,15 @@ def _decoded_sources(state):
     }
 
 
-def _repair_and_rebuild(graph, language, mutate):
+def _repair_and_rebuild(graph, language, mutate, monkeypatch):
     """Apply ``mutate`` to two store-attached copies of ``graph`` — one
     repairing in place, one forced to rebuild — and return both stores'
     maintained states after the refresh."""
     states = []
     for cap in (DELETION_REPAIR_CAP, 0):
+        monkeypatch.setattr(incremental, "DELETION_REPAIR_CAP", cap)
         copy = graph.copy()
-        store = IncrementalRelationStore(copy, deletion_repair_cap=cap)
+        store = IncrementalRelationStore(copy)
         store.standard_relation(language)
         mutate(copy)
         assert (store.standard_relation(language).pairs
@@ -323,7 +315,7 @@ class TestDeletionRepair:
         shrink_hits = hits.count("incremental.shrink")
         assert 0 < shrink_hits <= 2 * product_states
 
-    def test_mixed_delta_leaves_and_reenters_the_region(self):
+    def test_mixed_delta_leaves_and_reenters_the_region(self, monkeypatch):
         """Removing ``u -a-> v`` dirties ``(v, a)`` and ``(m, a)``; the
         added ``m -a-> n`` leads to ``(n, a)``, unreachable before, and
         the existing ``n -a-> m`` carries the new bit ``m`` back into
@@ -336,11 +328,12 @@ class TestDeletionRepair:
             copy.remove_edge("u", "a", "v")
             copy.add_edge("m", "a", "n")
 
-        repaired, rebuilt = _repair_and_rebuild(graph, language, mutate)
+        repaired, rebuilt = _repair_and_rebuild(graph, language, mutate,
+                                                monkeypatch)
         assert _decoded_sources(repaired) == _decoded_sources(rebuilt)
         assert ("m", "m") in repaired.pairs and ("m", "n") in repaired.pairs
 
-    def test_pure_deletion_empties_a_whole_component(self):
+    def test_pure_deletion_empties_a_whole_component(self, monkeypatch):
         """``b a*`` from ``u``: removing ``u -b-> v`` strips every bit from
         the product cycle ``(v, a) <-> (w, a)``, so the whole component
         leaves the maintained state and only the three seeds stay."""
@@ -351,7 +344,8 @@ class TestDeletionRepair:
         def mutate(copy):
             copy.remove_edge("u", "b", "v")
 
-        repaired, rebuilt = _repair_and_rebuild(graph, language, mutate)
+        repaired, rebuilt = _repair_and_rebuild(graph, language, mutate,
+                                                monkeypatch)
         assert not repaired.pairs and not repaired.target_masks
         assert _decoded_sources(repaired) == _decoded_sources(rebuilt)
         assert len(repaired.sources) == 3

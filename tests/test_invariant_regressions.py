@@ -182,12 +182,15 @@ def built_facets(index):
 
 def facet_view(index, nodes, labels):
     """Every facet of ``index``, read over ``nodes`` and ``labels``, in
-    comparable form (``in_sources`` is unordered by contract)."""
+    comparable form (``out_targets`` and ``in_sources`` are unordered by
+    contract)."""
     return {
         "nodes_sorted": index.nodes_sorted,
         "out_sorted": {node: index.out_sorted(node) for node in nodes},
         "out_targets": {
-            node: dict(index.out_targets(node) or {}) for node in nodes
+            node: {label: sorted(targets, key=repr)
+                   for label, targets in (index.out_targets(node) or {}).items()}
+            for node in nodes
         },
         "in_sources": {
             node: {label: sorted(sources, key=repr)

@@ -2,8 +2,8 @@
 
 A non-head variable ``z`` met by exactly two atoms, ``x -[L1]-> z`` and
 ``z -[L2]-> y``, is planned as one atom ``x -[L1·L2]-> y`` under st with
-the default relation store — unless both factor relations are already
-materialized.  These tests pin which shapes fuse, that the fused plan
+the default relation store and no incremental store attached — unless
+both factor relations are already materialized.  These tests pin which shapes fuse, that the fused plan
 answers like the unfused one, and (through the ``planner.fused``
 counter) that the differential matrix's seeded cases reach both a fused
 st plan and one left unfused because its factors were materialized.
@@ -18,7 +18,7 @@ from repro.engine.relations import atom_relation, relation_for
 from repro.graphdb.generators import uniform_random
 from repro.queries.parser import parse_query
 from repro.semantics.base import ALL_SEMANTICS, Semantics
-from repro.semantics.evaluation import evaluate
+from repro.semantics.evaluation import evaluate, in_evaluation
 from tests.differential_matrix import AXES, CASE_COUNT, case
 
 ST = Semantics.STANDARD
@@ -121,15 +121,29 @@ def test_materialized_factors_stay_unfused():
 
 
 def test_store_maintained_factors_stay_unfused():
+    """A store-attached graph never fuses: the store would maintain the
+    concatenated language as a private relation beside the factors."""
     query, graph = parse_query(CHAIN), _graph()
-    store = IncrementalRelationStore(graph)
-    assert len(plan_eps_free(query, graph, ST).fusions) == 1
-    for atom in query.atoms:
-        store.standard_relation(atom.language)
+    IncrementalRelationStore(graph)
     assert plan_eps_free(query, graph, ST).fusions == ()
-    # Stale maintained relations need a repair: fuse instead.
     graph.add_edge("fresh", "a", "fresh")
-    assert len(plan_eps_free(query, graph, ST).fusions) == 1
+    assert plan_eps_free(query, graph, ST).fusions == ()
+
+
+def test_membership_on_a_store_graph_builds_only_the_factors():
+    """``in_evaluation`` plans without the store's result fingerprint;
+    it must build the factor relations ``evaluate`` reads, not a fused
+    one, and the store labels each by its language."""
+    graph = uniform_random(30, 90, {"a", "b"}, seed=1)
+    store = IncrementalRelationStore(graph)
+    query = parse_query("Q(x, y) :- x -[a]-> z, z -[b]-> y")
+    answers = evaluate(query, graph.copy(), "st")
+    pair = min(answers, key=repr)
+    assert in_evaluation(query, graph, pair, "st")
+    assert evaluate(query, graph, "st") == answers
+    assert store.counts["built"] == 2
+    assert sorted(label for _version, label, _text in store.decisions) \
+        == ["a", "b"]
 
 
 def test_explicit_relation_for_stays_unfused():
