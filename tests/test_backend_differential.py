@@ -35,8 +35,15 @@ from repro.engine.backend import (
 )
 from repro.engine.cache import compiled_nfa
 from repro.engine.incremental import incremental_store
-from repro.engine.product import _int_bits, product_reachability_pairs
+from repro.engine.product import (
+    _int_bits,
+    product_reachability_pairs,
+    seed_masks,
+    settle,
+    sweep,
+)
 from repro.engine.relations import atom_relation
+from repro.engine.runtime import ExecutionContext
 from repro.graphdb.generators import uniform_random
 from repro.graphdb.graph import GraphDatabase
 from repro.queries.parser import parse_query
@@ -108,6 +115,99 @@ def test_int_bits_matches_set_reference(seed):
     bits |= {0, width - 1}
     assert list(_int_bits(sum(1 << bit for bit in bits))) == sorted(bits)
     assert list(_int_bits(0)) == []
+
+
+# ----------------------------------------------------------------------
+# The object-keyed sweep and settle (python kernel and store)
+# ----------------------------------------------------------------------
+
+
+def _closure(succ, start):
+    """States reachable from ``start`` in ``succ`` (itself included)."""
+    seen = {start}
+    stack = [start]
+    while stack:
+        for successor in succ[stack.pop()]:
+            if successor not in seen:
+                seen.add(successor)
+                stack.append(successor)
+    return seen
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_sweep_explores_exactly_the_reachable_product(seed):
+    """From the seeds, :func:`sweep` reaches every product state the
+    edge-by-edge definition reaches, lists each state's successors, and
+    checkpoints once per expansion at the site its caller names."""
+    rng = random.Random(1300 + seed)
+    num_nodes = rng.randrange(1, 10)
+    graph = uniform_random(
+        num_nodes, rng.randrange(1, 2 * num_nodes * num_nodes + 1),
+        {"a", "b"}, seed=seed,
+    )
+    nfa = compiled_nfa(parse_regex(rng.choice(KERNEL_REGEXES)))
+    nodes = sorted(graph.nodes, key=repr)
+    seeds = list(seed_masks(nodes, nfa))
+    ctx = ExecutionContext()
+    sites = []
+    ctx.install_probe(sites.append)
+    succ = sweep(adjacency_index(graph), nfa, seeds, "incremental.grow", ctx)
+
+    def successors(product_node):
+        node, state = product_node
+        return {
+            (edge.target, next_state)
+            for edge in graph.out_edges(node)
+            for next_state in nfa.transitions.get((state, edge.label), ())
+        }
+
+    reference = {}
+    stack = list(seeds)
+    while stack:
+        product_node = stack.pop()
+        if product_node in reference:
+            continue
+        reference[product_node] = successors(product_node)
+        stack.extend(reference[product_node])
+    assert set(succ) == set(reference)
+    for product_node, listed in succ.items():
+        assert set(listed) == reference[product_node], product_node
+    assert sites == ["incremental.grow"] * len(succ)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_settle_matches_the_naive_fixpoint(seed):
+    """:func:`settle` condenses a region into its strongly connected
+    components and gives each the OR of the base masks of every state
+    that reaches it — checked against per-state closures on random
+    regions with cycles, self-loops and states without base bits."""
+    rng = random.Random(1400 + seed)
+    states = [(f"v{i}", rng.choice((0, "q"))) for i in range(rng.randrange(1, 16))]
+    states = list(dict.fromkeys(states))
+    succ = {
+        state: [rng.choice(states) for _ in range(rng.randrange(0, 4))]
+        for state in states
+    }
+    base = {
+        state: rng.randrange(1, 1 << 8)
+        for state in rng.sample(states, rng.randrange(0, len(states) + 1))
+    }
+    components, masks = settle(succ, base)
+
+    assert sorted(map(repr, (m for c in components for m in c))) == sorted(
+        map(repr, states)
+    )
+    reach = {state: _closure(succ, state) for state in states}
+    for component, mask in zip(components, masks):
+        for member in component:
+            assert set(component) == {
+                other for other in reach[member] if member in reach[other]
+            }
+            want = 0
+            for origin, bits in base.items():
+                if member in reach[origin]:
+                    want |= bits
+            assert mask == want, member
 
 
 # ----------------------------------------------------------------------
