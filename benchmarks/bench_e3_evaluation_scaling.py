@@ -10,7 +10,7 @@ evaluation stays flat-ish, injective evaluation grows much faster.
 
 import pytest
 
-from _timing import interleaved_best_of
+from _timing import interleaved_medians
 from repro.engine import telemetry
 from repro.engine.cache import compiled_nfa
 from repro.engine.product import product_reachability_pairs
@@ -57,7 +57,7 @@ def test_large_answer_costs_about_the_kernel():
     answers = evaluate(query, graph.copy(), "st")
     assert {(u, v) for u, v in answers} == product_reachability_pairs(
         graph.copy(), nfa)
-    evaluate_s, kernel_s = interleaved_best_of(
+    evaluate_s, kernel_s = interleaved_medians(
         lambda: evaluate(query, graph.copy(), "st"),
         lambda: product_reachability_pairs(graph.copy(), nfa),
         rounds=3,

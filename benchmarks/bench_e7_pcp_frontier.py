@@ -8,7 +8,7 @@ semi-decider spends its whole budget without finding a counterexample.
 
 import pytest
 
-from repro.containment.ainj_semi import search_ainj_counterexample
+from repro.containment.bounded import search_counterexample
 from repro.reductions import pcp
 from repro.semantics.evaluation import in_evaluation
 
@@ -40,8 +40,8 @@ def test_bench_witness_classic(benchmark):
 def test_bench_bounded_search_unsolvable(benchmark):
     q1, q2 = pcp.build_reduction(pcp.UNSOLVABLE_EXAMPLE)
     result = benchmark(
-        search_ainj_counterexample,
-        q1, q2, 3,
+        search_counterexample,
+        q1, q2, "a-inj", 3,
         expansion_budget=100, quotient_budget=100,
     )
     from repro.containment.result import Verdict

@@ -19,7 +19,7 @@ Run with::
     PYTHONPATH=src python -m pytest benchmarks/bench_governor.py -q -s
 """
 
-from _timing import interleaved_best_of
+from _timing import interleaved_medians
 from _trajectory import TrajectoryRecorder
 from repro.analysis.batching import drop_all_caches
 from repro.engine.runtime import ExecutionContext, active_context
@@ -91,7 +91,7 @@ def _overhead(name, workload):
     # regression fails every attempt).
     ratio = float("inf")
     for _ in range(ATTEMPTS):
-        null_time, governed_time = interleaved_best_of(
+        null_time, governed_time = interleaved_medians(
             run_null, lambda: _run(workload), ROUNDS
         )
         ratio = min(ratio, governed_time / null_time)

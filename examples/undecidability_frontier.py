@@ -11,7 +11,7 @@ reporting honest verdicts.
 Run:  python examples/undecidability_frontier.py
 """
 
-from repro.containment.ainj_semi import search_ainj_counterexample
+from repro.containment.bounded import search_counterexample
 from repro.reductions import pcp
 from repro.semantics.evaluation import in_evaluation
 
@@ -42,8 +42,8 @@ def main():
     print(f"unsolvable instance pairs: {unsolvable.pairs}")
     print(f"solver (depth 8): {unsolvable.solve(max_depth=8)}")
     q1u, q2u = pcp.build_reduction(unsolvable)
-    result = search_ainj_counterexample(
-        q1u, q2u, max_word_length=4,
+    result = search_counterexample(
+        q1u, q2u, "a-inj", max_word_length=4,
         expansion_budget=300, quotient_budget=300,
     )
     print(f"bounded counterexample search: {result}")

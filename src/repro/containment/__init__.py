@@ -9,8 +9,9 @@ Entry point: :func:`repro.containment.api.contains`.
   semantics (Theorem 5.1's abstraction classes), also used for standard
   semantics (see module docstring for the completeness discussion).
 - ``ainj_semi``: bounded semi-decider for atom-injective containment with
-  an unrestricted left-hand side — necessarily incomplete (Theorem 5.2:
-  the problem is undecidable).
+  an unrestricted left-hand side, iterative deepening over ``bounded``'s
+  counterexample search — necessarily incomplete (Theorem 5.2: the
+  problem is undecidable).
 """
 
 from repro.containment.result import ContainmentResult, Verdict

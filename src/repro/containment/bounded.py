@@ -1,9 +1,10 @@
-"""Bounded counterexample search for any semantics (reference/fallback).
+"""Bounded counterexample search for any semantics.
 
 Enumerates ★-expansions of Q1 with atom words up to a length bound and
 evaluates Q2 on each (the §4.1 counterexample characterization).  Sound for
-NOT_CONTAINED under every semantics; complete only in the limit.  The test
-suite uses this as ground truth to cross-validate the exact deciders.
+NOT_CONTAINED under every semantics; complete only in the limit.  The a-inj
+semi-decider deepens over it, and the test suite uses it as ground truth to
+cross-validate the exact deciders.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from repro.errors import SearchBudgetExceeded
 from repro.queries.crpq import union_of
 from repro.semantics.base import Semantics
 from repro.semantics.evaluation import in_evaluation
-from repro.semantics.expansion import atom_injective_expansions, expansions
+from repro.semantics.expansion import candidate_cqs, expansions
 
 
 def search_counterexample(q1, q2, semantics, max_word_length,
@@ -21,6 +22,9 @@ def search_counterexample(q1, q2, semantics, max_word_length,
     """Search for a ★-expansion of Q1 (word length ≤ bound) on which Q2
     fails; returns NOT_CONTAINED with witness, or CONTAINED_UP_TO_BOUND.
 
+    Candidates are checked as they are enumerated; a tripped budget
+    skips the rest of its disjunct (expansions) or expansion (quotients)
+    and marks the verdict truncated.
     Like every decider, the membership checks read Q2's memoized
     analysis report (see finite_left).
     """
@@ -35,31 +39,22 @@ def search_counterexample(q1, q2, semantics, max_word_length,
         try:
             for expansion in expansions(disjunct, max_word_length,
                                         max_count=expansion_budget):
-                if semantics is Semantics.ATOM_INJECTIVE:
-                    try:
-                        candidates = list(
-                            atom_injective_expansions(
-                                expansion, max_count=quotient_budget
+                try:
+                    for cq in candidate_cqs(expansion, semantics,
+                                            quotient_budget):
+                        checked += 1
+                        if not in_evaluation(right, cq.as_graph(), cq.head,
+                                             semantics):
+                            return ContainmentResult(
+                                Verdict.NOT_CONTAINED,
+                                semantics,
+                                method="bounded-search",
+                                counterexample=cq,
+                                bound=max_word_length,
+                                details={"candidates_checked": checked},
                             )
-                        )
-                    except SearchBudgetExceeded:
-                        truncated = True
-                        continue
-                else:
-                    candidates = [expansion]
-                for candidate in candidates:
-                    checked += 1
-                    cq = candidate.cq
-                    if not in_evaluation(right, cq.as_graph(), cq.head,
-                                         semantics):
-                        return ContainmentResult(
-                            Verdict.NOT_CONTAINED,
-                            semantics,
-                            method="bounded-search",
-                            counterexample=cq,
-                            bound=max_word_length,
-                            details={"candidates_checked": checked},
-                        )
+                except SearchBudgetExceeded:
+                    truncated = True
         except SearchBudgetExceeded:
             truncated = True
     return ContainmentResult(

@@ -16,7 +16,7 @@ from repro.containment.result import Verdict
 from repro.homomorphism.matcher import cq_homomorphisms
 from repro.queries.crpq import union_of
 from repro.semantics.base import Semantics
-from repro.semantics.expansion import all_expansions, atom_injective_expansions
+from repro.semantics.expansion import all_expansions, candidate_cqs
 
 
 @dataclass
@@ -82,14 +82,9 @@ def containment_certificate(q1, q2, semantics, expansion_budget=100000,
                 "(use contains() for starred Q2)"
             )
         for expansion in all_expansions(disjunct, max_count=expansion_budget):
-            if semantics is Semantics.ATOM_INJECTIVE:
-                right_cqs.extend(
-                    f.cq for f in atom_injective_expansions(
-                        expansion, max_count=quotient_budget
-                    )
-                )
-            else:
-                right_cqs.append(expansion.cq)
+            right_cqs.extend(
+                candidate_cqs(expansion, semantics, quotient_budget)
+            )
 
     injective = semantics is not Semantics.STANDARD
     entries = []
@@ -97,15 +92,8 @@ def containment_certificate(q1, q2, semantics, expansion_budget=100000,
         if not disjunct.is_star_free():
             raise ValueError("certificates require a star-free left side")
         for expansion in all_expansions(disjunct, max_count=expansion_budget):
-            if semantics is Semantics.ATOM_INJECTIVE:
-                candidates = [
-                    f.cq for f in atom_injective_expansions(
-                        expansion, max_count=quotient_budget
-                    )
-                ]
-            else:
-                candidates = [expansion.cq]
-            for left_cq in candidates:
+            for left_cq in candidate_cqs(expansion, semantics,
+                                         quotient_budget):
                 witness = None
                 for right_cq in right_cqs:
                     for hom in cq_homomorphisms(right_cq, left_cq,

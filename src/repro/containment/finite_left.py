@@ -18,7 +18,7 @@ from repro.containment.result import ContainmentResult, Verdict
 from repro.queries.crpq import union_of
 from repro.semantics.base import Semantics
 from repro.semantics.evaluation import in_evaluation
-from repro.semantics.expansion import all_expansions, atom_injective_expansions
+from repro.semantics.expansion import all_expansions, candidate_cqs
 
 
 def contains_finite_left(q1, q2, semantics, expansion_budget=200000,
@@ -45,15 +45,8 @@ def contains_finite_left(q1, q2, semantics, expansion_budget=200000,
                 f"got {disjunct!r}"
             )
         for expansion in all_expansions(disjunct, max_count=expansion_budget):
-            if semantics is Semantics.ATOM_INJECTIVE:
-                candidates = atom_injective_expansions(
-                    expansion, max_count=quotient_budget
-                )
-            else:
-                candidates = (expansion,)
-            for candidate in candidates:
+            for cq in candidate_cqs(expansion, semantics, quotient_budget):
                 checked += 1
-                cq = candidate.cq
                 if not in_evaluation(right, cq.as_graph(), cq.head, semantics):
                     return ContainmentResult(
                         Verdict.NOT_CONTAINED,

@@ -59,7 +59,8 @@ from repro.engine.adjacency import adjacency_index
 from repro.engine.cache import compiled_nfa, language_is_empty
 from repro.engine.join import TupleRelation
 from repro.engine.planner import semijoin_reduce
-from repro.engine.relations import Relation, atom_relation
+from repro.engine.relations import Relation
+from repro.engine.relations import relation_for as default_relation_for
 from repro.engine.runtime import checkpoint_site, resolve_context
 from repro.graphdb.paths import search
 from repro.semantics.base import Semantics
@@ -74,16 +75,6 @@ _PRUNED_EMPTY = telemetry.registry().counter("qinj.pruned_empty")
 # ----------------------------------------------------------------------
 # Plan construction
 # ----------------------------------------------------------------------
-
-
-def standard_pruning_relation(graph, atom, semantics=None):
-    """Default ``relation_for`` hook: the atom's *standard* (walk)
-    :class:`Relation` — the sound q-inj over-approximation (every simple
-    path / cycle is a walk).  ``semantics`` is accepted for hook-signature
-    compatibility and ignored.  Read from the one atom-relation store
-    (:func:`repro.engine.relations.atom_relation`), so a graph with an
-    attached incremental store serves its maintained relations here too."""
-    return atom_relation(graph, atom.language, "standard")
 
 
 class QinjPlan:
@@ -389,9 +380,10 @@ def plan_qinj(query, graph, binding=None, relation_for=None):
     ``binding`` pins head variables to nodes (the membership check).
     ``relation_for(graph, atom, semantics)`` overrides where the
     standard pruning relations come from; the default is
-    :func:`standard_pruning_relation`, the one atom-relation store.
+    :func:`repro.engine.relations.relation_for`, which serves q-inj the
+    walk relation from the one atom-relation store.
     """
-    relation_for = relation_for or standard_pruning_relation
+    relation_for = relation_for or default_relation_for
     binding = dict(binding or {})
     atoms = tuple(query.atoms)
     nfas = tuple(compiled_nfa(atom.language) for atom in atoms)

@@ -20,6 +20,7 @@ from repro.errors import SearchBudgetExceeded
 from repro.queries.atoms import CQAtom
 from repro.queries.cq import CQ, CQWithEqualities
 from repro.regular.words import enumerate_words, language_words_if_finite
+from repro.semantics.base import Semantics
 
 
 class Expansion:
@@ -97,16 +98,9 @@ def expansions(query, max_word_length, max_count=None):
     finite; otherwise a bounded window into the infinite expansion space
     (used by semi-deciders).  Deterministic order.
     """
-    per_atom_words = []
-    for atom in query.atoms:
-        words = list(enumerate_words(atom.language, max_word_length))
-        per_atom_words.append(words)
-    produced = 0
-    for profile in itertools.product(*per_atom_words):
-        produced += 1
-        if max_count is not None and produced > max_count:
-            raise SearchBudgetExceeded("expansion enumeration budget", max_count)
-        yield Expansion(query, profile)
+    yield from _profile_expansions(query, max_count, [
+        list(enumerate_words(atom.language, max_word_length))
+        for atom in query.atoms])
 
 
 def all_expansions(query, max_count=None):
@@ -115,12 +109,14 @@ def all_expansions(query, max_count=None):
     Raises ``ValueError`` on queries with infinite languages — that is the
     undecidability frontier, use :func:`expansions` with a bound instead.
     """
-    per_atom_words = []
-    for atom in query.atoms:
-        per_atom_words.append(language_words_if_finite(atom.language))
-    produced = 0
-    for profile in itertools.product(*per_atom_words):
-        produced += 1
+    yield from _profile_expansions(query, max_count, [
+        language_words_if_finite(atom.language) for atom in query.atoms])
+
+
+def _profile_expansions(query, max_count, per_atom_words):
+    """One expansion per word profile (one word per atom, product order);
+    more than ``max_count`` raises :class:`SearchBudgetExceeded`."""
+    for produced, profile in enumerate(itertools.product(*per_atom_words), 1):
         if max_count is not None and produced > max_count:
             raise SearchBudgetExceeded("expansion enumeration budget", max_count)
         yield Expansion(query, profile)
@@ -198,3 +194,17 @@ def atom_injective_expansions(expansion, max_count=None):
         if max_count is not None and produced > max_count:
             raise SearchBudgetExceeded("a-inj-expansion enumeration budget", max_count)
         yield AInjExpansion(expansion, blocks)
+
+
+def candidate_cqs(expansion, semantics, quotient_budget=None):
+    """Yield the CQs §4.1 checks for one expansion E: under atom-injective
+    semantics E's a-inj quotients (identity first, Lemma 4.4), else E.
+
+    Lazy, so a caller checks each as it comes: the quotient past
+    ``quotient_budget`` raises :class:`SearchBudgetExceeded` instead.
+    """
+    if semantics is Semantics.ATOM_INJECTIVE:
+        quotients = atom_injective_expansions(expansion, quotient_budget)
+        yield from (quotient.cq for quotient in quotients)
+    else:
+        yield expansion.cq

@@ -1,12 +1,10 @@
-"""Direct tests for the bounded reference search and the a-inj
-semi-decider (the fallback machinery on the undecidable cells)."""
+"""Direct tests for the bounded counterexample search and the a-inj
+semi-decider that deepens over it (the fallback machinery on the
+undecidable cells)."""
 
 import pytest
 
-from repro.containment.ainj_semi import (
-    search_ainj_counterexample,
-    semi_decide_ainj,
-)
+from repro.containment.ainj_semi import semi_decide_ainj
 from repro.containment.bounded import search_counterexample
 from repro.containment.result import Verdict
 from repro.queries.parser import parse_query
@@ -47,6 +45,17 @@ class TestBoundedSearch:
         assert result.verdict is Verdict.NOT_CONTAINED
         assert result.counterexample.atoms[0].label == "b"
 
+    def test_quotient_budget_keeps_checked_candidates(self):
+        # The identity quotient is already a counterexample (w is not x);
+        # a quotient budget tripping on the second quotient must not
+        # discard the first.
+        q1 = parse_query("Q(x, y) :- x -[aa]-> y, y -[b]-> w")
+        q2 = parse_query("Q(x, y) :- x -[aa]-> y, y -[b]-> x")
+        result = search_counterexample(q1, q2, "a-inj", max_word_length=2,
+                                       quotient_budget=1)
+        assert result.verdict is Verdict.NOT_CONTAINED
+        assert result.details["candidates_checked"] == 1
+
 
 class TestAInjSemiDecider:
     def test_iterative_deepening_stops_at_first_hit(self):
@@ -60,7 +69,7 @@ class TestAInjSemiDecider:
     def test_counts_candidates(self):
         q1 = parse_query("Q() :- x -[a^+]-> y")
         q2 = parse_query("Q() :- x -[a]-> y")
-        result = search_ainj_counterexample(q1, q2, max_word_length=2)
+        result = search_counterexample(q1, q2, "a-inj", max_word_length=2)
         assert result.details["candidates_checked"] >= 2
 
     def test_bounded_contained_verdict_is_honest(self):

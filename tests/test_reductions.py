@@ -128,11 +128,11 @@ class TestPCP:
         """End-to-end: without being handed the solution, the bounded
         a-inj search *finds* a counterexample for the solvable instance —
         the reduction loop closed by machine."""
-        from repro.containment.ainj_semi import search_ainj_counterexample
+        from repro.containment.bounded import search_counterexample
 
         q1, q2 = pcp.build_reduction(pcp.TRIVIAL_EXAMPLE)
-        result = search_ainj_counterexample(
-            q1, q2, max_word_length=4,
+        result = search_counterexample(
+            q1, q2, "a-inj", max_word_length=4,
             expansion_budget=50, quotient_budget=100000,
         )
         assert result.verdict is Verdict.NOT_CONTAINED

@@ -103,8 +103,8 @@ def test_every_entry_point_receives_the_identical_relation(monkeypatch):
 
     monkeypatch.setattr(planner, "default_relation_for",
                         spy(planner.default_relation_for))
-    monkeypatch.setattr(qinj, "standard_pruning_relation",
-                        spy(qinj.standard_pruning_relation))
+    monkeypatch.setattr(qinj, "default_relation_for",
+                        spy(qinj.default_relation_for))
     entry[0] = "evaluate"
     evaluate(parse_query("Q(x, y) :- x -[ab]-> y"), graph, "st")
     entry[0] = "evaluate_batch"
