@@ -1,20 +1,22 @@
-"""Compact-numeric-core gate — dense CSR kernel vs seed path.
+"""Compact-numeric-core gate — dense CSR kernel vs the object-keyed path.
 
-Acceptance pin for the numeric-core PR: product reachability under the
-``array`` backend (interned dense ids, CSR adjacency rows, a fused
-single-pass Tarjan, int source masks) must be ≥ 3x faster than
-the same call under the ``python`` backend — the seed-era
-dict-of-tuples path kept verbatim as the differential reference — on a
-≥ 10⁶-edge strongly connected graph, with peak RSS bounded.
+Acceptance pin for the numeric core: product reachability under the
+``array`` backend (interned dense ids, CSR adjacency rows, the product
+settled layer by layer along the automaton's condensation, int source
+masks) must be ≥ 3x faster than the same call under the ``python``
+backend — the object-keyed ``sweep`` and ``settle`` the incremental
+store also runs, kept as the differential reference — on a ≥ 10⁶-edge
+strongly connected graph, with peak RSS bounded.
 
 The workload is the shape the dense kernel exists for: a 20 000-node
-ring (strong connectivity, so the product condenses into one giant
-component) plus uniform random ``a``-edges to a million, ten ``b``
-target edges, and the language ``a*b`` — per-edge traversal cost
-dominates both sides, which is exactly where the seed path's tuple
-hashing loses to flat int lists.  Graph construction and the
-adjacency/CSR build are excluded from the timed region (both backends
-share them); answers are asserted equal before timing.
+ring (strong connectivity, so the ``a*`` layer of the product condenses
+into one giant component) plus uniform random ``a``-edges to a million,
+ten ``b`` target edges, and the language ``a*b`` — per-edge traversal
+cost dominates both sides, which is exactly where the object-keyed
+path's tuple hashing loses to flat int lists.  Graph construction and
+the adjacency/CSR build are excluded from the timed region (both
+backends share them); answers are asserted equal before timing, and
+each side's time is its median over alternated rounds.
 
 Run with::
 
@@ -24,7 +26,7 @@ Run with::
 import random
 import resource
 
-from _timing import interleaved_best_of, interleaved_medians
+from _timing import interleaved_medians
 from _trajectory import TrajectoryRecorder
 from repro.engine.adjacency import AdjacencyIndex, adjacency_index
 from repro.engine.backend import use_backend
@@ -91,7 +93,7 @@ def test_dense_kernel_speedup_and_rss_within_bounds():
     # regression fails every attempt).
     speedup = 0.0
     for _ in range(ATTEMPTS):
-        array_time, python_time = interleaved_best_of(
+        array_time, python_time = interleaved_medians(
             run_array, run_python, ROUNDS
         )
         speedup = max(speedup, python_time / array_time)
@@ -107,7 +109,7 @@ def test_dense_kernel_speedup_and_rss_within_bounds():
                         "edges": graph.edge_count(),
                         "peak_rss_kb": peak_rss_kb})
     assert speedup >= MIN_SPEEDUP_X, (
-        f"array backend only {speedup:.2f}x over the seed dict path "
+        f"array backend only {speedup:.2f}x over the object-keyed path "
         f"(gate {MIN_SPEEDUP_X}x)"
     )
     assert peak_rss_kb <= MAX_PEAK_RSS_KB, (

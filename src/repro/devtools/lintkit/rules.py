@@ -821,7 +821,9 @@ class LockDiscipline(Rule):
 #: checkpoint from its loop, or deadlines/cancellation silently stop
 #: covering that loop.
 CHECKPOINTED_FUNCTIONS: dict[str, frozenset[str]] = {
-    "engine/product.py": frozenset({"sweep", "_dense_reachability_pairs"}),
+    "engine/product.py": frozenset(
+        {"sweep", "_dense_reachability_pairs", "_settle_cyclic_layer"}
+    ),
     "engine/planner.py": frozenset(
         {"semijoin_reduce", "_variable_elimination"}
     ),

@@ -75,6 +75,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
+from itertools import product as _cartesian
 
 from repro.engine import telemetry
 from repro.engine.adjacency import adjacency_index
@@ -159,19 +160,34 @@ class MaintainedRelation:
         """Recompute everything: the product kernel's forward
         :func:`~repro.engine.product.sweep` from the seeds over the
         current graph, then one :meth:`_settle` of the whole reachable
-        product."""
+        product.  The targets are read off the settled components, as
+        the python kernel reads its pairs: final members give the
+        target masks, and each distinct mask is decoded once."""
         ctx = resolve_context(ctx)
         index = adjacency_index(graph)
         self.bit_of = dict(index.node_bit)
         self.node_of = list(index.nodes_sorted)
         self.sources = {}
-        self.target_masks = {}
-        self.pairs = set()
         self.dirty = True
         base = seed_masks(self.node_of, self.nfa)
         succ = sweep(index, self.nfa, base, SITE_INCREMENTAL_GROW, ctx)
-        self._settle(succ, base)
-        self._rederive_targets(succ)
+        finals = self.nfa.finals
+        target_masks = {}
+        for members, mask in self._settle(succ, base):
+            for node, state in members:
+                if state in finals:
+                    old = target_masks.get(node, 0)
+                    target_masks[node] = old | mask if old else mask
+        targets_by_mask = {}
+        for node, mask in target_masks.items():
+            targets_by_mask.setdefault(mask, []).append(node)
+        pairs = set()
+        for mask, targets in targets_by_mask.items():
+            pairs.update(
+                _cartesian(list(_decode_mask(mask, self.node_of)), targets)
+            )
+        self.target_masks = target_masks
+        self.pairs = pairs
         self.version = graph.version
 
     # -- insert-only maintenance ----------------------------------------
@@ -308,16 +324,20 @@ class MaintainedRelation:
         (:func:`~repro.engine.product.settle`): every member of a
         component takes the component's mask, so each state is written
         exactly once.  States left without bits leave ``sources`` (they
-        are no longer reachable)."""
+        are no longer reachable).  Returns the nonzero ``(members,
+        mask)`` components."""
         components, masks = settle(succ, base)
         sources = self.sources
+        settled = []
         for members, mask in zip(components, masks):
             if mask:
+                settled.append((members, mask))
                 for member in members:
                     sources[member] = mask
             else:
                 for member in members:
                     sources.pop(member, None)
+        return settled
 
     def _rederive_targets(self, region):
         """Recompute the target mask and pairs of every node with a final

@@ -19,17 +19,22 @@ relation with a single pass:
 Output-equivalent to the per-source BFS (pinned by the differential
 suite); asymptotically one product traversal plus output size.
 
-Two kernels run these phases, selected by :func:`use_backend`
-(:mod:`repro.engine.backend`): the object-keyed one over
-``(node, state)`` tuples and, by default, the dense kernel
-(:func:`_dense_reachability_pairs`) over interned ids.  The
+Two kernels compute this relation, selected by :func:`use_backend`
+(:mod:`repro.engine.backend`): the object-keyed one runs the phases
+above over ``(node, state)`` tuples and, by default, the dense kernel
+(:func:`_dense_reachability_pairs`) runs over interned ids.  The
 object-keyed :func:`sweep` and :func:`settle` are also the incremental
 store's fixpoint (:mod:`repro.engine.incremental`): its full rebuild is
 the same sweep and settle, and its deletion repair settles the dirty
-region.  Both kernels carry a component's source set as one plain
-Python int, so the kernel cost per OR is pinned by the node count; the
-dense kernel decodes a mask by a byte-table walk over its nonzero bytes
-(:func:`_int_bits`), once per distinct mask (final components
+region.  The dense kernel settles the product one automaton component
+at a time, in the topological order of the automaton's own
+condensation: an acyclic state's product layer is a DAG slice, final
+once its predecessors are, so it gathers its masks with one OR per
+product edge and no DFS; only a cyclic component's layer is condensed
+by Tarjan (:func:`_settle_cyclic_layer`).  Both kernels carry a source
+set as one plain Python int, so the kernel cost per OR is pinned by the
+node count; the dense kernel decodes a mask by a byte-table walk over
+its nonzero bytes (:func:`_int_bits`), once per distinct mask (targets
 downstream of the same seeds share one), and returns its pair set
 itself rather than a copy; the object-keyed kernel and the incremental
 store decode by lowest-bit peeling (:func:`_decode_mask`).
@@ -38,7 +43,16 @@ store decode by lowest-bit peeling (:func:`_decode_mask`).
 from __future__ import annotations
 
 from itertools import product as _cartesian
-from typing import Any, Iterable, Iterator, Optional, Sequence
+from typing import (
+    Any,
+    Hashable,
+    Iterable,
+    Iterator,
+    Mapping,
+    Optional,
+    Sequence,
+    TypeVar,
+)
 
 from repro.engine import telemetry
 from repro.engine.adjacency import AdjacencyIndex, adjacency_index
@@ -48,10 +62,15 @@ from repro.engine.runtime import ExecutionContext, checkpoint_site, resolve_cont
 #: A ``(node, state)`` product state and its deduplicated successors.
 ProductNode = tuple[Any, Any]
 ProductAdjacency = dict[ProductNode, list[ProductNode]]
+#: One automaton move over the thawed CSR rows of its label:
+#: ``(offsets, targets, successor states)``.
+_Move = tuple[list[int], list[int], tuple[int, ...]]
+_Vertex = TypeVar("_Vertex", bound=Hashable)
 
 SITE_PRODUCT_SWEEP = checkpoint_site(
     "product.sweep",
-    "product-reachability forward exploration (per product node expanded)",
+    "product-reachability exploration (per product node expanded or "
+    "nonzero source row gathered)",
 )
 
 _DENSE_DISPATCH = telemetry.registry().counter("backend.dense_dispatch")
@@ -95,23 +114,23 @@ def _dense_reachability_pairs(
     nfa: Any,
     ctx: ExecutionContext,
 ) -> set[tuple[Any, Any]]:
-    """The array-backend kernel: the object-keyed kernel's phases
-    (forward sweep → Tarjan → mask propagation → final decode) fused so
-    the product graph is traversed **once**, entirely in dense integer
-    space.
+    """The array-backend kernel: the product's fixpoint computed layer
+    by layer along the automaton, entirely in dense integer space.
 
     NFA states are interned to ``0..q-1`` (repr-sorted, mirroring the
-    node interning) and a product state ``(node, state)`` becomes the
-    single int ``node_id * q + state_id``.  One iterative Tarjan DFS
-    discovers the reachable product directly from the CSR rows of
-    :meth:`AdjacencyIndex.csr_out`, materializing each node's successor
-    list exactly once (at first expansion), and collects condensation
-    edges during component finalization — legal because Tarjan emits
-    components sinks-first, so every cross-component successor already
-    has its component assigned.  Source sets then propagate through the
-    condensation as int bitmasks, exactly as in :func:`settle`.  Each kernel
-    works on flat int lists (``vid`` = discovery id), not dicts of
-    tuples; the CSR rows are thawed to plain lists up front because
+    node interning).  Every product edge ``(u, s) → (w, t)`` follows an
+    automaton move ``s → t``, so the condensation of the automaton's
+    own state graph (tiny, over the moves whose label has edges) orders
+    the product: its components are walked in topological order, each
+    holding one node-indexed list of source masks per state.  An
+    acyclic state — a singleton component without a self-loop — needs
+    no condensation of its product layer at all: its masks are final
+    once its predecessors are, and they are gathered along the CSR rows
+    of :meth:`AdjacencyIndex.csr_out` with one OR per product edge.  A
+    cyclic component is condensed by :func:`_settle_cyclic_layer`, over
+    the product restricted to its own states only.  The final states'
+    masks are then ORed per target and each distinct mask is decoded
+    once.  The CSR rows are thawed to plain lists up front because
     C-level ``array.tolist()`` plus list slicing beats per-element
     ``array`` indexing on the hot edge loop.  Output-equivalent to the
     object-keyed kernel — pinned by ``tests/test_backend_differential.py``.
@@ -129,21 +148,14 @@ def _dense_reachability_pairs(
     # are kernel-local working copies, freed on return.
     csr = index.csr_out()
     thawed: dict[Any, tuple[list[int], list[int]]] = {}
-    moves: list[list[tuple[list[int], list[int], tuple[int, ...]]]] = [
-        [] for _ in range(width)
-    ]
+    moves: list[list[_Move]] = [[] for _ in range(width)]
     for (state, label), next_states in nfa.transitions.items():
         arrays = csr.get(label)
         if arrays is None or not next_states:
             continue
         lists = thawed.get(label)
         if lists is None:
-            # Targets are pre-scaled by the state count so the hot loop
-            # forms a product int with a single add per edge.
-            lists = thawed[label] = (
-                arrays[0].tolist(),
-                [target * width for target in arrays[1].tolist()],
-            )
+            lists = thawed[label] = (arrays[0].tolist(), arrays[1].tolist())
         moves[state_id[state]].append(
             (
                 lists[0],
@@ -152,50 +164,154 @@ def _dense_reachability_pairs(
             )
         )
 
+    # The automaton's own state graph over those moves.
+    successors = {
+        state: sorted({t for *_, next_ids in moves[state] for t in next_ids})
+        for state in range(width)
+    }
+    initial_ids = {state_id[state] for state in nfa.initials}
+    bits = [1 << node_id for node_id in range(count)]
+    # ``layers[s][v]``: the source mask of product state (v, s); None
+    # until s's component is settled, and for states no seed reaches.
+    layers: list[Optional[list[int]]] = [None] * width
+    checkpoint = ctx.checkpoint
+    components, _ = _tarjan_sccs(successors)
+    for component in reversed(components):
+        members = set(component)
+        # Moves into the component from settled states outside it; the
+        # topological order has settled every such source already.
+        entering: list[tuple[list[int], _Move]] = []
+        for source, layer in enumerate(layers):
+            if layer is None or source in members:
+                continue
+            for offsets, targets, next_ids in moves[source]:
+                inner = tuple(t for t in next_ids if t in members)
+                if inner:
+                    entering.append((layer, (offsets, targets, inner)))
+        if not entering and members.isdisjoint(initial_ids):
+            continue
+        state = component[0]
+        if len(component) > 1 or state in successors[state]:
+            _settle_cyclic_layer(
+                component, moves, entering, initial_ids, bits, layers, ctx
+            )
+            continue
+        layer = list(bits) if state in initial_ids else [0] * count
+        for source_masks, (offsets, targets, _inner) in entering:
+            for node_id, mask in enumerate(source_masks):
+                if not mask:
+                    continue
+                checkpoint(SITE_PRODUCT_SWEEP)
+                for target in targets[offsets[node_id]:offsets[node_id + 1]]:
+                    old = layer[target]
+                    if old is not mask:
+                        layer[target] = old | mask if old else mask
+        layers[state] = layer
+
+    target_masks = [0] * count
+    for final in {state_id[state] for state in nfa.finals}:
+        layer = layers[final]
+        if layer is None:
+            continue
+        for node_id, mask in enumerate(layer):
+            if mask:
+                old = target_masks[node_id]
+                if old is not mask:
+                    target_masks[node_id] = old | mask if old else mask
+    # Targets reached from the same seeds share one mask, so each
+    # distinct mask is decoded once.
+    targets_by_mask: dict[int, list[Any]] = {}
+    for node_id, mask in enumerate(target_masks):
+        if mask:
+            targets_by_mask.setdefault(mask, []).append(nodes[node_id])
+    pairs: set[tuple[Any, Any]] = set()
+    for mask, final_nodes in targets_by_mask.items():
+        sources = [nodes[bit] for bit in _int_bits(mask)]
+        pairs.update(_cartesian(sources, final_nodes))
+    return pairs
+
+
+def _settle_cyclic_layer(
+    component: list[int],
+    moves: list[list[_Move]],
+    entering: list[tuple[list[int], _Move]],
+    initial_ids: set[int],
+    bits: list[int],
+    layers: list[Optional[list[int]]],
+    ctx: ExecutionContext,
+) -> None:
+    """Settle the product layer of one cyclic automaton component and
+    write its states' masks into ``layers``.
+
+    The product restricted to the component's states — a product int
+    ``local * |V| + node_id`` per ``(node, state)`` — is condensed by
+    an iterative Tarjan DFS straight over the CSR rows, rooted at the
+    entry states: every node at an initial member, and every target of
+    an ``entering`` move (a settled source layer and its move into the
+    component) from a nonzero source row.  Each entering source row
+    ORs its mask once per product component it enters, not once per
+    edge (the first edge into a component stamps it with the mask
+    object).  The component masks are then pushed through the
+    condensation in topological order — the reverse of Tarjan's
+    sinks-first emission — and written back per member.
+    """
+    count = len(bits)
+    local_of = {state: local for local, state in enumerate(component)}
+    # Moves that stay inside the component, successor states pre-scaled
+    # to their layer's base so the hot loop forms a product int with a
+    # single add per edge.
+    inner_moves: list[list[_Move]] = []
+    for state in component:
+        inner_moves.append([])
+        for offsets, targets, next_ids in moves[state]:
+            bases = tuple(
+                local_of[t] * count for t in next_ids if t in local_of
+            )
+            if bases:
+                inner_moves[-1].append((offsets, targets, bases))
+
     # Discovery ids: ``visit_of`` holds vid + 1 (0 = unreached), assigned
     # the first time a product int is seen; Tarjan's DFS numbering lives
     # separately in ``order``.  All per-vid vectors grow in lock step.
-    visit_of: list[int] = [0] * (count * width)
+    visit_of = [0] * (len(component) * count)
     pids: list[int] = []
     order: list[int] = []
     low: list[int] = []
     on_stack: list[int] = []
     comp_of: list[int] = []
     cross_of: list[list[int]] = []
-    initial_ids = sorted(state_id[state] for state in nfa.initials)
-    for node_id in range(count):
-        base = node_id * width
-        for s_id in initial_ids:
-            pid = base + s_id
-            visit_of[pid] = len(pids) + 1
-            pids.append(pid)
-
-    _EMPTY: list[int] = []
-    seed_total = len(pids)
-    order.extend(0 for _ in range(seed_total))
-    low.extend(0 for _ in range(seed_total))
-    on_stack.extend(0 for _ in range(seed_total))
-    comp_of.extend(0 for _ in range(seed_total))
-    cross_of.extend(_EMPTY for _ in range(seed_total))
-
-    # The DFS touches each product edge once.  At a node's expansion,
-    # already-numbered successors are resolved on the spot (a low-link
-    # update when on-stack — same component, by Tarjan's invariant — or
-    # a condensation edge into ``cross_of`` when finalized); only the
-    # not-yet-numbered ones are deferred to the frame's pending stack
-    # and re-checked as they pop.  A tree child that finalizes its own
-    # component contributes its condensation edge at frame pop, so no
-    # successor list is ever stored or rescanned.
-    checkpoint = ctx.checkpoint
     scc_stack: list[int] = []
     cond_succs: list[list[int]] = []
+    masks: list[int] = []
+    stamps: list[Optional[int]] = []
     counter = 0
-    vid_stack: list[int] = []
-    pending_stack: list[list[int]] = []
-    for root in range(seed_total):
-        if order[root]:
-            continue
-        push = root
+    _EMPTY: list[int] = []
+    checkpoint = ctx.checkpoint
+
+    def explore(root: int) -> int:
+        """Number the unreached product int ``root`` and condense
+        everything it reaches; return its vid.
+
+        The DFS touches each product edge once.  At a node's expansion,
+        already-numbered successors are resolved on the spot (a low-link
+        update when on-stack — same component, by Tarjan's invariant —
+        or a condensation edge into ``cross_of`` when finalized); only
+        the not-yet-numbered ones are deferred to the frame's pending
+        stack and re-checked as they pop.  A tree child that finalizes
+        its own component contributes its condensation edge at frame
+        pop, so no successor list is ever stored or rescanned.
+        """
+        nonlocal counter
+        root_vid = push = len(pids)
+        visit_of[root] = root_vid + 1
+        pids.append(root)
+        order.append(0)
+        low.append(0)
+        on_stack.append(0)
+        comp_of.append(0)
+        cross_of.append(_EMPTY)
+        vid_stack: list[int] = []
+        pending_stack: list[list[int]] = []
         while True:
             if push >= 0:
                 # Expansion: number the node, resolve its CSR rows.
@@ -210,12 +326,12 @@ def _dense_reachability_pairs(
                 pending: list[int] = []
                 append_pending = pending.append
                 cross = _EMPTY
-                node_id, s_id = divmod(pids[vid], width)
-                for offsets, targets, next_ids in moves[s_id]:
+                local, node_id = divmod(pids[vid], count)
+                for offsets, targets, bases in inner_moves[local]:
                     row = targets[offsets[node_id]:offsets[node_id + 1]]
-                    for next_id in next_ids:
-                        for scaled in row:
-                            spid = scaled + next_id
+                    for base in bases:
+                        for target in row:
+                            spid = base + target
                             svid = visit_of[spid]
                             if svid:
                                 svid -= 1
@@ -244,7 +360,7 @@ def _dense_reachability_pairs(
                 pending_stack.append(pending)
                 continue
             if not vid_stack:
-                break
+                return root_vid
             vid = vid_stack[-1]
             pending = pending_stack[-1]
             vlow = low[vid]
@@ -281,6 +397,8 @@ def _dense_reachability_pairs(
                     if member == vid:
                         break
                 cond_succs.append(cond)
+                masks.append(0)
+                stamps.append(None)
             if vid_stack:
                 parent = vid_stack[-1]
                 if vlow < low[parent]:
@@ -294,45 +412,58 @@ def _dense_reachability_pairs(
                         cross = cross_of[parent] = []
                     cross.append(comp_of[vid] - 1)
 
-    # Seed masks (bit = source node id at every (node, initial)), then
-    # push them forward through the condensation in topological order
-    # (the reverse of Tarjan's sinks-first emission).  An empty target
-    # takes the source's int itself: ints are immutable, so sharing is
-    # safe and saves a copying OR per first arrival.
-    total_components = len(cond_succs)
-    masks = [0] * total_components
-    for vid in range(seed_total):
-        masks[comp_of[vid] - 1] |= 1 << (pids[vid] // width)
-    for identifier in range(total_components - 1, -1, -1):
+    # Seed bits at the initial members: each node's bit once.
+    for state in component:
+        if state not in initial_ids:
+            continue
+        base = local_of[state] * count
+        for node_id in range(count):
+            vid = visit_of[base + node_id] - 1
+            if vid < 0:
+                vid = explore(base + node_id)
+            masks[comp_of[vid] - 1] |= bits[node_id]
+    # Entering masks: once per product component each source row enters.
+    for source_masks, (offsets, targets, inner) in entering:
+        bases = tuple(local_of[t] * count for t in inner)
+        for node_id, mask in enumerate(source_masks):
+            if not mask:
+                continue
+            checkpoint(SITE_PRODUCT_SWEEP)
+            row = targets[offsets[node_id]:offsets[node_id + 1]]
+            for base in bases:
+                for target in row:
+                    vid = visit_of[base + target] - 1
+                    if vid < 0:
+                        vid = explore(base + target)
+                    identifier = comp_of[vid] - 1
+                    if stamps[identifier] is not mask:
+                        stamps[identifier] = mask
+                        old = masks[identifier]
+                        masks[identifier] = old | mask if old else mask
+
+    # Push the component masks through the condensation in topological
+    # order (the reverse of Tarjan's sinks-first emission).  An empty
+    # target takes the source's int itself: ints are immutable, so
+    # sharing is safe and saves a copying OR.
+    for identifier in range(len(cond_succs) - 1, -1, -1):
         cond = cond_succs[identifier]
         mask = masks[identifier]
         if not cond or not mask:
             continue
         for successor_component in set(cond):
-            target = masks[successor_component]
-            masks[successor_component] = target | mask if target else mask
+            target_mask = masks[successor_component]
+            if target_mask is not mask:
+                masks[successor_component] = (
+                    target_mask | mask if target_mask else mask
+                )
 
-    final_ids = {state_id[state] for state in nfa.finals}
-    final_targets: dict[int, list[Any]] = {}
-    for vid in range(len(pids)):
-        pid = pids[vid]
-        if pid % width in final_ids:
-            final_targets.setdefault(
-                comp_of[vid] - 1, []
-            ).append(nodes[pid // width])
-    # Final components downstream of the same seeds share one source
-    # mask, so each distinct mask is decoded once.
-    pairs: set[tuple[Any, Any]] = set()
-    decoded: dict[int, list[Any]] = {}
-    for identifier, final_nodes in final_targets.items():
-        mask = masks[identifier]
-        if not mask:
-            continue
-        sources = decoded.get(mask)
-        if sources is None:
-            sources = decoded[mask] = [nodes[bit] for bit in _int_bits(mask)]
-        pairs.update(_cartesian(sources, final_nodes))
-    return pairs
+    rows: list[list[int]] = []
+    for state in component:
+        layer = layers[state] = [0] * count
+        rows.append(layer)
+    for vid, pid in enumerate(pids):
+        local, node_id = divmod(pid, count)
+        rows[local][node_id] = masks[comp_of[vid] - 1]
 
 
 #: Set-bit offsets per byte value — turns mask decoding into a table
@@ -439,15 +570,15 @@ def settle(
 
 
 def _tarjan_sccs(
-    adjacency: ProductAdjacency,
-) -> tuple[list[list[ProductNode]], dict[ProductNode, int]]:
+    adjacency: Mapping[_Vertex, Sequence[_Vertex]],
+) -> tuple[list[list[_Vertex]], dict[_Vertex, int]]:
     """Iterative Tarjan over ``adjacency``; components emitted sinks-first."""
-    order: dict[ProductNode, int] = {}
-    low: dict[ProductNode, int] = {}
-    on_stack: set[ProductNode] = set()
-    scc_stack: list[ProductNode] = []
-    components: list[list[ProductNode]] = []
-    component_of: dict[ProductNode, int] = {}
+    order: dict[_Vertex, int] = {}
+    low: dict[_Vertex, int] = {}
+    on_stack: set[_Vertex] = set()
+    scc_stack: list[_Vertex] = []
+    components: list[list[_Vertex]] = []
+    component_of: dict[_Vertex, int] = {}
     counter = 0
     for root in adjacency:
         if root in order:
@@ -480,7 +611,7 @@ def _tarjan_sccs(
                     low[parent] = low[vertex]
             if low[vertex] == order[vertex]:
                 identifier = len(components)
-                members: list[ProductNode] = []
+                members: list[_Vertex] = []
                 while True:
                     member = scc_stack.pop()
                     on_stack.discard(member)

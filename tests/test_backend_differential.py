@@ -375,6 +375,63 @@ def test_store_matches_kernel_on_hand_built_nfa(seed):
         assert maintained == product_reachability_pairs(graph.copy(), nfa)
 
 
+# Fixed shapes for the dense kernel's automaton layers: a finite
+# language (every state acyclic), a self-loop singleton, and a cycle
+# with an acyclic prefix and suffix.
+LAYER_REGEXES = ["abab", "ab*a", "ab(ab)^+ba"]
+
+
+def _layer_nfas():
+    """Hand-built NFAs whose cyclic components the Glushkov shape never
+    produces: an initial state on a cycle with a second initial state
+    feeding it, a state both initial and final inside a cycle, a dead
+    state, and unreachable states (one on its own cycle, feeding the
+    live part)."""
+    fed_cycle = NFA(
+        ["p", "q", "s", "f", "dead", "u"], {"a", "b"},
+        {("p", "a"): {"q"}, ("q", "b"): {"p"}, ("s", "b"): {"p"},
+         ("q", "a"): {"f", "dead"}, ("u", "a"): {"p"}, ("u", "b"): {"u"}},
+        initials=["p", "s"], finals=["f", "u"],
+    )
+    final_on_cycle = NFA(
+        ["x", "y", "z"], {"a", "b"},
+        {("x", "a"): {"y"}, ("y", "b"): {"x"}, ("y", "a"): {"z"},
+         ("z", "a"): {"z"}},
+        initials=["x"], finals=["x", "z"],
+    )
+    return [fed_cycle, final_on_cycle]
+
+
+def _layer_graph(seed):
+    """Seed 0: one isolated node; seed 1: one node with self-loops on
+    both labels; otherwise a random graph, odd seeds with self-loops."""
+    if seed == 0:
+        return GraphDatabase(nodes=["solo"])
+    if seed == 1:
+        return GraphDatabase(edges=[("solo", "a", "solo"),
+                                    ("solo", "b", "solo")])
+    rng = random.Random(1500 + seed)
+    num_nodes = rng.randrange(2, 12)
+    graph = uniform_random(num_nodes, rng.randrange(1, 3 * num_nodes + 1),
+                           {"a", "b"}, seed=seed)
+    if seed % 2:
+        for node in rng.sample(range(num_nodes), min(3, num_nodes)):
+            graph.add_edge(node, rng.choice("ab"), node)
+    return graph
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_product_kernel_differential_automaton_layers(seed):
+    graph = _layer_graph(seed)
+    nfas = [compiled_nfa(parse_regex(text)) for text in LAYER_REGEXES]
+    for nfa in nfas + _layer_nfas():
+        with use_backend("python"):
+            want = product_reachability_pairs(graph.copy(), nfa)
+        with use_backend("array"):
+            got = product_reachability_pairs(graph.copy(), nfa)
+        assert got == want, (seed, nfa.transitions)
+
+
 def test_dense_kernel_degenerate_inputs():
     star = compiled_nfa(parse_regex("a*"))
     with use_backend("array"):

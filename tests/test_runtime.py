@@ -366,6 +366,16 @@ class TestEvaluateGovernance:
         full = evaluate(self.QUERY, graph.copy(), "st")
         assert partial <= full
 
+    def test_step_cap_trips_in_finite_language_kernel(self):
+        # A finite language's automaton has no cycle, so the dense
+        # kernel runs no Tarjan DFS: its acyclic layers must checkpoint
+        # the product sweep themselves, once per nonzero source row.
+        with pytest.raises(ResourceExhausted) as excinfo:
+            evaluate(parse_query("Q(x, y) :- x -[aa]-> y"), _chain_graph(),
+                     "st", budget=ResourceBudget(step_cap=100))
+        assert excinfo.value.kind == "steps"
+        assert excinfo.value.site == "product.sweep"
+
     def test_row_cap_trips_on_join(self):
         graph = _chain_graph(6)
         query = parse_query("Q(x, z) :- x -[a]-> y, y -[a]-> z")
