@@ -822,7 +822,7 @@ class LockDiscipline(Rule):
 #: covering that loop.
 CHECKPOINTED_FUNCTIONS: dict[str, frozenset[str]] = {
     "engine/product.py": frozenset(
-        {"sweep", "_dense_reachability_pairs", "_settle_cyclic_layer"}
+        {"sweep", "dense_layers", "_settle_cyclic_layer"}
     ),
     "engine/planner.py": frozenset(
         {"semijoin_reduce", "_variable_elimination"}

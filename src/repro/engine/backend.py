@@ -12,13 +12,14 @@ graph nodes and never imports this module.  Two backends exist:
 
 ``python``
     The object-keyed product sweep and settle over ``(node, state)``
-    tuples — the same fixpoint code the incremental store runs.  Engine
-    output under this backend is the differential baseline the array
-    kernel is tested against.
+    tuples — the settle is the one the incremental store's deletion
+    repair runs.  Engine output under this backend is the differential
+    baseline the array kernel is tested against.
 
 ``array`` (default)
     The dense kernel of :mod:`repro.engine.product`: interned node and
-    state ids, one fused Tarjan pass over the CSR rows.
+    state ids, the product settled one automaton component at a time
+    over the CSR rows.
 
 Selection: ``array`` unless :func:`use_backend` overrides it in-process
 (the differential tests and the repo benchmark's reference runs).  The

@@ -42,12 +42,13 @@ order — so each dirty state is written exactly once, however cyclic
 the product.  Current edges that leave the region reach only states
 that were unreachable before the delta, i.e. added edges; the insert
 pass that follows delivers the settled masks across them.
-:meth:`MaintainedRelation.rebuild` is the same settle over the whole
-reachable product, after the product kernel's forward sweep from the
-seeds (:mod:`repro.engine.product` holds both).  Deltas
-with more than :data:`DELETION_REPAIR_CAP` removed edges, any removed
-*node* (bit-table hygiene), or a delta the graph's capped change-log no
-longer covers fall back to that rebuild.  Correctness never depends on
+:meth:`MaintainedRelation.rebuild` is the dense product kernel's own
+fixpoint (:func:`repro.engine.product.dense_layers`) kept whole: its
+per-state layers become the source masks.  An edge whose label the
+automaton never reads is dropped from the delta before either pass.
+Deltas with more than :data:`DELETION_REPAIR_CAP` removed edges, any
+removed *node* (bit-table hygiene), or a delta the graph's capped
+change-log no longer covers fall back to that rebuild.  Correctness never depends on
 the heuristic: every path computes the same fixpoint, only the amount
 of touched state differs.
 
@@ -75,18 +76,24 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from itertools import product as _cartesian
 
 from repro.engine import telemetry
 from repro.engine.adjacency import adjacency_index
 from repro.engine.cache import compiled_nfa, reversed_nfa
-from repro.engine.product import _decode_mask, seed_masks, settle, sweep
+from repro.engine.product import (
+    _decode_mask,
+    dense_layers,
+    final_masks,
+    mask_pairs,
+    settle,
+)
 from repro.engine.relations import Relation
 from repro.engine.runtime import checkpoint_site, resolve_context
 
 SITE_INCREMENTAL_GROW = checkpoint_site(
     "incremental.grow",
-    "insert propagation and full rebuild (per product state)",
+    "insert propagation (per product state) and full rebuild (per "
+    "product node expanded or nonzero source row gathered)",
 )
 SITE_INCREMENTAL_SHRINK = checkpoint_site(
     "incremental.shrink", "deletion dirty-region repair (per product state)"
@@ -122,11 +129,12 @@ _DECISION_COUNTERS = {
 class MaintainedRelation:
     """The mutable maintained state of one standard walk relation."""
 
-    __slots__ = ("nfa", "label", "version", "bit_of", "node_of", "sources",
-                 "target_masks", "pairs", "dirty", "_relation")
+    __slots__ = ("nfa", "labels", "label", "version", "bit_of", "node_of",
+                 "sources", "target_masks", "pairs", "dirty", "_relation")
 
     def __init__(self, nfa, label="?"):
         self.nfa = nfa
+        self.labels = frozenset(symbol for _state, symbol in nfa.transitions)
         self.label = label
         self.version = None
         self.bit_of = {}        # node -> bit index (store-local, stable)
@@ -157,37 +165,28 @@ class MaintainedRelation:
     # -- full rebuild ---------------------------------------------------
 
     def rebuild(self, graph, ctx=None):
-        """Recompute everything: the product kernel's forward
-        :func:`~repro.engine.product.sweep` from the seeds over the
-        current graph, then one :meth:`_settle` of the whole reachable
-        product.  The targets are read off the settled components, as
-        the python kernel reads its pairs: final members give the
-        target masks, and each distinct mask is decoded once."""
+        """Recompute everything from the dense kernel's fixpoint
+        (:func:`~repro.engine.product.dense_layers`) over the current
+        graph: every nonzero layer entry becomes a source mask, and the
+        target masks and pairs are read off the final states' layers as
+        the kernel reads its own pairs."""
         ctx = resolve_context(ctx)
         index = adjacency_index(graph)
+        nodes = index.nodes_sorted
+        layers = dense_layers(index, self.nfa, SITE_INCREMENTAL_GROW, ctx)
         self.bit_of = dict(index.node_bit)
-        self.node_of = list(index.nodes_sorted)
-        self.sources = {}
+        self.node_of = list(nodes)
+        self.sources = {
+            (node, state): mask
+            for state, layer in layers.items()
+            for node, mask in zip(nodes, layer) if mask
+        }
+        target_masks = final_masks(layers, self.nfa.finals, len(nodes))
+        self.target_masks = {
+            node: mask for node, mask in zip(nodes, target_masks) if mask
+        }
+        self.pairs = mask_pairs(target_masks, nodes)
         self.dirty = True
-        base = seed_masks(self.node_of, self.nfa)
-        succ = sweep(index, self.nfa, base, SITE_INCREMENTAL_GROW, ctx)
-        finals = self.nfa.finals
-        target_masks = {}
-        for members, mask in self._settle(succ, base):
-            for node, state in members:
-                if state in finals:
-                    old = target_masks.get(node, 0)
-                    target_masks[node] = old | mask if old else mask
-        targets_by_mask = {}
-        for node, mask in target_masks.items():
-            targets_by_mask.setdefault(mask, []).append(node)
-        pairs = set()
-        for mask, targets in targets_by_mask.items():
-            pairs.update(
-                _cartesian(list(_decode_mask(mask, self.node_of)), targets)
-            )
-        self.target_masks = target_masks
-        self.pairs = pairs
         self.version = graph.version
 
     # -- insert-only maintenance ----------------------------------------
@@ -324,20 +323,16 @@ class MaintainedRelation:
         (:func:`~repro.engine.product.settle`): every member of a
         component takes the component's mask, so each state is written
         exactly once.  States left without bits leave ``sources`` (they
-        are no longer reachable).  Returns the nonzero ``(members,
-        mask)`` components."""
+        are no longer reachable)."""
         components, masks = settle(succ, base)
         sources = self.sources
-        settled = []
         for members, mask in zip(components, masks):
             if mask:
-                settled.append((members, mask))
                 for member in members:
                     sources[member] = mask
             else:
                 for member in members:
                     sources.pop(member, None)
-        return settled
 
     def _rederive_targets(self, region):
         """Recompute the target mask and pairs of every node with a final
@@ -477,10 +472,10 @@ class IncrementalRelationStore:
             entry = self._query_results.get(key)
             if entry is not None:
                 answers, old_relations, old_nodes = entry
-                if (len(old_relations) == len(relations)
-                        and all(old is new for old, new
-                                in zip(old_relations, relations))
-                        and old_nodes == nodes):
+                # Relations compare by identity; an unchanged node set
+                # is the graph's same snapshot object.
+                if old_relations == relations and (
+                        old_nodes is nodes or old_nodes == nodes):
                     self._query_results.move_to_end(key)
                     self._counts["results_reused"] += 1
                     _DECISION_COUNTERS["results_reused"].inc()
@@ -495,10 +490,10 @@ class IncrementalRelationStore:
 
     def _result_fingerprint(self, query):
         """The reuse key of one standard disjunct: its maintained base
-        tables (by identity) plus the node set."""
-        relations = tuple(
-            self.standard_relation(atom.language) for atom in query.atoms
-        )
+        tables (by identity, one per distinct language) plus the node
+        set."""
+        languages = dict.fromkeys(atom.language for atom in query.atoms)
+        relations = tuple(map(self.standard_relation, languages))
         return relations, self.graph.nodes
 
     def _state_for(self, language):
@@ -551,10 +546,14 @@ class IncrementalRelationStore:
                          f"rebuilt: {len(delta.removed_edges)} removed "
                          f"edges exceed repair cap {DELETION_REPAIR_CAP}")
             return
-        if delta.removed_edges:
-            state.shrink(graph, delta.removed_edges)
-        if delta.added_nodes or delta.added_edges:
-            state.grow(graph, delta.added_nodes, delta.added_edges)
+        # An edge whose label the automaton never reads moves no mask.
+        labels = state.labels
+        removed = [e for e in delta.removed_edges if e.label in labels]
+        added = [e for e in delta.added_edges if e.label in labels]
+        if removed:
+            state.shrink(graph, removed)
+        if delta.added_nodes or added:
+            state.grow(graph, delta.added_nodes, added)
         state.version = graph.version
         self._decide("maintained", state,
                      f"maintained across delta {delta} "

@@ -14,7 +14,9 @@ elimination and its overflow ladder need:
 - :func:`project` — ``π_vars`` with set-level deduplication;
 - :func:`join_project` — the fused ``π_keep(L ⋈ R)``: both operands are
   grouped as ``key → set(kept tail)`` and the answer is the union of the
-  per-key products, so the wide intermediate join is never built.
+  per-key products, so the wide intermediate join is never built.  The
+  chain step of a path query, ``π_{x,z}(L(x, y) ⋈ R(y, z))``, groups
+  ``R`` alone and probes it per row of ``L`` (:func:`_compose`).
 
 Both joins count the *full* join's rows (per-key multiplicities
 multiplied) before producing anything, and check that count twice: the
@@ -23,7 +25,7 @@ optional ``cap`` (:class:`EliminationOverflow`).  A query therefore
 trips either limit exactly when the materialized join would, without
 building a row of it.
 
-Every per-row loop runs in C: keys are :func:`operator.itemgetter`
+Every other per-row loop runs in C: keys are :func:`operator.itemgetter`
 results (a scalar for a one-variable key, a tuple otherwise), filters are
 :func:`itertools.compress` masks, and grouping maps ``set.add`` over
 ``defaultdict`` buckets.  Rows are plain tuples; the empty-variable
@@ -233,6 +235,12 @@ def _join(left, right, keep, ctx, cap):
         i for i, v in enumerate(right.variables)
         if v in wanted and i not in shared
     )
+    if (len(left.variables) == len(right.variables) == 2
+            and len(left_positions) == 1
+            and len(left_kept) == len(right_kept) == 1
+            and left_kept != left_positions):
+        return _compose(left, right, left_positions[0], right_positions[0],
+                        keep, ctx, cap)
     if not left_positions:
         full = len(left) * len(right)
         _check_rows(ctx, full, cap)
@@ -255,6 +263,32 @@ def _join(left, right, keep, ctx, cap):
         lefts, rights, produced = rights, lefts, produced[::-1]
     rows = starmap(add, chain.from_iterable(map(product, lefts, rights)))
     return project(TupleRelation(produced[0] + produced[1], rows), keep), full
+
+
+def _compose(left, right, left_key, right_key, keep, ctx, cap):
+    """The chain step ``π_{x,z}(L(x, y) ⋈ R(y, z))`` of two two-column
+    operands sharing one column, neither kept: ``right`` is grouped by
+    the shared column and every left row probes it, so no tail tuple is
+    built and no left-side group either.  The full join's row count is
+    the sum of the probed group sizes, checked before any row is."""
+    right_other = 1 - right_key
+    groups = defaultdict(list)
+    for row in right.rows:
+        groups[row[right_key]].append(row[right_other])
+    get = groups.get
+    left_other = 1 - left_key
+    full = sum(map(len, map(get, map(itemgetter(left_key), left.rows),
+                            repeat(()))))
+    _check_rows(ctx, full, cap)
+    # Generators, not lists: the rows stream into the frozenset, so
+    # duplicates reached through several keys are never held at once.
+    if keep[0] == left.variables[left_other]:
+        rows = ((row[left_other], value)
+                for row in left.rows for value in get(row[left_key], ()))
+    else:
+        rows = ((value, row[left_other])
+                for row in left.rows for value in get(row[left_key], ()))
+    return TupleRelation(keep, rows), full
 
 
 def project(relation, variables):

@@ -22,22 +22,23 @@ suite); asymptotically one product traversal plus output size.
 Two kernels compute this relation, selected by :func:`use_backend`
 (:mod:`repro.engine.backend`): the object-keyed one runs the phases
 above over ``(node, state)`` tuples and, by default, the dense kernel
-(:func:`_dense_reachability_pairs`) runs over interned ids.  The
-object-keyed :func:`sweep` and :func:`settle` are also the incremental
-store's fixpoint (:mod:`repro.engine.incremental`): its full rebuild is
-the same sweep and settle, and its deletion repair settles the dirty
-region.  The dense kernel settles the product one automaton component
-at a time, in the topological order of the automaton's own
-condensation: an acyclic state's product layer is a DAG slice, final
-once its predecessors are, so it gathers its masks with one OR per
-product edge and no DFS; only a cyclic component's layer is condensed
-by Tarjan (:func:`_settle_cyclic_layer`).  Both kernels carry a source
+(:func:`dense_layers`) runs over interned ids.  The incremental store
+(:mod:`repro.engine.incremental`) shares both: its deletion repair
+settles the dirty region with :func:`settle`, and its full rebuild keeps
+the dense kernel's per-state layers as its source masks and reads its
+pairs off them as the kernel does (:func:`final_masks`,
+:func:`mask_pairs`).  The dense kernel settles the product one
+automaton component at a time, in the topological order of the
+automaton's own condensation: an acyclic state's product layer is a
+DAG slice, final once its predecessors are, so it gathers its masks
+with one OR per product edge and no DFS; only a cyclic component's
+layer is condensed by Tarjan (:func:`_settle_cyclic_layer`).  Both kernels carry a source
 set as one plain Python int, so the kernel cost per OR is pinned by the
 node count; the dense kernel decodes a mask by a byte-table walk over
 its nonzero bytes (:func:`_int_bits`), once per distinct mask (targets
 downstream of the same seeds share one), and returns its pair set
-itself rather than a copy; the object-keyed kernel and the incremental
-store decode by lowest-bit peeling (:func:`_decode_mask`).
+itself rather than a copy; the object-keyed kernel and the store's
+deltas decode by lowest-bit peeling (:func:`_decode_mask`).
 """
 
 from __future__ import annotations
@@ -92,9 +93,12 @@ def product_reachability_pairs(
 
     if active_backend().dense_kernels:
         _DENSE_DISPATCH.inc()
-        # Hand back the kernel's own set: ``pairs`` holds only the
+        layers = dense_layers(index, nfa, SITE_PRODUCT_SWEEP, ctx)
+        # Hand back the decoded set itself: ``pairs`` holds only the
         # ε-diagonal here, so folding it in beats copying every pair.
-        dense_pairs = _dense_reachability_pairs(index, nfa, ctx)
+        dense_pairs = mask_pairs(
+            final_masks(layers, nfa.finals, len(nodes)), nodes
+        )
         dense_pairs |= pairs
         return dense_pairs
 
@@ -109,13 +113,22 @@ def product_reachability_pairs(
     return pairs
 
 
-def _dense_reachability_pairs(
+def dense_layers(
     index: AdjacencyIndex,
     nfa: Any,
+    site: str,
     ctx: ExecutionContext,
-) -> set[tuple[Any, Any]]:
-    """The array-backend kernel: the product's fixpoint computed layer
-    by layer along the automaton, entirely in dense integer space.
+) -> dict[Any, list[int]]:
+    """The array-backend fixpoint: the product's source masks computed
+    layer by layer along the automaton, entirely in dense integer space.
+
+    Returns ``{state: layer}`` for every NFA state some seed reaches,
+    where ``layer[v]`` is the source mask of ``(nodes_sorted[v],
+    state)``: bit *u* is set iff some walk from ``(nodes_sorted[u],
+    q0)`` reaches it.  The product kernel reads its pairs off the final
+    states' layers (:func:`final_masks`, :func:`mask_pairs`), and the
+    incremental store's rebuild keeps every layer as its source masks;
+    each checkpoints at its own ``site``.
 
     NFA states are interned to ``0..q-1`` (repr-sorted, mirroring the
     node interning).  Every product edge ``(u, s) → (w, t)`` follows an
@@ -128,12 +141,11 @@ def _dense_reachability_pairs(
     once its predecessors are, and they are gathered along the CSR rows
     of :meth:`AdjacencyIndex.csr_out` with one OR per product edge.  A
     cyclic component is condensed by :func:`_settle_cyclic_layer`, over
-    the product restricted to its own states only.  The final states'
-    masks are then ORed per target and each distinct mask is decoded
-    once.  The CSR rows are thawed to plain lists up front because
-    C-level ``array.tolist()`` plus list slicing beats per-element
-    ``array`` indexing on the hot edge loop.  Output-equivalent to the
-    object-keyed kernel — pinned by ``tests/test_backend_differential.py``.
+    the product restricted to its own states only.  The CSR rows are
+    thawed to plain lists up front because C-level ``array.tolist()``
+    plus list slicing beats per-element ``array`` indexing on the hot
+    edge loop.  Output-equivalent to the object-keyed kernel — pinned
+    by ``tests/test_backend_differential.py``.
     """
     nodes = index.nodes_sorted
     count = len(nodes)
@@ -170,7 +182,6 @@ def _dense_reachability_pairs(
         for state in range(width)
     }
     initial_ids = {state_id[state] for state in nfa.initials}
-    bits = [1 << node_id for node_id in range(count)]
     # ``layers[s][v]``: the source mask of product state (v, s); None
     # until s's component is settled, and for states no seed reaches.
     layers: list[Optional[list[int]]] = [None] * width
@@ -193,24 +204,39 @@ def _dense_reachability_pairs(
         state = component[0]
         if len(component) > 1 or state in successors[state]:
             _settle_cyclic_layer(
-                component, moves, entering, initial_ids, bits, layers, ctx
+                component, moves, entering, initial_ids, count, layers,
+                site, ctx,
             )
             continue
-        layer = list(bits) if state in initial_ids else [0] * count
+        if state in initial_ids:
+            layer = [1 << node_id for node_id in range(count)]
+        else:
+            layer = [0] * count
         for source_masks, (offsets, targets, _inner) in entering:
             for node_id, mask in enumerate(source_masks):
                 if not mask:
                     continue
-                checkpoint(SITE_PRODUCT_SWEEP)
+                checkpoint(site)
                 for target in targets[offsets[node_id]:offsets[node_id + 1]]:
                     old = layer[target]
                     if old is not mask:
                         layer[target] = old | mask if old else mask
         layers[state] = layer
 
+    return {
+        states[state]: layer
+        for state, layer in enumerate(layers) if layer is not None
+    }
+
+
+def final_masks(
+    layers: Mapping[Any, list[int]], finals: Iterable[Any], count: int
+) -> list[int]:
+    """Per node id, the OR of its masks over the final states'
+    :func:`dense_layers`: the sources of every pair it ends."""
     target_masks = [0] * count
-    for final in {state_id[state] for state in nfa.finals}:
-        layer = layers[final]
+    for final in finals:
+        layer = layers.get(final)
         if layer is None:
             continue
         for node_id, mask in enumerate(layer):
@@ -218,16 +244,23 @@ def _dense_reachability_pairs(
                 old = target_masks[node_id]
                 if old is not mask:
                     target_masks[node_id] = old | mask if old else mask
-    # Targets reached from the same seeds share one mask, so each
-    # distinct mask is decoded once.
+    return target_masks
+
+
+def mask_pairs(
+    target_masks: Sequence[int], nodes: Sequence[Any]
+) -> set[tuple[Any, Any]]:
+    """The pairs ``(nodes[u], nodes[v])`` with bit *u* set on
+    ``target_masks[v]``.  Targets reached from the same seeds share one
+    mask, so each distinct mask is decoded once."""
     targets_by_mask: dict[int, list[Any]] = {}
     for node_id, mask in enumerate(target_masks):
         if mask:
             targets_by_mask.setdefault(mask, []).append(nodes[node_id])
     pairs: set[tuple[Any, Any]] = set()
-    for mask, final_nodes in targets_by_mask.items():
+    for mask, targets in targets_by_mask.items():
         sources = [nodes[bit] for bit in _int_bits(mask)]
-        pairs.update(_cartesian(sources, final_nodes))
+        pairs.update(_cartesian(sources, targets))
     return pairs
 
 
@@ -236,8 +269,9 @@ def _settle_cyclic_layer(
     moves: list[list[_Move]],
     entering: list[tuple[list[int], _Move]],
     initial_ids: set[int],
-    bits: list[int],
+    count: int,
     layers: list[Optional[list[int]]],
+    site: str,
     ctx: ExecutionContext,
 ) -> None:
     """Settle the product layer of one cyclic automaton component and
@@ -255,7 +289,6 @@ def _settle_cyclic_layer(
     condensation in topological order — the reverse of Tarjan's
     sinks-first emission — and written back per member.
     """
-    count = len(bits)
     local_of = {state: local for local, state in enumerate(component)}
     # Moves that stay inside the component, successor states pre-scaled
     # to their layer's base so the hot loop forms a product int with a
@@ -317,7 +350,7 @@ def _settle_cyclic_layer(
                 # Expansion: number the node, resolve its CSR rows.
                 vid = push
                 push = -1
-                checkpoint(SITE_PRODUCT_SWEEP)
+                checkpoint(site)
                 counter += 1
                 order[vid] = counter
                 vlow = counter
@@ -421,14 +454,14 @@ def _settle_cyclic_layer(
             vid = visit_of[base + node_id] - 1
             if vid < 0:
                 vid = explore(base + node_id)
-            masks[comp_of[vid] - 1] |= bits[node_id]
+            masks[comp_of[vid] - 1] |= 1 << node_id
     # Entering masks: once per product component each source row enters.
     for source_masks, (offsets, targets, inner) in entering:
         bases = tuple(local_of[t] * count for t in inner)
         for node_id, mask in enumerate(source_masks):
             if not mask:
                 continue
-            checkpoint(SITE_PRODUCT_SWEEP)
+            checkpoint(site)
             row = targets[offsets[node_id]:offsets[node_id + 1]]
             for base in bases:
                 for target in row:

@@ -224,13 +224,13 @@ def atom_relation(graph: Any, language: Any, kind: str) -> Relation:
     compute_pairs = _KIND_PAIRS.get(kind)
     if compute_pairs is None:
         raise ValueError(f"unknown atom relation kind: {kind!r}")
-    nfa = compiled_nfa(language)
     if kind == "standard":
         store = getattr(graph, "_incremental_store", None)
         if store is not None:
             _RELATION_HITS.inc()
             maintained: Relation = store.standard_relation(language)
             return maintained
+    nfa = compiled_nfa(language)
     relation: Relation = graph_cached(
         graph,
         (RELATION_KEY, kind, nfa),

@@ -80,6 +80,12 @@ _NAME_PATTERN = re.compile(r"^[a-z0-9_]+(\.[a-z0-9_-]+)+$")
 #: :func:`metrics_disabled`, the benchmark's baseline mode.
 _enabled: bool = True
 
+#: Traces attached by :func:`tracing` right now, process-wide.  While
+#: none is, no counter or span needs the ambient-context read that
+#: finds the active trace.
+_attached_traces: int = 0
+_ATTACH_LOCK = threading.Lock()
+
 
 def _validate_name(name: str) -> None:
     if not _NAME_PATTERN.match(name):
@@ -114,9 +120,10 @@ class Counter:
             return
         with self._lock:
             self._value += amount
-        trace = current_trace()
-        if trace is not None:
-            trace._count(self.name, amount)
+        if _attached_traces:
+            trace = current_trace()
+            if trace is not None:
+                trace._count(self.name, amount)
 
     @property
     def value(self) -> int:
@@ -538,7 +545,7 @@ def span(name: str, **attributes: Any) -> Iterator[Optional[Span]]:
     LK010 rejects any other form, because an unclosed span corrupts
     the tree and the parent context variable.
     """
-    trace = current_trace()
+    trace = current_trace() if _attached_traces else None
     if trace is None:
         yield None
         return
@@ -562,14 +569,19 @@ def tracing(ctx: Any, name: str = "query") -> Iterator[QueryTrace]:
     shared unbounded default context — create a fresh
     :class:`~repro.engine.runtime.ExecutionContext` instead.
     """
+    global _attached_traces
     previous = getattr(ctx, "trace", None)
     trace = QueryTrace(name)
     ctx.trace = trace
+    with _ATTACH_LOCK:
+        _attached_traces += 1
     try:
         yield trace
     finally:
         trace.finish()
         ctx.trace = previous
+        with _ATTACH_LOCK:
+            _attached_traces -= 1
         if trace.root.duration is not None:
             _REGISTRY.histogram("trace.query_seconds").observe(
                 trace.root.duration

@@ -26,6 +26,9 @@ from operator import itemgetter
 #: must then rebuild rather than maintain.
 CHANGELOG_CAP = 1024
 
+#: The ``_snapshots`` key of the frozen node set.
+_NODES_KEY = ("nodes", None)
+
 
 @dataclass(frozen=True, order=True)
 class Edge:
@@ -124,6 +127,7 @@ class GraphDatabase:
         """Add an isolated node (no-op if present)."""
         if node not in self._nodes:
             self._nodes.add(node)
+            self._snapshots.pop(_NODES_KEY, None)
             self._version += 1
             self._log("+n", node)
         return node
@@ -143,6 +147,8 @@ class GraphDatabase:
         self._in[target].add(edge)
         self._by_label[label].add(edge)
         self._evict_snapshots(edge)
+        if new_nodes:
+            self._snapshots.pop(_NODES_KEY, None)
         self._version += 1
         for node in new_nodes:
             self._log("+n", node)
@@ -192,6 +198,7 @@ class GraphDatabase:
                                                     repr(e.target))):
             self.remove_edge(edge.source, edge.label, edge.target)
         self._nodes.discard(node)
+        self._snapshots.pop(_NODES_KEY, None)
         self._snapshots.pop(("out", node), None)
         self._snapshots.pop(("in", node), None)
         self._version += 1
@@ -265,8 +272,12 @@ class GraphDatabase:
 
     @property
     def nodes(self):
-        """The frozen set of nodes."""
-        return frozenset(self._nodes)
+        """The frozen set of nodes: one snapshot, shared until the node
+        set changes, so an unchanged node set reads as the same object."""
+        value = self._snapshots.get(_NODES_KEY)
+        if value is None:
+            value = self._snapshots[_NODES_KEY] = frozenset(self._nodes)
+        return value
 
     @property
     def edges(self):
@@ -346,8 +357,23 @@ class GraphDatabase:
     # ------------------------------------------------------------------
 
     def copy(self):
-        """Return an independent copy (fresh change-log)."""
-        return GraphDatabase(self._nodes, self._edges)
+        """Return an independent copy (fresh change-log).
+
+        The indexes are copied set by set rather than refilled edge by
+        edge: a set copy reuses its members' stored hashes, so no
+        :class:`Edge` is hashed again.  The version is the one the
+        constructor would give the same nodes and edges."""
+        clone = GraphDatabase()
+        clone._nodes = set(self._nodes)
+        clone._edges = set(self._edges)
+        for mine, theirs in ((self._out, clone._out), (self._in, clone._in),
+                             (self._by_label, clone._by_label)):
+            for key, members in mine.items():
+                theirs[key] = set(members)
+        clone._version = clone._changelog_floor = (
+            len(clone._nodes) + len(clone._edges)
+        )
+        return clone
 
     def rename_nodes(self, mapping):
         """Return a copy with nodes renamed through ``mapping``.

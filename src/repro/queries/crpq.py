@@ -191,8 +191,21 @@ class CRPQ:
                 and set(self.atoms) == set(other.atoms)
                 and self._variables == other._variables)
 
+    # Queries key the result, analysis and store caches, so the
+    # structural hash (a frozenset over the atoms) is kept once
+    # computed; like a regex node's, it is dropped when pickled.
     def __hash__(self):
-        return hash((self.head, frozenset(self.atoms), self._variables))
+        cached = self.__dict__.get("_hash")
+        if cached is None:
+            cached = self.__dict__["_hash"] = hash(
+                (self.head, frozenset(self.atoms), self._variables)
+            )
+        return cached
+
+    def __getstate__(self):
+        state = dict(self.__dict__)
+        state.pop("_hash", None)
+        return state
 
     def __str__(self):
         body = " ∧ ".join(str(atom) for atom in self.atoms) or "⊤"

@@ -22,9 +22,10 @@ class Semantics(enum.Enum):
         """Accept a Semantics or one of the paper's short names."""
         if isinstance(value, Semantics):
             return value
-        for semantics in Semantics:
-            if value == semantics.value:
-                return semantics
+        try:
+            return Semantics(value)
+        except ValueError:
+            pass
         aliases = {
             "standard": Semantics.STANDARD,
             "atom-injective": Semantics.ATOM_INJECTIVE,

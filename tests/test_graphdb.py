@@ -85,6 +85,38 @@ class TestGraphDatabase:
         c.add_edge(2, "a", 3)
         assert g.edge_count() == 1
 
+    def test_copy_matches_a_fresh_graph_after_mutations(self):
+        """The set-by-set copy equals the constructor's graph on every
+        index, version included, and shares no set with the original."""
+        g = GraphDatabase(nodes=["lonely"], edges=[(1, "a", 2), (2, "b", 3),
+                                                   (3, "a", 1)])
+        g.add_edge(1, "b", 4)
+        g.remove_edge(2, "b", 3)
+        c = g.copy()
+        fresh = GraphDatabase(g.nodes, g.edges)
+        assert c == fresh and c.version == fresh.version
+        assert c.delta_since(c.version - 1) is None
+        for node in g.nodes:
+            assert c.out_edges(node) == g.out_edges(node)
+            assert c.in_edges(node) == g.in_edges(node)
+        for label in ("a", "b"):
+            assert c.edges_with_label(label) == g.edges_with_label(label)
+        c.remove_edge(1, "a", 2)
+        assert g.has_edge(1, "a", 2) and g.out_edges(1) != c.out_edges(1)
+
+    def test_node_set_snapshot_is_shared_until_the_node_set_changes(self):
+        g = GraphDatabase(edges=[(1, "a", 2)])
+        first = g.nodes
+        g.add_edge(2, "a", 1)
+        g.remove_edge(1, "a", 2)
+        assert g.nodes is first
+        g.add_edge(2, "b", 3)
+        assert g.nodes == {1, 2, 3}
+        g.add_node(4)
+        assert 4 in g.nodes
+        g.remove_node(4)
+        assert g.nodes == {1, 2, 3}
+
     def test_accessors_return_immutable_snapshots(self):
         # Regression: out_edges/in_edges/edges_with_label used to hand out
         # the live internal set for existing keys, so callers could

@@ -243,6 +243,28 @@ class TestBatchIntegration:
 
 
 class TestMaintainedRelationUnit:
+    def test_update_on_an_unread_label_runs_no_pass(self, monkeypatch):
+        """Edges whose label the automaton never reads are dropped from
+        the delta: neither the deletion repair nor the insert pass runs,
+        and the same relation object is handed out again."""
+        graph = GraphDatabase(edges=[("u", "a", "v"), ("v", "b", "u"),
+                                     ("u", "c", "v")])
+        store = IncrementalRelationStore(graph)
+        before = store.standard_relation(LANG)
+        passes = []
+        for name in ("grow", "shrink"):
+            monkeypatch.setattr(
+                MaintainedRelation, name,
+                lambda *args, name=name: passes.append(name))
+        graph.add_edge("v", "c", "u")
+        graph.remove_edge("u", "c", "v")
+        assert store.standard_relation(LANG) is before
+        assert passes == []
+        assert store.counts["maintained"] == 1
+        graph.add_edge("v", "a", "u")
+        store.standard_relation(LANG)
+        assert passes == ["grow"]
+
     def test_rebuild_matches_reference_on_dense_cycles(self):
         graph = GraphDatabase()
         for index in range(6):

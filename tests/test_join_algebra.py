@@ -247,6 +247,28 @@ def test_fused_join_trips_the_row_cap_like_the_materialized_join():
             assert (outcomes[0] is not None) == (size > cap)
 
 
+def test_chain_step_matches_reference_in_every_column_order():
+    """The two-column chain step (``_compose``) in all four placements
+    of the shared column and both output orders, with fan-out on both
+    sides and output pairs reached through several keys."""
+    pairs_l = {(0, 1), (0, 2), (5, 1), (6, 9)}
+    pairs_r = {(1, 7), (1, 8), (2, 7), (3, 4)}
+    for left_vars, left_rows in ((("x", "y"), pairs_l),
+                                 (("y", "x"), {(b, a) for a, b in pairs_l})):
+        for right_vars, right_rows in (
+                (("y", "z"), pairs_r),
+                (("z", "y"), {(b, a) for a, b in pairs_r})):
+            left = TupleRelation(left_vars, left_rows)
+            right = TupleRelation(right_vars, right_rows)
+            full = TupleRelation(ref_join_variables(left, right),
+                                 ref_join(left, right))
+            for keep in (("x", "z"), ("z", "x")):
+                result, full_rows = join_project(left, right, keep)
+                assert result.variables == keep
+                assert result.rows == ref_project(full, keep)
+                assert full_rows == len(full.rows) == 5
+
+
 def test_full_join_over_the_cap_raises_even_when_its_projection_fits():
     left = TupleRelation(("x", "y"), {(i, 0) for i in range(5)})
     right = TupleRelation(("y", "z"), {(0, j) for j in range(5)})
