@@ -1,23 +1,13 @@
-"""Shared wall-clock helpers for the acceptance benchmarks.
+"""Shared wall-clock helper for the acceptance benchmarks.
 
-Every gate times its candidate and baseline with one of these, so the
-timing discipline (best-of rounds or medians; alternation and a paused
-collector where a small ratio is gated) lives in one place.
+Every gate times its candidate and baseline with
+:func:`interleaved_medians`, so the timing discipline (medians over
+alternated rounds, the collector paused) lives in one place.
 """
 
 import gc
 import statistics
 import time
-
-
-def best_of(callable_, rounds=3):
-    """Min wall time of ``rounds`` calls of ``callable_``."""
-    best = float("inf")
-    for _ in range(rounds):
-        start = time.perf_counter()
-        callable_()
-        best = min(best, time.perf_counter() - start)
-    return best
 
 
 def _interleaved_times(first, second, rounds):
@@ -37,11 +27,6 @@ def _interleaved_times(first, second, rounds):
     finally:
         gc.enable()
     return times
-
-
-def interleaved_best_of(first, second, rounds):
-    """Min wall time of each callable over alternated rounds."""
-    return [min(times) for times in _interleaved_times(first, second, rounds)]
 
 
 def interleaved_medians(first, second, rounds):

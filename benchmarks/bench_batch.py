@@ -21,7 +21,7 @@ Run with::
 
 import pytest
 
-from _timing import best_of
+from _timing import interleaved_medians
 from _trajectory import TrajectoryRecorder
 from repro.analysis.batching import (
     drop_all_caches,
@@ -85,8 +85,11 @@ def test_batch_speedup_at_least_2x(num_nodes):
     want = evaluate_independent(queries, graph, "a-inj")
     assert _run_batch(queries, graph, "a-inj") == want
 
-    independent_time = best_of(lambda: evaluate_independent(queries, graph, "a-inj"))
-    batch_time = best_of(lambda: _run_batch(queries, graph, "a-inj"))
+    independent_time, batch_time = interleaved_medians(
+        lambda: evaluate_independent(queries, graph, "a-inj"),
+        lambda: _run_batch(queries, graph, "a-inj"),
+        rounds=3,
+    )
     ratio = independent_time / batch_time
     print(f"\nbatch n={num_nodes}: independent {independent_time:.4f}s, "
           f"batch {batch_time:.4f}s, speedup {ratio:.1f}x")

@@ -29,7 +29,7 @@ Run with::
 
 import pytest
 
-from _timing import best_of, interleaved_medians
+from _timing import interleaved_medians
 from _trajectory import TrajectoryRecorder
 from repro.analysis.batching import drop_all_caches
 from repro.analysis.qinj_pruning import (
@@ -95,8 +95,11 @@ def test_guided_qinj_speedup_at_least_5x(num_nodes):
     queries = _workload()
     assert _run_guided(queries, graph) == _run_unguided(queries, graph)
 
-    unguided_time = best_of(lambda: _run_unguided(queries, graph))
-    guided_time = best_of(lambda: _run_guided(queries, graph))
+    unguided_time, guided_time = interleaved_medians(
+        lambda: _run_unguided(queries, graph),
+        lambda: _run_guided(queries, graph),
+        rounds=3,
+    )
     ratio = unguided_time / guided_time
     print(f"\nq-inj guidance n={num_nodes}: unguided {unguided_time:.4f}s, "
           f"guided {guided_time:.4f}s, speedup {ratio:.1f}x")

@@ -23,7 +23,7 @@ Run with::
     PYTHONPATH=src python -m pytest benchmarks/bench_telemetry.py -q -s
 """
 
-from _timing import interleaved_best_of
+from _timing import interleaved_medians
 from _trajectory import TrajectoryRecorder
 from repro.analysis.batching import drop_all_caches
 from repro.devtools.obs import trace_session
@@ -83,11 +83,11 @@ def _run_traced(workload):
 
 
 def _ratio_within(measurement, baseline, candidate, bound, extra_keys):
-    """Best-of ratio candidate/baseline, re-measured on a blip (a real
+    """Median ratio candidate/baseline, re-measured on a blip (a real
     regression fails every attempt); records to the trajectory."""
     ratio = float("inf")
     for _ in range(ATTEMPTS):
-        baseline_time, candidate_time = interleaved_best_of(
+        baseline_time, candidate_time = interleaved_medians(
             baseline, candidate, ROUNDS
         )
         ratio = min(ratio, candidate_time / baseline_time)

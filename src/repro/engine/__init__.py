@@ -42,11 +42,7 @@ differential matrix (``tests/differential_matrix.py``) pins that.
 
 from repro.engine.adjacency import AdjacencyIndex, adjacency_index
 from repro.engine.batch import AtomJob, BatchExecutor, BatchPlan, QueryBatch
-from repro.engine.cache import (
-    compiled_nfa,
-    invalidate_engine_caches,
-    reversed_nfa,
-)
+from repro.engine.cache import compiled_nfa, invalidate_engine_caches
 from repro.engine.join import TupleRelation, natural_join, project, semijoin
 from repro.engine.planner import JoinPlan, explain_query, plan_eps_free
 from repro.engine.product import product_reachability_pairs
@@ -81,7 +77,6 @@ __all__ = [
     "project",
     "QueryBatch",
     "Relation",
-    "reversed_nfa",
     "semijoin",
     "TupleRelation",
 ]

@@ -38,7 +38,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
-from repro.engine.cache import analysis_report, compiled_nfa, language_is_empty
+from repro.engine.cache import analysis_report, compiled_nfa, nfa_record
 from repro.queries.crpq import CRPQ, union_of
 from repro.regular.dfa import nfa_language_subset
 from repro.regular.syntax import Empty, remove_epsilon
@@ -316,7 +316,7 @@ def _compute_report(
 
 def _first_empty_atom(disjunct: Any) -> Optional[Tuple[int, Any]]:
     for position, atom in enumerate(disjunct.atoms):
-        if language_is_empty(atom.language):
+        if nfa_record(compiled_nfa(atom.language)).empty:
             return position, atom
     return None
 

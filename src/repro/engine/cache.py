@@ -9,9 +9,9 @@ lives in :mod:`repro.engine.relations` on top of :func:`graph_cached`):
   atom language on every ``evaluate`` / ``simple_path_pairs`` call.
 - **Per-disjunct results** — :func:`query_result`, per (graph version,
   semantics, ε-free disjunct).
-- **State masks** — :func:`nfa_masks`, per interned NFA: one bit per
-  state and memoized ``(mask, label) → mask`` step tables, the state
-  sets of the path-search kernel (:mod:`repro.graphdb.paths`).
+- **Automaton records** — :func:`nfa_record`, per interned NFA: what
+  the kernels, planners and store derive from it, state masks
+  (:func:`nfa_masks`, :mod:`repro.graphdb.paths`) and emptiness too.
 - **Co-reachability cache** — :func:`coreachable_masks`, per (graph,
   NFA, target) the ``node → mask`` of states that can still accept at
   the target; the kernel prunes dead branches with it.
@@ -43,6 +43,8 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
+from functools import cached_property
+from itertools import groupby
 from typing import Any, Callable, Optional
 
 from repro.engine import telemetry
@@ -117,7 +119,7 @@ class _LRUCache:
 
 
 _nfa_cache = _LRUCache(_NFA_CACHE_CAP)
-_reverse_cache = _LRUCache(_NFA_CACHE_CAP)
+_record_cache = _LRUCache(_NFA_CACHE_CAP)
 
 
 def compiled_nfa(language: Any, state_prefix: str = "") -> NFA:
@@ -143,13 +145,75 @@ def compiled_nfa(language: Any, state_prefix: str = "") -> NFA:
     return compiled
 
 
-def reversed_nfa(nfa: NFA) -> NFA:
-    """Return ``nfa.reverse()``, memoized by automaton identity."""
-    rev: NFA | None = _reverse_cache.get(nfa)
-    if rev is not None:
-        return rev
-    reverse: NFA = _reverse_cache.setdefault(nfa, nfa.reverse())
-    return reverse
+#: A component of :attr:`NFARecord.components`: (members, cyclic, moves_in).
+_Component = tuple[list[int], bool, list[tuple[int, Any, tuple[int, ...]]]]
+
+
+class NFARecord:
+    """Everything the engine derives from one automaton alone.
+
+    ``state_id`` numbers the states in repr order (kernel layers, mask
+    bits); ``by_label`` maps labels to moves ``(state, successors)``,
+    ``reverse`` maps ``(state, label)`` to predecessors.  ``empty`` is
+    computed up front (every planned atom asks); ``components`` and
+    ``masks`` on first read, so an atom only checked for emptiness pays
+    for neither.
+    """
+
+    def __init__(self, nfa: NFA) -> None:
+        self.nfa = nfa
+        self.states = tuple(sorted(nfa.states, key=repr))
+        state_id = self.state_id = {s: i for i, s in enumerate(self.states)}
+        self.initial_ids = frozenset(state_id[s] for s in nfa.initials)
+        self.final_ids = frozenset(state_id[s] for s in nfa.finals)
+        self.by_label: dict[Any, list[tuple[Any, frozenset[Any]]]] = {}
+        self.reverse: dict[tuple[Any, Any], list[Any]] = {}
+        for (state, label), targets in nfa.transitions.items():
+            self.by_label.setdefault(label, []).append((state, targets))
+            for target in targets:
+                self.reverse.setdefault((target, label), []).append(state)
+        self.empty = nfa.is_empty()
+
+    @cached_property
+    def components(self) -> list[_Component]:
+        """The condensation over every move, topologically ordered: per
+        component its member ids, whether it is cyclic (several states or
+        a self-loop) and every move into it, ``(source, label, targets)``."""
+        # Lazy import: the product module reads records from this one.
+        from repro.engine.product import _tarjan_sccs
+
+        state_id = self.state_id
+        moves = [
+            (state_id[state], label, sorted(map(state_id.__getitem__, nexts)))
+            for (state, label), nexts in self.nfa.transitions.items()
+        ]
+        successors: dict[int, list[int]] = {i: [] for i in state_id.values()}
+        for source, _, targets in moves:
+            successors[source] += targets
+        sinks_first, component_of = _tarjan_sccs(successors)
+        moves_in: list[list[tuple[int, Any, tuple[int, ...]]]]
+        moves_in = [[] for _ in sinks_first]
+        for source, label, targets in moves:
+            targets.sort(key=component_of.__getitem__)
+            for component, group in groupby(targets, component_of.__getitem__):
+                moves_in[component].append((source, label, tuple(group)))
+        return [
+            (m, len(m) > 1 or m[0] in successors[m[0]], moves_in[c])
+            for c, m in reversed(list(enumerate(sinks_first)))
+        ]
+
+    @cached_property
+    def masks(self) -> NFAMasks:
+        """The automaton over bitmask state sets (:func:`nfa_masks`)."""
+        return NFAMasks(self)
+
+
+def nfa_record(nfa: NFA) -> NFARecord:
+    """The :class:`NFARecord` of ``nfa``, memoized by automaton identity
+    (a bounded LRU that :func:`clear_compilation_caches` drops)."""
+    record: NFARecord = (_record_cache.get(nfa)
+                         or _record_cache.setdefault(nfa, NFARecord(nfa)))
+    return record
 
 
 class _MaskTable(dict[tuple[int, Any], int]):
@@ -179,28 +243,28 @@ class _MaskTable(dict[tuple[int, Any], int]):
 
 
 class NFAMasks:
-    """An automaton over int bitmask state sets: initial and final
-    masks, and memoized forward (``step``) and backward (``back``)
-    tables holding only the (mask, label) pairs a search reached."""
+    """An automaton over bitmask state sets (bit *i*: state id *i*):
+    initial and final masks, and memoized forward (``step``) and
+    backward (``back``) tables holding only the pairs a search reached."""
 
     __slots__ = ("initial", "finals", "step", "back")
 
-    def __init__(self, nfa: NFA | None) -> None:
-        if nfa is None:
+    def __init__(self, record: NFARecord | None) -> None:
+        if record is None:
             self.initial = self.finals = 1
             self.step = self.back = _MaskTable(None)
             return
-        position = {state: i for i, state in enumerate(nfa.states)}
+        position = record.state_id
         forward: dict[Any, list[int]] = {}
         backward: dict[Any, list[int]] = {}
-        for (state, label), targets in nfa.transitions.items():
+        for (state, label), targets in record.nfa.transitions.items():
             successors = forward.setdefault(label, [0] * len(position))
             predecessors = backward.setdefault(label, [0] * len(position))
             for target in targets:
                 successors[position[state]] |= 1 << position[target]
                 predecessors[position[target]] |= 1 << position[state]
-        self.initial = sum(1 << position[state] for state in nfa.initials)
-        self.finals = sum(1 << position[state] for state in nfa.finals)
+        self.initial = sum(1 << state for state in record.initial_ids)
+        self.finals = sum(1 << state for state in record.final_ids)
         self.step = _MaskTable(forward)
         self.back = _MaskTable(backward)
 
@@ -209,46 +273,17 @@ class NFAMasks:
 #: every label.
 _UNIVERSAL_MASKS = NFAMasks(None)
 
-_masks_cache = _LRUCache(_NFA_CACHE_CAP)
-
 
 def nfa_masks(nfa: NFA | None) -> NFAMasks:
     """The :class:`NFAMasks` of ``nfa`` (``None``: no label constraint),
-    memoized by automaton identity."""
-    if nfa is None:
-        return _UNIVERSAL_MASKS
-    masks: NFAMasks | None = _masks_cache.get(nfa)
-    if masks is not None:
-        return masks
-    built: NFAMasks = _masks_cache.setdefault(nfa, NFAMasks(nfa))
-    return built
+    read off its :class:`NFARecord`."""
+    return _UNIVERSAL_MASKS if nfa is None else nfa_record(nfa).masks
 
 
 def clear_compilation_caches() -> None:
     """Drop the process-wide NFA caches (mainly for tests)."""
     _nfa_cache.clear()
-    _reverse_cache.clear()
-    _masks_cache.clear()
-    _emptiness_cache.clear()
-
-
-_emptiness_cache = _LRUCache(_NFA_CACHE_CAP)
-
-
-def language_is_empty(language: Any) -> bool:
-    """True iff ``language`` denotes ∅ — memoized per interned automaton.
-
-    Literal :class:`~repro.regular.syntax.Empty` regexes never reach the
-    engine (ε-elimination drops them), but *non-literal* empty languages
-    (e.g. ``a∅`` built programmatically, or an empty intersection) do;
-    the planners use this check to short-circuit such atoms before any
-    relation is materialized."""
-    nfa = compiled_nfa(language)
-    cached: bool | None = _emptiness_cache.get(nfa)
-    if cached is not None:
-        return cached
-    empty: bool = _emptiness_cache.setdefault(nfa, nfa.is_empty())
-    return empty
+    _record_cache.clear()
 
 
 # ----------------------------------------------------------------------

@@ -79,7 +79,7 @@ from collections import OrderedDict
 
 from repro.engine import telemetry
 from repro.engine.adjacency import adjacency_index
-from repro.engine.cache import compiled_nfa, reversed_nfa
+from repro.engine.cache import compiled_nfa, nfa_record
 from repro.engine.product import (
     _decode_mask,
     dense_layers,
@@ -129,12 +129,11 @@ _DECISION_COUNTERS = {
 class MaintainedRelation:
     """The mutable maintained state of one standard walk relation."""
 
-    __slots__ = ("nfa", "labels", "label", "version", "bit_of", "node_of",
+    __slots__ = ("nfa", "label", "version", "bit_of", "node_of",
                  "sources", "target_masks", "pairs", "dirty", "_relation")
 
     def __init__(self, nfa, label="?"):
         self.nfa = nfa
-        self.labels = frozenset(symbol for _state, symbol in nfa.transitions)
         self.label = label
         self.version = None
         self.bit_of = {}        # node -> bit index (store-local, stable)
@@ -197,6 +196,7 @@ class MaintainedRelation:
         nfa = self.nfa
         transitions = nfa.transitions
         finals = nfa.finals
+        by_label = nfa_record(nfa).by_label
         sources = self.sources
         pending = []
 
@@ -212,11 +212,11 @@ class MaintainedRelation:
             for initial in nfa.initials:
                 raise_mask((node, initial), bit)
         for edge in added_edges:
-            for state in nfa.states:
+            for state, next_states in by_label.get(edge.label, ()):
                 mask = sources.get((edge.source, state))
                 if not mask:
                     continue
-                for next_state in transitions.get((state, edge.label), ()):
+                for next_state in next_states:
                     raise_mask((edge.target, next_state), mask)
 
         while pending:
@@ -252,7 +252,7 @@ class MaintainedRelation:
         ctx = resolve_context(ctx)
         nfa = self.nfa
         transitions = nfa.transitions
-        reverse_transitions = reversed_nfa(nfa).transitions
+        record = nfa_record(nfa)
         initials = nfa.initials
         sources = self.sources
 
@@ -264,10 +264,10 @@ class MaintainedRelation:
         dirty = set()
         stack = []
         for edge in removed_edges:
-            for state in nfa.states:
+            for state, next_states in record.by_label.get(edge.label, ()):
                 if (edge.source, state) not in sources:
                     continue
-                for next_state in transitions.get((state, edge.label), ()):
+                for next_state in next_states:
                     target_state = (edge.target, next_state)
                     if target_state in sources and target_state not in dirty:
                         dirty.add(target_state)
@@ -305,8 +305,7 @@ class MaintainedRelation:
         for node, state in dirty:
             mask = (1 << self.bit_of[node]) if state in initials else 0
             for edge in graph.in_edges(node):
-                for pred_state in reverse_transitions.get(
-                        (state, edge.label), ()):
+                for pred_state in record.reverse.get((state, edge.label), ()):
                     predecessor = (edge.source, pred_state)
                     if predecessor not in dirty:
                         mask |= sources.get(predecessor, 0)
@@ -441,11 +440,11 @@ class IncrementalRelationStore:
 
     # -- the maintained lookups ------------------------------------------
 
-    def standard_relation(self, language):
-        """The maintained standard :class:`Relation` of ``language`` at
-        the graph's current version (indexes built on first read)."""
+    def standard_relation(self, language, nfa=None):
+        """The maintained standard :class:`Relation` of ``language``
+        (automaton ``nfa``, if held) at the graph's current version."""
         with self._lock:
-            return self._state_for(language).relation()
+            return self._state_for(language, nfa).relation()
 
     # -- versioned query-result reuse ------------------------------------
 
@@ -496,8 +495,8 @@ class IncrementalRelationStore:
         relations = tuple(map(self.standard_relation, languages))
         return relations, self.graph.nodes
 
-    def _state_for(self, language):
-        nfa = compiled_nfa(language)
+    def _state_for(self, language, nfa=None):
+        nfa = nfa or compiled_nfa(language)
         graph = self.graph
         with self._lock:
             state = self._states.get(nfa)
@@ -547,7 +546,7 @@ class IncrementalRelationStore:
                          f"edges exceed repair cap {DELETION_REPAIR_CAP}")
             return
         # An edge whose label the automaton never reads moves no mask.
-        labels = state.labels
+        labels = nfa_record(state.nfa).by_label
         removed = [e for e in delta.removed_edges if e.label in labels]
         added = [e for e in delta.added_edges if e.label in labels]
         if removed:

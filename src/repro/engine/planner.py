@@ -45,7 +45,7 @@ from collections import Counter
 from functools import lru_cache
 
 from repro.engine import telemetry
-from repro.engine.cache import language_is_empty
+from repro.engine.cache import compiled_nfa, nfa_record
 from repro.engine.join import (
     EliminationOverflow,
     TupleRelation,
@@ -466,29 +466,30 @@ def _fusion_candidates(head, atoms):
     ))
 
 
-def _fuse_paths(query, graph):
+def _fuse_paths(query, graph, nfas):
     """``(labelled atoms, fusions)`` after st path fusion: ``(label,
-    atom)`` pairs, a fused atom labelled by its factors' labels joined
-    with ``·``.  A fusion is skipped when both factor relations are
-    materialized at this graph version: reading them costs nothing,
-    the fused relation one kernel run."""
-    labelled = list(enumerate(query.atoms))
+    atom, nfa)`` triples (``nfas`` per atom), a fused atom labelled by
+    its factors' labels joined with ``·``.  A fusion is skipped when
+    both factor relations are materialized at this graph version:
+    reading them costs nothing, the fused relation one kernel run."""
+    labelled = list(zip(range(len(nfas)), query.atoms, nfas))
     fusions = []
     for variable in _fusion_candidates(query.head, query.atoms):
-        touching = [position for position, (_, atom) in enumerate(labelled)
+        touching = [position for position, (_, atom, _) in enumerate(labelled)
                     if variable in (atom.source, atom.target)]
         if len(touching) != 2:
             continue  # an earlier fusion closed a loop onto ``variable``
         first, second = (labelled[position] for position in touching)
         if first[1].source == variable:
             first, second = second, first
-        (into_label, into), (out_label, out) = first, second
-        if (walk_relation_materialized(graph, into.language)
-                and walk_relation_materialized(graph, out.language)):
+        (into_label, into, into_nfa), (out_label, out, out_nfa) = first, second
+        if (walk_relation_materialized(graph, into_nfa)
+                and walk_relation_materialized(graph, out_nfa)):
             continue
         fused = Atom(into.source, concat(into.language, out.language),
                      out.target)
-        labelled[touching[0]] = (f"{into_label}·{out_label}", fused)
+        labelled[touching[0]] = (f"{into_label}·{out_label}", fused,
+                                 compiled_nfa(fused.language))
         del labelled[touching[1]]
         fusions.append((variable, into_label, out_label, fused))
         _FUSED.inc()
@@ -513,8 +514,9 @@ def plan_eps_free(query, graph, semantics, relation_for=None, binding=None):
     # or materializing any base table (the analyzer normally drops such
     # disjuncts, but plans built directly, or with analysis disabled,
     # must not pay for joining empty relations either).
-    for index, atom in enumerate(query.atoms):
-        if language_is_empty(atom.language):
+    nfas = [compiled_nfa(atom.language) for atom in query.atoms]
+    for index, (atom, nfa) in enumerate(zip(query.atoms, nfas)):
+        if nfa_record(nfa).empty:
             return JoinPlan(
                 query, graph, semantics, (), {}, (), binding,
                 empty_reason=(f"atom {index} ({atom}) denotes the "
@@ -522,15 +524,15 @@ def plan_eps_free(query, graph, semantics, relation_for=None, binding=None):
             )
     if (relation_for is None and semantics is Semantics.STANDARD
             and not store_attached(graph)):
-        labelled, fusions = _fuse_paths(query, graph)
+        labelled, fusions = _fuse_paths(query, graph, nfas)
     else:
-        labelled, fusions = enumerate(query.atoms), []
-    relation_for = relation_for or default_relation_for
+        labelled, fusions = zip(range(len(nfas)), query.atoms, nfas), []
     unary = {}
     loop_atoms = []
     binary = []
-    for index, atom in labelled:
-        relation = relation_for(graph, atom, semantics)
+    for index, atom, nfa in labelled:
+        relation = (relation_for(graph, atom, semantics) if relation_for
+                    else default_relation_for(graph, atom, semantics, nfa))
         if not isinstance(relation, Relation):
             relation = Relation(relation)
         if atom.is_loop():

@@ -29,16 +29,17 @@ the dense kernel's per-state layers as its source masks and reads its
 pairs off them as the kernel does (:func:`final_masks`,
 :func:`mask_pairs`).  The dense kernel settles the product one
 automaton component at a time, in the topological order of the
-automaton's own condensation: an acyclic state's product layer is a
-DAG slice, final once its predecessors are, so it gathers its masks
-with one OR per product edge and no DFS; only a cyclic component's
-layer is condensed by Tarjan (:func:`_settle_cyclic_layer`).  Both kernels carry a source
-set as one plain Python int, so the kernel cost per OR is pinned by the
-node count; the dense kernel decodes a mask by a byte-table walk over
-its nonzero bytes (:func:`_int_bits`), once per distinct mask (targets
-downstream of the same seeds share one), and returns its pair set
-itself rather than a copy; the object-keyed kernel and the store's
-deltas decode by lowest-bit peeling (:func:`_decode_mask`).
+automaton's :func:`~repro.engine.cache.nfa_record`: an acyclic state's
+product layer is a DAG slice, final once its predecessors are, so it
+gathers its masks with one OR per product edge and no DFS; only a
+cyclic component's layer is condensed by Tarjan
+(:func:`_settle_cyclic_layer`).  Both kernels carry a source set as one
+plain Python int, so the kernel cost per OR is pinned by the node count;
+the dense kernel decodes a mask by a byte-table walk over its nonzero
+bytes (:func:`_int_bits`), once per distinct mask (targets downstream of
+the same seeds share one), and returns its pair set itself rather than
+a copy; the object-keyed kernel and the store's deltas decode by
+lowest-bit peeling (:func:`_decode_mask`).
 """
 
 from __future__ import annotations
@@ -58,13 +59,15 @@ from typing import (
 from repro.engine import telemetry
 from repro.engine.adjacency import AdjacencyIndex, adjacency_index
 from repro.engine.backend import active_backend
+from repro.engine.cache import nfa_record
 from repro.engine.runtime import ExecutionContext, checkpoint_site, resolve_context
 
 #: A ``(node, state)`` product state and its deduplicated successors.
 ProductNode = tuple[Any, Any]
 ProductAdjacency = dict[ProductNode, list[ProductNode]]
+_Rows = tuple[list[int], list[int]]  #: one label's thawed CSR rows
 #: One automaton move over the thawed CSR rows of its label:
-#: ``(offsets, targets, successor states)``.
+#: ``(offsets, targets, successor layer bases)``.
 _Move = tuple[list[int], list[int], tuple[int, ...]]
 _Vertex = TypeVar("_Vertex", bound=Hashable)
 
@@ -130,89 +133,60 @@ def dense_layers(
     incremental store's rebuild keeps every layer as its source masks;
     each checkpoints at its own ``site``.
 
-    NFA states are interned to ``0..q-1`` (repr-sorted, mirroring the
-    node interning).  Every product edge ``(u, s) → (w, t)`` follows an
-    automaton move ``s → t``, so the condensation of the automaton's
-    own state graph (tiny, over the moves whose label has edges) orders
-    the product: its components are walked in topological order, each
-    holding one node-indexed list of source masks per state.  An
-    acyclic state — a singleton component without a self-loop — needs
-    no condensation of its product layer at all: its masks are final
-    once its predecessors are, and they are gathered along the CSR rows
-    of :meth:`AdjacencyIndex.csr_out` with one OR per product edge.  A
+    The state ids (repr-sorted) and the condensation over every move
+    come from the automaton's record (:func:`nfa_record`).  Every
+    product edge ``(u, s) → (w, t)`` follows a move ``s → t``, so the
+    components, walked in topological order, order the product; each
+    holds one node-indexed list of source masks per state, and a call
+    keeps only the moves whose label has edges.  An acyclic state — a
+    singleton component without a self-loop — needs no condensation of
+    its product layer: its masks are final once its predecessors are,
+    and are gathered along the CSR rows of
+    :meth:`AdjacencyIndex.csr_out` with one OR per product edge.  A
     cyclic component is condensed by :func:`_settle_cyclic_layer`, over
-    the product restricted to its own states only.  The CSR rows are
-    thawed to plain lists up front because C-level ``array.tolist()``
-    plus list slicing beats per-element ``array`` indexing on the hot
-    edge loop.  Output-equivalent to the object-keyed kernel — pinned
-    by ``tests/test_backend_differential.py``.
+    the product restricted to its own states.  The CSR rows are thawed
+    to plain lists up front: C-level ``array.tolist()`` plus slicing
+    beats per-element ``array`` indexing on the hot edge loop.
+    Output-equivalent to the object-keyed kernel — pinned by
+    ``tests/test_backend_differential.py``.
     """
-    nodes = index.nodes_sorted
-    count = len(nodes)
+    count = len(index.nodes_sorted)
+    record = nfa_record(nfa)
 
-    states = tuple(sorted(nfa.states, key=repr))
-    state_id = {state: position for position, state in enumerate(states)}
-    width = len(states)
-
-    # Per-state move table: (offsets, targets, successor state ids) per
-    # label with both a transition and at least one edge in the graph.
-    # The thawed target lists are shared per label across states; they
-    # are kernel-local working copies, freed on return.
+    # The thawed CSR rows of every label the automaton reads and the
+    # graph has: kernel-local working copies, freed on return.
     csr = index.csr_out()
-    thawed: dict[Any, tuple[list[int], list[int]]] = {}
-    moves: list[list[_Move]] = [[] for _ in range(width)]
-    for (state, label), next_states in nfa.transitions.items():
-        arrays = csr.get(label)
-        if arrays is None or not next_states:
-            continue
-        lists = thawed.get(label)
-        if lists is None:
-            lists = thawed[label] = (arrays[0].tolist(), arrays[1].tolist())
-        moves[state_id[state]].append(
-            (
-                lists[0],
-                lists[1],
-                tuple(sorted(state_id[s] for s in next_states)),
-            )
-        )
-
-    # The automaton's own state graph over those moves.
-    successors = {
-        state: sorted({t for *_, next_ids in moves[state] for t in next_ids})
-        for state in range(width)
+    rows: dict[Any, _Rows] = {
+        label: (csr[label][0].tolist(), csr[label][1].tolist())
+        for label in record.by_label if label in csr
     }
-    initial_ids = {state_id[state] for state in nfa.initials}
+
     # ``layers[s][v]``: the source mask of product state (v, s); None
     # until s's component is settled, and for states no seed reaches.
-    layers: list[Optional[list[int]]] = [None] * width
+    layers: list[Optional[list[int]]] = [None] * len(record.states)
     checkpoint = ctx.checkpoint
-    components, _ = _tarjan_sccs(successors)
-    for component in reversed(components):
-        members = set(component)
-        # Moves into the component from settled states outside it; the
-        # topological order has settled every such source already.
-        entering: list[tuple[list[int], _Move]] = []
-        for source, layer in enumerate(layers):
-            if layer is None or source in members:
-                continue
-            for offsets, targets, next_ids in moves[source]:
-                inner = tuple(t for t in next_ids if t in members)
-                if inner:
-                    entering.append((layer, (offsets, targets, inner)))
-        if not entering and members.isdisjoint(initial_ids):
+    for members, cyclic, moves_in in record.components:
+        # Moves in from settled states over labels with edges: every
+        # source outside is settled, and a member's layer is still None.
+        entering = [
+            (source_masks, rows[label], into)
+            for source, label, into in moves_in
+            if (source_masks := layers[source]) is not None and label in rows
+        ]
+        if not entering and record.initial_ids.isdisjoint(members):
             continue
-        state = component[0]
-        if len(component) > 1 or state in successors[state]:
+        if cyclic:
             _settle_cyclic_layer(
-                component, moves, entering, initial_ids, count, layers,
-                site, ctx,
+                members, moves_in, rows, entering, record.initial_ids,
+                count, layers, site, ctx,
             )
             continue
-        if state in initial_ids:
+        state = members[0]
+        if state in record.initial_ids:
             layer = [1 << node_id for node_id in range(count)]
         else:
             layer = [0] * count
-        for source_masks, (offsets, targets, _inner) in entering:
+        for source_masks, (offsets, targets), _into in entering:
             for node_id, mask in enumerate(source_masks):
                 if not mask:
                     continue
@@ -224,7 +198,7 @@ def dense_layers(
         layers[state] = layer
 
     return {
-        states[state]: layer
+        record.states[state]: layer
         for state, layer in enumerate(layers) if layer is not None
     }
 
@@ -265,48 +239,46 @@ def mask_pairs(
 
 
 def _settle_cyclic_layer(
-    component: list[int],
-    moves: list[list[_Move]],
-    entering: list[tuple[list[int], _Move]],
-    initial_ids: set[int],
+    members: list[int],
+    moves_in: list[tuple[int, Any, tuple[int, ...]]],
+    rows: dict[Any, _Rows],
+    entering: list[tuple[list[int], _Rows, tuple[int, ...]]],
+    initial_ids: frozenset[int],
     count: int,
     layers: list[Optional[list[int]]],
     site: str,
     ctx: ExecutionContext,
 ) -> None:
-    """Settle the product layer of one cyclic automaton component and
-    write its states' masks into ``layers``.
+    """Settle the product layer of one cyclic automaton component (its
+    record's ``members`` and ``moves_in``) into ``layers``.
 
     The product restricted to the component's states — a product int
     ``local * |V| + node_id`` per ``(node, state)`` — is condensed by
-    an iterative Tarjan DFS straight over the CSR rows, rooted at the
-    entry states: every node at an initial member, and every target of
-    an ``entering`` move (a settled source layer and its move into the
-    component) from a nonzero source row.  Each entering source row
-    ORs its mask once per product component it enters, not once per
-    edge (the first edge into a component stamps it with the mask
-    object).  The component masks are then pushed through the
-    condensation in topological order — the reverse of Tarjan's
-    sinks-first emission — and written back per member.
+    an iterative Tarjan DFS straight over the CSR ``rows``, rooted at
+    the entry states: every node at an initial member, and every target
+    of an ``entering`` move (a settled source layer, its label's rows
+    and the target ids it enters) from a nonzero source row.  Each
+    entering source row ORs its mask once per product component it
+    enters, not once per edge (the first edge into a component stamps
+    it with the mask object).  The component masks are then pushed
+    through the condensation in topological order — the reverse of
+    Tarjan's sinks-first emission — and written back per member.
     """
-    local_of = {state: local for local, state in enumerate(component)}
-    # Moves that stay inside the component, successor states pre-scaled
-    # to their layer's base so the hot loop forms a product int with a
-    # single add per edge.
-    inner_moves: list[list[_Move]] = []
-    for state in component:
-        inner_moves.append([])
-        for offsets, targets, next_ids in moves[state]:
-            bases = tuple(
-                local_of[t] * count for t in next_ids if t in local_of
-            )
-            if bases:
-                inner_moves[-1].append((offsets, targets, bases))
+    # Moves that stay inside the component over labels with edges, per
+    # source member, successor states pre-scaled to their layer's base
+    # so the hot loop forms a product int with a single add per edge.
+    local_of = {state: local for local, state in enumerate(members)}
+    inner_moves: list[list[_Move]] = [[] for _ in members]
+    for source, label, into in moves_in:
+        if source in local_of and label in rows:
+            offsets, targets = rows[label]
+            inner_moves[local_of[source]].append(
+                (offsets, targets, tuple(local_of[t] * count for t in into)))
 
     # Discovery ids: ``visit_of`` holds vid + 1 (0 = unreached), assigned
     # the first time a product int is seen; Tarjan's DFS numbering lives
     # separately in ``order``.  All per-vid vectors grow in lock step.
-    visit_of = [0] * (len(component) * count)
+    visit_of = [0] * (len(members) * count)
     pids: list[int] = []
     order: list[int] = []
     low: list[int] = []
@@ -446,18 +418,18 @@ def _settle_cyclic_layer(
                     cross.append(comp_of[vid] - 1)
 
     # Seed bits at the initial members: each node's bit once.
-    for state in component:
+    for local, state in enumerate(members):
         if state not in initial_ids:
             continue
-        base = local_of[state] * count
+        base = local * count
         for node_id in range(count):
             vid = visit_of[base + node_id] - 1
             if vid < 0:
                 vid = explore(base + node_id)
             masks[comp_of[vid] - 1] |= 1 << node_id
     # Entering masks: once per product component each source row enters.
-    for source_masks, (offsets, targets, inner) in entering:
-        bases = tuple(local_of[t] * count for t in inner)
+    for source_masks, (offsets, targets), into in entering:
+        bases = tuple(local_of[t] * count for t in into)
         for node_id, mask in enumerate(source_masks):
             if not mask:
                 continue
@@ -490,13 +462,13 @@ def _settle_cyclic_layer(
                     target_mask | mask if target_mask else mask
                 )
 
-    rows: list[list[int]] = []
-    for state in component:
+    member_layers: list[list[int]] = []
+    for state in members:
         layer = layers[state] = [0] * count
-        rows.append(layer)
+        member_layers.append(layer)
     for vid, pid in enumerate(pids):
         local, node_id = divmod(pid, count)
-        rows[local][node_id] = masks[comp_of[vid] - 1]
+        member_layers[local][node_id] = masks[comp_of[vid] - 1]
 
 
 #: Set-bit offsets per byte value — turns mask decoding into a table

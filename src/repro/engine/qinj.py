@@ -56,7 +56,7 @@ import operator
 
 from repro.engine import telemetry
 from repro.engine.adjacency import adjacency_index
-from repro.engine.cache import compiled_nfa, language_is_empty
+from repro.engine.cache import compiled_nfa, nfa_record
 from repro.engine.join import TupleRelation
 from repro.engine.planner import semijoin_reduce
 from repro.engine.relations import Relation
@@ -383,7 +383,6 @@ def plan_qinj(query, graph, binding=None, relation_for=None):
     :func:`repro.engine.relations.relation_for`, which serves q-inj the
     walk relation from the one atom-relation store.
     """
-    relation_for = relation_for or default_relation_for
     binding = dict(binding or {})
     atoms = tuple(query.atoms)
     nfas = tuple(compiled_nfa(atom.language) for atom in atoms)
@@ -403,8 +402,8 @@ def plan_qinj(query, graph, binding=None, relation_for=None):
     else:
         # Empty-language short-circuit (mirrors plan_eps_free): never
         # fetch or reduce relations for an unsatisfiable disjunct.
-        for index, atom in enumerate(atoms):
-            if language_is_empty(atom.language):
+        for index, (atom, nfa) in enumerate(zip(atoms, nfas)):
+            if nfa_record(nfa).empty:
                 empty_reason = (
                     f"atom {index} ({atom}) denotes the empty language"
                 )
@@ -418,8 +417,10 @@ def plan_qinj(query, graph, binding=None, relation_for=None):
     raw_tables = []       # TupleRelations fed to the reducer
     table_position = {}   # atom index -> position in raw_tables
     unary = {}            # loop-atom diagonals, intersected per variable
-    for index, atom in enumerate(atoms):
-        relation = relation_for(graph, atom, Semantics.QUERY_INJECTIVE)
+    semantics = Semantics.QUERY_INJECTIVE
+    for index, (atom, nfa) in enumerate(zip(atoms, nfas)):
+        relation = (relation_for(graph, atom, semantics) if relation_for
+                    else default_relation_for(graph, atom, semantics, nfa))
         if not isinstance(relation, Relation):
             relation = Relation(relation)
         if atom.is_loop():

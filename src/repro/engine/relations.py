@@ -206,13 +206,13 @@ _KIND_PAIRS: dict[str, Callable[[Any, Any], Iterable[tuple[Any, Any]]]] = {
 }
 
 
-def atom_relation(graph: Any, language: Any, kind: str) -> Relation:
+def atom_relation(graph: Any, language: Any, kind: str, nfa: Any = None) -> Relation:
     """The :class:`Relation` of ``kind`` for ``language`` at the graph's
     current version — the engine's one atom-relation store.
 
-    Stored in the version-tagged graph cache under
-    ``("relation", kind, nfa)``, one entry per (version, kind, interned
-    NFA).  The relation is computed outside any lock and published with
+    Stored in the version-tagged graph cache under ``("relation", kind,
+    nfa)``, one entry per (version, kind, interned NFA: ``nfa`` when the
+    caller holds it).  The relation is computed outside any lock and published with
     ``dict.setdefault`` (:func:`~repro.engine.cache.graph_cached`), so
     racing callers all get one object and an interrupted compute
     publishes nothing.  For ``"standard"`` on a graph with an attached
@@ -228,9 +228,9 @@ def atom_relation(graph: Any, language: Any, kind: str) -> Relation:
         store = getattr(graph, "_incremental_store", None)
         if store is not None:
             _RELATION_HITS.inc()
-            maintained: Relation = store.standard_relation(language)
+            maintained: Relation = store.standard_relation(language, nfa)
             return maintained
-    nfa = compiled_nfa(language)
+    nfa = nfa or compiled_nfa(language)
     relation: Relation = graph_cached(
         graph,
         (RELATION_KEY, kind, nfa),
@@ -247,24 +247,22 @@ def store_attached(graph: Any) -> bool:
     return getattr(graph, "_incremental_store", None) is not None
 
 
-def walk_relation_materialized(graph: Any, language: Any) -> bool:
-    """True iff the graph cache holds the ``"standard"`` relation of
-    ``language`` at the graph's current version.  Builds, counts
-    nothing; a store-attached graph's relations live in the store."""
-    return graph_cache_holds(
-        graph, (RELATION_KEY, "standard", compiled_nfa(language))
-    )
+def walk_relation_materialized(graph: Any, nfa: Any) -> bool:
+    """True iff the graph cache holds the ``"standard"`` relation of the
+    interned automaton ``nfa`` at the graph's current version.  Builds,
+    counts nothing; a store-attached graph's relations live in the store."""
+    return graph_cache_holds(graph, (RELATION_KEY, "standard", nfa))
 
 
-def relation_for(graph: Any, atom: Any, semantics: Any) -> Relation:
+def relation_for(graph: Any, atom: Any, semantics: Any, nfa: Any = None) -> Relation:
     """The default ``relation_for`` hook of the planner and the q-inj
     pruning plan: :func:`atom_relation` of the kind ``semantics`` needs
-    for ``atom``.  Query-injective callers get the standard (walk)
-    relation, the sound pruning over-approximation of their search."""
+    for ``atom`` (``nfa``: its automaton, if held).  Query-injective
+    callers get the walk relation, their search's sound pruning."""
     from repro.semantics.base import Semantics
     from repro.semantics.rpq import atom_relation_kind
 
     if semantics is Semantics.QUERY_INJECTIVE:
         semantics = Semantics.STANDARD
     return atom_relation(graph, atom.language,
-                         atom_relation_kind(atom, semantics))
+                         atom_relation_kind(atom, semantics), nfa)

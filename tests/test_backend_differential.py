@@ -16,6 +16,7 @@ caches are version-keyed per graph *object*, so reusing one object
 would turn the second backend's run into a cache hit.
 """
 
+import itertools
 import os
 import random
 import subprocess
@@ -47,10 +48,12 @@ from repro.engine.runtime import ExecutionContext
 from repro.graphdb.generators import uniform_random
 from repro.graphdb.graph import GraphDatabase
 from repro.queries.parser import parse_query
+from repro.reductions import pcp
 from repro.regular.nfa import NFA
 from repro.regular.parser import parse_regex
-from repro.semantics.base import ALL_SEMANTICS
+from repro.semantics.base import ALL_SEMANTICS, Semantics
 from repro.semantics.evaluation import evaluate, in_evaluation
+from repro.semantics.expansion import candidate_cqs, expansions
 from repro.semantics.trails import evaluate_trails
 from tests.differential_matrix import ST_AINJ, check, stripe
 
@@ -221,6 +224,7 @@ from repro.devtools.obs.report import build_report
 from repro.engine.backend import use_backend
 from repro.graphdb.generators import uniform_random
 from repro.queries.parser import parse_query
+from repro.reductions import pcp
 from repro.semantics.evaluation import evaluate
 
 graph = uniform_random(6, 14, {"a", "b"}, seed=3)
@@ -386,7 +390,9 @@ def _layer_nfas():
     produces: an initial state on a cycle with a second initial state
     feeding it, a state both initial and final inside a cycle, a dead
     state, and unreachable states (one on its own cycle, feeding the
-    live part)."""
+    live part); and cycles that run only over a label no layer graph
+    has (``c``), so the kernel settles them as cyclic components whose
+    product layers hold no inner edge."""
     fed_cycle = NFA(
         ["p", "q", "s", "f", "dead", "u"], {"a", "b"},
         {("p", "a"): {"q"}, ("q", "b"): {"p"}, ("s", "b"): {"p"},
@@ -399,7 +405,13 @@ def _layer_nfas():
          ("z", "a"): {"z"}},
         initials=["x"], finals=["x", "z"],
     )
-    return [fed_cycle, final_on_cycle]
+    cycle_over_missing_label = NFA(
+        ["x", "y", "z"], {"a", "b", "c"},
+        {("x", "a"): {"y"}, ("y", "c"): {"x"}, ("y", "b"): {"z"},
+         ("z", "c"): {"z"}},
+        initials=["x"], finals=["y", "z"],
+    )
+    return [fed_cycle, final_on_cycle, cycle_over_missing_label]
 
 
 def _layer_graph(seed):
@@ -430,6 +442,30 @@ def test_product_kernel_differential_automaton_layers(seed):
         with use_backend("array"):
             got = product_reachability_pairs(graph.copy(), nfa)
         assert got == want, (seed, nfa.transitions)
+
+
+def test_product_kernel_differential_pcp_expansions():
+    """The PCP reduction's ``q2`` atoms (Theorem 5.2; finite languages,
+    11 and 35 states, so every state is its own automaton component)
+    over a-inj quotients of ``q1``'s expansion that the bounded
+    semi-decider checks."""
+    q1, q2 = pcp.build_reduction(pcp.TRIVIAL_EXAMPLE)
+    nfas = [compiled_nfa(disjunct.atoms[0].language) for disjunct in q2]
+    assert sorted(len(nfa.states) for nfa in nfas) == [11, 35]
+    (disjunct,) = q1.epsilon_free_union()
+    (expansion,) = expansions(disjunct, 4, max_count=50)
+    quotients = candidate_cqs(expansion, Semantics.ATOM_INJECTIVE, 100000)
+    answered = 0
+    for cq in itertools.islice(quotients, 0, 4400, 200):
+        graph = cq.as_graph()
+        for nfa in nfas:
+            with use_backend("python"):
+                want = product_reachability_pairs(graph.copy(), nfa)
+            with use_backend("array"):
+                got = product_reachability_pairs(graph.copy(), nfa)
+            assert got == want, (cq, nfa)
+            answered += bool(want)
+    assert answered >= 20
 
 
 def test_dense_kernel_degenerate_inputs():

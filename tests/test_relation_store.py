@@ -94,8 +94,8 @@ def test_every_entry_point_receives_the_identical_relation(monkeypatch):
     entry = [None]
 
     def spy(hook):
-        def recording(graph_, atom, semantics=None):
-            relation = hook(graph_, atom, semantics)
+        def recording(graph_, atom, semantics=None, nfa=None):
+            relation = hook(graph_, atom, semantics, nfa)
             if graph_ is graph:  # not the analyzer's canonical databases
                 received.append((entry[0], relation))
             return relation
