@@ -1,4 +1,4 @@
-"""Ablations of the design choices called out in DESIGN.md.
+"""Ablations of three design choices of the containment and a-inj code.
 
 - Remark C.1 merging before abstraction-class construction: merging Q2's
   degree-(1,1) variables shrinks its combined automaton and is required

@@ -1,8 +1,8 @@
 """Shared fixtures for the benchmark harness.
 
 Each bench_* module regenerates one paper artifact (table/figure/example;
-see the per-experiment index in DESIGN.md) and measures the corresponding
-decision procedure with pytest-benchmark.  Benchmarks print the
+the ``bench_eN_*`` modules are experiments E1–E10) and measures the
+corresponding decision procedure with pytest-benchmark.  Benchmarks print the
 paper-shaped result rows in addition to timing, so running
 
     pytest benchmarks/ --benchmark-only -s

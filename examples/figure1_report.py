@@ -1,9 +1,9 @@
 """Reproduce Figure 1 as an empirical report.
 
 Prints the paper's complexity table, then runs the agreement experiment
-(E5 in DESIGN.md): for every cell, the cell's decider is exercised on
-generated query pairs and cross-validated against the bounded reference
-counterexample search.
+(E5, ``benchmarks/bench_e5_figure1_agreement.py``): for every cell, the
+cell's decider is exercised on generated query pairs and cross-validated
+against the bounded reference counterexample search.
 
 Run:  python examples/figure1_report.py [pairs_per_cell]
 """

@@ -1,4 +1,4 @@
-"""Experiment runners (the E-series of DESIGN.md).
+"""Experiment runners (the E-series of ``benchmarks/bench_e*_*.py``).
 
 These print the rows the paper's claims translate to:
 

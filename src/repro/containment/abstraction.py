@@ -38,15 +38,16 @@ chain more than pairwise) and Remark C.2(ii) on Q1 (no two parallel atoms
 sharing a single-letter word, so the candidate expansion graph is
 determined by the per-atom words).  Both are applied here.
 
-For standard semantics the same machinery is used.  A caveat, documented in
-DESIGN.md: Claim 5.1 is proved for query-injective semantics, where
-injectivity bounds how many Q2-variables can sit inside one atom expansion.
-For standard semantics non-injective homomorphisms can in principle couple
+For standard semantics the same machinery is used, with a caveat:
+Claim 5.1 is proved for query-injective semantics, where injectivity
+bounds how many Q2-variables can sit inside one atom expansion.  For
+standard semantics non-injective homomorphisms can in principle couple
 more than two positions of one atom word, which pairwise elements do not
-track; the standard-semantics verdicts therefore additionally run a
-bounded counterexample search, and the test suite cross-validates against
-brute force.  NOT_CONTAINED verdicts are always sound (they carry a
-concrete counterexample).
+track, so a standard-semantics CONTAINED verdict rests on the class
+representatives alone: :func:`contains_abstraction` runs no further
+search, and the test suite cross-validates its standard verdicts against
+the bounded counterexample search.  NOT_CONTAINED verdicts are always
+sound (they carry a concrete counterexample).
 """
 
 from __future__ import annotations

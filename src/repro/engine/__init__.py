@@ -1,20 +1,22 @@
 """The hot-path evaluation engine.
 
 This package is a performance layer *under* the semantics modules — it
-changes how atom relations are computed, never what they contain.  The
-three pieces (see ARCHITECTURE.md for the full picture):
+changes how atom relations are computed, never what they contain.  Its
+main modules (ARCHITECTURE.md has the full picture, including the
+analyzer, the q-inj search, the incremental store and the governor):
 
 - :mod:`repro.engine.adjacency` — a per-graph :class:`AdjacencyIndex`
   with pre-sorted, label-partitioned out/in edge lists, so the
   backtracking searches stop re-sorting adjacency inside their inner
   loops;
 - :mod:`repro.engine.cache` — a structural ``Regex → NFA`` compilation
-  cache and the version-tagged graph-scoped cache (invalidated by the
-  graph's mutation counter) that the atom-relation store lives in;
+  cache, the version-tagged graph-scoped cache (invalidated by the
+  graph's mutation counter) that the atom-relation store lives in, and
+  the per-target co-reachability masks (:func:`coreachable_masks`)
+  that prune the simple-path backtracking searches;
 - :mod:`repro.engine.product` — a single-sweep product-automaton
   reachability replacing the per-source BFS of the classical NL
-  algorithm, plus reverse-reachability sets used to prune the
-  simple-path backtracking searches;
+  algorithm;
 - :mod:`repro.engine.batch` — the cross-query layer: a
   :class:`QueryBatch`/:class:`BatchExecutor` pair that deduplicates
   atom languages structurally across many queries, computes each
@@ -29,8 +31,8 @@ three pieces (see ARCHITECTURE.md for the full picture):
   semijoin, projection) the planner executes;
 - :mod:`repro.engine.planner` — the st / a-inj glue: min-degree
   variable elimination over the base tables for every component; past
-  the elimination row cap, semijoin reduction and a second elimination,
-  then the backtracking matcher on the reduced residue;
+  the elimination row cap, semijoin reduction and a second elimination
+  of the reduced tables with no cap;
 - :mod:`repro.engine.telemetry` — the layer-0 observability substrate:
   the process-wide :class:`MetricsRegistry` every subsystem above
   counts into, and the :class:`QueryTrace`/span machinery riding

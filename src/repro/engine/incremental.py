@@ -30,10 +30,11 @@ label the automaton never reads costs nothing at all.
 **Deletion deltas** (dirty-region repair, threshold-gated).  Removing
 edges can only shrink masks *downstream* of a removed product edge: the
 dirty region is the forward closure of the removed edges' product
-targets over the old product graph (over-approximated by current ∪
-removed edges — sound, never smaller than the true region).  States
-outside it keep their masks.  The closure records each dirty state's
-successors inside the region over the *current* graph, and every dirty
+targets over the old product graph, over-approximated by the closure
+over the current edges (every removed product edge out of a reachable
+state already seeds it, so the region is never smaller than the true
+one).  States outside it keep their masks.  The closure records each
+dirty state's successors inside the region, and every dirty
 state gets a base mask: its seed bit plus the masks of its unaffected
 predecessors.  The region is then *settled* in one pass — condensed
 into strongly connected components, base masks ORed per component, and
@@ -236,9 +237,10 @@ class MaintainedRelation:
     def shrink(self, graph, removed_edges, ctx=None):
         """Repair the dirty region downstream of the removed edges.
 
-        Sound for mixed deltas when run *before* :meth:`grow`: the dirty
-        closure uses current ∪ removed edges (a superset of the old
-        product edges) and the settled masks are the exact fixpoint
+        Sound for mixed deltas when run *before* :meth:`grow`: the
+        removed edges' product targets seed the dirty closure, which
+        then follows the current edges (together a superset of the old
+        product edges), and the settled masks are the exact fixpoint
         given the untouched exterior.  A current product edge that
         leaves the region leads to a state that was unreachable before
         the delta, so it is an *added* edge; the subsequent ``grow``
@@ -256,10 +258,6 @@ class MaintainedRelation:
         initials = nfa.initials
         sources = self.sources
 
-        removed_out = {}
-        for edge in removed_edges:
-            removed_out.setdefault(edge.source, []).append(edge)
-
         # 1. Product targets of the removed edges (reachable ones only).
         dirty = set()
         stack = []
@@ -273,9 +271,10 @@ class MaintainedRelation:
                         dirty.add(target_state)
                         stack.append(target_state)
 
-        # 2. Forward closure over the old product graph, keeping each
-        #    dirty state's successors over the *current* graph that lie
-        #    in the region (every reachable successor joins it).
+        # 2. Forward closure over the current graph, keeping each dirty
+        #    state's successors in the region (every reachable successor
+        #    joins it).  A removed edge out of a dirty state needs no
+        #    walk here: step 1 seeded its product target already.
         succ = {}
         while stack:
             ctx.checkpoint(SITE_INCREMENTAL_SHRINK)
@@ -290,12 +289,6 @@ class MaintainedRelation:
                         if successor not in dirty:
                             dirty.add(successor)
                             stack.append(successor)
-            for edge in removed_out.get(node, ()):
-                for next_state in transitions.get((state, edge.label), ()):
-                    successor = (edge.target, next_state)
-                    if successor in sources and successor not in dirty:
-                        dirty.add(successor)
-                        stack.append(successor)
 
         if not dirty:
             return

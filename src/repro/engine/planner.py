@@ -23,9 +23,8 @@ is only the glue.  This module plans and executes that glue on one path:
    — except the component's last join, whose row count is the answer
    size itself.
    The component's tables are then semijoin-reduced to the
-   arc-consistent fixpoint and eliminated again; a second overflow
-   runs the backtracking matcher (:mod:`repro.homomorphism.matcher`) on
-   the reduced residue, never on the full input.
+   arc-consistent fixpoint and eliminated again with no elimination
+   cap; only the budget's row cap bounds that second run.
 
 Under standard semantics on a graph with no incremental store attached,
 lowering starts with **path fusion**
@@ -68,12 +67,11 @@ from repro.queries.atoms import Atom
 from repro.regular.syntax import concat
 from repro.semantics.base import Semantics
 
-#: Row budget for one join during variable elimination.  Past it, the
-#: component's tables are semijoin-reduced and eliminated again, and
-#: past it a second time the backtracking matcher runs over the reduced
-#: tables (tests shrink this to force the ladder).  An explicit
-#: :class:`~repro.engine.runtime.ResourceBudget` row cap is checked
-#: *first* and raises instead of falling back.
+#: Row budget for one join during the first variable elimination.
+#: Past it, the component's tables are semijoin-reduced and eliminated
+#: again with no cap (tests shrink this to force the ladder).  An
+#: explicit :class:`~repro.engine.runtime.ResourceBudget` row cap is
+#: checked *first*, in both runs, and raises.
 ELIMINATION_ROW_CAP = 200_000
 
 SITE_PLANNER_REDUCE = checkpoint_site(
@@ -85,7 +83,6 @@ SITE_PLANNER_ELIMINATE = checkpoint_site(
 
 _COMPONENTS_JOIN = telemetry.registry().counter("planner.components.join")
 _COMPONENTS_DOMAIN = telemetry.registry().counter("planner.components.domain")
-_MATCHER_FALLBACKS = telemetry.registry().counter("planner.fallback.matcher")
 _FUSED = telemetry.registry().counter("planner.fused")
 _SEMIJOIN_PASSES = telemetry.registry().counter("planner.semijoin.passes")
 _SEMIJOIN_ROWS_REMOVED = telemetry.registry().counter(
@@ -227,7 +224,7 @@ class ComponentPlan:
         yield (f"component {{{variables}}}: min-degree elimination "
                f"(order: {order}; out: {out})")
         yield (f"    past {ELIMINATION_ROW_CAP} rows in a join: semijoin "
-               f"reduction, then elimination again, then the matcher")
+               f"reduction, then elimination again with no cap")
         for planned in self.atoms:
             yield "    " + planned.describe()
 
@@ -276,9 +273,8 @@ class JoinPlan:
         binding, when one is set).
 
         This is the membership path (`in_evaluation`), so it keeps the
-        old glue's early exit: components are checked independently,
-        elimination projects every variable away, and the matcher
-        fallback stops at its first homomorphism.
+        old glue's early exit: components are checked independently
+        and elimination projects every variable away.
         """
         if self.empty_reason is not None:
             return False
@@ -324,31 +320,28 @@ class JoinPlan:
             return TupleRelation(out_vars, ())
         try:
             return self._variable_elimination(component, tables, out_vars,
-                                              ctx)
+                                              ctx, ELIMINATION_ROW_CAP)
         except EliminationOverflow:
             pass
         reduced = semijoin_reduce(tables, ctx)
         if reduced is None:
             return TupleRelation(out_vars, ())
-        try:
-            return self._variable_elimination(component, reduced, out_vars,
-                                              ctx)
-        except EliminationOverflow:
-            return self._matcher_fallback(component, reduced, out_vars,
-                                          exists_only=exists_only)
+        return self._variable_elimination(component, reduced, out_vars, ctx,
+                                          None)
 
-    def _variable_elimination(self, component, tables, out_vars, ctx=None):
-        ctx = resolve_context(ctx)
+    def _variable_elimination(self, component, tables, out_vars, ctx, cap):
+        """Eliminate ``tables`` down to ``out_vars``, every join but the
+        component's last held to ``cap`` rows (``None``: no cap)."""
 
-        def join_all(tables, keep_of, last_cap=ELIMINATION_ROW_CAP):
+        def join_all(tables, keep_of, last_cap=cap):
             """``π_keep(t0 ⋈ … ⋈ tn)``, ``keep = keep_of(joined
             variables)``, the last join fused with the projection.  Each
-            join's *full* row count is held to ELIMINATION_ROW_CAP, the
-            last one's to ``last_cap``."""
+            join's *full* row count is held to ``cap``, the last one's
+            to ``last_cap``."""
             acc = tables[0]
             for table in tables[1:-1]:
                 ctx.checkpoint(SITE_PLANNER_ELIMINATE)
-                acc = natural_join(acc, table, ctx, cap=ELIMINATION_ROW_CAP)
+                acc = natural_join(acc, table, ctx, cap=cap)
             if len(tables) == 1:
                 return project(acc, keep_of(acc.variables))
             ctx.checkpoint(SITE_PLANNER_ELIMINATE)
@@ -377,37 +370,6 @@ class JoinPlan:
         # still bounds it).
         return join_all([true_relation()] + tables, lambda joined: out_vars,
                         last_cap=None)
-
-    def _matcher_fallback(self, component, reduced_tables, out_vars,
-                          exists_only=False):
-        """The pre-join-engine CSP glue, run only on the semijoin-reduced
-        residue of a component whose elimination overflowed twice
-        (first-witness exit in existence mode)."""
-        _MATCHER_FALLBACKS.inc()
-        from repro.graphdb.graph import GraphDatabase
-        from repro.homomorphism.matcher import homomorphisms
-        from repro.queries.atoms import CQAtom
-        from repro.queries.cq import CQ
-
-        relation_graph = GraphDatabase()
-        cq_atoms = []
-        for planned, table in zip(component.atoms, reduced_tables):
-            label = ("rel", planned.index)
-            source_var, target_var = table.variables
-            for source, target in table.rows:
-                relation_graph.add_edge(source, label, target)
-            cq_atoms.append(CQAtom(source_var, label, target_var))
-        residue_cq = CQ(out_vars, cq_atoms,
-                        extra_variables=component.variables)
-        homs = homomorphisms(residue_cq, relation_graph)
-        if exists_only:
-            for _hom in homs:
-                return true_relation()
-            return TupleRelation((), ())
-        return TupleRelation(
-            out_vars,
-            (tuple(hom[v] for v in out_vars) for hom in homs),
-        )
 
     # -- rendering ------------------------------------------------------
 

@@ -30,7 +30,7 @@ mirrored ladders around x:
   v-letter streams to agree position by position, i.e. exactly the PCP
   word equation u_{i1}···u_{ik} = v_{i1}···v_{ik}.
 
-Reproduction note (also in DESIGN.md): Appendix D was truncated in the
+Reproduction note: Appendix D was truncated in the
 source available to this reproduction.  The letter symbols here carry
 their tile index as a tag, and the I-a / â-Î conditions couple the tag
 sequences to the index tracks at x (first block); the appendix's full

@@ -197,7 +197,7 @@ def _under(context):
 @contextmanager
 def _elimination_cap(cap):
     """Joins past ``cap`` rows overflow into semijoin reduction, then
-    into the matcher fallback."""
+    into elimination of the reduced tables with no cap."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(planner, "ELIMINATION_ROW_CAP", cap)
         yield
@@ -279,9 +279,9 @@ AXES = {
     "batch": _batch(None),
     "batch-threaded": _batch(3),
     "python-backend": _under(lambda: use_backend("python")),
-    # Cap 0 sends every multi-table elimination to the matcher; on these
-    # cases cap 2 overflows 9 st / a-inj eliminations, 4 of which fit
-    # once semijoin-reduced, so both rungs of the ladder run.
+    # On these cases cap 0 overflows 17 st / a-inj eliminations and cap 2
+    # overflows 9; each then eliminates its semijoin-reduced tables with
+    # no cap, so both steps of the ladder run.
     "row-cap-0": _under(lambda: _elimination_cap(0)),
     "row-cap-2": _under(lambda: _elimination_cap(2)),
     "partial": _partial,

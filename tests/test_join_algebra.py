@@ -16,7 +16,7 @@ import random
 
 import pytest
 
-from repro.engine import planner, telemetry
+from repro.engine import planner
 from repro.engine.join import (
     TupleRelation,
     filter_rows,
@@ -282,10 +282,6 @@ def test_full_join_over_the_cap_raises_even_when_its_projection_fits():
     assert len(fused) == 5 and full == 25
 
 
-def _fallbacks():
-    return telemetry.registry().counter("planner.fallback.matcher").value
-
-
 def _count_reduces(monkeypatch):
     """Count the planner's ``semijoin_reduce`` calls from now on."""
     calls = []
@@ -299,45 +295,36 @@ def _count_reduces(monkeypatch):
     return calls
 
 
-# One cyclic query and graph.  The matcher-fallback counts below were
-# recorded with the materializing join, whose largest intermediate here
-# has 190 rows; the fused join must reach the same verdict at the edge.
-# Elimination first runs over the unreduced base tables, so every cap
-# under that first run's largest join reduces once; only a cap the
-# reduced tables also outgrow reaches the matcher.  The z → y chord
-# gives z three atoms, so path fusion leaves the cycle to the join.
+# One cyclic query and graph.  Elimination first runs over the
+# unreduced base tables, so every cap under that first run's largest
+# join reduces once and eliminates the reduced tables with no cap.  The
+# z → y chord gives z three atoms, so path fusion leaves the cycle to
+# the join.
 CYCLIC = parse_query(
     "Q(x, y) :- x -[a]-> y, y -[b]-> z, z -[a b]-> x, z -[a]-> y"
 )
-FALLBACKS_BY_CAP = {0: 1, 56: 1, 189: 1, 190: 0, 10_000: 0}
 REDUCES_BY_CAP = {0: 1, 56: 1, 189: 1, 190: 1, 10_000: 0}
 
 
-@pytest.mark.parametrize("cap,fallbacks", sorted(FALLBACKS_BY_CAP.items()))
-def test_elimination_cap_fallback_count_is_unchanged(monkeypatch, cap,
-                                                     fallbacks):
+@pytest.mark.parametrize("cap,reduces", sorted(REDUCES_BY_CAP.items()))
+def test_elimination_cap_reduce_count_is_unchanged(monkeypatch, cap,
+                                                   reduces):
     graph = uniform_random(40, 160, {"a", "b"}, seed=3)
     want = evaluate(CYCLIC, graph.copy(), "st")
     monkeypatch.setattr(planner, "ELIMINATION_ROW_CAP", cap)
-    reduces = _count_reduces(monkeypatch)
-    before = _fallbacks()
+    calls = _count_reduces(monkeypatch)
     assert evaluate(CYCLIC, graph.copy(), "st") == want
-    assert _fallbacks() - before == fallbacks
-    assert len(reduces) == REDUCES_BY_CAP[cap]
+    assert len(calls) == reduces
 
 
-STAR = parse_query("Q(p, q, r) :- x -[a]-> p, x -[b]-> q, x -[a]-> r")
-
-
-@pytest.mark.parametrize("query", [CYCLIC, STAR], ids=["cycle", "star"])
-def test_no_join_output_over_the_elimination_cap_is_built(monkeypatch,
-                                                          query):
+def test_no_join_output_over_the_elimination_cap_is_built(monkeypatch):
     """The elimination cap is checked on the full row count before a
     join builds anything.  The cap sits just below the largest join of
     an uncapped run (the largest materialized one, when a plain join
-    runs at all); under it every join output (the full count, for the
-    fused join) stays within the cap, and the ladder still finds the
-    same answers."""
+    runs at all); the capped run builds nothing over it, and on this
+    cycle the semijoin reduction keeps every join output of the
+    uncapped second run (the full count, for the fused join) within
+    the cap too.  The ladder still finds the same answers."""
     graph = uniform_random(40, 160, {"a", "b"}, seed=3)
     built, fused = [], []
     original_join, original_fused = planner.natural_join, planner.join_project
@@ -355,13 +342,13 @@ def test_no_join_output_over_the_elimination_cap_is_built(monkeypatch,
 
     monkeypatch.setattr(planner, "natural_join", join_spy)
     monkeypatch.setattr(planner, "join_project", fused_spy)
-    want = evaluate(query, graph.copy(), "st")
+    want = evaluate(CYCLIC, graph.copy(), "st")
     cap = max(built or fused) - 1
     built.clear()
     fused.clear()
     monkeypatch.setattr(planner, "ELIMINATION_ROW_CAP", cap)
     reduces = _count_reduces(monkeypatch)
-    assert evaluate(query, graph.copy(), "st") == want
+    assert evaluate(CYCLIC, graph.copy(), "st") == want
     assert reduces  # the cap was hit
     assert max(built + fused, default=0) <= cap
 
@@ -376,12 +363,11 @@ def test_answer_larger_than_the_elimination_cap_is_not_an_overflow(
         monkeypatch, query):
     """The last join of a component keeps only head variables, so its
     row count is the answer size.  A cap just below that size must
-    neither reduce nor reach the matcher."""
+    not reduce."""
     graph = uniform_random(40, 160, {"a", "b"}, seed=3)
     want = evaluate(query, graph.copy(), "st")
     cap = len(want) - 1
     monkeypatch.setattr(planner, "ELIMINATION_ROW_CAP", cap)
     reduces = _count_reduces(monkeypatch)
-    before = _fallbacks()
     assert evaluate(query, graph.copy(), "st") == want
-    assert reduces == [] and _fallbacks() == before
+    assert reduces == []

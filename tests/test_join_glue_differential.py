@@ -2,7 +2,8 @@
 (:mod:`tests.differential_matrix`): ``evaluate``, ``in_evaluation`` and
 ``evaluate_batch`` against the reference's CSP glue over brute-force
 relations, plus the overflow ladder (``ELIMINATION_ROW_CAP`` patched to
-0 and 2) and ``on_budget="partial"`` under every semantics.  Named fixed
+0 and 2: semijoin reduction, then elimination with no cap) and
+``on_budget="partial"`` under every semantics.  Named fixed
 shapes (the repo benchmark's cold st queries, parallel atoms, a star, a
 long chain) are checked against the CSP glue over engine relations.
 """

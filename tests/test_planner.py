@@ -4,8 +4,8 @@ The planner (:mod:`repro.engine.planner`) replaces the CSP glue on the
 st / a-inj hot path.  These tests pin the corners the differential
 suite's random queries may miss: disconnected queries, repeated
 variables in atoms and heads, loop atoms as unary relations, empty atom
-relations, Boolean queries, the overflow ladder's matcher fallback, and
-the ``--explain`` surfaces.
+relations, Boolean queries, the overflow ladder, and the ``--explain``
+surfaces.
 """
 
 import pytest
@@ -90,8 +90,8 @@ class TestPlanShapes:
         text = plan.explain()
         assert "min-degree elimination (order: y, z; out: x)" in text
         assert (f"past {planner.ELIMINATION_ROW_CAP} rows in a join: "
-                f"semijoin reduction, then elimination again, then the "
-                f"matcher") in text
+                f"semijoin reduction, then elimination again with no "
+                f"cap") in text
 
     def test_explain_reports_relation_sizes(self):
         query = parse_query("Q(x, y, z) :- x -[a]-> y, y -[b]-> z")
@@ -185,12 +185,26 @@ class TestPlannerEdgeCases:
 
 
 # ----------------------------------------------------------------------
-# Cyclic fallback to the backtracking matcher
+# The overflow ladder: reduce, then eliminate with no cap
 # ----------------------------------------------------------------------
 
 
-class TestMatcherFallback:
-    def test_fallback_matches_variable_elimination(self, monkeypatch):
+def _spy_eliminations(monkeypatch):
+    """Record ``(cap, base rows)`` of every elimination run from now on."""
+    calls = []
+    original = planner.JoinPlan._variable_elimination
+
+    def spy(self, component, tables, out_vars, ctx, cap):
+        calls.append((cap, sum(len(table) for table in tables)))
+        return original(self, component, tables, out_vars, ctx, cap)
+
+    monkeypatch.setattr(planner.JoinPlan, "_variable_elimination", spy)
+    return calls
+
+
+class TestOverflowLadder:
+    def test_reduced_elimination_matches_variable_elimination(
+            self, monkeypatch):
         graph = _diamond_graph()
         query = parse_query(
             "Q(x, z) :- x -[a]-> y, y -[b]-> z, z -[c]-> x, x -[a]-> z"
@@ -200,30 +214,73 @@ class TestMatcherFallback:
         plan = plan_eps_free(query, graph, Semantics.STANDARD)
         assert plan.answers() == want
 
-    def test_fallback_only_sees_the_reduced_residue(self, monkeypatch):
+    def test_second_elimination_sees_only_the_reduced_residue(
+            self, monkeypatch):
         graph = _diamond_graph()
         # A dangling a-edge: (v, q) joins no b-pair, so the semijoin
-        # pre-reduction must strip it before the matcher runs.  Every
+        # reduction must strip it before the second elimination.  Every
         # variable is in the head, so path fusion leaves the triangle be.
         graph.add_edge("v", "a", "q")
         query = parse_query(
             "Q(x, y, z) :- x -[a]-> y, y -[b]-> z, z -[c]-> x"
         )
-        seen = {}
-        original = planner.JoinPlan._matcher_fallback
-
-        def spy(self, component, reduced_tables, *args, **kwargs):
-            seen["rows"] = sum(len(t) for t in reduced_tables)
-            return original(self, component, reduced_tables, *args, **kwargs)
-
+        want = evaluate(query, graph, "st")
         monkeypatch.setattr(planner, "ELIMINATION_ROW_CAP", 0)
-        monkeypatch.setattr(planner.JoinPlan, "_matcher_fallback", spy)
+        calls = _spy_eliminations(monkeypatch)
         plan = plan_eps_free(query, graph, Semantics.STANDARD)
-        answers = plan.answers()
-        assert answers == evaluate(query, graph, "st")
+        assert plan.answers() == want
         # 6 base rows: 3 a-pairs, 2 b-pairs, 1 c-pair; the (v, q) a-pair
-        # dies in the pre-reduction, both u-triangles survive.
-        assert seen["rows"] == 5
+        # dies in the reduction, both u-triangles survive, and the
+        # second run carries no elimination cap.
+        assert calls == [(0, 6), (None, 5)]
+
+    @pytest.mark.parametrize("semantics", ["st", "a-inj"])
+    def test_overflow_never_runs_the_matcher(self, monkeypatch, semantics):
+        import repro.homomorphism.matcher as matcher
+
+        graph = uniform_random(30, 180, {"a"}, seed=1)
+        query = parse_query(
+            "Q(x, y, z) :- x -[a]-> y, y -[a]-> z, z -[a]-> x"
+        )
+        want = evaluate(query, graph.copy(), semantics)
+        assert want  # the ladder has answers to find
+        matched = []
+        original = matcher.homomorphisms
+
+        def spy(*args, **kwargs):
+            matched.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(matcher, "homomorphisms", spy)
+        monkeypatch.setattr(planner, "ELIMINATION_ROW_CAP", 0)
+        assert evaluate(query, graph.copy(), semantics) == want
+        assert matched == []
+
+    def test_budget_row_cap_bounds_the_uncapped_elimination(
+            self, monkeypatch):
+        # One a-edge, ten b-edges out of its target, ten c-edges out of
+        # each b-target: the first join has 10 rows, the answer 100.
+        graph = GraphDatabase()
+        graph.add_edge("x0", "a", "y0")
+        for i in range(10):
+            graph.add_edge("y0", "b", f"z{i}")
+            for j in range(10):
+                graph.add_edge(f"z{i}", "c", f"w{j}")
+        query = parse_query(
+            "Q(x, y, z, w) :- x -[a]-> y, y -[b]-> z, z -[c]-> w"
+        )
+        assert len(evaluate(query, graph.copy(), "st")) == 100
+        monkeypatch.setattr(planner, "ELIMINATION_ROW_CAP", 0)
+        calls = _spy_eliminations(monkeypatch)
+        with pytest.raises(ResourceExhausted) as raised:
+            evaluate(query, graph.copy(), "st",
+                     budget=ResourceBudget(row_cap=50))
+        # The capped run overflowed under the budget; the reduced run
+        # (nothing dangles, so every row survives) ran with no cap and
+        # tripped the budget on the 100-row answer.
+        assert [cap for cap, _ in calls] == [0, None]
+        assert raised.value.kind == "rows"
+        assert raised.value.progress == 100
 
 
 # ----------------------------------------------------------------------
