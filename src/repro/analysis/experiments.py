@@ -56,8 +56,13 @@ def agreement_matrix(pairs_per_cell=6, seed=0, reference_bound=3,
     The reference search can only certify NOT_CONTAINED; agreement means:
     decider says NOT_CONTAINED iff the reference finds a counterexample
     within the bound, and decider NOT_CONTAINED verdicts always carry a
-    verified witness.
+    verified witness.  A negative ``pairs_per_cell`` is a
+    :class:`ValueError`.
     """
+    if pairs_per_cell < 0:
+        raise ValueError(
+            f"pairs_per_cell must be non-negative, got {pairs_per_cell}"
+        )
     rows = []
     seen_pairs = set()
     for cell in FIGURE1:

@@ -59,8 +59,9 @@ def contains(q1, q2, semantics, exact=False, max_word_length=4, **budgets):
     Returns a :class:`repro.containment.result.ContainmentResult`.  With
     ``exact=True`` the call raises :class:`NotSupportedError` when only a
     bounded verdict is possible (undecidable cell) instead of returning
-    a CONTAINED_UP_TO_BOUND verdict.  Heads of different arity raise
-    :class:`ValueError`.
+    a CONTAINED_UP_TO_BOUND verdict.  Heads of different arity and a
+    negative ``max_word_length`` raise :class:`ValueError` in every
+    cell, whether or not its decider reads the bound.
 
     ``budgets`` forwards the deciders' search caps: ``expansion_budget``
     and ``quotient_budget`` (finite-left and the a-inj semi-decider),
@@ -74,6 +75,10 @@ def contains(q1, q2, semantics, exact=False, max_word_length=4, **budgets):
             f"contains() got unexpected budget keyword(s) "
             f"{', '.join(unknown)}; expected one of "
             f"{', '.join(sorted(_BUDGET_NAMES))}"
+        )
+    if max_word_length < 0:
+        raise ValueError(
+            f"max_word_length must be non-negative, got {max_word_length}"
         )
     check_head_arities(q1, q2)
     semantics = Semantics.coerce(semantics)

@@ -918,25 +918,18 @@ class CheckpointDiscipline(Rule):
 # LK009 backend-seam
 # ----------------------------------------------------------------------
 
-#: Raw numeric-container modules only the backend seam may import.
-NUMERIC_MODULES = frozenset({"array"})
-
 #: Modules no file may import at all, the seam included: the engine's
 #: one mask representation is the Python int.
 FORBIDDEN_MODULES = frozenset({"numpy"})
 
-#: The one sanctioned import site for the numeric containers.
-BACKEND_SEAM_SUFFIX = "engine/backend.py"
-
 #: The backend seam module itself.
 BACKEND_MODULE = "repro.engine.backend"
 
-#: The modules that may import the backend seam: the seam, the kernel
-#: modules whose index arrays it builds, and the metrics report that
-#: records which backend ran.  The join glue stays backend-free.
+#: The modules that may import the backend seam: the seam, the product
+#: kernel it selects, and the metrics report that records which backend
+#: ran.  The join glue stays backend-free.
 BACKEND_IMPORTERS = (
-    BACKEND_SEAM_SUFFIX,
-    "engine/adjacency.py",
+    "engine/backend.py",
     "engine/product.py",
     "devtools/obs/report.py",
 )
@@ -944,21 +937,19 @@ BACKEND_IMPORTERS = (
 
 @register
 class BackendSeam(Rule):
-    """NumPy is imported nowhere, ``array`` only by ``engine/backend.py``,
-    and the backend only by the product kernel's modules.
+    """NumPy is imported nowhere, and the backend only by the product
+    kernel's module.
 
     **Origin: PR 9 (compact numeric core), narrowed when the dense-id
     join glue and the wide-mask regime were deleted.**  Both product
-    kernels carry source sets as plain Python ints and the CSR index
-    arrays are constructed behind the backend seam.  A ``numpy`` import anywhere — the seam included
-    — would bring back an optional dependency whose presence changes
-    behaviour with the host (and costs every process its import time
-    and resident memory).  A module importing ``array`` directly
-    reaches around the seam; use the constructors of
-    :mod:`repro.engine.backend` instead.  The backend selects the
-    product kernel only, so :mod:`repro.engine.backend` itself may be
-    imported just by the modules in :data:`BACKEND_IMPORTERS`;
-    anywhere else (the planner, the q-inj pruning, the join algebra) a
+    kernels carry source sets as plain Python ints.  A ``numpy`` import
+    anywhere — the seam included — would bring back an optional
+    dependency whose presence changes behaviour with the host (and
+    costs every process its import time and resident memory).  The
+    backend selects the product kernel only, so
+    :mod:`repro.engine.backend` itself may be imported just by the
+    modules in :data:`BACKEND_IMPORTERS`; anywhere else (the planner,
+    the q-inj pruning, the join algebra, the adjacency index) a
     backend import would grow a second code path back.
     ``if TYPE_CHECKING:`` imports are exempt (annotation-only);
     function-level imports are NOT — a lazy import bypasses the seam
@@ -969,33 +960,22 @@ class BackendSeam(Rule):
     rule_name = "backend-seam"
 
     def check(self, ctx: LintContext) -> Iterator[Finding]:
-        in_seam = ctx.relpath.endswith(BACKEND_SEAM_SUFFIX)
-        banned = FORBIDDEN_MODULES if in_seam else (
-            FORBIDDEN_MODULES | NUMERIC_MODULES
-        )
         backend_allowed = ctx.relpath.endswith(BACKEND_IMPORTERS)
         for node in ast.walk(ctx.tree):
-            numeric = self._numeric_import(node, banned)
+            numpy = self._numpy_import(node)
             backend = not backend_allowed and self._backend_import(ctx, node)
-            if numeric is None and not backend:
+            if numpy is None and not backend:
                 continue
             if any(
                 _is_type_checking_block(ancestor)
                 for ancestor in ctx.ancestors(node)
             ):
                 continue
-            if numeric is not None and numeric.split(".")[0] in FORBIDDEN_MODULES:
+            if numpy is not None:
                 yield self.finding(
                     ctx, node,
-                    f"import of {numeric} — the engine carries masks as "
+                    f"import of {numpy} — the engine carries masks as "
                     f"Python ints and imports no NumPy",
-                )
-            elif numeric is not None:
-                yield self.finding(
-                    ctx, node,
-                    f"direct import of {numeric} reaches around the "
-                    f"numeric-backend seam — construct index arrays "
-                    f"through repro.engine.backend instead",
                 )
             else:
                 yield self.finding(
@@ -1007,15 +987,15 @@ class BackendSeam(Rule):
                 )
 
     @staticmethod
-    def _numeric_import(node: ast.AST, banned: frozenset[str]) -> str | None:
-        """The module in ``banned`` that ``node`` imports, or ``None``."""
+    def _numpy_import(node: ast.AST) -> str | None:
+        """The NumPy module ``node`` imports, or ``None``."""
         if isinstance(node, ast.Import):
             for alias in node.names:
-                if alias.name.split(".")[0] in banned:
+                if alias.name.split(".")[0] in FORBIDDEN_MODULES:
                     return alias.name
         elif isinstance(node, ast.ImportFrom):
             module = node.module or ""
-            if node.level == 0 and module.split(".")[0] in banned:
+            if node.level == 0 and module.split(".")[0] in FORBIDDEN_MODULES:
                 return module
         return None
 

@@ -21,23 +21,22 @@ mutation still describes the index's own version.  A facet is computed
 outside any lock and published once with ``dict.setdefault``, so racing
 readers all get the first published value.  Because one index is shared
 across every consumer of a graph version, all returned containers are
-immutable: tuples, frozensets, and read-only mapping proxies.
+immutable: tuples (the CSR rows' int tuples included), frozensets, and
+read-only mapping proxies.  The module imports nothing from the engine.
 """
 
 from __future__ import annotations
 
 from itertools import accumulate
 from types import MappingProxyType
-from typing import TYPE_CHECKING, Any, Callable, Mapping
-
-from repro.engine.backend import index_array
-
-if TYPE_CHECKING:
-    from array import array
+from typing import Any, Callable, Mapping
 
 #: ``{label: (neighbors...)}`` partition handed out by the index —
 #: a read-only view; mutating it raises ``TypeError``.
 LabelPartition = Mapping[Any, tuple[Any, ...]]
+
+#: One label's CSR rows over dense node ids: ``(offsets, targets)``.
+CSRRows = tuple[tuple[int, ...], tuple[int, ...]]
 
 #: ``{label: nodes}`` for the sources, targets and self-loops of each label.
 LabelSets = tuple[
@@ -79,7 +78,7 @@ class AdjacencyIndex:
     _out_by_label: dict[Any, LabelPartition] | None = None
     _in_by_label: dict[Any, LabelPartition] | None = None
     _label_sets: LabelSets | None = None
-    _csr_out: Mapping[Any, tuple["array[int]", "array[int]"]] | None = None
+    _csr_out: Mapping[Any, CSRRows] | None = None
 
     _EMPTY: tuple[Any, ...] = ()
     _EMPTY_SET: frozenset[Any] = frozenset()
@@ -132,7 +131,7 @@ class AdjacencyIndex:
         return (_frozen_values(sources), _frozen_values(targets),
                 _frozen_values(loops))
 
-    def _build_csr_out(self) -> Mapping[Any, tuple["array[int]", "array[int]"]]:
+    def _build_csr_out(self) -> Mapping[Any, CSRRows]:
         node_bit = self.node_bit
         rows: dict[Any, dict[int, list[int]]] = {}
         for edge in self._edges:
@@ -140,7 +139,7 @@ class AdjacencyIndex:
                 node_bit[edge.source], []
             ).append(node_bit[edge.target])
         count = len(self.nodes_sorted)
-        csr: dict[Any, tuple["array[int]", "array[int]"]] = {}
+        csr: dict[Any, CSRRows] = {}
         for label, by_source in rows.items():
             degrees = [0] * (count + 1)
             targets: list[int] = []
@@ -151,7 +150,7 @@ class AdjacencyIndex:
                 row.sort()
                 targets.extend(row)
                 degrees[source + 1] = len(row)
-            csr[label] = (index_array(accumulate(degrees)), index_array(targets))
+            csr[label] = (tuple(accumulate(degrees)), tuple(targets))
         return MappingProxyType(csr)
 
     def _labels(self) -> LabelSets:
@@ -194,18 +193,19 @@ class AdjacencyIndex:
         """Nodes with a ``label`` self-loop (a frozenset)."""
         return self._labels()[2].get(label, self._EMPTY_SET)
 
-    def csr_out(self) -> Mapping[Any, tuple["array[int]", "array[int]"]]:
+    def csr_out(self) -> Mapping[Any, CSRRows]:
         """Label-partitioned CSR adjacency over dense node ids.
 
-        ``{label: (offsets, targets)}`` where both halves are signed
-        64-bit index arrays from :mod:`repro.engine.backend`: the
-        ``label``-successors of the node interned at ``i`` (see
-        ``node_bit``) are ``targets[offsets[i]:offsets[i + 1]]``, in
-        the same deterministic :func:`edge_sort_key` order as the
-        object-level partitions.  Built straight from the edge snapshot
-        on first request (only the dense kernels pay for it) and cached
-        for the lifetime of this index — the arrays are shared, so treat
-        them as frozen; the mapping itself is a read-only proxy.
+        ``{label: (offsets, targets)}`` where both halves are int
+        tuples: the ``label``-successors of the node interned at ``i``
+        (see ``node_bit``) are ``targets[offsets[i]:offsets[i + 1]]``,
+        in the same deterministic :func:`edge_sort_key` order as the
+        object-level partitions.  The targets are ``node_bit``'s own int
+        objects, so a row costs one pointer per edge.  Built straight
+        from the edge snapshot on first request (only the dense kernel
+        pays for it) and cached for the lifetime of this index; the
+        kernel reads the rows as built, and the mapping is a read-only
+        proxy.
         """
         facet = self._csr_out
         if facet is None:

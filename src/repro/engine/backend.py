@@ -1,12 +1,10 @@
 """Numeric-kernel backend seam (:func:`use_backend`).
 
-The backend selects the product-reachability kernel and nothing else.
-Both kernels carry per-component source sets as plain Python ints (one
-bit per source node, combined with big-int OR, which runs in C); the
-engine imports no NumPy.  The compact numeric core's index arrays (the
-interned CSR adjacency in :mod:`repro.engine.adjacency`) are built
-through :func:`index_array` here.  The join glue
-(:mod:`repro.engine.planner`, :mod:`repro.engine.qinj`,
+The backend selects the product-reachability kernel and nothing else;
+it constructs no container.  Both kernels carry per-component source
+sets as plain Python ints (one bit per source node, combined with
+big-int OR, which runs in C); the engine imports no NumPy.  The join
+glue (:mod:`repro.engine.planner`, :mod:`repro.engine.qinj`,
 :mod:`repro.engine.join`) has one path under both backends: it joins
 graph nodes and never imports this module.  Two backends exist:
 
@@ -19,7 +17,7 @@ graph nodes and never imports this module.  Two backends exist:
 ``array`` (default)
     The dense kernel of :mod:`repro.engine.product`: interned node and
     state ids, the product settled one automaton component at a time
-    over the CSR rows.
+    over the int-tuple CSR rows of :mod:`repro.engine.adjacency`.
 
 Selection: ``array`` unless :func:`use_backend` overrides it in-process
 (the differential tests and the repo benchmark's reference runs).  The
@@ -31,27 +29,19 @@ boundaries; see :mod:`repro.engine.runtime` for the same decision on
 probes).
 
 lintkit rule LK009 enforces the seam: no module imports :mod:`numpy`,
-modules outside this file must not import :mod:`array` directly, and
-only the kernel modules (:mod:`~repro.engine.adjacency`,
-:mod:`~repro.engine.product`) and the metrics report may import this
-one.
+and only the product kernel (:mod:`~repro.engine.product`) and the
+metrics report may import this one.
 """
 
 from __future__ import annotations
 
-from array import array
 from contextlib import contextmanager
-from typing import Any, Iterator, Optional
+from typing import Iterator, Optional
 
 from repro.engine import telemetry
 
 #: Valid backend names, in documentation order.
 BACKEND_NAMES = ("python", "array")
-
-
-def index_array(values: Any = ()) -> "array[int]":
-    """A signed 64-bit index array (the CSR offsets/targets type)."""
-    return array("q", values)
 
 
 class Backend:

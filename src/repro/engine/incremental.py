@@ -458,35 +458,39 @@ class IncrementalRelationStore:
 
         if semantics is not Semantics.STANDARD:
             return compute()
-        relations, nodes = self._result_fingerprint(query)
         key = (semantics, query)
         with self._lock:
             entry = self._query_results.get(key)
+            nodes = self.graph.nodes
             if entry is not None:
-                answers, old_relations, old_nodes = entry
+                answers, automata, old_relations, old_nodes = entry
                 # Relations compare by identity; an unchanged node set
                 # is the graph's same snapshot object.
-                if old_relations == relations and (
+                if self._tables(automata) == old_relations and (
                         old_nodes is nodes or old_nodes == nodes):
                     self._query_results.move_to_end(key)
                     self._counts["results_reused"] += 1
                     _DECISION_COUNTERS["results_reused"].inc()
                     return answers
+            # A miss interns the distinct languages' automata afresh; the
+            # entry keeps them, so a repeat check compiles no language.
+            automata = tuple({
+                atom.language: compiled_nfa(atom.language)
+                for atom in query.atoms
+            }.items())
+            relations = self._tables(automata)
         answers = frozenset(compute())
         with self._lock:
-            self._query_results[key] = (answers, relations, nodes)
+            self._query_results[key] = (answers, automata, relations, nodes)
             self._query_results.move_to_end(key)
             while len(self._query_results) > QUERY_RESULT_CAP:
                 self._query_results.popitem(last=False)
         return answers
 
-    def _result_fingerprint(self, query):
-        """The reuse key of one standard disjunct: its maintained base
-        tables (by identity, one per distinct language) plus the node
-        set."""
-        languages = dict.fromkeys(atom.language for atom in query.atoms)
-        relations = tuple(map(self.standard_relation, languages))
-        return relations, self.graph.nodes
+    def _tables(self, automata):
+        """The maintained tables of ``(language, nfa)`` pairs, in order."""
+        return tuple(self._state_for(language, nfa).relation()
+                     for language, nfa in automata)
 
     def _state_for(self, language, nfa=None):
         nfa = nfa or compiled_nfa(language)

@@ -367,9 +367,12 @@ class JoinPlan:
         # Every variable left is a head variable, so the last join's
         # full row count is the answer size: the cap could only reject
         # an answer that must be built anyway (the budget's row cap
-        # still bounds it).
-        return join_all([true_relation()] + tables, lambda joined: out_vars,
-                        last_cap=None)
+        # still bounds it).  The unit join only gives a lone table a
+        # join for that bound to check: in front of more tables it
+        # would hold the first one alone to the cap.
+        if len(tables) == 1:
+            tables = [true_relation()] + tables
+        return join_all(tables, lambda joined: out_vars, last_cap=None)
 
     # -- rendering ------------------------------------------------------
 

@@ -33,13 +33,16 @@ automaton's :func:`~repro.engine.cache.nfa_record`: an acyclic state's
 product layer is a DAG slice, final once its predecessors are, so it
 gathers its masks with one OR per product edge and no DFS; only a
 cyclic component's layer is condensed by Tarjan
-(:func:`_settle_cyclic_layer`).  Both kernels carry a source set as one
-plain Python int, so the kernel cost per OR is pinned by the node count;
-the dense kernel decodes a mask by a byte-table walk over its nonzero
-bytes (:func:`_int_bits`), once per distinct mask (targets downstream of
-the same seeds share one), and returns its pair set itself rather than
-a copy; the object-keyed kernel and the store's deltas decode by
-lowest-bit peeling (:func:`_decode_mask`).
+(:func:`_settle_cyclic_layer`).  Both walk the index's CSR rows
+(:meth:`~repro.engine.adjacency.AdjacencyIndex.csr_out`) as built: int
+tuples, shared by every call on one graph version.  Both kernels carry
+a source set as one plain Python int, so the kernel cost per OR is
+pinned by the node count; the dense kernel decodes a mask by a
+byte-table walk over its nonzero bytes (:func:`_int_bits`), once per
+distinct mask (targets downstream of the same seeds share one), and
+returns its pair set itself rather than a copy; the object-keyed kernel
+and the store's deltas decode by lowest-bit peeling
+(:func:`_decode_mask`).
 """
 
 from __future__ import annotations
@@ -57,7 +60,7 @@ from typing import (
 )
 
 from repro.engine import telemetry
-from repro.engine.adjacency import AdjacencyIndex, adjacency_index
+from repro.engine.adjacency import AdjacencyIndex, CSRRows, adjacency_index
 from repro.engine.backend import active_backend
 from repro.engine.cache import nfa_record
 from repro.engine.runtime import ExecutionContext, checkpoint_site, resolve_context
@@ -65,10 +68,9 @@ from repro.engine.runtime import ExecutionContext, checkpoint_site, resolve_cont
 #: A ``(node, state)`` product state and its deduplicated successors.
 ProductNode = tuple[Any, Any]
 ProductAdjacency = dict[ProductNode, list[ProductNode]]
-_Rows = tuple[list[int], list[int]]  #: one label's thawed CSR rows
-#: One automaton move over the thawed CSR rows of its label:
+#: One automaton move over the CSR rows of its label:
 #: ``(offsets, targets, successor layer bases)``.
-_Move = tuple[list[int], list[int], tuple[int, ...]]
+_Move = tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]
 _Vertex = TypeVar("_Vertex", bound=Hashable)
 
 SITE_PRODUCT_SWEEP = checkpoint_site(
@@ -88,27 +90,21 @@ def product_reachability_pairs(
     ctx = resolve_context(ctx)
     index = adjacency_index(graph)
     nodes = index.nodes_sorted
-    pairs: set[tuple[Any, Any]] = set()
-    if nfa.accepts(()):
-        pairs.update((node, node) for node in nodes)
     if not nodes or not nfa.initials:
-        return pairs
+        return set()
 
+    # The automaton is ε-free, so ε ∈ L iff an initial state is final,
+    # and both kernels' seeds at such a state yield every (u, u).
     if active_backend().dense_kernels:
         _DENSE_DISPATCH.inc()
         layers = dense_layers(index, nfa, SITE_PRODUCT_SWEEP, ctx)
-        # Hand back the decoded set itself: ``pairs`` holds only the
-        # ε-diagonal here, so folding it in beats copying every pair.
-        dense_pairs = mask_pairs(
-            final_masks(layers, nfa.finals, len(nodes)), nodes
-        )
-        dense_pairs |= pairs
-        return dense_pairs
+        return mask_pairs(final_masks(layers, nfa.finals, len(nodes)), nodes)
 
     base = seed_masks(nodes, nfa)
     succ = sweep(index, nfa, base, SITE_PRODUCT_SWEEP, ctx)
     components, masks = settle(succ, base)
     finals = nfa.finals
+    pairs: set[tuple[Any, Any]] = set()
     for members, mask in zip(components, masks):
         targets = [node for node, state in members if state in finals]
         if targets and mask:
@@ -144,22 +140,14 @@ def dense_layers(
     and are gathered along the CSR rows of
     :meth:`AdjacencyIndex.csr_out` with one OR per product edge.  A
     cyclic component is condensed by :func:`_settle_cyclic_layer`, over
-    the product restricted to its own states.  The CSR rows are thawed
-    to plain lists up front: C-level ``array.tolist()`` plus slicing
-    beats per-element ``array`` indexing on the hot edge loop.
+    the product restricted to its own states.  Both read the CSR rows as
+    the index built them: int tuples, sliced per source row.
     Output-equivalent to the object-keyed kernel — pinned by
     ``tests/test_backend_differential.py``.
     """
     count = len(index.nodes_sorted)
     record = nfa_record(nfa)
-
-    # The thawed CSR rows of every label the automaton reads and the
-    # graph has: kernel-local working copies, freed on return.
-    csr = index.csr_out()
-    rows: dict[Any, _Rows] = {
-        label: (csr[label][0].tolist(), csr[label][1].tolist())
-        for label in record.by_label if label in csr
-    }
+    rows = index.csr_out()
 
     # ``layers[s][v]``: the source mask of product state (v, s); None
     # until s's component is settled, and for states no seed reaches.
@@ -241,8 +229,8 @@ def mask_pairs(
 def _settle_cyclic_layer(
     members: list[int],
     moves_in: list[tuple[int, Any, tuple[int, ...]]],
-    rows: dict[Any, _Rows],
-    entering: list[tuple[list[int], _Rows, tuple[int, ...]]],
+    rows: Mapping[Any, CSRRows],
+    entering: list[tuple[list[int], CSRRows, tuple[int, ...]]],
     initial_ids: frozenset[int],
     count: int,
     layers: list[Optional[list[int]]],

@@ -73,11 +73,5 @@ class Atom:
         """True iff source and target are the same variable (x -L-> x)."""
         return self.source == self.target
 
-    def single_label(self):
-        """Return the label when the language is a single symbol, else None."""
-        if isinstance(self.language, Symbol):
-            return self.language.label
-        return None
-
     def __str__(self):
         return f"{self.source} -[{self.language}]-> {self.target}"

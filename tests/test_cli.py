@@ -124,6 +124,23 @@ class TestCommands:
         assert err.startswith("repro: ")
         assert "non-negative" in err
 
+    @pytest.mark.parametrize("left, semantics", [
+        ("Q() :- x -[a*]-> y", "st"),       # abstraction
+        ("Q() :- x -[a*]-> y", "q-inj"),    # abstraction
+        ("Q() :- x -[a]-> y", "a-inj"),     # finite left side
+    ])
+    def test_contains_negative_bound_rejected_in_every_cell(
+            self, left, semantics, capsys):
+        # Deciders that never read the bound still reject a negative one.
+        code = main([
+            "contains", left, "Q() :- x -[a]-> y",
+            "--semantics", semantics, "--bound", "-1",
+        ])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert err.startswith("repro: ")
+        assert "non-negative" in err
+
     @pytest.mark.parametrize("command", ["contains", "certify"])
     @pytest.mark.parametrize("semantics", ["st", "a-inj", "q-inj"])
     def test_head_arity_mismatch_exits_input_code(self, command, semantics,
@@ -142,6 +159,12 @@ class TestCommands:
         assert main(["figure1"]) == 0
         out = capsys.readouterr().out
         assert "ExpSpace-complete" in out and "undecidable" in out
+
+    def test_figure1_negative_pairs_exits_input_code(self, capsys):
+        assert main(["figure1", "--agree", "--pairs", "-1"]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("repro: ")
+        assert "non-negative" in err
 
     def test_examples_listing(self, capsys):
         assert main(["examples"]) == 0

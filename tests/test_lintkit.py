@@ -587,10 +587,10 @@ def test_lk008_scoped_to_registered_modules(tmp_path):
 
 
 LK009_MODULE_IMPORT = """
-    from array import array
+    import numpy
 
     def build():
-        return array("q")
+        return numpy.zeros(4)
 """
 
 LK009_LAZY_IMPORT = """
@@ -604,18 +604,18 @@ LK009_TYPE_CHECKING_OK = """
     from typing import TYPE_CHECKING
 
     if TYPE_CHECKING:
-        from array import array
+        from numpy import ndarray
 
 
-    def size(values: "array[int]") -> int:
+    def size(values: "ndarray") -> int:
         return len(values)
 """
 
 LK009_SEAM_USER_OK = """
-    from repro.engine.backend import index_array
+    from repro.engine.backend import active_backend
 
-    def build():
-        return index_array((1, 2, 3))
+    def dense():
+        return active_backend().dense_kernels
 """
 
 
@@ -625,7 +625,7 @@ def test_lk009_fires_on_module_scope_numeric_import(tmp_path):
         rule="backend-seam",
     )
     assert rule_ids(result) == ["LK009"]
-    assert "backend" in result.findings[0].message
+    assert "NumPy" in result.findings[0].message
 
 
 def test_lk009_fires_on_function_level_numeric_import(tmp_path):
@@ -646,8 +646,9 @@ def test_lk009_exempts_type_checking_imports(tmp_path):
 
 
 def test_lk009_exempts_the_seam_module_itself(tmp_path):
+    # From the backend-import clause only: its NumPy ban still holds.
     result = lint_snippet(
-        tmp_path, "repro/engine/backend.py", LK009_MODULE_IMPORT,
+        tmp_path, "repro/engine/backend.py", LK009_SEAM_USER_OK,
         rule="backend-seam",
     )
     assert result.findings == []
@@ -686,7 +687,7 @@ def test_lk009_fires_on_numpy_imports_everywhere(tmp_path, relpath, source):
 
 def test_lk009_quiet_on_seam_consumers(tmp_path):
     result = lint_snippet(
-        tmp_path, "repro/engine/adjacency.py", LK009_SEAM_USER_OK,
+        tmp_path, "repro/engine/product.py", LK009_SEAM_USER_OK,
         rule="backend-seam",
     )
     assert result.findings == []
@@ -723,6 +724,8 @@ LK009_BACKEND_TYPE_CHECKING_OK = """
 
 
 @pytest.mark.parametrize("relpath, source", [
+    # The adjacency index builds plain int tuples: it needs no seam.
+    ("repro/engine/adjacency.py", LK009_SEAM_USER_OK),
     ("repro/engine/planner.py", LK009_SEAM_USER_OK),
     ("repro/engine/qinj.py", LK009_BACKEND_MODULE_IMPORT),
     ("repro/engine/join.py", LK009_BACKEND_LAZY_IMPORT),
@@ -737,7 +740,6 @@ def test_lk009_fires_on_backend_imports_outside_the_kernel(tmp_path, relpath,
 
 
 @pytest.mark.parametrize("relpath", [
-    "repro/engine/adjacency.py",
     "repro/engine/product.py",
     "repro/devtools/obs/report.py",
 ])

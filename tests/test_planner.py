@@ -11,7 +11,7 @@ surfaces.
 import pytest
 
 from repro.cli import main
-from repro.engine import planner
+from repro.engine import planner, telemetry
 from repro.engine.planner import (
     ComponentPlan,
     explain_query,
@@ -255,6 +255,26 @@ class TestOverflowLadder:
         monkeypatch.setattr(planner, "ELIMINATION_ROW_CAP", 0)
         assert evaluate(query, graph.copy(), semantics) == want
         assert matched == []
+
+    def test_last_join_of_two_tables_never_overflows(self, monkeypatch):
+        # Fusion leaves two tables over the head {x, z}: their one join
+        # is the answer, so even a zero cap holds no table to it alone
+        # and the ladder's semijoin reduction never runs.
+        graph = uniform_random(30, 120, {"a"}, seed=3)
+        query = parse_query(
+            "Q(x, z) :- x -[a]-> y, y -[a]-> z, z -[a]-> w, w -[a]-> x"
+        )
+        want = evaluate(query, graph.copy(), "st")
+        passes = telemetry.registry().counter("planner.semijoin.passes")
+        monkeypatch.setattr(planner, "ELIMINATION_ROW_CAP", 0)
+        calls = _spy_eliminations(monkeypatch)
+        before = passes.value
+        assert evaluate(query, graph.copy(), "st") == want
+        assert passes.value == before
+        assert [cap for cap, _ in calls] == [0]
+        plan = plan_eps_free(query, graph.copy(), Semantics.STANDARD)
+        (component,) = plan.components
+        assert len(component.atoms) == 2
 
     def test_budget_row_cap_bounds_the_uncapped_elimination(
             self, monkeypatch):
