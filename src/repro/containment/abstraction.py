@@ -63,7 +63,7 @@ from repro.containment.preprocess import (
 from repro.containment.result import ContainmentResult, Verdict
 from repro.engine.cache import compiled_nfa
 from repro.errors import SearchBudgetExceeded
-from repro.queries.crpq import union_of
+from repro.queries.crpq import eps_free_disjuncts, union_of
 from repro.regular.nfa import NFA
 from repro.semantics.base import Semantics
 from repro.semantics.evaluation import in_evaluation
@@ -225,19 +225,16 @@ def contains_abstraction(q1, q2, semantics, max_classes=20000,
             "(Theorem 5.2); use the bounded semi-decider in ainj_semi"
         )
     right = union_of(q2)
-    right_eps_free = []
-    for disjunct in right:
-        right_eps_free.extend(disjunct.epsilon_free_union())
     # Remark C.1 merge on Q2 (completeness of pairwise elements).
     right_merged = tuple(
-        merge_degree_one_variables(disjunct) for disjunct in right_eps_free
+        merge_degree_one_variables(disjunct)
+        for disjunct in eps_free_disjuncts(right)
     )
     q2_nfa = _combined_q2_nfa(right_merged)
 
     left_disjuncts = []
-    for disjunct in union_of(q1):
-        for eps_free in disjunct.epsilon_free_union():
-            left_disjuncts.extend(split_parallel_singletons(eps_free))
+    for eps_free in eps_free_disjuncts(q1):
+        left_disjuncts.extend(split_parallel_singletons(eps_free))
 
     candidates_checked = 0
     for disjunct in left_disjuncts:

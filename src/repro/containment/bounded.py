@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from repro.containment.result import ContainmentResult, Verdict
 from repro.errors import SearchBudgetExceeded
-from repro.queries.crpq import union_of
+from repro.queries.crpq import eps_free_disjuncts, union_of
 from repro.semantics.base import Semantics
 from repro.semantics.evaluation import in_evaluation
 from repro.semantics.expansion import candidate_cqs, expansions
@@ -30,9 +30,7 @@ def search_counterexample(q1, q2, semantics, max_word_length,
     """
     semantics = Semantics.coerce(semantics)
     right = union_of(q2)
-    left_disjuncts = []
-    for disjunct in union_of(q1):
-        left_disjuncts.extend(disjunct.epsilon_free_union())
+    left_disjuncts = eps_free_disjuncts(q1)
     checked = 0
     truncated = False
     for disjunct in left_disjuncts:

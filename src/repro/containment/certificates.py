@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from repro.containment.api import check_head_arities
 from repro.containment.result import Verdict
 from repro.homomorphism.matcher import cq_homomorphisms
-from repro.queries.crpq import union_of
+from repro.queries.crpq import eps_free_disjuncts
 from repro.semantics.base import Semantics
 from repro.semantics.expansion import all_expansions, candidate_cqs
 
@@ -67,12 +67,8 @@ def containment_certificate(q1, q2, semantics, expansion_budget=100000,
     """
     check_head_arities(q1, q2)
     semantics = Semantics.coerce(semantics)
-    left_disjuncts = []
-    for disjunct in union_of(q1):
-        left_disjuncts.extend(disjunct.epsilon_free_union())
-    right_disjuncts = []
-    for disjunct in union_of(q2):
-        right_disjuncts.extend(disjunct.epsilon_free_union())
+    left_disjuncts = eps_free_disjuncts(q1)
+    right_disjuncts = eps_free_disjuncts(q2)
 
     right_cqs = []
     for disjunct in right_disjuncts:

@@ -15,7 +15,7 @@ decidable — so this decider is exact for all three semantics, giving the
 from __future__ import annotations
 
 from repro.containment.result import ContainmentResult, Verdict
-from repro.queries.crpq import union_of
+from repro.queries.crpq import eps_free_disjuncts, union_of
 from repro.semantics.base import Semantics
 from repro.semantics.evaluation import in_evaluation
 from repro.semantics.expansion import all_expansions, candidate_cqs
@@ -33,9 +33,7 @@ def contains_finite_left(q1, q2, semantics, expansion_budget=200000,
     structure), and every check reuses its ε-free disjunct list.
     """
     semantics = Semantics.coerce(semantics)
-    left_disjuncts = []
-    for disjunct in union_of(q1):
-        left_disjuncts.extend(disjunct.epsilon_free_union())
+    left_disjuncts = eps_free_disjuncts(q1)
     right = union_of(q2)
     checked = 0
     for disjunct in left_disjuncts:

@@ -11,9 +11,9 @@ The analyzer decides with automata only; it never runs a containment
 decider.  The pipeline per ε-free disjunct:
 
 1. **Hard facts**: atoms denoting the empty language make the disjunct
-   unsatisfiable — it is dropped; structurally duplicate disjuncts
-   collapse; ε-only atoms, isolated head variables and disconnected
-   variable graphs are linted.
+   unsatisfiable — it is dropped; disjuncts equal as queries (head,
+   variables, atom multiset) collapse; ε-only atoms, isolated head
+   variables and disconnected variable graphs are linted.
 2. **Sibling-language subsumption**: two atoms over the same ordered
    endpoint pair with L₁ ⊆ L₂ (decided exactly via the DFA complement
    product) make the superset atom redundant under standard and
@@ -33,13 +33,12 @@ line (loops, finite languages, components, injective floor) on demand.
 from __future__ import annotations
 
 import threading
-from collections import Counter
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from repro.engine.cache import analysis_report, compiled_nfa, nfa_record
-from repro.queries.crpq import CRPQ, union_of
+from repro.queries.crpq import CRPQ, eps_free_disjuncts, union_of
 from repro.regular.dfa import nfa_language_subset
 from repro.regular.syntax import Empty, remove_epsilon
 from repro.regular.words import language_is_finite
@@ -95,7 +94,6 @@ class AnalysisReport:
     disjuncts: Tuple[Any, ...]  # disjuncts after pruning/rewriting
     decisions: Tuple[AnalysisDecision, ...]
     lints: Tuple[AnalysisLint, ...]
-    from_cache: bool = field(default=False, compare=False)
 
     @property
     def pruned(self) -> bool:
@@ -156,27 +154,21 @@ def analysis_disabled() -> Iterator[None]:
 def analyze(query: Any, semantics: Any) -> AnalysisReport:
     """Analyze ``query`` (a CRPQ, CQ, or union) under ``semantics``.
 
-    The report is memoized process-wide, keyed by query structure +
-    semantics — graph-independent, so one report serves every graph
-    version.
+    The report is memoized process-wide, keyed by the disjunct tuple
+    ``union_of(query)`` plus semantics — disjuncts compare as CRPQs do
+    (head, variables, atom multiset), never by graph, so one report
+    serves every graph version.  The ``cache.analysis.*`` counters
+    record hits and misses.
     """
     semantics = Semantics.coerce(semantics)
     disjuncts = union_of(query)
     if getattr(_state, "disabled", False):
         return _passthrough_report(disjuncts, semantics)
-    key = (tuple(_structural_key(d) for d in disjuncts), semantics)
-    computed = False
-
-    def _compute() -> Tuple[AnalysisReport, AnalysisReport]:
-        # The cache keeps the report beside its prebuilt cache-hit twin.
-        nonlocal computed
-        computed = True
-        report = _compute_report(disjuncts, semantics)
-        return report, replace(report, from_cache=True)
-
-    fresh, cached = analysis_report(key, _compute)
-    result: AnalysisReport = fresh if computed else cached
-    return result
+    report: AnalysisReport = analysis_report(
+        (disjuncts, semantics),
+        lambda: _compute_report(disjuncts, semantics),
+    )
+    return report
 
 
 def analyzed_disjuncts(query: Any, semantics: Any) -> Tuple[Any, ...]:
@@ -193,33 +185,10 @@ def analyzed_disjuncts(query: Any, semantics: Any) -> Tuple[Any, ...]:
 # ----------------------------------------------------------------------
 
 
-def _structural_key(disjunct: Any) -> Tuple[Any, ...]:
-    """A *multiplicity-preserving* structural identity for a CRPQ.
-
-    ``CRPQ.__eq__`` compares atom **sets**, which collapses duplicate
-    atoms — but duplicates matter under query-injective semantics (two
-    copies of one atom need two internally disjoint witness paths).
-    Cache keys and duplicate detection therefore compare the atom
-    *multiset* plus head and variable set.  Without duplicates that is
-    the atom set itself; otherwise a frozenset of (atom, count) pairs,
-    which never equals a set of atoms."""
-    atoms = frozenset(disjunct.atoms)
-    if len(atoms) != len(disjunct.atoms):
-        atoms = frozenset(Counter(disjunct.atoms).items())
-    return (disjunct.head, atoms, disjunct.variables)
-
-
-def _eps_free_list(disjuncts: Tuple[Any, ...]) -> List[Any]:
-    expanded: List[Any] = []
-    for disjunct in disjuncts:
-        expanded.extend(disjunct.epsilon_free_union())
-    return expanded
-
-
 def _passthrough_report(
     disjuncts: Tuple[Any, ...], semantics: Semantics
 ) -> AnalysisReport:
-    eps_free = tuple(_eps_free_list(disjuncts))
+    eps_free = eps_free_disjuncts(disjuncts)
     return AnalysisReport(
         semantics=semantics,
         original=eps_free,
@@ -250,12 +219,13 @@ def _compute_report(
     decisions: List[AnalysisDecision] = []
     lints: List[AnalysisLint] = []
     _lint_epsilon_only_atoms(disjuncts, lints)
-    original = tuple(_eps_free_list(disjuncts))
+    original = eps_free_disjuncts(disjuncts)
     meter = _CheckMeter()
 
-    # Phase 1: unsatisfiable disjuncts (an atom denoting ∅) and exact
-    # structural duplicates — sound under every semantics.
+    # Phase 1: unsatisfiable disjuncts (an atom denoting ∅) and disjuncts
+    # equal to an earlier survivor — sound under every semantics.
     survivors: List[Tuple[int, Any]] = []
+    first_index: Dict[Any, int] = {}
     for index, disjunct in enumerate(original):
         empty_atom = _first_empty_atom(disjunct)
         if empty_atom is not None:
@@ -267,13 +237,8 @@ def _compute_report(
                         f"language"),
             ))
             continue
-        structural = _structural_key(disjunct)
-        duplicate = next(
-            (kept_index for kept_index, kept in survivors
-             if _structural_key(kept) == structural),
-            None,
-        )
-        if duplicate is not None:
+        duplicate = first_index.setdefault(disjunct, index)
+        if duplicate != index:
             decisions.append(AnalysisDecision(
                 kind="drop-disjunct-duplicate",
                 disjunct=index,

@@ -287,7 +287,7 @@ def clear_compilation_caches() -> None:
 
 
 # ----------------------------------------------------------------------
-# Analysis-report cache (graph-free, keyed by query structure)
+# Analysis-report cache (graph-free, keyed by the query's disjuncts)
 # ----------------------------------------------------------------------
 
 _analysis_cache = _LRUCache(_ANALYSIS_CACHE_CAP)
@@ -296,10 +296,9 @@ _analysis_cache = _LRUCache(_ANALYSIS_CACHE_CAP)
 def analysis_report(key: Any, compute: Callable[[], Any]) -> Any:
     """Get-or-compute a static-analysis report.
 
-    ``key`` is a hashable summary of the *query structure* plus the
-    semantics — never the graph or its version, so one report serves
-    every graph and survives every mutation (the incremental layer's
-    requirement).  ``compute`` runs on a miss; its result is assumed
+    ``key`` is the query's disjunct tuple plus the semantics — never
+    the graph or its version, so one report serves every graph and
+    survives every mutation (the incremental layer's requirement).  ``compute`` runs on a miss; its result is assumed
     immutable."""
     report = _analysis_cache.get(key)
     if report is not None:
@@ -439,9 +438,9 @@ def query_result(
 ) -> Any:
     """Get-or-compute a full per-disjunct evaluation result.
 
-    Keyed by (semantics, query) on top of the graph version — CRPQs hash
-    structurally (head, atom set, variables), so re-evaluating the same
-    query against an unchanged graph is a dictionary lookup.  This is
+    Keyed by (semantics, query) on top of the graph version — CRPQs
+    compare by head, variables and atom multiset, so re-evaluating the
+    same query against an unchanged graph is a dictionary lookup.  This is
     the layer that makes repeated query serving cheap; the atom-relation
     cache below it makes *distinct* queries sharing atom languages cheap.
 

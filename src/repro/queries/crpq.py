@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import enum
 import itertools
+from collections import Counter
 
 from repro.queries.atoms import Atom, CQAtom
 from repro.queries.cq import CQ
@@ -118,7 +119,9 @@ class CRPQ:
         by its target everywhere (X[x/y]).  Atoms whose language is exactly
         {ε} only get branch (b); atoms with empty ε-free language only
         branch (b) as well; a query containing an atom with the empty
-        language is dropped entirely (it is unsatisfiable).
+        language is dropped entirely (it is unsatisfiable).  Branches
+        equal as queries (same head, variables and atom multiset) are
+        kept once, in first-seen order.
         """
         nullable_indices = [
             i for i, atom in enumerate(self.atoms) if atom.language.nullable()
@@ -133,16 +136,7 @@ class CRPQ:
             query = self._apply_epsilon_choice(drop)
             if query is not None:
                 results.append(query)
-        # Deduplicate while preserving deterministic order.
-        unique = []
-        seen = set()
-        for query in results:
-            key = (query.head, frozenset((a.source, str(a.language), a.target)
-                                         for a in query.atoms))
-            if key not in seen:
-                seen.add(key)
-                unique.append(query)
-        return tuple(unique)
+        return tuple(dict.fromkeys(results))
 
     def _apply_epsilon_choice(self, drop):
         """Build one disjunct: drop atoms in ``drop`` (collapsing endpoints),
@@ -184,22 +178,28 @@ class CRPQ:
             extra_variables={mapping[v] for v in self._variables},
         )
 
+    # The one query identity: head, variable set and atom *multiset*.
+    # Atom order is free, but multiplicity is not: under q-inj two
+    # copies of x -[ab]-> y need two internally disjoint witness paths.
     def __eq__(self, other):
         if not isinstance(other, CRPQ):
             return NotImplemented
         return (self.head == other.head
-                and set(self.atoms) == set(other.atoms)
-                and self._variables == other._variables)
+                and self._variables == other._variables
+                and len(self.atoms) == len(other.atoms)
+                and (self.atoms == other.atoms
+                     or Counter(self.atoms) == Counter(other.atoms)))
 
-    # Queries key the result, analysis and store caches, so the
-    # structural hash (a frozenset over the atoms) is kept once
-    # computed; like a regex node's, it is dropped when pickled.
+    # Queries key the result, analysis and store caches, so the hash is
+    # kept once computed; like a regex node's, it is dropped when
+    # pickled.  Atom set plus atom count is constant on each multiset.
     def __hash__(self):
         cached = self.__dict__.get("_hash")
         if cached is None:
-            cached = self.__dict__["_hash"] = hash(
-                (self.head, frozenset(self.atoms), self._variables)
-            )
+            cached = self.__dict__["_hash"] = hash((
+                self.head, frozenset(self.atoms), len(self.atoms),
+                self._variables,
+            ))
         return cached
 
     def __getstate__(self):
@@ -241,3 +241,14 @@ def union_of(*queries):
             f"union disjuncts have mixed head arities {arities}"
         )
     return tuple(flat)
+
+
+def eps_free_disjuncts(query):
+    """The ε-free normal form of ``query`` (a CRPQ, CQ or union): every
+    disjunct of :func:`union_of`, replaced by its
+    :meth:`CRPQ.epsilon_free_union`, flattened in order."""
+    return tuple(
+        eps_free
+        for disjunct in union_of(query)
+        for eps_free in disjunct.epsilon_free_union()
+    )

@@ -61,19 +61,6 @@ def clique_cq(size, label="E", prefix="v"):
     return CQ((), atoms, extra_variables=variables)
 
 
-def symmetric_graph_cq(undirected_edges, label="E"):
-    """Encode an undirected graph as a Boolean CQ with both edge
-    directions per undirected edge (the paper's Q_G)."""
-    atoms = []
-    variables = set()
-    for u, v in undirected_edges:
-        variables.add(u)
-        variables.add(v)
-        atoms.append(CQAtom(u, label, v))
-        atoms.append(CQAtom(v, label, u))
-    return CQ((), atoms, extra_variables=variables)
-
-
 def symmetric_graph_db(undirected_edges, label="E"):
     """Encode an undirected graph as a graph database (both directions)."""
     graph = GraphDatabase()

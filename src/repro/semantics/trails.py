@@ -44,7 +44,7 @@ from repro.engine.cache import compiled_nfa
 from repro.engine.planner import plan_eps_free
 from repro.graphdb.graph import Edge
 from repro.graphdb.paths import ANY_TARGET, Path, accepts_empty, search
-from repro.queries.crpq import union_of
+from repro.queries.crpq import eps_free_disjuncts
 
 
 class TrailSemantics(enum.Enum):
@@ -127,15 +127,14 @@ def evaluate_trails(query, graph, semantics):
     """
     semantics = TrailSemantics.coerce(semantics)
     results = set()
-    for disjunct in union_of(query):
-        for eps_free in disjunct.epsilon_free_union():
-            if semantics is TrailSemantics.ATOM_TRAIL:
-                results |= _evaluate_atom_trail(eps_free, graph)
-            else:
-                results |= {
-                    tuple(mu[v] for v in eps_free.head)
-                    for mu in _query_trail_solutions(eps_free, graph)
-                }
+    for eps_free in eps_free_disjuncts(query):
+        if semantics is TrailSemantics.ATOM_TRAIL:
+            results |= _evaluate_atom_trail(eps_free, graph)
+        else:
+            results |= {
+                tuple(mu[v] for v in eps_free.head)
+                for mu in _query_trail_solutions(eps_free, graph)
+            }
     return frozenset(results)
 
 
