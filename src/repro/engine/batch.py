@@ -16,12 +16,13 @@ query cheap; this module adds the cross-query layer:
 The relations live in the engine's one atom-relation store
 (:func:`repro.engine.relations.atom_relation`): hash-indexed
 :class:`~repro.engine.relations.Relation` tables of kind "standard" /
-"simple-path" / "simple-cycle-nonempty", one per (graph version, kind,
-interned NFA).  Warm-up fills it; under st / a-inj the join planner
-(:mod:`repro.engine.planner`) then reads its base tables from it, and
-under q-inj the guided joint search (:mod:`repro.engine.qinj`) reads
-its *standard* pruning relations from it, so a q-inj batch dedupes and
-warms one walk relation per distinct atom language (and still
+"walk-loop" / "simple-path" / "simple-cycle-nonempty", one per (graph
+version, kind, interned NFA).  Warm-up fills it; under st / a-inj the
+join planner (:mod:`repro.engine.planner`) then reads its base tables
+from it, and under q-inj the guided joint search
+(:mod:`repro.engine.qinj`) reads its st pruning relations from it, so
+a q-inj batch dedupes and warms one walk relation (or loop diagonal)
+per distinct atom language (and still
 amortizes NFA compilation and the per-(automaton, target)
 co-reachability sets).
 
@@ -99,15 +100,18 @@ class AtomJob:
     """
 
     nfa: object
-    kind: str  # "standard" | "simple-path" | "simple-cycle-nonempty"
+    # "standard" | "walk-loop" | "simple-path" | "simple-cycle-nonempty";
+    # the two loop kinds are a loop atom's diagonal under st / a-inj.
+    kind: str
 
 
 def atom_job(atom, semantics):
     """The :class:`AtomJob` an atom contributes under ``semantics``.
 
-    Query-injective atoms contribute a ``"standard"`` job: the guided
-    joint search (:mod:`repro.engine.qinj`) prunes with the standard
-    (walk) relations, so a q-inj batch dedupes and warms exactly those.
+    Query-injective atoms contribute their st job (``"standard"``, or
+    ``"walk-loop"`` for a loop atom): the guided joint search
+    (:mod:`repro.engine.qinj`) prunes with the walk relations and loop
+    diagonals, so a q-inj batch dedupes and warms exactly those.
     The st / a-inj kind dispatch is
     :func:`repro.semantics.rpq.atom_relation_kind` — the same table the
     per-query relational encoding uses, so batched and sequential

@@ -56,9 +56,10 @@ of touched state differs.
 **Sharing.**  The store is attached to the graph
 (``graph._incremental_store``) and consulted by exactly one relation
 lookup, :func:`repro.engine.relations.atom_relation`: for the standard
-kind it returns the maintained relation itself, so the planner, the
-q-inj search, the batch executor's warm-up and the pair-set helpers of
-:mod:`repro.semantics.rpq` all see one shared
+kind, and for a loop atom's ``"walk-loop"`` diagonal (its consumers read
+only the diagonal), it returns the maintained relation itself, so the
+planner, the q-inj search, the batch executor's warm-up and the
+pair-set helpers of :mod:`repro.semantics.rpq` all see one shared
 :class:`~repro.engine.relations.Relation` per language.
 Simple-path / simple-cycle relations (a-inj) stay version-discard —
 they are NP-hard per atom and non-monotone under insertion — but their
@@ -185,7 +186,7 @@ class MaintainedRelation:
         self.target_masks = {
             node: mask for node, mask in zip(nodes, target_masks) if mask
         }
-        self.pairs = mask_pairs(target_masks, nodes)
+        self.pairs = set(mask_pairs(target_masks, nodes))
         self.dirty = True
         self.version = graph.version
 

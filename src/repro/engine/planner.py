@@ -467,7 +467,8 @@ def plan_eps_free(query, graph, semantics, relation_for=None, binding=None):
     ``relation_for(graph, atom, semantics)`` overrides where base tables
     come from; the default is :func:`repro.engine.relations.relation_for`
     — the one atom-relation store, which hands out the attached
-    incremental store's maintained relation for standard-kind tables.
+    incremental store's maintained relation for the walk kinds
+    (``"standard"``, and ``"walk-loop"`` for loop atoms).
     ``binding`` pins head variables to nodes (the membership check).
     An explicit ``relation_for`` or an attached incremental store
     turns st path fusion off: a store would maintain each fused

@@ -39,14 +39,21 @@ tuples, shared by every call on one graph version.  Both kernels carry
 a source set as one plain Python int, so the kernel cost per OR is
 pinned by the node count; the dense kernel decodes a mask by a
 byte-table walk over its nonzero bytes (:func:`_int_bits`), once per
-distinct mask (targets downstream of the same seeds share one), and
-returns its pair set itself rather than a copy; the object-keyed kernel
-and the store's deltas decode by lowest-bit peeling
-(:func:`_decode_mask`).
+distinct mask (targets downstream of the same seeds share one); the
+object-keyed kernel and the store's deltas decode by lowest-bit peeling
+(:func:`_decode_mask`).  Decoding streams its pairs, so each caller
+builds its final container once: the kernel the ``frozenset`` a
+:class:`~repro.engine.relations.Relation` keeps as is, the store's
+rebuild the mutable ``set`` it maintains.
+
+``diagonal=True`` asks for a loop atom's relation ``{(v, v) : some walk
+v ⇝ v has label in L}``: the kernels run unchanged and keep node *v*
+iff bit *v* is set on its own target mask, decoding no other pair.
 """
 
 from __future__ import annotations
 
+from itertools import chain
 from itertools import product as _cartesian
 from typing import (
     Any,
@@ -83,33 +90,50 @@ _DENSE_DISPATCH = telemetry.registry().counter("backend.dense_dispatch")
 
 
 def product_reachability_pairs(
-    graph: Any, nfa: Any, ctx: Optional[ExecutionContext] = None
-) -> set[tuple[Any, Any]]:
+    graph: Any,
+    nfa: Any,
+    ctx: Optional[ExecutionContext] = None,
+    diagonal: bool = False,
+) -> frozenset[tuple[Any, Any]]:
     """Return ``{(u, v) : some walk u ⇝ v has label in L(nfa)}`` with the
-    empty walk allowed only when u = v and ε ∈ L."""
+    empty walk allowed only when u = v and ε ∈ L; with ``diagonal``, only
+    its pairs ``(v, v)``."""
     ctx = resolve_context(ctx)
     index = adjacency_index(graph)
     nodes = index.nodes_sorted
     if not nodes or not nfa.initials:
-        return set()
+        return frozenset()
 
     # The automaton is ε-free, so ε ∈ L iff an initial state is final,
     # and both kernels' seeds at such a state yield every (u, u).
     if active_backend().dense_kernels:
         _DENSE_DISPATCH.inc()
         layers = dense_layers(index, nfa, SITE_PRODUCT_SWEEP, ctx)
-        return mask_pairs(final_masks(layers, nfa.finals, len(nodes)), nodes)
+        target_masks = final_masks(layers, nfa.finals, len(nodes))
+        if diagonal:
+            return frozenset(
+                (node, node) for node_id, node in enumerate(nodes)
+                if target_masks[node_id] >> node_id & 1
+            )
+        return frozenset(mask_pairs(target_masks, nodes))
 
     base = seed_masks(nodes, nfa)
     succ = sweep(index, nfa, base, SITE_PRODUCT_SWEEP, ctx)
     components, masks = settle(succ, base)
     finals = nfa.finals
-    pairs: set[tuple[Any, Any]] = set()
+    node_bit = index.node_bit
+    blocks: list[Iterable[tuple[Any, Any]]] = []
     for members, mask in zip(components, masks):
         targets = [node for node, state in members if state in finals]
-        if targets and mask:
-            pairs.update(_cartesian(list(_decode_mask(mask, nodes)), targets))
-    return pairs
+        if not targets or not mask:
+            continue
+        if diagonal:
+            blocks.append([(node, node) for node in targets
+                           if mask >> node_bit[node] & 1])
+        else:
+            blocks.append(
+                _cartesian(list(_decode_mask(mask, nodes)), targets))
+    return frozenset(chain.from_iterable(blocks))
 
 
 def dense_layers(
@@ -211,19 +235,19 @@ def final_masks(
 
 def mask_pairs(
     target_masks: Sequence[int], nodes: Sequence[Any]
-) -> set[tuple[Any, Any]]:
+) -> Iterator[tuple[Any, Any]]:
     """The pairs ``(nodes[u], nodes[v])`` with bit *u* set on
-    ``target_masks[v]``.  Targets reached from the same seeds share one
-    mask, so each distinct mask is decoded once."""
+    ``target_masks[v]``, streamed for the caller's own container.
+    Targets reached from the same seeds share one mask, so each distinct
+    mask is decoded once."""
     targets_by_mask: dict[int, list[Any]] = {}
     for node_id, mask in enumerate(target_masks):
         if mask:
             targets_by_mask.setdefault(mask, []).append(nodes[node_id])
-    pairs: set[tuple[Any, Any]] = set()
-    for mask, targets in targets_by_mask.items():
-        sources = [nodes[bit] for bit in _int_bits(mask)]
-        pairs.update(_cartesian(sources, targets))
-    return pairs
+    return chain.from_iterable(
+        _cartesian([nodes[bit] for bit in _int_bits(mask)], targets)
+        for mask, targets in targets_by_mask.items()
+    )
 
 
 def _settle_cyclic_layer(

@@ -2,7 +2,10 @@
 
 Under st and a-inj a CRPQ disjunct is a conjunctive query over per-atom
 pair relations: walks under st, simple paths or simple cycles under
-a-inj.  The q-inj search prunes with the walk relation.  Every
+a-inj.  The q-inj search prunes with the walk relation.  A loop atom
+``x -[L]-> x`` is read as a diagonal under every semantics, so its kind
+keeps only pairs ``(v, v)``: ``"walk-loop"`` under st and q-inj,
+``"simple-cycle-nonempty"`` under a-inj.  Every
 evaluation path therefore asks one question — what is the relation of
 (kind, interned NFA) at graph version v? — and :func:`atom_relation`
 is the one place that answers it.  It hands out a :class:`Relation`,
@@ -11,7 +14,11 @@ the q-inj search, the batch executor, ``--explain`` and the pair-set
 helpers of :mod:`repro.semantics.rpq`: the pair set, plus by-source /
 by-target hash indexes built per side on first read.  On a graph with
 an attached :class:`~repro.engine.incremental.IncrementalRelationStore`
-the walk relation is the store's maintained object instead.
+the walk relation is the store's maintained object instead, and it is
+served for a loop atom's ``"walk-loop"`` kind too (the planner and the
+q-inj pruning read a loop atom's table only through
+:meth:`Relation.diagonal`), so the store's maintained walk relation is
+not recomputed as a diagonal on every update.
 """
 
 from __future__ import annotations
@@ -38,10 +45,12 @@ _INDEX_BUILDS = telemetry.registry().counter("relations.index.builds")
 class Relation:
     """An immutable binary relation R ⊆ V × V with lazy hash indexes.
 
-    ``pairs`` is the raw pair set.  The by-source and by-target indexes
-    (node → frozenset of partners) are built per side on first read, so
-    a plan that never looks a node up — an unconstrained join, a
-    triangle, a loop atom — builds neither.  One :class:`Relation` is
+    ``pairs`` is the raw pair set; a ``frozenset`` handed in is kept as
+    is (the product kernel builds one), anything else is frozen once.
+    The by-source and by-target indexes (node → frozenset of partners)
+    are built per side on first read, so a plan that never looks a node
+    up — an unconstrained join, a triangle, a loop atom — builds
+    neither.  One :class:`Relation` is
     shared by every plan over the same graph version: a side's index is
     computed outside any lock and published once with
     ``dict.setdefault``, so racing readers all get the first published
@@ -197,10 +206,18 @@ def _simple_cycle_diagonal(graph: Any, nfa: Any) -> set[tuple[Any, Any]]:
     }
 
 
+def _walk_diagonal(graph: Any, nfa: Any) -> frozenset[tuple[Any, Any]]:
+    """``(v, v)`` for every node with a walk ``v ⇝ v`` labelled in the
+    language — a loop atom's relation under st (and q-inj pruning)."""
+    return product_reachability_pairs(graph, nfa, diagonal=True)
+
+
 #: Relation kind → pair computation.  The kinds are the ones
-#: :func:`repro.semantics.rpq.atom_relation_kind` names.
+#: :func:`repro.semantics.rpq.atom_relation_kind` names; the two loop
+#: kinds are diagonals, ``(v, v)`` pairs only.
 _KIND_PAIRS: dict[str, Callable[[Any, Any], Iterable[tuple[Any, Any]]]] = {
     "standard": product_reachability_pairs,
+    "walk-loop": _walk_diagonal,
     "simple-path": _simple_path_pairs,
     "simple-cycle-nonempty": _simple_cycle_diagonal,
 }
@@ -215,16 +232,18 @@ def atom_relation(graph: Any, language: Any, kind: str, nfa: Any = None) -> Rela
     caller holds it).  The relation is computed outside any lock and published with
     ``dict.setdefault`` (:func:`~repro.engine.cache.graph_cached`), so
     racing callers all get one object and an interrupted compute
-    publishes nothing.  For ``"standard"`` on a graph with an attached
-    incremental store the store's maintained relation of ``language``
-    is returned itself, counted as a hit: this and
-    :func:`store_attached` are the only reads of the attached store
-    here (lintkit LK002).
+    publishes nothing.  For ``"standard"`` and ``"walk-loop"`` on a
+    graph with an attached incremental store the store's maintained
+    walk relation of ``language`` is returned itself, counted as a hit:
+    this and :func:`store_attached` are the only reads of the attached
+    store here (lintkit LK002).  A loop kind therefore promises only
+    its diagonal (:meth:`Relation.diagonal`); the pair-set helper
+    :func:`repro.semantics.rpq.relation_by_kind` cuts it to that.
     """
     compute_pairs = _KIND_PAIRS.get(kind)
     if compute_pairs is None:
         raise ValueError(f"unknown atom relation kind: {kind!r}")
-    if kind == "standard":
+    if kind in ("standard", "walk-loop"):
         store = getattr(graph, "_incremental_store", None)
         if store is not None:
             _RELATION_HITS.inc()

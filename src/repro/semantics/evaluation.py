@@ -263,8 +263,10 @@ def _check_eps_free(query, graph, target_tuple, semantics):
 
 def atom_pairs(graph, atom, semantics):
     """The pair relation of one atom under st / a-inj semantics: walks
-    for standard, simple paths (simple cycles for loop atoms) for
-    atom-injective.  Cached per graph version via the engine layer."""
+    for standard, simple paths for atom-injective; a loop atom gives its
+    diagonal, ``(v, v)`` with a closed walk (st) or a nonempty simple
+    cycle (a-inj) at ``v``.  Cached per graph version via the engine
+    layer."""
     return relation_by_kind(
         graph, atom.language, atom_relation_kind(atom, semantics)
     )

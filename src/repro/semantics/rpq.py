@@ -18,7 +18,7 @@ for each distinct atom language once.
 from __future__ import annotations
 
 from repro.engine.cache import compiled_nfa
-from repro.engine.relations import atom_relation
+from repro.engine.relations import atom_relation, store_attached
 from repro.semantics.base import Semantics
 
 
@@ -58,22 +58,32 @@ def simple_cycle_nodes(graph, language, include_empty=True):
 def atom_relation_kind(atom, semantics):
     """The relation kind one atom needs under ``semantics``: the single
     source of the semantics→relation dispatch shared by the per-query
-    relational encoding and the batch executor's job planning.
+    relational encoding, the q-inj pruning plan (which asks for the st
+    kind) and the batch executor's job planning.
 
-    Returns ``None`` for query-injective semantics (its joint search
-    consumes no precomputable pair relation).
+    A loop atom ``x -[L]-> x`` is a unary constraint, so its kind is a
+    diagonal under both: ``"walk-loop"`` (the nodes with a closed walk
+    labelled in L) under st, ``"simple-cycle-nonempty"`` under a-inj.
+    Other atoms need ``"standard"`` (walks) under st and
+    ``"simple-path"`` under a-inj.  Returns ``None`` for
+    query-injective semantics (its joint search consumes no
+    precomputable pair relation).
     """
     if semantics is Semantics.QUERY_INJECTIVE:
         return None
     if semantics is Semantics.STANDARD:
-        return "standard"
+        return "walk-loop" if atom.is_loop() else "standard"
     return "simple-cycle-nonempty" if atom.is_loop() else "simple-path"
 
 
 def relation_by_kind(graph, language, kind):
-    """The pair relation named by :func:`atom_relation_kind` (loop-atom
-    cycle relations are ``(v, v)`` pairs)."""
-    return atom_relation(graph, language, kind).pairs
+    """The pair relation named by :func:`atom_relation_kind`; loop-atom
+    kinds give their ``(v, v)`` pairs only, in every cache state."""
+    relation = atom_relation(graph, language, kind)
+    if kind == "walk-loop" and store_attached(graph):
+        # The store serves a loop atom its whole maintained walk relation.
+        return frozenset((node, node) for node in relation.diagonal())
+    return relation.pairs
 
 
 def rpq_evaluate(graph, language, semantics):

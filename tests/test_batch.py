@@ -18,8 +18,10 @@ from repro.analysis.batching import (
     shared_atom_workload,
 )
 from repro.analysis.workloads import random_query
+from repro.engine.analyze import analyzed_disjuncts
 from repro.engine.batch import AtomJob, BatchExecutor, QueryBatch, atom_job
-from repro.engine.cache import clear_compilation_caches
+from repro.engine.cache import clear_compilation_caches, compiled_nfa
+from repro.engine.relations import atom_relation
 from repro.graphdb.generators import figure2_graph_prime, uniform_random
 from repro.queries.crpq import QueryClass
 from repro.queries.parser import parse_query
@@ -32,6 +34,17 @@ def _sequential_reference(queries, graph, semantics):
     reference_graph = graph.copy()
     clear_compilation_caches()
     return [evaluate(query, reference_graph, semantics) for query in queries]
+
+
+def _languages_by_loopness(queries, semantics):
+    """The distinct (interned NFA, is-loop) pairs over the analyzed
+    atoms: one atom job each under st and q-inj."""
+    return {
+        (compiled_nfa(atom.language), atom.is_loop())
+        for query in queries
+        for disjunct in analyzed_disjuncts(query, semantics)
+        for atom in disjunct.atoms
+    }
 
 
 def _random_workload(seed, count=8):
@@ -114,7 +127,13 @@ def test_plan_dedups_structurally():
     assert st_plan.num_shared_atoms == (
         st_plan.num_atoms - st_plan.num_distinct_languages
     )
-    assert all(job.kind == "standard" for job in st_plan.jobs)
+    # A loop atom's job is its walk diagonal, every other atom's its
+    # walk relation: one job per distinct (language, loop-ness).
+    assert {(job.nfa, job.kind == "walk-loop") for job in st_plan.jobs} == (
+        _languages_by_loopness(queries, Semantics.STANDARD))
+    assert {job.kind for job in st_plan.jobs} == {"standard", "walk-loop"}
+    assert len(st_plan.jobs) == len(
+        _languages_by_loopness(queries, Semantics.STANDARD))
     assert "distinct atom relations" in str(st_plan)
 
     ainj_plan = BatchExecutor(graph, "a-inj").plan(batch)
@@ -122,11 +141,17 @@ def test_plan_dedups_structurally():
     assert "simple-path" in kinds and "simple-cycle-nonempty" in kinds
 
     qinj_plan = BatchExecutor(graph, "q-inj").plan(batch)
-    # The guided q-inj search prunes with standard (walk) relations, so
-    # a q-inj batch warms one standard job per distinct atom language.
+    # The guided q-inj search prunes with walk relations (walk diagonals
+    # for loop atoms), so a q-inj batch warms the st jobs: one per
+    # distinct atom language and loop-ness.
     assert qinj_plan.jobs != ()
-    assert all(job.kind == "standard" for job in qinj_plan.jobs)
-    assert len(qinj_plan.jobs) == qinj_plan.num_distinct_languages
+    assert {job.kind for job in qinj_plan.jobs} == {"standard", "walk-loop"}
+    assert {(job.nfa, job.kind == "walk-loop") for job in qinj_plan.jobs} == (
+        _languages_by_loopness(queries, Semantics.QUERY_INJECTIVE))
+    assert len(qinj_plan.jobs) == len(
+        _languages_by_loopness(queries, Semantics.QUERY_INJECTIVE))
+    assert len({job.nfa for job in qinj_plan.jobs}) == (
+        qinj_plan.num_distinct_languages)
     assert qinj_plan.num_distinct_languages > 0
     assert "distinct atom relations" in str(qinj_plan)
 
@@ -147,15 +172,23 @@ def test_qinj_batch_warms_shared_pruning_relations():
     executor = BatchExecutor(graph, "q-inj")
     batch = QueryBatch(queries)
     plan = executor.warm(batch)
-    assert plan.jobs and all(job.kind == "standard" for job in plan.jobs)
+    # The ε-branch of ``u -[(ab)*]-> v`` leaves the loop atom
+    # ``u -[a]-> u``, whose job is a walk diagonal.
+    assert plan.jobs and {job.kind for job in plan.jobs} == {
+        "standard", "walk-loop"}
     # (ab)* occurs three times (plus the (ab)+ ε-elimination variants)
-    # but each distinct language warms exactly one store entry.
+    # but each distinct (language, loop-ness) warms exactly one store
+    # entry, and every job reads its own.
     assert plan.num_shared_atoms > 0
     _version, cache = graph._engine_cache
     stored = [key[1:] for key in cache if key[0] == "relation"]
     assert sorted(stored, key=repr) == sorted(
         ((job.kind, job.nfa) for job in plan.jobs), key=repr)
-    assert len(plan.jobs) == plan.num_distinct_languages
+    for job in plan.jobs:
+        assert atom_relation(graph, job.nfa, job.kind) is cache[
+            ("relation", job.kind, job.nfa)]
+    assert len(plan.jobs) == len(
+        _languages_by_loopness(queries, Semantics.QUERY_INJECTIVE))
     got = [answers for _i, _q, answers in executor.results(batch,
                                                            warmed=True)]
     assert got == _sequential_reference(queries, graph, "q-inj")

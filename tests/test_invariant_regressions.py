@@ -71,17 +71,18 @@ def test_graph_cached_reads_version_exactly_once_per_lookup():
     assert graph.version_reads == 2
 
 
-def test_atom_relation_reads_version_exactly_once(monkeypatch):
-    monkeypatch.setitem(relations._KIND_PAIRS, "standard",
-                        lambda graph, nfa: {(1, 2)})
+@pytest.mark.parametrize("kind", ["standard", "walk-loop"])
+def test_atom_relation_reads_version_exactly_once(monkeypatch, kind):
+    monkeypatch.setitem(relations._KIND_PAIRS, kind,
+                        lambda graph, nfa: {(1, 1)})
     graph = VersionCountingGraph()
-    first = atom_relation(graph, Symbol("a"), "standard")
+    first = atom_relation(graph, Symbol("a"), kind)
     assert graph.version_reads == 1
-    assert atom_relation(graph, Symbol("a"), "standard") is first
+    assert atom_relation(graph, Symbol("a"), kind) is first
     assert graph.version_reads == 2
     graph._version += 1  # simulate a mutation; the store must move on
     graph.version_reads = 0
-    fresh = atom_relation(graph, Symbol("a"), "standard")
+    fresh = atom_relation(graph, Symbol("a"), kind)
     assert graph.version_reads == 1
     assert fresh is not first and fresh.pairs == first.pairs
 
