@@ -4,8 +4,8 @@ Acceptance pin for the numeric core: product reachability under the
 ``array`` backend (interned dense ids, CSR adjacency rows, the product
 settled layer by layer along the automaton's condensation, int source
 masks) must be ≥ 3x faster than the same call under the ``python``
-backend — the object-keyed ``sweep`` and ``settle`` the incremental
-store also runs, kept as the differential reference — on a ≥ 10⁶-edge
+backend — the object-keyed ``sweep`` and ``settle``, kept as the
+differential reference — on a ≥ 10⁶-edge
 strongly connected graph, with peak RSS bounded.
 
 The workload is the shape the dense kernel exists for: a 20 000-node

@@ -10,9 +10,10 @@ graph nodes and never imports this module.  Two backends exist:
 
 ``python``
     The object-keyed product sweep and settle over ``(node, state)``
-    tuples — the settle is the one the incremental store's deletion
-    repair runs.  Engine output under this backend is the differential
-    baseline the array kernel is tested against.
+    tuples.  Engine output under this backend is the differential
+    baseline the array kernel is tested against.  The incremental
+    store runs the same settle over its own product ints under both
+    backends.
 
 ``array`` (default)
     The dense kernel of :mod:`repro.engine.product`: interned node and

@@ -9,49 +9,65 @@ standard (walk) relations — the base tables of the st glue, the pruning
 tables of the q-inj search, and the candidate filter of the a-inj
 simple-path searches — *maintained* across versions instead.
 
-**Maintained state.**  Per relation the store keeps the full product
-reachability function as source bitmasks: for every reachable product
-state ``(node, nfa_state)``, the set of graph nodes *u* (encoded as an
-integer bitmask over a store-local node→bit table) such that ``(u, q₀)``
-reaches that state.  The pair relation is derived: node *v* answers
-``(u, v)`` iff bit *u* is set on some final-bearing state ``(v, f)``.
-ε-acceptance needs no special case — Glushkov automata accept ε iff an
-initial state is final, so the seed masks produce the diagonal pairs
-themselves.
+**Node ids and rows.**  The store owns one id table (:class:`NodeIds`):
+node ids in repr order, with nodes added later appended (repr order
+within one delta), so an id never moves while nodes only arrive.  For
+each label some maintained automaton reads, the table keeps per-id
+successor and predecessor rows (``list[list[int]]``); labels no
+maintained automaton reads get no rows.  The table is brought up to the
+graph's version from :meth:`GraphDatabase.delta_since` only when a
+relation has something to repair or rebuild.  A delta with a removed
+node, or a change-log window the graph no longer covers, starts a new
+table (an *epoch*); a relation built on an older table rebuilds on its
+next refresh that walks rows, which also covers a node removed and
+re-added between two reads (its net delta shows nothing).
 
-**Insert-only deltas** (semi-naive frontier growth).  New nodes seed
-``(n, q₀)``; each new edge ``(s, a, t)`` jolts the product states
+**Maintained state.**  Per relation the store keeps the full product
+reachability function in the dense kernel's shape: per NFA state (by
+its record id) one id-indexed list of source bitmasks, where bit *u* of
+``layers[q][v]`` is set iff ``(u, q₀)`` reaches the product state
+``(v, q)``.  The pair relation is derived: node *v* answers ``(u, v)``
+iff bit *u* is set on its target mask, the OR of its final states'
+masks.  ε-acceptance needs no special case — Glushkov automata accept ε
+iff an initial state is final, so the seed masks produce the diagonal
+pairs themselves.  The repair passes name a product state by the int
+``state * n + id`` (``n`` the table's node count).
+
+**Insert-only deltas** (semi-naive frontier growth).  New ids seed
+``(id, q₀)``; each new edge ``(s, a, t)`` jolts the product states
 ``(t, q')`` with the masks of ``(s, q)`` for every transition
 ``(q, a, q')``; a worklist then propagates exactly the *gained* bits
-forward through the current graph until the (monotone) fixpoint.
-Work is proportional to the affected product region — an update on a
-label the automaton never reads costs nothing at all.
+forward along the out rows until the (monotone) fixpoint.  Work is
+proportional to the affected product region — an update on a label the
+automaton never reads costs nothing at all.
 
-**Deletion deltas** (dirty-region repair, threshold-gated).  Removing
+**Deletion deltas** (dirty-region repair, threshold-gated).  This is
+the delete-and-rederive scheme of view maintenance (DRed).  Removing
 edges can only shrink masks *downstream* of a removed product edge: the
 dirty region is the forward closure of the removed edges' product
 targets over the old product graph, over-approximated by the closure
-over the current edges (every removed product edge out of a reachable
+over the current rows (every removed product edge out of a reachable
 state already seeds it, so the region is never smaller than the true
 one).  States outside it keep their masks.  The closure records each
-dirty state's successors inside the region, and every dirty
-state gets a base mask: its seed bit plus the masks of its unaffected
-predecessors.  The region is then *settled* in one pass — condensed
-into strongly connected components, base masks ORed per component, and
-the component masks pushed through the condensation in topological
-order — so each dirty state is written exactly once, however cyclic
-the product.  Current edges that leave the region reach only states
-that were unreachable before the delta, i.e. added edges; the insert
-pass that follows delivers the settled masks across them.
-:meth:`MaintainedRelation.rebuild` is the dense product kernel's own
-fixpoint (:func:`repro.engine.product.dense_layers`) kept whole: its
-per-state layers become the source masks.  An edge whose label the
-automaton never reads is dropped from the delta before either pass.
-Deltas with more than :data:`DELETION_REPAIR_CAP` removed edges, any
-removed *node* (bit-table hygiene), or a delta the graph's capped
-change-log no longer covers fall back to that rebuild.  Correctness never depends on
-the heuristic: every path computes the same fixpoint, only the amount
-of touched state differs.
+dirty state's successors inside the region, and every dirty state gets
+a base mask: its seed bit plus the masks of its unaffected predecessors
+(read along the in rows).  The region is then *settled* in one pass by
+:func:`~repro.engine.product.settle` — condensed into strongly
+connected components, base masks ORed per component, and the component
+masks pushed through the condensation in topological order — so each
+dirty state is written exactly once, however cyclic the product.
+Current edges that leave the region reach only states that were
+unreachable before the delta, i.e. added edges; the insert pass that
+follows delivers the settled masks across them.
+:meth:`MaintainedRelation.rebuild` runs the dense product kernel
+(:func:`repro.engine.product.dense_layers`) over the table's own rows
+and keeps its layers whole.  An edge whose label the automaton never
+reads is dropped from the delta before either pass, and only the
+removed edges left count against :data:`DELETION_REPAIR_CAP`.  Deltas
+with more removed edges than that, any removed *node*, or a delta the
+graph's capped change-log no longer covers fall back to the rebuild.
+Correctness never depends on the heuristic: every path computes the
+same fixpoint, only the amount of touched state differs.
 
 **Sharing.**  The store is attached to the graph
 (``graph._incremental_store``) and consulted by exactly one relation
@@ -78,9 +94,9 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
+from itertools import accumulate, chain
 
 from repro.engine import telemetry
-from repro.engine.adjacency import adjacency_index
 from repro.engine.cache import compiled_nfa, nfa_record
 from repro.engine.product import (
     _decode_mask,
@@ -101,9 +117,10 @@ SITE_INCREMENTAL_SHRINK = checkpoint_site(
     "incremental.shrink", "deletion dirty-region repair (per product state)"
 )
 
-#: Removed-edge budget for in-place repair.  Past it the relation is
-#: rebuilt from scratch — repairing a huge deletion would touch most of
-#: the product anyway.  Tests shrink this to force the rebuild path.
+#: Removed-edge budget for in-place repair, counted over the edges the
+#: automaton reads.  Past it the relation is rebuilt from scratch —
+#: repairing a huge deletion would touch most of the product anyway.
+#: Tests shrink this to force the rebuild path.
 DELETION_REPAIR_CAP = 64
 
 #: Maximum number of maintained relations per store (least-recently-used
@@ -128,119 +145,217 @@ _DECISION_COUNTERS = {
 }
 
 
+class NodeIds:
+    """One epoch of a store's node ids and per-label rows.
+
+    ``nodes[i]`` is the node with id *i*: repr order when the table is
+    made, then appended as nodes arrive.  For every tracked label,
+    ``out[label][i]`` lists the ids of *i*'s ``label``-successors and
+    ``into[label][i]`` those of its predecessors.  The table describes
+    the graph at ``version``.  It only ever grows: a delta that removes
+    a node needs a new table, so an id keeps its node for the table's
+    lifetime.
+    """
+
+    __slots__ = ("nodes", "id_of", "version", "out", "into")
+
+    def __init__(self, graph, labels):
+        self.nodes = sorted(graph.nodes, key=repr)
+        self.id_of = {node: i for i, node in enumerate(self.nodes)}
+        self.version = graph.version
+        self.out = {}
+        self.into = {}
+        for label in labels:
+            self.track(graph, label)
+
+    def track(self, graph, label):
+        """Build the rows of ``label`` from ``graph`` (at ``version``)."""
+        count = len(self.nodes)
+        id_of = self.id_of
+        out = self.out[label] = [[] for _ in range(count)]
+        into = self.into[label] = [[] for _ in range(count)]
+        for edge in graph.edges_with_label(label):
+            source, target = id_of[edge.source], id_of[edge.target]
+            out[source].append(target)
+            into[target].append(source)
+
+    def sync(self, delta, version):
+        """Apply the net ``delta`` up to ``version``; it removes no node,
+        so every removed edge joins two ids the table holds."""
+        nodes, id_of = self.nodes, self.id_of
+        arrived = sorted(delta.added_nodes, key=repr)
+        for node in arrived:
+            id_of[node] = len(nodes)
+            nodes.append(node)
+        if arrived:
+            for rows in chain(self.out.values(), self.into.values()):
+                rows.extend([] for _ in arrived)
+        out, into = self.out, self.into
+        for edge in delta.removed_edges:
+            rows = out.get(edge.label)
+            if rows is not None:
+                source, target = id_of[edge.source], id_of[edge.target]
+                rows[source].remove(target)
+                into[edge.label][target].remove(source)
+        for edge in delta.added_edges:
+            rows = out.get(edge.label)
+            if rows is not None:
+                source, target = id_of[edge.source], id_of[edge.target]
+                rows[source].append(target)
+                into[edge.label][target].append(source)
+        self.version = version
+
+    def csr(self, labels):
+        """``{label: (offsets, targets)}`` over the tracked ``labels``
+        that have edges: the CSR rows :func:`dense_layers` reads."""
+        rows = {}
+        for label in labels:
+            out = self.out[label]
+            targets = tuple(chain.from_iterable(out))
+            if targets:
+                rows[label] = (
+                    tuple(accumulate(map(len, out), initial=0)), targets)
+        return rows
+
+
 class MaintainedRelation:
     """The mutable maintained state of one standard walk relation."""
 
-    __slots__ = ("nfa", "label", "version", "bit_of", "node_of",
-                 "sources", "target_masks", "pairs", "dirty", "_relation")
+    __slots__ = ("nfa", "label", "labels", "version", "ids", "layers",
+                 "target_masks", "pairs", "dirty", "_relation",
+                 "_moves", "_out_moves", "_in_moves")
 
     def __init__(self, nfa, label="?"):
         self.nfa = nfa
         self.label = label
+        record = nfa_record(nfa)
+        state_id = record.state_id
+        # The transitions over state ids: per label ``(state, nexts)``
+        # for the delta edges, per state ``(label, nexts)`` forward and
+        # ``(label, predecessors)`` backward for the row walks.
+        self._moves = {}
+        self._out_moves = [[] for _ in record.states]
+        self._in_moves = [[] for _ in record.states]
+        for (state, label), nexts in nfa.transitions.items():
+            move = (label, tuple(map(state_id.__getitem__, nexts)))
+            self._out_moves[state_id[state]].append(move)
+            self._moves.setdefault(label, []).append(
+                (state_id[state], move[1]))
+        for (state, label), predecessors in record.reverse.items():
+            self._in_moves[state_id[state]].append(
+                (label, tuple(map(state_id.__getitem__, predecessors))))
+        #: The labels the automaton reads: the only rows it walks.
+        self.labels = frozenset(self._moves)
         self.version = None
-        self.bit_of = {}        # node -> bit index (store-local, stable)
-        self.node_of = []       # bit index -> node
-        self.sources = {}       # (node, state) -> nonzero source bitmask
-        self.target_masks = {}  # node -> mask of sources reaching (node, f)
-        self.pairs = set()      # the derived pair relation
+        self.ids = None          # the NodeIds table the lists index
+        self.layers = []         # state id -> id -> source mask
+        self.target_masks = []   # id -> mask of sources reaching (id, f)
+        self.pairs = set()       # the derived pair relation
         self.dirty = True
         self._relation = None
 
-    def _bit(self, node):
-        bit = self.bit_of.get(node)
-        if bit is None:
-            bit = self.bit_of[node] = len(self.node_of)
-            self.node_of.append(node)
-        return bit
+    def pad(self, count):
+        """Extend every id-indexed list to ``count`` ids (zero masks) and
+        return the range of ids added."""
+        start = len(self.target_masks)
+        if count > start:
+            zeros = [0] * (count - start)
+            for layer in self.layers:
+                layer.extend(zeros)
+            self.target_masks.extend(zeros)
+        return range(start, count)
 
-    def _gain_targets(self, node, bits):
-        old = self.target_masks.get(node, 0)
-        merged = old | bits
-        if merged == old:
-            return
-        self.target_masks[node] = merged
-        for source in _decode_mask(merged & ~old, self.node_of):
-            self.pairs.add((source, node))
+    def _set_target(self, node, mask):
+        """Give ``node`` the target mask ``mask`` and move its pairs."""
+        old_mask = self.target_masks[node]
+        nodes = self.ids.nodes
+        target = nodes[node]
+        self.pairs.difference_update(
+            (source, target)
+            for source in _decode_mask(old_mask & ~mask, nodes))
+        self.pairs.update(
+            (source, target)
+            for source in _decode_mask(mask & ~old_mask, nodes))
+        self.target_masks[node] = mask
         self.dirty = True
 
     # -- full rebuild ---------------------------------------------------
 
-    def rebuild(self, graph, ctx=None):
+    def rebuild(self, ids, ctx=None):
         """Recompute everything from the dense kernel's fixpoint
-        (:func:`~repro.engine.product.dense_layers`) over the current
-        graph: every nonzero layer entry becomes a source mask, and the
-        target masks and pairs are read off the final states' layers as
-        the kernel reads its own pairs."""
+        (:func:`~repro.engine.product.dense_layers`) over the rows of
+        ``ids``: its layers become the source masks, and the target
+        masks and pairs are read off the final states' layers as the
+        kernel reads its own pairs."""
         ctx = resolve_context(ctx)
-        index = adjacency_index(graph)
-        nodes = index.nodes_sorted
-        layers = dense_layers(index, self.nfa, SITE_INCREMENTAL_GROW, ctx)
-        self.bit_of = dict(index.node_bit)
-        self.node_of = list(nodes)
-        self.sources = {
-            (node, state): mask
-            for state, layer in layers.items()
-            for node, mask in zip(nodes, layer) if mask
-        }
-        target_masks = final_masks(layers, self.nfa.finals, len(nodes))
-        self.target_masks = {
-            node: mask for node, mask in zip(nodes, target_masks) if mask
-        }
-        self.pairs = set(mask_pairs(target_masks, nodes))
+        count = len(ids.nodes)
+        layers = dense_layers(ids.csr(self.labels), count, self.nfa,
+                              SITE_INCREMENTAL_GROW, ctx)
+        self.target_masks = final_masks(
+            layers, nfa_record(self.nfa).final_ids, count)
+        self.layers = [[0] * count if layer is None else layer
+                       for layer in layers]
+        self.pairs = set(mask_pairs(self.target_masks, ids.nodes))
+        self.ids = ids
         self.dirty = True
-        self.version = graph.version
 
     # -- insert-only maintenance ----------------------------------------
 
-    def grow(self, graph, added_nodes, added_edges, ctx=None):
-        """Semi-naive frontier expansion from the new nodes/edges only."""
+    def grow(self, new_ids, added_edges, ctx=None):
+        """Semi-naive frontier expansion from the new ids and the added
+        ``(source id, label, target id)`` edges only; the lists are
+        already padded to the table (:meth:`pad`)."""
         ctx = resolve_context(ctx)
-        nfa = self.nfa
-        transitions = nfa.transitions
-        finals = nfa.finals
-        by_label = nfa_record(nfa).by_label
-        sources = self.sources
+        record = nfa_record(self.nfa)
+        final_ids = record.final_ids
+        out_rows = self.ids.out
+        out_moves = self._out_moves
+        layers = self.layers
+        count = len(self.target_masks)
         pending = []
 
-        def raise_mask(state, bits):
-            old = sources.get(state, 0)
+        def raise_mask(state, node, bits):
+            layer = layers[state]
+            old = layer[node]
             merged = old | bits
             if merged != old:
-                sources[state] = merged
-                pending.append((state, merged & ~old))
+                layer[node] = merged
+                pending.append((state * count + node, merged & ~old))
 
-        for node in added_nodes:
-            bit = 1 << self._bit(node)
-            for initial in nfa.initials:
-                raise_mask((node, initial), bit)
-        for edge in added_edges:
-            for state, next_states in by_label.get(edge.label, ()):
-                mask = sources.get((edge.source, state))
-                if not mask:
-                    continue
-                for next_state in next_states:
-                    raise_mask((edge.target, next_state), mask)
+        for node in new_ids:
+            bit = 1 << node
+            for initial in record.initial_ids:
+                raise_mask(initial, node, bit)
+        for source, label, target in added_edges:
+            for state, nexts in self._moves[label]:
+                mask = layers[state][source]
+                if mask:
+                    for next_state in nexts:
+                        raise_mask(next_state, target, mask)
 
         while pending:
             ctx.checkpoint(SITE_INCREMENTAL_GROW)
-            (node, state), bits = pending.pop()
-            if state in finals:
-                self._gain_targets(node, bits)
-            for edge in graph.out_edges(node):
-                next_states = transitions.get((state, edge.label))
-                if not next_states:
-                    continue
-                for next_state in next_states:
-                    raise_mask((edge.target, next_state), bits)
+            product_id, bits = pending.pop()
+            state, node = divmod(product_id, count)
+            if state in final_ids:
+                old = self.target_masks[node]
+                if bits & ~old:
+                    self._set_target(node, old | bits)
+            for label, nexts in out_moves[state]:
+                row = out_rows[label][node]
+                for next_state in nexts:
+                    for target in row:
+                        raise_mask(next_state, target, bits)
 
     # -- deletion repair -------------------------------------------------
 
-    def shrink(self, graph, removed_edges, ctx=None):
-        """Repair the dirty region downstream of the removed edges.
+    def shrink(self, removed_edges, ctx=None):
+        """Repair the dirty region downstream of the removed
+        ``(source id, label, target id)`` edges.
 
         Sound for mixed deltas when run *before* :meth:`grow`: the
         removed edges' product targets seed the dirty closure, which
-        then follows the current edges (together a superset of the old
+        then follows the current rows (together a superset of the old
         product edges), and the settled masks are the exact fixpoint
         given the untouched exterior.  A current product edge that
         leaves the region leads to a state that was unreachable before
@@ -253,101 +368,92 @@ class MaintainedRelation:
         maintenance exception so the next access rebuilds from scratch.
         """
         ctx = resolve_context(ctx)
-        nfa = self.nfa
-        transitions = nfa.transitions
-        record = nfa_record(nfa)
-        initials = nfa.initials
-        sources = self.sources
+        initial_ids = nfa_record(self.nfa).initial_ids
+        ids = self.ids
+        layers = self.layers
+        count = len(self.target_masks)
 
         # 1. Product targets of the removed edges (reachable ones only).
         dirty = set()
         stack = []
-        for edge in removed_edges:
-            for state, next_states in record.by_label.get(edge.label, ()):
-                if (edge.source, state) not in sources:
+        for source, label, target in removed_edges:
+            for state, nexts in self._moves[label]:
+                if not layers[state][source]:
                     continue
-                for next_state in next_states:
-                    target_state = (edge.target, next_state)
-                    if target_state in sources and target_state not in dirty:
-                        dirty.add(target_state)
-                        stack.append(target_state)
+                for next_state in nexts:
+                    product_id = next_state * count + target
+                    if layers[next_state][target] and product_id not in dirty:
+                        dirty.add(product_id)
+                        stack.append(product_id)
 
-        # 2. Forward closure over the current graph, keeping each dirty
+        # 2. Forward closure over the current rows, keeping each dirty
         #    state's successors in the region (every reachable successor
         #    joins it).  A removed edge out of a dirty state needs no
         #    walk here: step 1 seeded its product target already.
+        out_rows = ids.out
+        out_moves = self._out_moves
         succ = {}
         while stack:
             ctx.checkpoint(SITE_INCREMENTAL_SHRINK)
-            product_state = stack.pop()
-            node, state = product_state
-            successors = succ[product_state] = []
-            for edge in graph.out_edges(node):
-                for next_state in transitions.get((state, edge.label), ()):
-                    successor = (edge.target, next_state)
-                    if successor in sources:
-                        successors.append(successor)
-                        if successor not in dirty:
-                            dirty.add(successor)
-                            stack.append(successor)
+            product_id = stack.pop()
+            state, node = divmod(product_id, count)
+            successors = succ[product_id] = []
+            for label, nexts in out_moves[state]:
+                row = out_rows[label][node]
+                if not row:
+                    continue
+                for next_state in nexts:
+                    layer = layers[next_state]
+                    base = next_state * count
+                    for target in row:
+                        if layer[target]:
+                            successor = base + target
+                            successors.append(successor)
+                            if successor not in dirty:
+                                dirty.add(successor)
+                                stack.append(successor)
 
         if not dirty:
             return
 
         # 3. Base masks: seeds plus unaffected-predecessor contributions.
-        base = {}
-        for node, state in dirty:
-            mask = (1 << self.bit_of[node]) if state in initials else 0
-            for edge in graph.in_edges(node):
-                for pred_state in record.reverse.get((state, edge.label), ()):
-                    predecessor = (edge.source, pred_state)
-                    if predecessor not in dirty:
-                        mask |= sources.get(predecessor, 0)
-            base[(node, state)] = mask
+        in_rows = ids.into
+        in_moves = self._in_moves
+        base_masks = {}
+        for product_id in dirty:
+            state, node = divmod(product_id, count)
+            mask = (1 << node) if state in initial_ids else 0
+            for label, predecessors in in_moves[state]:
+                row = in_rows[label][node]
+                if not row:
+                    continue
+                for predecessor in predecessors:
+                    layer = layers[predecessor]
+                    base = predecessor * count
+                    for source in row:
+                        if base + source not in dirty:
+                            mask |= layer[source]
+            base_masks[product_id] = mask
 
-        # 4. Settle the region: every dirty state's mask written once.
-        self._settle(succ, base)
-
-        # 5. Re-derive the pair masks of every affected target node.
-        self._rederive_targets(dirty)
-
-    def _settle(self, succ, base):
-        """Write the least fixpoint of a region given its base masks
-        (:func:`~repro.engine.product.settle`): every member of a
-        component takes the component's mask, so each state is written
-        exactly once.  States left without bits leave ``sources`` (they
-        are no longer reachable)."""
-        components, masks = settle(succ, base)
-        sources = self.sources
+        # 4. Settle the region: every member of a component takes the
+        #    component's mask (zero: no longer reachable), so each dirty
+        #    state is written exactly once.
+        components, masks = settle(succ, base_masks)
         for members, mask in zip(components, masks):
-            if mask:
-                for member in members:
-                    sources[member] = mask
-            else:
-                for member in members:
-                    sources.pop(member, None)
+            for product_id in members:
+                state, node = divmod(product_id, count)
+                layers[state][node] = mask
 
-    def _rederive_targets(self, region):
-        """Recompute the target mask and pairs of every node with a final
-        state in ``region`` from the settled source masks."""
-        sources = self.sources
-        finals = self.nfa.finals
-        for node in {node for node, state in region if state in finals}:
-            new_mask = 0
-            for final in finals:
-                new_mask |= sources.get((node, final), 0)
-            old_mask = self.target_masks.get(node, 0)
-            if new_mask == old_mask:
-                continue
-            for source in _decode_mask(old_mask & ~new_mask, self.node_of):
-                self.pairs.discard((source, node))
-            for source in _decode_mask(new_mask & ~old_mask, self.node_of):
-                self.pairs.add((source, node))
-            if new_mask:
-                self.target_masks[node] = new_mask
-            else:
-                self.target_masks.pop(node, None)
-            self.dirty = True
+        # 5. Re-derive the target mask and pairs of every node with a
+        #    final state in the region.
+        final_ids = nfa_record(self.nfa).final_ids
+        for node in {product_id % count for product_id in dirty
+                     if product_id // count in final_ids}:
+            mask = 0
+            for final in final_ids:
+                mask |= layers[final][node]
+            if mask != self.target_masks[node]:
+                self._set_target(node, mask)
 
     # -- materialization -------------------------------------------------
 
@@ -375,6 +481,7 @@ class IncrementalRelationStore:
     def __init__(self, graph):
         self.graph = graph
         self._states = OrderedDict()   # interned NFA -> MaintainedRelation
+        self._ids = None               # the current NodeIds epoch
         self._query_results = OrderedDict()  # (semantics, query) -> entry
         self._decisions = []
         self._counts = {"built": 0, "maintained": 0, "rebuilt": 0,
@@ -503,7 +610,7 @@ class IncrementalRelationStore:
                 if len(label) > 40:
                     label = label[:37] + "..."
                 state = MaintainedRelation(nfa, label=label)
-                state.rebuild(graph)
+                self._rebuild(state)
                 self._states[nfa] = state
                 self._decide("built", state,
                              f"built relation ({len(state.pairs)} pairs)")
@@ -523,34 +630,76 @@ class IncrementalRelationStore:
             self._states.move_to_end(nfa)
             return state
 
+    def _node_ids(self, labels):
+        """The id table at the graph's current version, with rows for
+        every label in ``labels``; a delta that removes a node, or one
+        the change-log no longer covers, starts a new table."""
+        graph = self.graph
+        version = graph.version
+        ids = self._ids
+        try:
+            if ids is None:
+                ids = self._ids = NodeIds(graph, labels)
+            elif ids.version != version:
+                delta = graph.delta_since(ids.version)
+                if delta is None or delta.removed_nodes:
+                    ids = self._ids = NodeIds(graph, ids.out.keys() | labels)
+                else:
+                    ids.sync(delta, version)
+            for label in labels:
+                if label not in ids.out:
+                    ids.track(graph, label)
+        except BaseException:
+            # A sync cut short leaves rows half-applied: the next read
+            # starts a new table, and every relation on this one rebuilds.
+            self._ids = None
+            raise
+        return ids
+
+    def _rebuild(self, state):
+        state.rebuild(self._node_ids(state.labels))
+        state.version = self.graph.version
+
     def _refresh(self, state):
         graph = self.graph
         delta = graph.delta_since(state.version)
         if delta is None:
-            state.rebuild(graph)
+            self._rebuild(state)
             self._decide("rebuilt", state,
                          "rebuilt: change-log window exceeded")
             return
         if delta.removed_nodes:
-            state.rebuild(graph)
+            self._rebuild(state)
             self._decide("rebuilt", state,
                          f"rebuilt: {len(delta.removed_nodes)} node(s) "
                          f"removed in delta")
             return
-        if len(delta.removed_edges) > DELETION_REPAIR_CAP:
-            state.rebuild(graph)
+        # An edge whose label the automaton never reads moves no mask, so
+        # only the removed edges the repair would walk meet the cap.
+        labels = state.labels
+        removed = [e for e in delta.removed_edges if e.label in labels]
+        if len(removed) > DELETION_REPAIR_CAP:
+            self._rebuild(state)
             self._decide("rebuilt", state,
-                         f"rebuilt: {len(delta.removed_edges)} removed "
+                         f"rebuilt: {len(removed)} removed "
                          f"edges exceed repair cap {DELETION_REPAIR_CAP}")
             return
-        # An edge whose label the automaton never reads moves no mask.
-        labels = nfa_record(state.nfa).by_label
-        removed = [e for e in delta.removed_edges if e.label in labels]
         added = [e for e in delta.added_edges if e.label in labels]
-        if removed:
-            state.shrink(graph, removed)
-        if delta.added_nodes or added:
-            state.grow(graph, delta.added_nodes, added)
+        if removed or added or delta.added_nodes:
+            ids = self._node_ids(labels)
+            if ids is not state.ids:
+                self._rebuild(state)
+                self._decide("rebuilt", state,
+                             "rebuilt: node ids renumbered since last read")
+                return
+            id_of = ids.id_of
+            new_ids = state.pad(len(ids.nodes))
+            if removed:
+                state.shrink([(id_of[e.source], e.label, id_of[e.target])
+                              for e in removed])
+            if new_ids or added:
+                state.grow(new_ids, [(id_of[e.source], e.label,
+                                      id_of[e.target]) for e in added])
         state.version = graph.version
         self._decide("maintained", state,
                      f"maintained across delta {delta} "

@@ -23,19 +23,22 @@ Two kernels compute this relation, selected by :func:`use_backend`
 (:mod:`repro.engine.backend`): the object-keyed one runs the phases
 above over ``(node, state)`` tuples and, by default, the dense kernel
 (:func:`dense_layers`) runs over interned ids.  The incremental store
-(:mod:`repro.engine.incremental`) shares both: its deletion repair
-settles the dirty region with :func:`settle`, and its full rebuild keeps
-the dense kernel's per-state layers as its source masks and reads its
-pairs off them as the kernel does (:func:`final_masks`,
-:func:`mask_pairs`).  The dense kernel settles the product one
+(:mod:`repro.engine.incremental`) keeps its masks in the dense kernel's
+shape over its own stable node ids: its deletion repair settles the
+dirty region with :func:`settle`, over product ints ``state * n + id``,
+and its full rebuild runs :func:`dense_layers` over its own rows, keeps
+the per-state layers as its source masks and reads its pairs off them
+as the kernel does (:func:`final_masks`, :func:`mask_pairs`).  The dense
+kernel settles the product one
 automaton component at a time, in the topological order of the
 automaton's :func:`~repro.engine.cache.nfa_record`: an acyclic state's
 product layer is a DAG slice, final once its predecessors are, so it
 gathers its masks with one OR per product edge and no DFS; only a
 cyclic component's layer is condensed by Tarjan
-(:func:`_settle_cyclic_layer`).  Both walk the index's CSR rows
-(:meth:`~repro.engine.adjacency.AdjacencyIndex.csr_out`) as built: int
-tuples, shared by every call on one graph version.  Both kernels carry
+(:func:`_settle_cyclic_layer`).  Both walk CSR rows as built: int
+tuples, the index's
+(:meth:`~repro.engine.adjacency.AdjacencyIndex.csr_out`, shared by
+every call on one graph version) or the store's.  Both kernels carry
 a source set as one plain Python int, so the kernel cost per OR is
 pinned by the node count; the dense kernel decodes a mask by a
 byte-table walk over its nonzero bytes (:func:`_int_bits`), once per
@@ -108,8 +111,10 @@ def product_reachability_pairs(
     # and both kernels' seeds at such a state yield every (u, u).
     if active_backend().dense_kernels:
         _DENSE_DISPATCH.inc()
-        layers = dense_layers(index, nfa, SITE_PRODUCT_SWEEP, ctx)
-        target_masks = final_masks(layers, nfa.finals, len(nodes))
+        layers = dense_layers(
+            index.csr_out(), len(nodes), nfa, SITE_PRODUCT_SWEEP, ctx)
+        target_masks = final_masks(
+            layers, nfa_record(nfa).final_ids, len(nodes))
         if diagonal:
             return frozenset(
                 (node, node) for node_id, node in enumerate(nodes)
@@ -137,18 +142,23 @@ def product_reachability_pairs(
 
 
 def dense_layers(
-    index: AdjacencyIndex,
+    rows: Mapping[Any, CSRRows],
+    count: int,
     nfa: Any,
     site: str,
     ctx: ExecutionContext,
-) -> dict[Any, list[int]]:
+) -> list[Optional[list[int]]]:
     """The array-backend fixpoint: the product's source masks computed
     layer by layer along the automaton, entirely in dense integer space.
 
-    Returns ``{state: layer}`` for every NFA state some seed reaches,
-    where ``layer[v]`` is the source mask of ``(nodes_sorted[v],
-    state)``: bit *u* is set iff some walk from ``(nodes_sorted[u],
-    q0)`` reaches it.  The product kernel reads its pairs off the final
+    ``rows`` holds the CSR rows (:data:`CSRRows`) of every label with
+    edges over the node ids ``0..count-1``: an index's
+    :meth:`~repro.engine.adjacency.AdjacencyIndex.csr_out`, or the
+    incremental store's own rows.  Returns one entry per NFA state, by
+    its record id (:func:`nfa_record`): ``None`` for a state no seed
+    reaches, else its layer, where ``layer[v]`` is the source mask of
+    ``(v, state)``: bit *u* is set iff some walk from ``(u, q0)``
+    reaches it.  The product kernel reads its pairs off the final
     states' layers (:func:`final_masks`, :func:`mask_pairs`), and the
     incremental store's rebuild keeps every layer as its source masks;
     each checkpoints at its own ``site``.
@@ -161,17 +171,14 @@ def dense_layers(
     keeps only the moves whose label has edges.  An acyclic state — a
     singleton component without a self-loop — needs no condensation of
     its product layer: its masks are final once its predecessors are,
-    and are gathered along the CSR rows of
-    :meth:`AdjacencyIndex.csr_out` with one OR per product edge.  A
+    and are gathered along ``rows`` with one OR per product edge.  A
     cyclic component is condensed by :func:`_settle_cyclic_layer`, over
     the product restricted to its own states.  Both read the CSR rows as
-    the index built them: int tuples, sliced per source row.
+    built: int tuples, sliced per source row.
     Output-equivalent to the object-keyed kernel — pinned by
     ``tests/test_backend_differential.py``.
     """
-    count = len(index.nodes_sorted)
     record = nfa_record(nfa)
-    rows = index.csr_out()
 
     # ``layers[s][v]``: the source mask of product state (v, s); None
     # until s's component is settled, and for states no seed reaches.
@@ -209,20 +216,18 @@ def dense_layers(
                         layer[target] = old | mask if old else mask
         layers[state] = layer
 
-    return {
-        record.states[state]: layer
-        for state, layer in enumerate(layers) if layer is not None
-    }
+    return layers
 
 
 def final_masks(
-    layers: Mapping[Any, list[int]], finals: Iterable[Any], count: int
+    layers: Sequence[Optional[list[int]]], final_ids: Iterable[int],
+    count: int,
 ) -> list[int]:
-    """Per node id, the OR of its masks over the final states'
-    :func:`dense_layers`: the sources of every pair it ends."""
+    """Per node id, the OR of its masks over the final states' (record
+    ids) :func:`dense_layers`: the sources of every pair it ends."""
     target_masks = [0] * count
-    for final in finals:
-        layer = layers.get(final)
+    for final in final_ids:
+        layer = layers[final]
         if layer is None:
             continue
         for node_id, mask in enumerate(layer):
@@ -523,9 +528,7 @@ def sweep(
     Returns every reachable product state mapped to its successor list
     (a successor reached over two labels is listed twice, which
     neither Tarjan nor :func:`settle` minds).  Each expansion
-    checkpoints at ``site``: the
-    kernel's ``product.sweep``, the incremental store's
-    ``incremental.grow``.
+    checkpoints at ``site``, the kernel's ``product.sweep``.
     """
     transitions = nfa.transitions
     out_targets = index.out_targets
@@ -554,21 +557,24 @@ def sweep(
 
 
 def settle(
-    succ: ProductAdjacency, base: dict[ProductNode, int]
-) -> tuple[list[list[ProductNode]], list[int]]:
+    succ: Mapping[_Vertex, Sequence[_Vertex]], base: Mapping[_Vertex, int]
+) -> tuple[list[list[_Vertex]], list[int]]:
     """The least fixpoint of a product region given its base masks.
 
     ``succ`` maps every region state to its successors inside the
     region, ``base`` region states to the bits they hold from outside
-    it (seed bits, exterior predecessors).  Returns ``(components,
+    it (seed bits, exterior predecessors).  A state is any hashable
+    key: the object-keyed kernel's ``(node, state)`` tuples, the
+    incremental store's product ints.  Returns ``(components,
     masks)``: the region condensed by
     :func:`_tarjan_sccs` — the members of one component share one
     mask — with ``masks[c]`` pushed through the condensation in
     topological order (the reverse of Tarjan's sinks-first emission),
     so a component's mask is final before any successor reads it.
 
-    It walks only states a sweep has already checkpointed, one pass
-    over their successor lists, so it carries no checkpoint site.
+    It walks only states its caller's walk has already checkpointed,
+    one pass over their successor lists, so it carries no checkpoint
+    site.
     """
     components, component_of = _tarjan_sccs(succ)
     masks = [0] * len(components)

@@ -3,8 +3,8 @@
 The backend selects only the product kernel: the ``array`` backend
 (interned CSR adjacency, dense product kernel) must be
 answer-for-answer identical to the ``python`` backend, whose
-object-keyed sweep and settle are also the incremental store's
-fixpoint and serve as the differential reference.  This
+object-keyed sweep and settle serve as the differential reference
+(the incremental store runs the same settle over product ints).  This
 suite pins that equality at the product-reachability kernel and on
 trail semantics, and hosts the differential matrix's python-backend
 axis (:mod:`tests.differential_matrix`); it also checks the seam's
@@ -107,7 +107,7 @@ def test_int_bits_matches_set_reference(seed):
 
 
 # ----------------------------------------------------------------------
-# The object-keyed sweep and settle (python kernel and store)
+# The object-keyed sweep and settle (python kernel; the store's settle)
 # ----------------------------------------------------------------------
 
 

@@ -12,13 +12,15 @@ from repro.engine.incremental import (
     DELETION_REPAIR_CAP,
     IncrementalRelationStore,
     MaintainedRelation,
+    NodeIds,
     incremental_store,
 )
-from repro.engine.cache import compiled_nfa
+from repro.engine.cache import compiled_nfa, nfa_record
 from repro.engine.product import _decode_mask, product_reachability_pairs
 from repro.engine.runtime import ExecutionContext, active_context
 from repro.engine.relations import atom_relation
 from repro.graphdb import graph as graph_module
+from repro.graphdb.generators import uniform_random
 from repro.graphdb.graph import GraphDatabase
 from repro.queries.parser import parse_query
 from repro.regular.parser import parse_regex
@@ -73,6 +75,38 @@ class TestDecisions:
         store = IncrementalRelationStore(graph)
         store.standard_relation(LANG)
         graph.remove_edge(2, "b", 3)
+        assert (store.standard_relation(LANG).pairs
+                == _reference_pairs(graph, LANG))
+        assert store.counts["rebuilt"] == 1
+        assert "repair cap" in store.decisions[-1][2]
+
+    def test_unread_label_deletions_do_not_meet_the_repair_cap(self):
+        """One removed edge past the cap, all on a label the automaton
+        never reads: nothing to repair, so the relation is maintained and
+        handed out as the same object."""
+        graph = _chain_graph()
+        noise = [(("noise", index), "zzz", 1)
+                 for index in range(DELETION_REPAIR_CAP + 1)]
+        for edge in noise:
+            graph.add_edge(*edge)
+        store = IncrementalRelationStore(graph)
+        before = store.standard_relation(LANG)
+        for edge in noise:
+            graph.remove_edge(*edge)
+        assert store.standard_relation(LANG) is before
+        assert store.counts["maintained"] == 1
+        assert store.counts["rebuilt"] == 0
+
+    def test_read_label_deletions_past_the_cap_rebuild(self):
+        graph = _chain_graph()
+        read = [(("x", index), "a", ("y", index))
+                for index in range(DELETION_REPAIR_CAP + 1)]
+        for edge in read:
+            graph.add_edge(*edge)
+        store = IncrementalRelationStore(graph)
+        store.standard_relation(LANG)
+        for edge in read:
+            graph.remove_edge(*edge)
         assert (store.standard_relation(LANG).pairs
                 == _reference_pairs(graph, LANG))
         assert store.counts["rebuilt"] == 1
@@ -271,7 +305,7 @@ class TestMaintainedRelationUnit:
             graph.add_edge(index, "a", (index + 1) % 6)
             graph.add_edge(index, "b", (index + 2) % 6)
         state = MaintainedRelation(compiled_nfa(parse_regex("(a+b)*")))
-        state.rebuild(graph)
+        state.rebuild(NodeIds(graph, state.labels))
         assert frozenset(state.pairs) == _reference_pairs(
             graph, parse_regex("(a+b)*"))
 
@@ -285,11 +319,15 @@ class TestMaintainedRelationUnit:
 
 
 def _decoded_sources(state):
-    """A maintained relation's source masks as node sets (bit tables
-    differ between stores)."""
+    """A maintained relation's nonzero source masks per ``(node,
+    state)``, decoded to node sets (id tables differ between stores)."""
+    nodes = state.ids.nodes
+    states = nfa_record(state.nfa).states
     return {
-        product_state: frozenset(_decode_mask(mask, state.node_of))
-        for product_state, mask in state.sources.items()
+        (nodes[node_id], states[state_id]):
+            frozenset(_decode_mask(mask, nodes))
+        for state_id, layer in enumerate(state.layers)
+        for node_id, mask in enumerate(layer) if mask
     }
 
 
@@ -325,7 +363,8 @@ class TestDeletionRepair:
         edge = min((e for e in graph.edges if e.label == "a"), key=repr)
         store = IncrementalRelationStore(graph)
         store.standard_relation(LANG)
-        product_states = len(store._states[compiled_nfa(LANG)].sources)
+        product_states = len(
+            _decoded_sources(store._states[compiled_nfa(LANG)]))
         graph.remove_edge(edge.source, edge.label, edge.target)
         hits = []
         ctx = ExecutionContext()
@@ -368,9 +407,112 @@ class TestDeletionRepair:
 
         repaired, rebuilt = _repair_and_rebuild(graph, language, mutate,
                                                 monkeypatch)
-        assert not repaired.pairs and not repaired.target_masks
+        assert not repaired.pairs and not any(repaired.target_masks)
         assert _decoded_sources(repaired) == _decoded_sources(rebuilt)
-        assert len(repaired.sources) == 3
+        assert len(_decoded_sources(repaired)) == 3
+
+    def test_repair_equals_rebuild_on_a_ten_state_automaton(self,
+                                                             monkeypatch):
+        """Mixed deletions and inserts on a random graph under a
+        ten-state automaton with a starred middle and a cyclic tail: the
+        repaired masks equal the rebuilt ones state by state."""
+        language = parse_regex("(ab+ba)(c+a)*(b(a+c))^+")
+        assert len(nfa_record(compiled_nfa(language)).states) == 10
+        graph = uniform_random(400, 1600, {"a", "b", "c"}, seed=5)
+        edges = sorted(graph.edges, key=repr)
+        removed = edges[::160]
+        nodes = sorted(graph.nodes, key=repr)
+        added = [(nodes[i], "abc"[i % 3], nodes[(7 * i + 3) % 400])
+                 for i in range(0, 400, 50)]
+
+        def mutate(copy):
+            for edge in removed:
+                copy.remove_edge(edge.source, edge.label, edge.target)
+            for edge in added:
+                copy.add_edge(*edge)
+
+        repaired, rebuilt = _repair_and_rebuild(graph, language, mutate,
+                                                monkeypatch)
+        assert _decoded_sources(repaired) == _decoded_sources(rebuilt)
+
+
+class TestStableIds:
+    """The store's node ids and rows: appended ids, epochs and rows only
+    for the labels a maintained automaton reads."""
+
+    def test_removed_and_readded_node_rebuilds_on_a_new_epoch(self):
+        """Node 3 leaves and comes back between two reads of ``(ab)^+``;
+        the ``c`` relation's read in between starts a new id table, on
+        which 3 is appended.  ``(ab)^+``'s net delta shows no node
+        change, but its masks index the old table, so it rebuilds."""
+        graph = GraphDatabase(edges=[(1, "a", 2), (2, "b", 3), (3, "a", 4),
+                                     (4, "b", 5), (2, "c", 3)])
+        store = IncrementalRelationStore(graph)
+        letter_c = parse_regex("c")
+        store.standard_relation(LANG)
+        store.standard_relation(letter_c)
+        old_ids = store._ids
+        graph.remove_node(3, cascade=True)
+        assert store.standard_relation(letter_c).pairs == set()
+        assert store._ids is not old_ids
+        graph.add_edge(2, "b", 3)
+        assert (store.standard_relation(LANG).pairs
+                == _reference_pairs(graph, LANG))
+        assert store._ids.nodes[-1] == 3
+        assert "renumbered" in store.decisions[-1][2]
+        graph.add_edge(3, "a", 4)
+        assert (store.standard_relation(LANG).pairs
+                == _reference_pairs(graph, LANG))
+        assert "maintained" in store.decisions[-1][2]
+
+    def test_language_built_after_appends_reads_appended_ids(self):
+        graph = GraphDatabase(edges=[("m", "a", "n")])
+        store = IncrementalRelationStore(graph)
+        store.standard_relation(parse_regex("a"))
+        graph.add_edge("n", "b", "a0")
+        graph.add_edge("a0", "a", "m")
+        assert (store.standard_relation(LANG).pairs
+                == _reference_pairs(graph, LANG))
+        nodes = store._ids.nodes
+        assert nodes != sorted(nodes, key=repr)
+        graph.add_edge("m", "b", "z")
+        graph.remove_edge("n", "b", "a0")
+        assert (store.standard_relation(LANG).pairs
+                == _reference_pairs(graph, LANG))
+        assert store.counts["maintained"] == 1
+
+    def test_interrupted_sync_starts_a_new_table(self, monkeypatch):
+        """A row sync cut short leaves the table half-applied: the store
+        drops it, and the next read rebuilds on a fresh table."""
+        graph = _chain_graph()
+        store = IncrementalRelationStore(graph)
+        store.standard_relation(LANG)
+        old_ids = store._ids
+        graph.add_edge(4, "b", 5)
+
+        def cut_short(ids, delta, version):
+            ids.nodes.append("ghost")
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(NodeIds, "sync", cut_short)
+        with pytest.raises(KeyboardInterrupt):
+            store.standard_relation(LANG)
+        monkeypatch.undo()
+        assert (store.standard_relation(LANG).pairs
+                == _reference_pairs(graph, LANG))
+        assert store._ids is not old_ids
+        assert "ghost" not in store._ids.nodes
+
+    def test_unread_label_builds_no_rows(self):
+        graph = _chain_graph()
+        store = IncrementalRelationStore(graph)
+        store.standard_relation(LANG)
+        graph.add_edge(1, "zzz", 4)
+        graph.add_edge(4, "b", 5)
+        assert (store.standard_relation(LANG).pairs
+                == _reference_pairs(graph, LANG))
+        assert store._ids.version == graph.version
+        assert set(store._ids.out) == set(store._ids.into) == {"a", "b"}
 
 
 class TestCLIUpdate:
