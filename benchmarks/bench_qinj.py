@@ -16,11 +16,14 @@ both sides — exactly the cost the guidance removes.
 Second gate: for a one-atom query both injective semantics are
 simple-path semantics, so on ``Q(x, y) :- x -[(ab)^+]-> y`` over small
 uniform graphs (the perfbench ``injective`` workload's ``uniform-plus``
-shape) q-inj must return a-inj's answers in at most 1.6× a-inj's time.
-``answers()`` stops at the first witness of each answer; when it still
-enumerated every simple path per answer, this gate read 2.04×.  Both
-sides now share one simple-path harvest per source (q-inj at its last
-atom, a-inj in its relation); the gate read 1.31× with that.
+shape) q-inj must return a-inj's answers in at most 1.25× a-inj's time.
+Both semantics now read one relation: the q-inj plan answers this RPQ
+shape from a-inj's simple-path relation (diagonal removed) with no
+joint search, and the gate reads 0.94–1.05×.  Before that it read
+2.04× while ``answers()`` enumerated every simple path per answer, and
+1.31× with the guided search stopping at the first witness and sharing
+one harvest per source at its last atom; the bound was 1.6× then, so
+1.25× fails if this shape goes back to the search.
 
 Run with::
 
@@ -113,7 +116,7 @@ def test_guided_qinj_speedup_at_least_5x(num_nodes):
 
 
 # ----------------------------------------------------------------------
-# One atom: q-inj within 1.6x of a-inj
+# One atom: q-inj within 1.25x of a-inj
 # ----------------------------------------------------------------------
 
 
@@ -130,7 +133,7 @@ def _run_cold(query, graphs, semantics):
     return results
 
 
-def test_one_atom_qinj_within_1_6x_of_ainj():
+def test_one_atom_qinj_within_1_25x_of_ainj():
     query = parse_query("Q(x, y) :- x -[(ab)^+]-> y")
     graphs = _uniform_plus_graphs()
     assert _run_cold(query, graphs, "q-inj") == \
@@ -146,7 +149,7 @@ def test_one_atom_qinj_within_1_6x_of_ainj():
           f"q-inj/a-inj {ratio:.2f}x")
     _TRAJECTORY.record("qinj_over_ainj_x_uniform_plus", ratio,
                        {"ainj_s": ainj_time, "qinj_s": qinj_time})
-    assert ratio <= 1.6, (
+    assert ratio <= 1.25, (
         f"q-inj takes {ratio:.2f}x a-inj's time on a one-atom query, "
         f"where both are simple-path semantics"
     )

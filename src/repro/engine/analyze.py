@@ -306,6 +306,19 @@ def _lint_epsilon_only_atoms(
                 ))
 
 
+def rpq_atom(disjunct: Any) -> Optional[Any]:
+    """The atom of an *RPQ-shaped* ε-free disjunct, else ``None``: one
+    atom, every variable an endpoint of it and in the head.  The q-inj
+    plan answers such a disjunct from the a-inj atom relation, with no
+    joint search (:func:`repro.engine.qinj.plan_qinj`)."""
+    if len(disjunct.atoms) != 1:
+        return None
+    atom = disjunct.atoms[0]
+    if disjunct.variables == set(atom.variables()) == set(disjunct.head):
+        return atom
+    return None
+
+
 def _isolated_head_variables(disjunct: Any) -> Tuple[Any, ...]:
     """Head variables no atom mentions: each forces a full domain scan."""
     atom_variables = {
@@ -386,16 +399,17 @@ def _lint_facts(
                 message=(f"variable graph splits into {components} "
                          f"components: cartesian-product glue"),
             ))
-        if (semantics is Semantics.QUERY_INJECTIVE
-                and len(disjunct.atoms) == 1):
-            atom = disjunct.atoms[0]
-            if disjunct.variables == frozenset(atom.variables()):
-                lints.append(AnalysisLint(
-                    code="semantics-downgrade-safe",
-                    disjunct=index,
-                    message=("single-atom RPQ shape: q-inj coincides "
-                             "with a-inj for this disjunct"),
-                ))
+        atom = (rpq_atom(disjunct)
+                if semantics is Semantics.QUERY_INJECTIVE else None)
+        if atom is not None:
+            relation = ("simple-cycle diagonal" if atom.is_loop()
+                        else "simple-path relation, diagonal removed")
+            lints.append(AnalysisLint(
+                code="semantics-downgrade-safe",
+                disjunct=index,
+                message=(f"RPQ shape: q-inj answers read the a-inj "
+                         f"{relation}; no joint search"),
+            ))
 
 
 # ----------------------------------------------------------------------

@@ -22,8 +22,9 @@ join planner (:mod:`repro.engine.planner`) then reads its base tables
 from it, and under q-inj the guided joint search
 (:mod:`repro.engine.qinj`) reads its st pruning relations from it, so
 a q-inj batch dedupes and warms one walk relation (or loop diagonal)
-per distinct atom language (and still
-amortizes NFA compilation and the per-(automaton, target)
+per distinct atom language, plus the a-inj relation of every
+RPQ-shaped disjunct's atom, which the q-inj plan answers from (and
+still amortizes NFA compilation and the per-(automaton, target)
 co-reachability sets).
 
 ``max_workers`` enables a thread pool for the independent units of
@@ -111,8 +112,9 @@ def atom_job(atom, semantics):
     Query-injective atoms contribute their st job (``"standard"``, or
     ``"walk-loop"`` for a loop atom): the guided joint search
     (:mod:`repro.engine.qinj`) prunes with the walk relations and loop
-    diagonals, so a q-inj batch dedupes and warms exactly those.
-    The st / a-inj kind dispatch is
+    diagonals, so a q-inj batch dedupes and warms exactly those (the
+    atom of an RPQ-shaped q-inj disjunct is planned under a-inj by
+    :meth:`BatchExecutor.plan`).  The st / a-inj kind dispatch is
     :func:`repro.semantics.rpq.atom_relation_kind` — the same table the
     per-query relational encoding uses, so batched and sequential
     evaluation can never disagree about which relation an atom needs.
@@ -211,7 +213,13 @@ class BatchExecutor:
         """Summarize the shared work without computing any relation.
 
         Counts reflect the *analyzed* disjunct lists: work pruned by the
-        static analyzer never contributes an atom job."""
+        static analyzer never contributes an atom job.  Under q-inj the
+        atom of an RPQ-shaped disjunct
+        (:func:`repro.engine.analyze.rpq_atom`) contributes its a-inj
+        job: the q-inj plan answers that disjunct from the a-inj
+        relation."""
+        from repro.engine.analyze import rpq_atom
+
         jobs = {}
         languages = {}
         num_disjuncts = 0
@@ -219,10 +227,14 @@ class BatchExecutor:
         for query in batch:
             for disjunct in self._analyzed(query):
                 num_disjuncts += 1
+                semantics = self.semantics
+                if (semantics is Semantics.QUERY_INJECTIVE
+                        and rpq_atom(disjunct) is not None):
+                    semantics = Semantics.ATOM_INJECTIVE
                 for atom in disjunct.atoms:
                     num_atoms += 1
                     languages.setdefault(compiled_nfa(atom.language), None)
-                    jobs.setdefault(atom_job(atom, self.semantics), None)
+                    jobs.setdefault(atom_job(atom, semantics), None)
         plan = BatchPlan(
             semantics=self.semantics,
             num_queries=len(batch),

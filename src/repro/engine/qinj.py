@@ -42,6 +42,17 @@ the polynomial machinery built for the other semantics:
    There each source keeps one ``reached`` set of the kernel's accepted
    endpoints, and a target an earlier search from that source already
    stepped onto is answered with no search of its own.
+5. **RPQ-shaped disjuncts.**  On one atom ``x -[L]-> y`` whose two
+   variables are the whole query, both in the head, both injective
+   semantics are simple-path semantics (Mendelzon & Wood 1995); q-inj
+   only adds μ(x) ≠ μ(y).  With no binding, :func:`plan_qinj` reads
+   the atom's *a-inj* relation instead of the walk relation: simple
+   paths minus the diagonal, or the simple-cycle diagonal of a loop
+   atom.  It is exact, so :meth:`QinjPlan.answers` projects it onto the
+   head with no joint search and charges one witness per answer, and
+   both semantics read one cached simple-path computation.  Membership
+   (a binding), Boolean and partial heads, extra variables and
+   :meth:`QinjPlan.solutions` still run the search.
 
 The unguided search lives on in ``tests/reference/baselines.py`` as
 the baseline ``benchmarks/bench_qinj.py`` times this one against; the
@@ -56,6 +67,7 @@ import operator
 
 from repro.engine import telemetry
 from repro.engine.adjacency import adjacency_index
+from repro.engine.analyze import rpq_atom
 from repro.engine.cache import compiled_nfa, nfa_record
 from repro.engine.join import TupleRelation
 from repro.engine.planner import semijoin_reduce
@@ -83,13 +95,16 @@ class QinjPlan:
     Construction fetches the standard relations and runs the semijoin
     reduction (polynomial) but executes **no** joint search —
     :meth:`solutions` / :meth:`answers` do, :meth:`explain` only renders.
+    An *RPQ plan* (``rpq``, see :func:`plan_qinj`) holds its atom's
+    a-inj relation instead, which :meth:`answers` projects with no
+    search at all.
     """
 
     __slots__ = ("query", "graph", "binding", "empty_reason", "atoms",
-                 "nfas", "order", "tables", "domains", "base_sizes")
+                 "nfas", "order", "tables", "domains", "base_sizes", "rpq")
 
     def __init__(self, query, graph, binding, empty_reason, atoms, nfas,
-                 order, tables, domains, base_sizes):
+                 order, tables, domains, base_sizes, rpq=False):
         self.query = query
         self.graph = graph
         self.binding = binding          # var -> node (pinned head vars)
@@ -100,6 +115,7 @@ class QinjPlan:
         self.tables = tables            # atom index -> reduced Relation
         self.domains = domains          # var -> sorted tuple of candidates
         self.base_sizes = base_sizes    # atom index -> |over-approx|
+        self.rpq = rpq                  # tables/domains are exact a-inj
 
     # -- execution ------------------------------------------------------
 
@@ -107,12 +123,34 @@ class QinjPlan:
         """The disjunct's q-inj answer set: a frozenset of head tuples.
 
         Runs the search under the exit rule (see :meth:`_search`), so it
-        places one witness per answer rather than every solution."""
+        places one witness per answer rather than every solution.  An
+        RPQ plan projects its a-inj relation instead and charges one
+        witness per answer, as the search would."""
+        ctx = resolve_context(None)
+        if self.rpq:
+            answers = self._rpq_answers()
+            ctx.consume_witnesses(len(answers), SITE_QINJ_SEARCH)
+            return answers
         head = self.query.head
         return frozenset(
             tuple(mu[v] for v in head)
-            for mu in self._search(resolve_context(None), by_head=True)
+            for mu in self._search(ctx, by_head=True)
         )
+
+    def _rpq_answers(self):
+        """The RPQ plan's relation projected onto the head."""
+        (atom,) = self.atoms
+        head = self.query.head
+        if atom.is_loop():
+            return frozenset((node,) * len(head)
+                             for node in self.domains[atom.source])
+        pairs = self.tables[0].pairs
+        if head == (atom.source, atom.target):
+            return pairs
+        # Both endpoints are in the head, so it has two or more columns
+        # and the getter returns tuples.
+        return frozenset(map(operator.itemgetter(
+            *(0 if v == atom.source else 1 for v in head)), pairs))
 
     def is_satisfiable(self):
         """True iff the disjunct has at least one q-inj solution (under
@@ -146,6 +184,14 @@ class QinjPlan:
         stops only between continuations, on their return values."""
         if self.empty_reason is not None:
             return
+        if self.rpq and not self.domains:
+            # An RPQ plan's endpoint domains, sorted on the first search.
+            (atom,) = self.atoms
+            pairs = self.tables[0].pairs
+            self.domains = {
+                atom.source: tuple(sorted({s for s, _ in pairs}, key=repr)),
+                atom.target: tuple(sorted({t for _, t in pairs}, key=repr)),
+            }
         graph = self.graph
         atoms, nfas = self.atoms, self.nfas
         tables, domains, order = self.tables, self.domains, self.order
@@ -318,6 +364,8 @@ class QinjPlan:
     def explain(self):
         """A human-readable rendering of the pruning plan (no search
         executed) — the CLI's ``--explain`` under q-inj."""
+        if self.rpq:
+            return self._explain_rpq()
         lines = [f"disjunct: {self.query}",
                  "semantics: q-inj — relation-guided joint backtracking "
                  "search"]
@@ -373,6 +421,24 @@ class QinjPlan:
         )
         return "\n".join(lines)
 
+    def _explain_rpq(self):
+        (atom,) = self.atoms
+        if atom.is_loop():
+            relation = "a-inj simple-cycle diagonal"
+            size = f"|simple-cycle diag| = {self.base_sizes[0]}"
+        else:
+            relation = "a-inj simple-path relation, diagonal removed"
+            size = f"|simple-path pairs| = {self.base_sizes[0]}"
+        return "\n".join((
+            f"disjunct: {self.query}",
+            f"semantics: q-inj — RPQ shape: {relation}; no joint search",
+            f"  {'loop atom' if atom.is_loop() else 'atom'} 0: {atom}  "
+            f"{size}",
+            "  answers: the relation projected onto the head, one witness "
+            "charged per answer; solutions() runs the guided search over "
+            "it",
+        ))
+
 
 def plan_qinj(query, graph, binding=None, relation_for=None):
     """Build the :class:`QinjPlan` of one ε-free disjunct.
@@ -382,6 +448,11 @@ def plan_qinj(query, graph, binding=None, relation_for=None):
     standard pruning relations come from; the default is
     :func:`repro.engine.relations.relation_for`, which serves q-inj the
     walk relation from the one atom-relation store.
+
+    With no binding, an RPQ-shaped disjunct
+    (:func:`~repro.engine.analyze.rpq_atom`) gets an *RPQ plan* (step 5
+    of the module docstring), whose exact a-inj table comes from the
+    store, not from ``relation_for``.
     """
     binding = dict(binding or {})
     atoms = tuple(query.atoms)
@@ -412,6 +483,9 @@ def plan_qinj(query, graph, binding=None, relation_for=None):
         _PRUNED_EMPTY.inc()
         return QinjPlan(query, graph, binding, empty_reason, atoms, nfas,
                         (), {}, {}, base_sizes)
+    atom = None if binding else rpq_atom(query)
+    if atom is not None:
+        return _rpq_plan(query, graph, atom, nfas[0])
 
     # Lower every atom to its standard over-approximation.
     raw_tables = []       # TupleRelations fed to the reducer
@@ -496,3 +570,25 @@ def plan_qinj(query, graph, binding=None, relation_for=None):
 
     return QinjPlan(query, graph, binding, None, atoms, nfas,
                     tuple(order), tables, domains, base_sizes)
+
+
+def _rpq_plan(query, graph, atom, nfa):
+    """The RPQ plan of :func:`plan_qinj`: one table (or, for a loop
+    atom, one domain) read from the atom's a-inj relation.  A binary
+    table's endpoint domains are left to the first search
+    (:meth:`QinjPlan._search`): :meth:`QinjPlan.answers` reads none."""
+    relation = default_relation_for(graph, atom, Semantics.ATOM_INJECTIVE,
+                                    nfa)
+    if atom.is_loop():
+        diagonal = relation.diagonal()
+        return QinjPlan(query, graph, {}, None, (atom,), (nfa,), (0,), {},
+                        {atom.source: tuple(sorted(diagonal, key=repr))},
+                        {0: len(diagonal)}, rpq=True)
+    if nfa.accepts(()):
+        # The empty path is the only simple path from a node to itself,
+        # and an injective assignment keeps the endpoints apart.
+        pairs = relation.pairs
+        relation = Relation(itertools.compress(
+            pairs, itertools.starmap(operator.ne, pairs)))
+    return QinjPlan(query, graph, {}, None, (atom,), (nfa,), (0,),
+                    {0: relation}, {}, {0: len(relation)}, rpq=True)

@@ -2,7 +2,8 @@
 
 Under st and a-inj a CRPQ disjunct is a conjunctive query over per-atom
 pair relations: walks under st, simple paths or simple cycles under
-a-inj.  The q-inj search prunes with the walk relation.  A loop atom
+a-inj.  The q-inj search prunes with the walk relation, and an
+RPQ-shaped q-inj disjunct reads its a-inj relation.  A loop atom
 ``x -[L]-> x`` is read as a diagonal under every semantics, so its kind
 keeps only pairs ``(v, v)``: ``"walk-loop"`` under st and q-inj,
 ``"simple-cycle-nonempty"`` under a-inj.  Every
@@ -276,12 +277,14 @@ def walk_relation_materialized(graph: Any, nfa: Any) -> bool:
 def relation_for(graph: Any, atom: Any, semantics: Any, nfa: Any = None) -> Relation:
     """The default ``relation_for`` hook of the planner and the q-inj
     pruning plan: :func:`atom_relation` of the kind ``semantics`` needs
-    for ``atom`` (``nfa``: its automaton, if held).  Query-injective
-    callers get the walk relation, their search's sound pruning."""
+    for ``atom`` (``nfa``: its automaton, if held; ``semantics``: a
+    :class:`~repro.semantics.base.Semantics` or its name).
+    Query-injective callers get the walk relation, their search's sound
+    pruning; the q-inj RPQ plan asks this hook for the a-inj relation."""
     from repro.semantics.base import Semantics
     from repro.semantics.rpq import atom_relation_kind
 
-    if semantics is Semantics.QUERY_INJECTIVE:
+    if Semantics.coerce(semantics) is Semantics.QUERY_INJECTIVE:
         semantics = Semantics.STANDARD
     return atom_relation(graph, atom.language,
                          atom_relation_kind(atom, semantics), nfa)

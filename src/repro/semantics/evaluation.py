@@ -20,7 +20,8 @@ Algorithms:
   fixpoint, and only surviving bindings feed the injective search
   (Prop 2.2's injective expansion homomorphism, run directly on the
   database), each atom's witness path enumerated under the search's
-  forbidden-node set.
+  forbidden-node set.  An RPQ-shaped disjunct (one atom, its endpoints
+  the whole head) reads its a-inj relation instead, with no search.
 
 Dynamic graphs: attaching an
 :class:`~repro.engine.incremental.IncrementalRelationStore` to a graph
@@ -236,7 +237,8 @@ def eps_free_answers_uncached(query, graph, semantics):
     """The uncached body of :func:`evaluate_eps_free`: plan and run one
     disjunct over the atom relations of the engine's one store (the
     glue's base tables under st / a-inj, the standard pruning relations
-    of the guided search under q-inj)."""
+    of the guided search under q-inj, or the a-inj relation of an
+    RPQ-shaped q-inj disjunct)."""
     if semantics is Semantics.QUERY_INJECTIVE:
         with telemetry.span("plan", kind="qinj"):
             plan = plan_qinj(query, graph)
@@ -262,11 +264,12 @@ def _check_eps_free(query, graph, target_tuple, semantics):
 
 
 def atom_pairs(graph, atom, semantics):
-    """The pair relation of one atom under st / a-inj semantics: walks
-    for standard, simple paths for atom-injective; a loop atom gives its
-    diagonal, ``(v, v)`` with a closed walk (st) or a nonempty simple
-    cycle (a-inj) at ``v``.  Cached per graph version via the engine
-    layer."""
+    """The pair relation of one atom under st / a-inj semantics (a
+    :class:`Semantics` or its name): walks for standard, simple paths
+    for atom-injective; a loop atom gives its diagonal, ``(v, v)`` with
+    a closed walk (st) or a nonempty simple cycle (a-inj) at ``v``.
+    Cached per graph version via the engine layer.  q-inj raises
+    ``ValueError``: one atom has no q-inj relation outside its query."""
     return relation_by_kind(
         graph, atom.language, atom_relation_kind(atom, semantics)
     )

@@ -58,19 +58,26 @@ def simple_cycle_nodes(graph, language, include_empty=True):
 def atom_relation_kind(atom, semantics):
     """The relation kind one atom needs under ``semantics``: the single
     source of the semantics→relation dispatch shared by the per-query
-    relational encoding, the q-inj pruning plan (which asks for the st
-    kind) and the batch executor's job planning.
+    relational encoding, the q-inj plan (which asks for the st kind,
+    or the a-inj kind for an RPQ-shaped disjunct) and the batch
+    executor's job planning.
 
     A loop atom ``x -[L]-> x`` is a unary constraint, so its kind is a
     diagonal under both: ``"walk-loop"`` (the nodes with a closed walk
     labelled in L) under st, ``"simple-cycle-nonempty"`` under a-inj.
     Other atoms need ``"standard"`` (walks) under st and
-    ``"simple-path"`` under a-inj.  Returns ``None`` for
-    query-injective semantics (its joint search consumes no
-    precomputable pair relation).
+    ``"simple-path"`` under a-inj.  ``semantics`` may be a
+    :class:`Semantics` or one of its names.  Query-injective semantics
+    raises ``ValueError``: it couples the atoms of a query, so one atom
+    has no q-inj relation of its own (the q-inj plan asks for the st or
+    a-inj kind, see :mod:`repro.engine.qinj`).
     """
+    semantics = Semantics.coerce(semantics)
     if semantics is Semantics.QUERY_INJECTIVE:
-        return None
+        raise ValueError(
+            "one atom has no q-inj pair relation outside its query: "
+            "q-inj couples the atoms' witness paths"
+        )
     if semantics is Semantics.STANDARD:
         return "walk-loop" if atom.is_loop() else "standard"
     return "simple-cycle-nonempty" if atom.is_loop() else "simple-path"

@@ -25,6 +25,7 @@ from repro.engine.relations import atom_relation
 from repro.graphdb.generators import figure2_graph_prime, uniform_random
 from repro.queries.crpq import QueryClass
 from repro.queries.parser import parse_query
+from repro.regular.parser import parse_regex
 from repro.semantics.base import ALL_SEMANTICS, Semantics
 from repro.semantics.evaluation import evaluate, evaluate_batch
 
@@ -38,7 +39,7 @@ def _sequential_reference(queries, graph, semantics):
 
 def _languages_by_loopness(queries, semantics):
     """The distinct (interned NFA, is-loop) pairs over the analyzed
-    atoms: one atom job each under st and q-inj."""
+    atoms: one atom job each under st."""
     return {
         (compiled_nfa(atom.language), atom.is_loop())
         for query in queries
@@ -141,15 +142,20 @@ def test_plan_dedups_structurally():
     assert "simple-path" in kinds and "simple-cycle-nonempty" in kinds
 
     qinj_plan = BatchExecutor(graph, "q-inj").plan(batch)
-    # The guided q-inj search prunes with walk relations (walk diagonals
-    # for loop atoms), so a q-inj batch warms the st jobs: one per
-    # distinct atom language and loop-ness.
-    assert qinj_plan.jobs != ()
-    assert {job.kind for job in qinj_plan.jobs} == {"standard", "walk-loop"}
-    assert {(job.nfa, job.kind == "walk-loop") for job in qinj_plan.jobs} == (
-        _languages_by_loopness(queries, Semantics.QUERY_INJECTIVE))
-    assert len(qinj_plan.jobs) == len(
-        _languages_by_loopness(queries, Semantics.QUERY_INJECTIVE))
+    # The guided q-inj search prunes with walk relations, so a q-inj
+    # batch warms the st job of a multi-atom disjunct's atoms; an
+    # RPQ-shaped disjunct (one atom, every variable an endpoint and in
+    # the head) answers from its atom's a-inj relation instead.
+    ab_plus = compiled_nfa(parse_regex("(ab)^+"))
+    c = compiled_nfa(parse_regex("c"))
+    assert len(qinj_plan.jobs) == 5
+    assert set(qinj_plan.jobs) == {
+        AtomJob(ab_plus, "simple-path"),            # x -[(ab)+]-> y
+        AtomJob(ab_plus, "standard"),               # u -[(ab)+]-> v, ...
+        AtomJob(c, "standard"),                     # ..., v -[c]-> u
+        AtomJob(c, "simple-cycle-nonempty"),        # ε-branch u -[c]-> u
+        AtomJob(ab_plus, "simple-cycle-nonempty"),  # x -[(ab)+]-> x
+    }
     assert len({job.nfa for job in qinj_plan.jobs}) == (
         qinj_plan.num_distinct_languages)
     assert qinj_plan.num_distinct_languages > 0
@@ -160,9 +166,10 @@ def test_qinj_batch_warms_shared_pruning_relations():
     """Regression: q-inj batches used to carry an empty job list and
     silently degrade to sequential per-query evaluation — no shared
     relation warm-up, inconsistent NFA interning.  The guided evaluator
-    prunes with standard relations, so a q-inj batch must dedupe atom
-    languages into standard jobs, warm each exactly once into the
-    shared relation store, and serve every query from it."""
+    prunes with standard relations (and answers an RPQ-shaped disjunct
+    from its a-inj relation), so a q-inj batch must dedupe atom
+    languages into those jobs, warm each exactly once into the shared
+    relation store, and serve every query from it."""
     graph = uniform_random(7, 16, {"a", "b"}, seed=9)
     queries = [
         parse_query("Q(x, y) :- x -[(ab)*]-> y"),
@@ -172,12 +179,18 @@ def test_qinj_batch_warms_shared_pruning_relations():
     executor = BatchExecutor(graph, "q-inj")
     batch = QueryBatch(queries)
     plan = executor.warm(batch)
-    # The ε-branch of ``u -[(ab)*]-> v`` leaves the loop atom
-    # ``u -[a]-> u``, whose job is a walk diagonal.
-    assert plan.jobs and {job.kind for job in plan.jobs} == {
-        "standard", "walk-loop"}
+    # The ε-free ``x -[(ab)+]-> y`` and the ε-branch ``Q(u, u) :-
+    # u -[a]-> u`` of the second query are RPQ-shaped: their jobs are
+    # the a-inj relations their answers read.  The other atoms prune
+    # with walk relations.
+    ab_plus = compiled_nfa(parse_regex("(ab)^+"))
+    a = compiled_nfa(parse_regex("a"))
+    assert set(plan.jobs) == {
+        AtomJob(ab_plus, "simple-path"), AtomJob(ab_plus, "standard"),
+        AtomJob(a, "standard"), AtomJob(a, "simple-cycle-nonempty"),
+    }
     # (ab)* occurs three times (plus the (ab)+ ε-elimination variants)
-    # but each distinct (language, loop-ness) warms exactly one store
+    # but each distinct (language, kind) warms exactly one store
     # entry, and every job reads its own.
     assert plan.num_shared_atoms > 0
     _version, cache = graph._engine_cache
@@ -187,8 +200,6 @@ def test_qinj_batch_warms_shared_pruning_relations():
     for job in plan.jobs:
         assert atom_relation(graph, job.nfa, job.kind) is cache[
             ("relation", job.kind, job.nfa)]
-    assert len(plan.jobs) == len(
-        _languages_by_loopness(queries, Semantics.QUERY_INJECTIVE))
     got = [answers for _i, _q, answers in executor.results(batch,
                                                            warmed=True)]
     assert got == _sequential_reference(queries, graph, "q-inj")

@@ -10,7 +10,7 @@ from repro.graphdb import generators
 from repro.graphdb.graph import GraphDatabase
 from repro.queries.parser import parse_query
 from repro.semantics.base import ALL_SEMANTICS, Semantics
-from repro.semantics.evaluation import evaluate, in_evaluation
+from repro.semantics.evaluation import atom_pairs, evaluate, in_evaluation
 from repro.semantics.rpq import (
     rpq_evaluate,
     simple_cycle_nodes,
@@ -66,6 +66,35 @@ class TestRPQPrimitives:
             self.graph(), parse_regex("aaa"), include_empty=False
         )
         assert nodes == {"u", "v", "w"}
+
+    def test_atom_pairs_reads_semantics_names(self):
+        from repro.queries.atoms import Atom
+        from repro.regular.parser import parse_regex
+
+        graph = generators.uniform_random(10, 30, {"a", "b"}, seed=1)
+        language = parse_regex("(ab)^+")
+        binary, loop = Atom("x", language, "y"), Atom("x", language, "x")
+        names = {Semantics.STANDARD: ("st", "standard"),
+                 Semantics.ATOM_INJECTIVE: ("a-inj", "atom-injective",
+                                            "ainj")}
+        for atom in (binary, loop):
+            for semantics, aliases in names.items():
+                expected = atom_pairs(graph, atom, semantics)
+                for name in aliases:
+                    assert atom_pairs(graph, atom, name) == expected
+        assert len(atom_pairs(graph, binary, "st")) == 27
+        assert len(atom_pairs(graph, binary, "a-inj")) == 20
+
+    @pytest.mark.parametrize("semantics", [
+        Semantics.QUERY_INJECTIVE, "q-inj", "qinj"])
+    def test_atom_pairs_has_no_qinj_relation(self, semantics):
+        from repro.queries.atoms import Atom
+        from repro.regular.parser import parse_regex
+
+        atom = Atom("x", parse_regex("(ab)^+"), "y")
+        with pytest.raises(ValueError,
+                           match="no q-inj pair relation outside its query"):
+            atom_pairs(self.graph(), atom, semantics)
 
     def test_rpq_evaluate_dispatch(self):
         from repro.regular.parser import parse_regex

@@ -11,7 +11,7 @@ import pytest
 from repro.analysis.catalog import by_name
 from repro.cli import main
 from repro.engine.batch import BatchExecutor, QueryBatch
-from repro.engine.analyze import analyzed_disjuncts
+from repro.engine.analyze import analyze, analyzed_disjuncts
 from repro.engine.cache import _graph_cache
 from repro.engine.qinj import QinjPlan, plan_qinj
 from repro.engine.runtime import ExecutionContext, active_context
@@ -143,19 +143,31 @@ def _count_searches(monkeypatch):
 
 
 def test_one_atom_answers_consume_one_witness_each(monkeypatch):
+    from repro.graphdb import paths
+
     graph = uniform_random(22, 66, {"a", "b"}, seed=1)
     query = _eps_free("Q(x, y) :- x -[(ab)^+]-> y")
-    plan = plan_qinj(query, graph)
     calls, _yields = _count_searches(monkeypatch)
+    relation_searches = []
+    original = paths.search
+
+    def counting(*args, **kwargs):
+        relation_searches.append(args[2:4])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(paths, "search", counting)
     ctx = ExecutionContext()
     with active_context(ctx):
+        plan = plan_qinj(query, graph)
         answers = plan.answers()
+    searches = len(relation_searches)
     assert answers == unguided_qinj_evaluate(query, graph)
     assert ctx.witnesses == len(answers)
-    # The last atom shares one harvest per source: some answers need no
+    # No joint search: the answers are the a-inj simple-path relation,
+    # which shares one harvest per source, so some answers need no
     # search of their own.
-    assert 0 < len(calls) < len(answers)
-    del calls[:]
+    assert plan.rpq and not calls
+    assert 0 < searches < len(answers)
     # The full enumeration still yields once per simple path.
     ctx = ExecutionContext()
     solutions = list(plan.solutions(ctx))
@@ -284,8 +296,8 @@ def test_plan_turns_loop_atoms_into_domains():
     graph = GraphDatabase(edges=[
         ("u", "a", "v"), ("v", "b", "u"), ("w", "a", "w"),
     ])
-    # "+" is union: L = ab | aa.
-    query = _eps_free("Q(x) :- x -[(ab)+(aa)]-> x")
+    # "+" is union: L = ab | aa.  A Boolean head keeps the search plan.
+    query = _eps_free("Q() :- x -[(ab)+(aa)]-> x")
     plan = plan_qinj(query, graph)
     # Walk diagonal: u (ab-cycle via v) and w (the a-loop taken twice —
     # a non-simple walk the over-approximation keeps); not v (its only
@@ -293,7 +305,11 @@ def test_plan_turns_loop_atoms_into_domains():
     assert set(plan.domains["x"]) == {"u", "w"}
     # The search then rejects w: aa at w would reuse the loop edge, and
     # a simple cycle cannot revisit w in the middle.
-    assert plan.answers() == {("u",)}
+    assert {mu["x"] for mu in plan.solutions()} == {"u"}
+    # With x in the head the plan reads the simple-cycle diagonal.
+    rpq = plan_qinj(_eps_free("Q(x) :- x -[(ab)+(aa)]-> x"), graph)
+    assert rpq.rpq and rpq.domains["x"] == ("u",)
+    assert rpq.answers() == {("u",)}
 
 
 @pytest.mark.parametrize("binding, reason_part", [
@@ -369,6 +385,52 @@ def test_explain_renders_pruning_pipeline():
     assert "first witness" in text
 
 
+@pytest.mark.parametrize("text, relation", [
+    ("Q(x, y) :- x -[a]-> y", "a-inj simple-path relation, diagonal removed"),
+    ("Q(y, x, y) :- x -[a]-> y",
+     "a-inj simple-path relation, diagonal removed"),
+    ("Q(x) :- x -[ab]-> x", "a-inj simple-cycle diagonal"),
+    ("Q(x) :- x -[a]-> y", None),
+    ("Q() :- x -[a]-> y", None),
+    ("Q(x, y) :- x -[a]-> y, y -[b]-> x", None),
+    (CRPQ(("x", "y"), (Atom("x", parse_regex("a"), "y"),),
+          extra_variables=("z",)), None),
+], ids=str)
+def test_downgrade_lint_fires_exactly_on_rpq_plans(text, relation):
+    graph = _diamond_graph()
+    query = parse_query(text) if isinstance(text, str) else text
+    (disjunct,) = analyzed_disjuncts(query, "q-inj")
+    plan = plan_qinj(disjunct, graph)
+    assert plan.rpq is (relation is not None)
+    lints = [str(lint) for lint in analyze(query, "q-inj").lints
+             if lint.code == "semantics-downgrade-safe"]
+    rendered = plan.explain()
+    if relation is None:
+        assert not lints
+        assert "relation-guided joint backtracking" in rendered
+        assert "no joint search" not in rendered
+        return
+    assert lints == [f"semantics-downgrade-safe: d0: RPQ shape: q-inj "
+                     f"answers read the {relation}; no joint search"]
+    assert f"semantics: q-inj — RPQ shape: {relation}; no joint search" \
+        in rendered
+    assert "relation-guided" not in rendered
+    # A membership binding keeps the search plan.
+    pinned = plan_qinj(disjunct, graph, binding={"x": "u"})
+    assert not pinned.rpq
+    assert "relation-guided joint backtracking" in pinned.explain()
+    for other in ("st", "a-inj"):
+        assert not [lint for lint in analyze(query, other).lints
+                    if lint.code == "semantics-downgrade-safe"]
+
+
+def test_explain_renders_rpq_relation_size():
+    graph = _diamond_graph()
+    text = plan_qinj(_eps_free("Q(x, z) :- x -[ab]-> z"), graph).explain()
+    assert "  atom 0: x -[ab]-> z  |simple-path pairs| = 1" in text
+    assert "one witness charged per answer" in text
+
+
 def test_explain_lists_unconstrained_variables():
     graph = _diamond_graph()
     query = _eps_free("Q(free) :- x -[a]-> y")
@@ -399,7 +461,9 @@ def test_batch_explain_qinj_renders_per_query_plans(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "batch plan:" in out
     assert "distinct atom relations" in out  # real q-inj jobs now
-    assert out.count("relation-guided joint backtracking") == 2
+    # The loop query is RPQ-shaped: it reads the a-inj relation.
+    assert out.count("relation-guided joint backtracking") == 1
+    assert out.count("a-inj simple-cycle diagonal; no joint search") == 1
     assert "answer(s)" not in out
 
 

@@ -176,7 +176,7 @@ def test_cap_and_clear_drops_relations_that_fill_the_cache(monkeypatch):
 
 def test_batch_computes_each_relation_once_past_the_cap(monkeypatch):
     # A q-inj batch on a graph whose witness entries overflow the
-    # cache: the warmed pruning relations are still computed once.
+    # cache: the warmed relations are still computed once.
     monkeypatch.setattr(cache, "_GRAPH_CACHE_CAP", 16)
     graph = uniform_random(20, 40, {"a", "b"}, seed=5)
     queries = [parse_query(text) for text in (
@@ -186,7 +186,10 @@ def test_batch_computes_each_relation_once_past_the_cap(monkeypatch):
     )] * 3
     _hits, misses = relation_lookups()
     answers = evaluate_batch(queries, graph, "q-inj")
-    assert relation_lookups()[1] - misses == 2  # ab and a, once each
+    # The ab and a walk relations, and the simple-path relation of ab
+    # that the one-atom query answers from (its candidates are the ab
+    # walk relation), once each.
+    assert relation_lookups()[1] - misses == 3
     assert answers == [evaluate(query, graph.copy(), "q-inj")
                        for query in queries]
 
